@@ -21,7 +21,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 
 	"riommu/internal/cycles"
 	"riommu/internal/mem"
@@ -60,6 +59,10 @@ type Mapping struct {
 	Size     uint32
 	Dir      pci.Dir
 	MapCycle uint64
+}
+
+func (m *Mapping) contains(iova uint64) bool {
+	return iova >= m.IOVA && iova < m.IOVA+uint64(m.Size)
 }
 
 // Retired is a mapping that has been unmapped, kept as a tombstone so stale
@@ -110,16 +113,17 @@ type Oracle struct {
 	// outside the oracle's live set without being a protection failure.
 	passThrough bool
 
+	// live files each device's live mappings under every IOVA page they
+	// span, so the mapping containing an address, or the one based at it,
+	// is a map lookup away. Live mappings never share a byte, but sub-page
+	// buffers from two IOVA allocators can share a page: a hot-attached
+	// driver gets a fresh allocator while the detached instance's buffers
+	// are still mapped. live holds the first mapping filed under a page and
+	// shared every later one, in filing order; shared stays nil until a
+	// page is shared.
 	live    map[pci.BDF]map[uint64]*Mapping
+	shared  map[devPage][]*Mapping
 	retired map[pci.BDF][]Retired
-
-	// lastBDF/lastHit cache the mapping the previous chunk landed in. DMA
-	// chunks arrive in bursts against the same mapping (a ring's descriptor
-	// area, a packet buffer split at a page boundary), and live mappings
-	// never overlap, so a cache hit is exactly the mapping the linear scan
-	// would find. Invalidated whenever that mapping is retired.
-	lastBDF pci.BDF
-	lastHit *Mapping
 
 	// Aggregate counters. Checked counts verified DMA chunks; Violations
 	// counts every breach (Events holds only the first maxEvents).
@@ -160,16 +164,12 @@ func (o *Oracle) SetPassThrough(v bool) { o.passThrough = v }
 // an unmap).
 func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	o.Maps++
-	dev := o.live[bdf]
-	if dev == nil {
-		dev = make(map[uint64]*Mapping)
-		o.live[bdf] = dev
-	}
-	if old, ok := dev[iova]; ok {
+	if old := o.base(bdf, iova); old != nil {
+		o.unfile(old)
 		o.retire(bdf, old)
 		o.LiveNow--
 	}
-	dev[iova] = &Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()}
+	o.file(&Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()})
 	o.LiveNow++
 	if o.LiveNow > o.LivePeak {
 		o.LivePeak = o.LiveNow
@@ -179,21 +179,17 @@ func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci
 // OnUnmap mirrors a successful driver unmap of the mapping based at iova.
 func (o *Oracle) OnUnmap(bdf pci.BDF, iova uint64) {
 	o.Unmaps++
-	dev := o.live[bdf]
-	m, ok := dev[iova]
-	if !ok {
+	m := o.base(bdf, iova)
+	if m == nil {
 		o.UnmapMisses++
 		return
 	}
-	delete(dev, iova)
+	o.unfile(m)
 	o.LiveNow--
 	o.retire(bdf, m)
 }
 
 func (o *Oracle) retire(bdf pci.BDF, m *Mapping) {
-	if m == o.lastHit {
-		o.lastHit = nil
-	}
 	r := append(o.retired[bdf], Retired{Mapping: *m, UnmapCycle: o.clk.Now()})
 	// Compact lazily, at twice the cap, so a teardown that retires a whole
 	// ring (8K mlx Rx buffers) pays a handful of copies rather than one
@@ -216,30 +212,20 @@ func (o *Oracle) OnFlush() { o.InvFlushes++ }
 // VerifyDMA judges one translated DMA chunk: the engine calls it after the
 // protection hardware accepted the access and resolved it to pa, and the
 // oracle independently re-derives what should have happened. Chunks never
-// cross a 4 KiB IOVA boundary (dma.Engine splits them), so a chunk falls in
-// at most one live mapping.
+// cross a 4 KiB IOVA boundary (dma.Engine splits them), and live mappings
+// never share bytes, so the mapping containing the chunk's first byte is
+// the only one the chunk can fall in.
 func (o *Oracle) VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	o.Checked++
 	if o.passThrough {
 		return
 	}
-	var m *Mapping
-	if c := o.lastHit; c != nil && o.lastBDF == bdf && iova >= c.IOVA && iova < c.IOVA+uint64(c.Size) {
-		m = c
-	} else {
-		for _, cand := range o.live[bdf] {
-			// Live base IOVAs never overlap (distinct allocator ranges /
-			// rentries), so at most one mapping contains the chunk start and
-			// map-iteration order cannot affect the outcome.
-			if iova >= cand.IOVA && iova < cand.IOVA+uint64(cand.Size) {
-				m = cand
-				break
-			}
-		}
-		if m != nil {
-			o.lastBDF, o.lastHit = bdf, m
-		}
-	}
+	o.judge(o.find(bdf, iova), bdf, iova, pa, size, dir)
+}
+
+// judge records the verdict on a chunk whose first byte lies in the live
+// mapping m, or in none when m is nil.
+func (o *Oracle) judge(m *Mapping, bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	if m != nil {
 		switch {
 		case !m.Dir.Allows(dir):
@@ -284,15 +270,46 @@ func (o *Oracle) violate(v Violation) {
 	}
 }
 
-// LiveSorted returns the device's live mappings ordered by base IOVA —
-// the deterministic view chaos scenarios pick targets from.
-func (o *Oracle) LiveSorted(bdf pci.BDF) []Mapping {
+// LiveFirst returns the n live mappings of the device with the lowest base
+// IOVAs among those keep accepts (nil accepts every mapping), in ascending
+// base order: the deterministic view chaos scenarios pick targets from.
+// OnMap retires a duplicate base, so base IOVAs are unique per device and
+// the selection cannot depend on map iteration order.
+func (o *Oracle) LiveFirst(bdf pci.BDF, n int, keep func(Mapping) bool) []Mapping {
 	dev := o.live[bdf]
-	out := make([]Mapping, 0, len(dev))
-	for _, m := range dev {
-		out = append(out, *m)
+	if len(dev) == 0 || n <= 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IOVA < out[j].IOVA })
+	out := make([]Mapping, 0, min(n, len(dev)))
+	pick := func(page uint64, m *Mapping) {
+		// A mapping sits in the index once per page it spans; count it
+		// only at its base page.
+		if page != m.IOVA>>mem.PageShift || len(out) == n && m.IOVA >= out[n-1].IOVA {
+			return
+		}
+		if keep != nil && !keep(*m) {
+			return
+		}
+		if len(out) < n {
+			out = append(out, *m)
+		} else {
+			out[n-1] = *m
+		}
+		for i := len(out) - 1; i > 0 && out[i-1].IOVA > out[i].IOVA; i-- {
+			out[i-1], out[i] = out[i], out[i-1]
+		}
+	}
+	for page, m := range dev {
+		pick(page, m)
+	}
+	for k, ms := range o.shared {
+		if k.bdf != bdf {
+			continue
+		}
+		for _, m := range ms {
+			pick(k.page, m)
+		}
+	}
 	return out
 }
 
@@ -307,4 +324,95 @@ func (o *Oracle) RecentRetired(bdf pci.BDF, n int) []Retired {
 		out = append(out, r[len(r)-1-i])
 	}
 	return out
+}
+
+// devPage names one IOVA page of one device.
+type devPage struct {
+	bdf  pci.BDF
+	page uint64
+}
+
+// pageSpan returns the first and last IOVA page of a mapping; a zero-size
+// mapping is filed under its base page.
+func pageSpan(m *Mapping) (first, last uint64) {
+	return m.IOVA >> mem.PageShift, (m.IOVA + uint64(max(m.Size, 1)) - 1) >> mem.PageShift
+}
+
+// file adds m to the live index under every page it spans.
+func (o *Oracle) file(m *Mapping) {
+	dev := o.live[m.BDF]
+	if dev == nil {
+		dev = make(map[uint64]*Mapping)
+		o.live[m.BDF] = dev
+	}
+	first, last := pageSpan(m)
+	for p := first; p <= last; p++ {
+		if dev[p] == nil {
+			dev[p] = m
+			continue
+		}
+		if o.shared == nil {
+			o.shared = make(map[devPage][]*Mapping)
+		}
+		k := devPage{m.BDF, p}
+		o.shared[k] = append(o.shared[k], m)
+	}
+}
+
+// unfile removes m from every page it spans. Where m held a shared page's
+// live slot, the oldest shared mapping takes it over.
+func (o *Oracle) unfile(m *Mapping) {
+	dev := o.live[m.BDF]
+	first, last := pageSpan(m)
+	for p := first; p <= last; p++ {
+		k := devPage{m.BDF, p}
+		rest := o.shared[k]
+		i := 0
+		if dev[p] == m {
+			if len(rest) == 0 {
+				delete(dev, p)
+				continue
+			}
+			dev[p] = rest[0]
+		} else {
+			for rest[i] != m { // m is filed under every page it spans
+				i++
+			}
+		}
+		if len(rest) == 1 {
+			delete(o.shared, k)
+		} else {
+			o.shared[k] = append(rest[:i], rest[i+1:]...)
+		}
+	}
+}
+
+// find returns the live mapping of bdf containing iova, or nil.
+func (o *Oracle) find(bdf pci.BDF, iova uint64) *Mapping {
+	p := iova >> mem.PageShift
+	m := o.live[bdf][p]
+	if m == nil || m.contains(iova) {
+		return m
+	}
+	for _, s := range o.shared[devPage{bdf, p}] {
+		if s.contains(iova) {
+			return s
+		}
+	}
+	return nil
+}
+
+// base returns the live mapping of bdf based exactly at iova, or nil.
+func (o *Oracle) base(bdf pci.BDF, iova uint64) *Mapping {
+	p := iova >> mem.PageShift
+	m := o.live[bdf][p]
+	if m == nil || m.IOVA == iova {
+		return m
+	}
+	for _, s := range o.shared[devPage{bdf, p}] {
+		if s.IOVA == iova {
+			return s
+		}
+	}
+	return nil
 }

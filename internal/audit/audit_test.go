@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,19 +109,41 @@ func TestPassThroughCountsWithoutJudging(t *testing.T) {
 	}
 }
 
-func TestLiveSortedDeterministic(t *testing.T) {
+func TestLiveFirstDeterministic(t *testing.T) {
 	o, _ := newTestOracle()
 	for _, base := range []uint64{0x5000, 0x1000, 0x9000, 0x3000} {
-		o.OnMap(bdf, base, mem.PA(base), 512, pci.DirBidi)
+		dir := pci.DirBidi
+		if base == 0x3000 || base == 0x9000 {
+			dir = pci.DirToDevice
+		}
+		o.OnMap(bdf, base, mem.PA(base), 512, dir)
 	}
-	ms := o.LiveSorted(bdf)
-	for i := 1; i < len(ms); i++ {
-		if ms[i-1].IOVA >= ms[i].IOVA {
-			t.Fatalf("LiveSorted not ordered: %#x before %#x", ms[i-1].IOVA, ms[i].IOVA)
+	bases := func(ms []Mapping) []uint64 {
+		out := []uint64{}
+		for _, m := range ms {
+			out = append(out, m.IOVA)
+		}
+		return out
+	}
+	readOnly := func(m Mapping) bool { return m.Dir == pci.DirToDevice }
+	for _, tc := range []struct {
+		n    int
+		keep func(Mapping) bool
+		want []uint64
+	}{
+		{2, nil, []uint64{0x1000, 0x3000}},
+		{4, nil, []uint64{0x1000, 0x3000, 0x5000, 0x9000}},
+		{9, nil, []uint64{0x1000, 0x3000, 0x5000, 0x9000}},
+		{1, readOnly, []uint64{0x3000}},
+		{4, readOnly, []uint64{0x3000, 0x9000}},
+		{0, nil, []uint64{}},
+	} {
+		if got := bases(o.LiveFirst(bdf, tc.n, tc.keep)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("LiveFirst(n=%d, readOnly=%v) = %#x, want %#x", tc.n, tc.keep != nil, got, tc.want)
 		}
 	}
-	if len(ms) != 4 {
-		t.Fatalf("LiveSorted = %d mappings, want 4", len(ms))
+	if got := o.LiveFirst(pci.NewBDF(0, 9, 0), 4, nil); len(got) != 0 {
+		t.Errorf("LiveFirst on a device that never mapped = %+v", got)
 	}
 }
 

@@ -10,7 +10,7 @@
 // protection hardware judges them exactly as it judges legitimate traffic:
 // an attempt the translator rejects is contained; one it translates lands in
 // memory and is then judged by the audit oracle. Target selection reads only
-// the oracle's deterministic views (LiveSorted, RecentRetired) and consumes
+// the oracle's deterministic views (LiveFirst, RecentRetired) and consumes
 // no randomness, so a chaos campaign cell is a pure function of its seed.
 package chaos
 
@@ -153,9 +153,7 @@ func (h *Hostile) ReplayRetired(n int) {
 // bytes share the buffer's page (the §4 sub-page gap); byte-granular rPTEs
 // fault it at the boundary.
 func (h *Hostile) OverreachLive(n int) {
-	ms := h.orc.LiveSorted(h.bdf)
-	for i := 0; i < len(ms) && i < n; i++ {
-		m := ms[i]
+	for _, m := range h.orc.LiveFirst(h.bdf, n, nil) {
 		half := uint64(probeSize / 2)
 		if uint64(m.Size) < half {
 			continue
@@ -173,19 +171,12 @@ func (h *Hostile) OverreachLive(n int) {
 // device writes (Tx buffers). Both IOMMU designs store the direction in the
 // translation, so these should be contained in every protected mode.
 func (h *Hostile) WriteReadOnly(n int) {
-	done := 0
-	for _, m := range h.orc.LiveSorted(h.bdf) {
-		if done >= n {
-			break
-		}
-		if m.Dir.Allows(pci.DirFromDevice) {
-			continue
-		}
+	readOnly := func(m audit.Mapping) bool { return !m.Dir.Allows(pci.DirFromDevice) }
+	for _, m := range h.orc.LiveFirst(h.bdf, n, readOnly) {
 		size := uint32(probeSize)
 		if m.Size < size {
 			size = m.Size
 		}
 		h.note(h.eng.Write(h.bdf, m.IOVA, h.scratch(int(size))))
-		done++
 	}
 }

@@ -10,11 +10,12 @@ package riommu
 // lives in BENCH_wallclock.txt; `make bench-wallclock` compares a fresh run
 // against it with cmd/benchdiff.
 //
-//	go test -run TestHotPathAllocs -bench 'MapUnmap|Walk|IOTLB|CampaignCell'
+//	go test -run TestHotPathAllocs -bench 'MapUnmap|Walk|IOTLB|OracleVerify|CampaignCell'
 
 import (
 	"testing"
 
+	"riommu/internal/audit"
 	"riommu/internal/campaign"
 	"riommu/internal/core"
 	"riommu/internal/cycles"
@@ -246,6 +247,56 @@ func BenchmarkTrafficCell(b *testing.B) {
 	}
 }
 
+// The audited Rx ring of the oracle benchmark: an mlx-sized ring on one
+// device, its descriptor area and its buffers at separate IOVA ranges.
+const (
+	oracleRingEntries = 8192
+	oracleDescIOVA    = 0x1000_0000
+	oracleBufIOVA     = 0x2000_0000
+)
+
+var oracleBDF = pci.NewBDF(0, 3, 0)
+
+// newOracleRing returns an audit oracle holding the ring's live set: a
+// persistent mapping of its 16-byte descriptors plus one 2 KiB buffer per
+// entry, each on its own IOVA page as the baseline allocators place them.
+func newOracleRing() *audit.Oracle {
+	orc := audit.NewOracle("strict", &cycles.Clock{})
+	orc.OnMap(oracleBDF, oracleDescIOVA, 0x80_0000, oracleRingEntries*16, pci.DirBidi)
+	for i := uint64(0); i < oracleRingEntries; i++ {
+		orc.OnMap(oracleBDF, oracleBufIOVA+i<<mem.PageShift, mem.PA(0x100_0000+i<<mem.PageShift), 2048, pci.DirFromDevice)
+	}
+	return orc
+}
+
+// verifyRingChunk judges DMA chunk i of the Rx pattern: even chunks fetch
+// a descriptor, odd chunks write the packet into that descriptor's buffer,
+// so consecutive chunks never land in the same mapping.
+func verifyRingChunk(orc *audit.Oracle, i uint64) {
+	e := i / 2 % oracleRingEntries
+	if i%2 == 0 {
+		orc.VerifyDMA(oracleBDF, oracleDescIOVA+e*16, mem.PA(0x80_0000+e*16), 16, pci.DirToDevice)
+		return
+	}
+	orc.VerifyDMA(oracleBDF, oracleBufIOVA+e<<mem.PageShift, mem.PA(0x100_0000+e<<mem.PageShift), 1500, pci.DirFromDevice)
+}
+
+// BenchmarkOracleVerify times the audit oracle's judgment of one DMA chunk
+// against an 8K-buffer live set, alternating descriptor and buffer chunks:
+// the shape of every Rx packet on the map/unmap storm.
+func BenchmarkOracleVerify(b *testing.B) {
+	orc := newOracleRing()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		verifyRingChunk(orc, uint64(i))
+	}
+	b.StopTimer()
+	if orc.Violations != 0 {
+		b.Fatalf("clean Rx pattern flagged: %v", orc.Events)
+	}
+}
+
 // TestHotPathAllocs pins the steady-state translation hot paths at zero
 // allocations per operation: a regression here silently costs wall-clock
 // across every experiment, so it hard-fails CI (satellite 3, PR 4).
@@ -349,6 +400,34 @@ func TestHotPathAllocs(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("%s IOVA alloc/free recycle allocates %.1f objects per op, want 0", tc.name, n)
 			}
+		}
+	})
+
+	t.Run("oracle-verify", func(t *testing.T) {
+		// hit: chunks that land in a live mapping (the Rx pattern above).
+		// miss: chunks that land in none, judged stale or unmapped. The
+		// warm-up fills the bounded event log, whose appends allocate.
+		orc := newOracleRing()
+		var i uint64
+		if n := testing.AllocsPerRun(200, func() {
+			verifyRingChunk(orc, i)
+			i++
+		}); n != 0 || orc.Violations != 0 {
+			t.Errorf("oracle verify hit allocates %.1f objects per op (violations %d), want 0", n, orc.Violations)
+		}
+		orc.OnUnmap(oracleBDF, oracleBufIOVA)
+		miss := func() {
+			orc.VerifyDMA(oracleBDF, oracleBufIOVA+i%2*0x7000_0000, 0, 64, pci.DirFromDevice)
+			i++
+		}
+		for range 64 {
+			miss()
+		}
+		if n := testing.AllocsPerRun(200, miss); n != 0 {
+			t.Errorf("oracle verify miss allocates %.1f objects per op, want 0", n)
+		}
+		if orc.ByReason[audit.ReasonStale] == 0 || orc.ByReason[audit.ReasonUnmapped] == 0 {
+			t.Errorf("misses not judged stale and unmapped: %v", orc.ByReason)
 		}
 	})
 
