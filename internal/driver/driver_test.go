@@ -248,6 +248,51 @@ func TestRxDeliverReapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReapRxRejectsOversizedLength corrupts a completed Rx descriptor's
+// length to 1 MiB, past the posted 2 KiB buffer but inside simulated
+// memory: the reap must fail rather than copy the memory that follows the
+// buffer, hand the buffer back to the pool, and leave a driver that a
+// Recover brings back to full service.
+func TestReapRxRejectsOversizedLength(t *testing.T) {
+	drv, _, _ := identityNIC(t, device.ProfileMLX)
+	if err := drv.Deliver(bytes.Repeat([]byte{0x42}, 700)); err != nil {
+		t.Fatal(err)
+	}
+	slot := drv.RxRing().Head() - 1
+	desc, err := drv.RxRing().ReadSlot(slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc.Len = 1 << 20
+	if err := drv.RxRing().WriteSlot(slot, desc); err != nil {
+		t.Fatal(err)
+	}
+	frames, err := drv.ReapRx()
+	if err == nil || frames != nil {
+		t.Fatalf("oversized completion reaped: %d frames, err %v", len(frames), err)
+	}
+	posted := 0
+	for _, m := range drv.rxSlots {
+		if m.live {
+			posted++
+		}
+	}
+	if got := drv.pool.Outstanding(); got != posted {
+		t.Errorf("%d buffers outstanding for %d posted slots: the reaped buffer leaked", got, posted)
+	}
+	if err := drv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	frame := bytes.Repeat([]byte{0x17}, 700)
+	if err := drv.Deliver(frame); err != nil {
+		t.Fatal(err)
+	}
+	frames, err = drv.ReapRx()
+	if err != nil || len(frames) != 1 || !bytes.Equal(frames[0], frame) {
+		t.Fatalf("after Recover: %d frames, err %v", len(frames), err)
+	}
+}
+
 func TestDriverStats(t *testing.T) {
 	drv, _, _ := identityNIC(t, device.ProfileBRCM)
 	for i := 0; i < 5; i++ {

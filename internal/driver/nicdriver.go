@@ -412,6 +412,13 @@ func (d *NICDriver) ReapRx() ([][]byte, error) {
 			return nil, fmt.Errorf("driver: rx unmap slot %d: %w", slot, err)
 		}
 		d.rxSlots[slot] = mapped{}
+		if desc.Len > m.size {
+			// The device can only have written the buffer posted in this
+			// slot; a longer length is a corrupted completion, and copying
+			// it would read past the buffer into whatever memory follows.
+			d.pool.Put(m.pa)
+			return nil, fmt.Errorf("driver: rx slot %d: completion length %d exceeds its %d-byte buffer", slot, desc.Len, m.size)
+		}
 		if desc.Len > 0 {
 			// Copy straight out of simulated memory into the frame;
 			// ReadInto has the same poison/fault-hook semantics as Read
