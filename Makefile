@@ -3,11 +3,11 @@ FUZZTIME ?= 10s
 BENCH_GOLDEN ?= BENCH_golden.json
 BENCH_WALLCLOCK ?= BENCH_wallclock.txt
 BENCH_GATE ?= BENCH_gate.json
-WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|CampaignCell|EngineReadU64|TrafficCell
+WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|CampaignCell|EngineReadU64|TrafficCell|OracleVerify
 
 COVER_FLOOR ?= 78.0
 
-.PHONY: all build test tier1 vet fmt-check race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check bench-wallclock bench-wallclock-baseline alloc-check grid-full grid-check profile audit hotplug tenants traffic clean
+.PHONY: all build test tier1 vet fmt-check race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic clean
 
 all: tier1
 
@@ -39,7 +39,7 @@ ci: build vet race
 # ci-local mirrors every gate of .github/workflows/ci.yml in one invocation
 # (grid-check stands in for the scheduled grid-full job: same byte-identity
 # property, CI-sized rounds).
-ci-local: build vet fmt-check test race equivalence fuzz-smoke bench-check alloc-check cover grid-check audit hotplug tenants traffic
+ci-local: build vet fmt-check test race equivalence fuzz-smoke bench-check alloc-check cover grid-check audit hotplug tenants traffic perfbench-check
 
 # equivalence runs the mode-equivalence property suite under the race
 # detector: every protection mode must produce byte-identical Tx/Rx payloads
@@ -140,6 +140,16 @@ bench-check: build
 # gate is machine-independent, so CI hard-fails on it.
 alloc-check:
 	$(GO) test -run TestHotPathAllocs -count=1 .
+
+# perfbench-check runs the repository benchmark's own tests, then a short
+# churn-audited run (the map/unmap storm under the audit oracle), and fails
+# unless the run's result line reports every simulated output correct.
+perfbench-check:
+	cd perfbench && $(GO) test ./...
+	@last="$$(bash perfbench/run.sh --workload churn-audited --seconds 5 --trace 0 | tail -n 1)"; \
+	echo "$$last"; \
+	case "$$last" in *'"correct":true'*) ;; \
+	*) echo "perfbench-check: churn-audited run not correct"; exit 1 ;; esac
 
 # bench-wallclock runs the wall-clock suite (ns/op of the simulator itself,
 # not virtual cycles) and compares against the committed baseline with the
