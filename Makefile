@@ -3,7 +3,8 @@ FUZZTIME ?= 10s
 BENCH_GOLDEN ?= BENCH_golden.json
 BENCH_WALLCLOCK ?= BENCH_wallclock.txt
 BENCH_GATE ?= BENCH_gate.json
-WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|CampaignCell|EngineReadU64|TrafficCell|OracleVerify
+WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|CampaignCell|EngineReadU64|TrafficCell|OracleVerify|^BenchmarkAllocFrames$$
+WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
 
@@ -156,10 +157,11 @@ perfbench-check:
 # in-repo benchdiff tool. Most rows are informational — ns/op depends on the
 # machine — but the benchmarks named in $(BENCH_GATE) carry per-benchmark
 # regression floors; flipping "enforce" to true in that file turns them into
-# a hard exit-1 gate. allocs/op increases always fail.
+# a hard exit-1 gate. allocs/op increases always fail. WALLCLOCK_FLAGS sets
+# the go test benchmark flags (CI runs -benchtime 1000x -count=1).
 bench-wallclock: build
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run '^$$' -bench '$(WALLCLOCK_PATTERN)' -count=2 . | tee "$$tmp"; \
+	$(GO) test -run '^$$' -bench '$(WALLCLOCK_PATTERN)' $(WALLCLOCK_FLAGS) . | tee "$$tmp"; \
 	echo ""; \
 	$(GO) run ./cmd/benchdiff -gate $(BENCH_GATE) $(BENCH_WALLCLOCK) "$$tmp"
 
@@ -168,7 +170,7 @@ bench-wallclock: build
 # intentional change moves the hot-path timings (expect noise across
 # machines; the deltas, not the absolute numbers, are what reviews compare).
 bench-wallclock-baseline: build
-	$(GO) test -run '^$$' -bench '$(WALLCLOCK_PATTERN)' -count=2 . | tee $(BENCH_WALLCLOCK)
+	$(GO) test -run '^$$' -bench '$(WALLCLOCK_PATTERN)' $(WALLCLOCK_FLAGS) . | tee $(BENCH_WALLCLOCK)
 
 # grid-full runs the full-quality fault-campaign grid — every axis the
 # campaign knows (faults, hostile devices, hostile MSIs, hot-plug storms,

@@ -69,16 +69,21 @@ type FaultHook interface {
 // allocated and are handed out in ascending order without ever being
 // materialized in a slice, while the free stack holds only explicitly freed
 // frames. The observable allocation order is byte-identical to the eager
-// descending free list this replaces (the deterministic-layout test pins
-// it); the one operation whose legacy behavior a watermark cannot mirror —
+// descending free list this replaces (TestAllocOrderMatchesEager pins it);
+// the one operation whose legacy behavior a watermark cannot mirror —
 // reserving a specific never-allocated frame while freed frames exist —
 // materializes the full legacy list first and proceeds identically.
+//
+// AllocFrames's first-fit scan starts at a first-free cursor, low: every
+// frame in [1, low) is allocated. Frames below low can hold no free run, so
+// skipping them returns the same PFN a scan from frame 1 would.
 type PhysMem struct {
 	data      []byte
 	frames    int
 	free      []PFN // LIFO stack of explicitly freed frames
 	watermark PFN   // lazy mode: lowest never-allocated frame
 	lazy      bool  // free list not materialized (the common case)
+	low       PFN   // first-free cursor: frames [1, low) are all allocated
 	alloced   []bool
 	pinCount  []uint32
 	dirty     []bool // dirty[f]: frame f's bytes may differ from zero
@@ -146,6 +151,7 @@ func New(size uint64) (*PhysMem, error) {
 		frames:    int(size / PageSize),
 		watermark: 1, // frame 0 is reserved
 		lazy:      true,
+		low:       1,
 		alloced:   bk.alloced,
 		pinCount:  bk.pinCount,
 		dirty:     bk.dirty,
@@ -291,19 +297,27 @@ func (m *PhysMem) AllocFrames(n int) (PFN, error) {
 	if n == 1 {
 		return m.AllocFrame()
 	}
-	// First-fit scan for a contiguous run of free frames.
+	// First-fit scan for a contiguous run of free frames, from the cursor.
+	// Allocated frames at the front of the scan, and a run taken at the
+	// cursor, move the cursor past them.
 	run := 0
-	for f := 1; f < m.frames; f++ {
+	for f := m.low; int(f) < m.frames; f++ {
 		if m.alloced[f] {
+			if f == m.low {
+				m.low++
+			}
 			run = 0
 			continue
 		}
 		run++
 		if run == n {
-			first := PFN(f - n + 1)
+			first := f - PFN(n) + 1
 			for i := 0; i < n; i++ {
 				m.takeFrame(first + PFN(i))
 				m.clearFrame(first + PFN(i))
+			}
+			if first == m.low {
+				m.low = f + 1
 			}
 			m.ClearPoison(first.PA(), uint64(n)*PageSize)
 			return first, nil
@@ -363,6 +377,9 @@ func (m *PhysMem) FreeFrame(f PFN) error {
 	}
 	m.alloced[f] = false
 	m.free = append(m.free, f)
+	if f < m.low {
+		m.low = f
+	}
 	return nil
 }
 

@@ -80,21 +80,32 @@ func NewLock(p LockParams) *Lock {
 // atomic cost, plus exponential-backoff spins while another core's critical
 // section still occupies the lock in virtual time. On return the core owns
 // the lock at its (possibly advanced) current time.
+//
+// Once the spin length reaches BackoffMax every further spin is the same
+// length, so the k spins still needed to pass the release point are charged
+// in one step: the same clock, ledger and stats as spinning k times.
 func (l *Lock) Acquire(clk *cycles.Clock) {
 	l.Stats.Acquisitions++
 	clk.Charge(cycles.LockContention, l.p.AcquireCycles)
 	if clk.Now() < l.freeAt {
 		l.Stats.Contended++
 		spin := l.p.BackoffBase
-		for clk.Now() < l.freeAt {
+		for spin < l.p.BackoffMax && clk.Now() < l.freeAt {
 			clk.ChargeFree(cycles.LockContention, spin)
 			l.Stats.WaitCycles += spin
-			if spin < l.p.BackoffMax {
-				spin *= 2
-				if spin > l.p.BackoffMax {
-					spin = l.p.BackoffMax
-				}
+			spin *= 2
+			if spin > l.p.BackoffMax {
+				spin = l.p.BackoffMax
 			}
+		}
+		if now := clk.Now(); now < l.freeAt {
+			wait := l.freeAt - now
+			k := wait / spin
+			if wait%spin != 0 {
+				k++
+			}
+			clk.ChargeFreeN(cycles.LockContention, k, spin)
+			l.Stats.WaitCycles += k * spin
 		}
 	}
 	l.heldFrom = clk.Now()

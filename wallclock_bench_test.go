@@ -200,6 +200,42 @@ func BenchmarkEngineReadU64(b *testing.B) {
 	}
 }
 
+// The frame pattern of a churn world (figS2's 1M-connection kernel cell):
+// its rings, buffers and tables hold ~8.2K single frames when
+// traffic.NewEngine reserves one four-frame steering buffer for each of
+// 2,048 connection slots, on 41,024 frames of memory.
+const (
+	churnWorldFrames  = 41024
+	churnSingleFrames = 8192
+	churnSteerSlots   = 2048
+	churnSteerFrames  = 4
+)
+
+// BenchmarkAllocFrames times a churn world's frame reservations: the single
+// frames, then every steering buffer's contiguous run. Building and
+// releasing the memory is untimed, so allocs/op is 0.
+func BenchmarkAllocFrames(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		mm := mustMem(b, churnWorldFrames*mem.PageSize)
+		b.StartTimer()
+		for range churnSingleFrames {
+			if _, err := mm.AllocFrame(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for range churnSteerSlots {
+			if _, err := mm.AllocFrames(churnSteerFrames); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		mm.Release()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkCampaignCell times one complete fault-campaign NIC cell — system
 // construction, supervised rounds, teardown — the unit the campaign grid and
 // CI chaos gate scale by.
