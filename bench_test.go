@@ -16,14 +16,10 @@ import (
 	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/experiments"
-	"riommu/internal/iommu"
 	"riommu/internal/mem"
-	"riommu/internal/pagetable"
 	"riommu/internal/pci"
 	"riommu/internal/sim"
 	"riommu/internal/workload"
-
-	baselinedrv "riommu/internal/baseline"
 )
 
 // BenchmarkTable1 regenerates the (un)map cycle breakdown and reports the
@@ -225,61 +221,6 @@ func BenchmarkBonnie(b *testing.B) {
 }
 
 // --- Microbenchmarks of the competing primitives themselves. ---
-
-// BenchmarkRIOMMUMapUnmap measures one rIOMMU map+unmap pair: wall time is
-// simulator speed; the metric is the virtual cycles the pair costs the core.
-func BenchmarkRIOMMUMapUnmap(b *testing.B) {
-	mm := mustMem(b, 1024*mem.PageSize)
-	clk := &cycles.Clock{}
-	model := cycles.DefaultModel()
-	hw := core.New(clk, &model, mm)
-	bdf := pci.NewBDF(0, 3, 0)
-	drv, err := core.NewDriver(clk, &model, mm, hw, bdf, []uint32{1024}, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, _ := mm.AllocFrame()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iova, err := drv.Map(0, f.PA(), 1500, pci.DirFromDevice)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := drv.Unmap(0, iova, 0, i%200 == 199); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(clk.Now())/float64(b.N), "vcycles/pair")
-}
-
-// BenchmarkBaselineMapUnmap measures the strict-mode pair for contrast.
-func BenchmarkBaselineMapUnmap(b *testing.B) {
-	mm := mustMem(b, 4096*mem.PageSize)
-	clk := &cycles.Clock{}
-	model := cycles.DefaultModel()
-	hier, err := pagetable.NewHierarchy(mm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hw := iommu.New(clk, &model, hier, 0)
-	bdf := pci.NewBDF(0, 3, 0)
-	drv, err := baselinedrv.New(baselinedrv.Strict, clk, &model, mm, hw, bdf, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, _ := mm.AllocFrame()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iova, err := drv.Map(0, f.PA(), 1500, pci.DirFromDevice)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := drv.Unmap(0, iova, 1500, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(clk.Now())/float64(b.N), "vcycles/pair")
-}
 
 // BenchmarkRtranslate measures the rIOMMU hardware fast path (sequential
 // translations served by the prefetched next rPTE).

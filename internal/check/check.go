@@ -87,9 +87,8 @@ type Trace struct {
 	// IntViolations is the interrupt oracle's verdict (0 expected).
 	IntViolations uint64
 	// Cycles is the final CPU clock ledger. It is NOT mode-invariant (cost is
-	// exactly what modes change) but it must be invariant across scheduling
-	// choices within one mode — in particular batch vs scalar translation,
-	// which the BatchTranslator contract requires to charge identically.
+	// exactly what modes change), but reruns of one mode and seed must
+	// reproduce it.
 	Cycles cycles.Snapshot
 }
 
@@ -106,10 +105,6 @@ type Config struct {
 	// where DMA lands in host memory and what it costs, never what data
 	// moves or which mappings the guest asks for.
 	Tenants int
-	// ScalarDMA forces the DMA engine's scalar per-chunk translation loop
-	// even when the mode's translator speaks TranslateBatch — the control arm
-	// of the batch-vs-scalar equivalence property.
-	ScalarDMA bool
 }
 
 var equivBDF = pci.NewBDF(0, 3, 0)
@@ -147,9 +142,6 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 	}
 	defer sys.Close()
 	sys.EnableAudit()
-	if cfg.ScalarDMA {
-		sys.Eng.SetBatch(false)
-	}
 
 	if cfg.Tenants > 0 {
 		host, err := tenant.NewHost(64 + 8*uint64(cfg.Tenants))

@@ -46,6 +46,10 @@ func TestModeEquivalence(t *testing.T) {
 					t.Fatalf("reference trace is degenerate: %d rx frames, %d events, %d interrupts",
 						len(ref.RxFrames), len(ref.Events), len(ref.IntLog))
 				}
+				if ref.AuditViolations != 0 || ref.IntViolations != 0 {
+					t.Errorf("%s: %d audit / %d interrupt violations in a benign workload",
+						modes[0], ref.AuditViolations, ref.IntViolations)
+				}
 				for _, m := range modes[1:] {
 					got, err := RunWorkload(m, cfg)
 					if err != nil {

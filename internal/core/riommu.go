@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"riommu/internal/cycles"
-	"riommu/internal/dma"
 	"riommu/internal/mem"
 	"riommu/internal/pci"
 )
@@ -389,9 +388,12 @@ func (u *RIOMMU) rslot(key tlbKey) int32 {
 	return s
 }
 
-// rtranslateSlot is the body shared by Rtranslate and the batch verb: bring
-// slot s up to date for iova and resolve the offset against the cached rPTE.
-func (u *RIOMMU) rtranslateSlot(bdf pci.BDF, iova IOVA, dir pci.Dir, s int32) (mem.PA, error) {
+// Rtranslate implements rtranslate (Figure 10 top/left): resolve a packed
+// rIOVA to a physical address, enforcing the per-buffer size and direction
+// recorded in its rPTE.
+func (u *RIOMMU) Rtranslate(bdf pci.BDF, iova IOVA, dir pci.Dir) (mem.PA, error) {
+	u.stats.Translations++
+	s := u.rslot(tlbKey{bdf: bdf, rid: iova.RID()})
 	if !u.tlb.present[s] {
 		if err := u.rtableWalk(bdf, iova, s); err != nil {
 			return 0, err
@@ -415,14 +417,6 @@ func (u *RIOMMU) rtranslateSlot(bdf pci.BDF, iova IOVA, dir pci.Dir, s int32) (m
 	return p.physAddr + mem.PA(iova.Offset()), nil
 }
 
-// Rtranslate implements rtranslate (Figure 10 top/left): resolve a packed
-// rIOVA to a physical address, enforcing the per-buffer size and direction
-// recorded in its rPTE.
-func (u *RIOMMU) Rtranslate(bdf pci.BDF, iova IOVA, dir pci.Dir) (mem.PA, error) {
-	u.stats.Translations++
-	return u.rtranslateSlot(bdf, iova, dir, u.rslot(tlbKey{bdf: bdf, rid: iova.RID()}))
-}
-
 // Translate adapts Rtranslate to the flat-uint64 Translator interface used
 // by the DMA engine. size is checked against the rPTE bound (fine-grained
 // protection: the whole access must fall inside the mapped buffer).
@@ -441,22 +435,6 @@ func (u *RIOMMU) Translate(bdf pci.BDF, iovaAddr uint64, size uint32, dir pci.Di
 		}
 	}
 	return pa, nil
-}
-
-// TranslateBatch resolves N chunks with one call: the native batched verb of
-// the dma.BatchTranslator contract. Each chunk performs exactly the scalar
-// Translate's work in order (same walks, same charges, same stats), but the
-// per-chunk interface dispatch and the engine-side loop disappear, and the
-// MRU slot stays hot across the whole batch.
-func (u *RIOMMU) TranslateBatch(bdf pci.BDF, reqs []dma.Req, out []dma.Resp) int {
-	for i := range reqs {
-		pa, err := u.Translate(bdf, reqs[i].IOVA, reqs[i].Size, reqs[i].Dir)
-		out[i] = dma.Resp{PA: pa, Err: err}
-		if err != nil {
-			return i
-		}
-	}
-	return len(reqs)
 }
 
 // InvObserver mirrors hardware invalidations into an external shadow

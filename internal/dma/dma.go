@@ -6,6 +6,7 @@
 package dma
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"riommu/internal/faults"
@@ -21,8 +22,13 @@ type Translator interface {
 	Translate(bdf pci.BDF, iova uint64, size uint32, dir pci.Dir) (mem.PA, error)
 }
 
-// Req is one translation request inside a batch. Like a scalar Translate
-// argument set, a request never crosses a 4 KiB IOVA boundary.
+// Req, Resp and BatchTranslator declare a batched translation verb that the
+// engine never calls and no translator in this module implements: a
+// transfer resolves one chunk at a time (see Engine.transfer). They stay
+// declared only because the repository benchmark's tracing wrappers
+// (perfbench/trace.go) name them; delete them together with that use.
+
+// Req is one translation request inside a batch.
 type Req struct {
 	IOVA uint64
 	Size uint32
@@ -36,33 +42,11 @@ type Resp struct {
 	Err error
 }
 
-// BatchTranslator is the optional batched verb: a Translator that can
-// resolve N chunks per call instead of paying one virtual dispatch per
-// 4 KiB chunk. TranslateBatch fills out[i] for reqs[i] in order and stops at
-// the first failure, returning the number of successful translations; when
-// that count is < len(reqs), out[count].Err holds the fault. The observable
-// side effects — TLB state, cycle charges, charge-event counts — must be
-// identical to calling Translate sequentially, which is what the generic
-// ScalarBatch fallback literally does (and what the batch-vs-scalar
-// equivalence suite in internal/check pins).
+// BatchTranslator is a Translator that resolves N chunks per call, filling
+// out[i] for reqs[i] in order and stopping at the first failure.
 type BatchTranslator interface {
 	Translator
 	TranslateBatch(bdf pci.BDF, reqs []Req, out []Resp) int
-}
-
-// ScalarBatch resolves a batch through a plain Translator one chunk at a
-// time: the generic fallback that keeps every existing Translator working
-// behind the batched engine, and the reference semantics for native
-// implementations.
-func ScalarBatch(tr Translator, bdf pci.BDF, reqs []Req, out []Resp) int {
-	for i := range reqs {
-		pa, err := tr.Translate(bdf, reqs[i].IOVA, reqs[i].Size, reqs[i].Dir)
-		out[i] = Resp{PA: pa, Err: err}
-		if err != nil {
-			return i
-		}
-	}
-	return len(reqs)
 }
 
 // Router dispatches each device's DMAs to its own translation unit. PCIe
@@ -112,25 +96,6 @@ func (r *Router) Translate(bdf pci.BDF, iova uint64, size uint32, dir pci.Dir) (
 	return tr.Translate(bdf, iova, size, dir)
 }
 
-// TranslateBatch resolves the per-BDF route once for the whole batch (every
-// request in a batch carries the same requester) and hands the batch to the
-// unit natively when it speaks the verb, falling back to the scalar loop
-// otherwise.
-func (r *Router) TranslateBatch(bdf pci.BDF, reqs []Req, out []Resp) int {
-	tr, ok := r.routes[bdf]
-	if !ok {
-		if r.def == nil {
-			out[0] = Resp{Err: fmt.Errorf("dma: no IOMMU route for device %s", bdf)}
-			return 0
-		}
-		tr = r.def
-	}
-	if bt, ok := tr.(BatchTranslator); ok {
-		return bt.TranslateBatch(bdf, reqs, out)
-	}
-	return ScalarBatch(tr, bdf, reqs, out)
-}
-
 // Blackhole is the quarantine translator: every access faults. The
 // supervisor's circuit breaker routes a repeatedly-failing device here
 // (detach → isolate) until a probe re-admits it.
@@ -139,12 +104,6 @@ type Blackhole struct{}
 // Translate always rejects the access.
 func (Blackhole) Translate(bdf pci.BDF, iova uint64, size uint32, dir pci.Dir) (mem.PA, error) {
 	return 0, fmt.Errorf("dma: device %s quarantined", bdf)
-}
-
-// TranslateBatch rejects the batch at its first chunk.
-func (Blackhole) TranslateBatch(bdf pci.BDF, reqs []Req, out []Resp) int {
-	out[0] = Resp{Err: fmt.Errorf("dma: device %s quarantined", bdf)}
-	return 0
 }
 
 // Auditor observes every successfully translated DMA chunk before the
@@ -159,23 +118,8 @@ type Auditor interface {
 type Engine struct {
 	mm  *mem.PhysMem
 	tr  Translator
-	bt  BatchTranslator // tr's batched verb, nil when tr is scalar-only
 	inj *faults.Engine
 	aud Auditor
-
-	// batchOff forces the scalar chunk loop even when the translator speaks
-	// TranslateBatch (the equivalence suite's control arm).
-	batchOff bool
-
-	// reqs/resps are the engine-owned batch scratch: a DMA is single-threaded
-	// per engine, so reusing them keeps multi-chunk transfers at 0 allocs/op.
-	reqs  []Req
-	resps []Resp
-
-	// qw is the quadword scratch for ReadU64/WriteU64. A stack array would
-	// escape (the memory fault hook sees the slice through an interface), so
-	// the buffer lives in the engine to keep descriptor reads at 0 allocs/op.
-	qw [8]byte
 
 	// closers run at world teardown (see AddCloser).
 	closers []func()
@@ -186,9 +130,7 @@ type Engine struct {
 
 // NewEngine returns an engine accessing mm through tr.
 func NewEngine(mm *mem.PhysMem, tr Translator) *Engine {
-	e := &Engine{mm: mm}
-	e.SetTranslator(tr)
-	return e
+	return &Engine{mm: mm, tr: tr}
 }
 
 // Translator returns the engine's current translator.
@@ -208,34 +150,7 @@ func (e *Engine) Close() {
 }
 
 // SetTranslator swaps the translation path (used when comparing modes).
-func (e *Engine) SetTranslator(tr Translator) {
-	e.tr = tr
-	e.bt, _ = tr.(BatchTranslator)
-}
-
-// SetBatch toggles the batched translation path. Batching is on by default
-// whenever the translator implements BatchTranslator; turning it off is the
-// control arm of the batch-vs-scalar equivalence property.
-func (e *Engine) SetBatch(on bool) { e.batchOff = !on }
-
-// batch returns the translator's batch verb, or nil when the scalar loop
-// must be used (translator doesn't speak it, or batching is toggled off).
-func (e *Engine) batch() BatchTranslator {
-	if e.batchOff {
-		return nil
-	}
-	return e.bt
-}
-
-// scratch returns the engine-owned request/response arrays sized for n
-// chunks.
-func (e *Engine) scratch(n int) ([]Req, []Resp) {
-	if cap(e.reqs) < n {
-		e.reqs = make([]Req, n)
-		e.resps = make([]Resp, n)
-	}
-	return e.reqs[:n], e.resps[:n]
-}
+func (e *Engine) SetTranslator(tr Translator) { e.tr = tr }
 
 // SetFaults installs the fault-injection engine. Device models reach it via
 // Faults(), so wiring the engine here threads injection through every layer
@@ -251,212 +166,74 @@ func (e *Engine) Faults() *faults.Engine { return e.inj }
 // rejects never reach the auditor — containment worked.
 func (e *Engine) SetAudit(a Auditor) { e.aud = a }
 
-// chunks counts the 4 KiB-boundary segments of a transfer.
-func chunks(iova uint64, total int) int {
-	first := int(mem.PageSize - iova&mem.PageMask)
-	if total <= first {
-		return 1
-	}
-	return 1 + (total-first+int(mem.PageSize)-1)/int(mem.PageSize)
-}
-
 // Read performs a device read of len(buf) bytes from memory at iova (a
-// to-device DMA, e.g. fetching a packet to transmit or a descriptor). The
-// transfer is split at 4 KiB IOVA boundaries. Multi-chunk transfers resolve
-// every chunk with one TranslateBatch call when the translator speaks the
-// batched verb; single-chunk transfers and scalar-only translators take the
-// inline loop (written without callbacks so the per-DMA path allocates
-// nothing either way).
+// to-device DMA, e.g. fetching a packet to transmit or a descriptor).
 func (e *Engine) Read(bdf pci.BDF, iova uint64, buf []byte) error {
 	if len(buf) == 0 {
 		return fmt.Errorf("dma: zero-length read")
 	}
-	iova, _ = e.inj.StaleDMA(bdf, iova)
-	total := len(buf)
-	if nc := chunks(iova, total); nc > 1 {
-		if bt := e.batch(); bt != nil {
-			return e.readBatch(bt, bdf, iova, buf, nc)
-		}
-	}
-	for off := 0; off < total; {
-		n := int(mem.PageSize - iova&mem.PageMask)
-		if rem := total - off; n > rem {
-			n = rem
-		}
-		pa, err := e.tr.Translate(bdf, iova, uint32(n), pci.DirToDevice)
-		if err != nil {
-			return err
-		}
-		if e.aud != nil {
-			e.aud.VerifyDMA(bdf, iova, pa, uint32(n), pci.DirToDevice)
-		}
-		if err := e.mm.ReadInto(pa, buf[off:off+n]); err != nil {
-			return err
-		}
-		iova += uint64(n)
-		off += n
-	}
-	e.Reads++
-	e.Bytes += uint64(len(buf))
-	return nil
-}
-
-// readBatch is Read's multi-chunk body: one TranslateBatch resolves every
-// chunk, then the data moves. Translation side effects order exactly as the
-// scalar loop's (copies touch no translator or clock state), the auditor
-// still sees chunks in transfer order, and a translation fault stops the
-// batch at the same chunk the scalar loop would have stopped at.
-func (e *Engine) readBatch(bt BatchTranslator, bdf pci.BDF, iova uint64, buf []byte, nc int) error {
-	total := len(buf)
-	reqs, resps := e.scratch(nc)
-	iv := iova
-	for i, off := 0, 0; off < total; i++ {
-		n := int(mem.PageSize - iv&mem.PageMask)
-		if rem := total - off; n > rem {
-			n = rem
-		}
-		reqs[i] = Req{IOVA: iv, Size: uint32(n), Dir: pci.DirToDevice}
-		iv += uint64(n)
-		off += n
-	}
-	done := bt.TranslateBatch(bdf, reqs, resps)
-	for i, off := 0, 0; i < done; i++ {
-		n := int(reqs[i].Size)
-		if e.aud != nil {
-			e.aud.VerifyDMA(bdf, reqs[i].IOVA, resps[i].PA, reqs[i].Size, pci.DirToDevice)
-		}
-		if err := e.mm.ReadInto(resps[i].PA, buf[off:off+n]); err != nil {
-			return err
-		}
-		off += n
-	}
-	if done < nc {
-		return resps[done].Err
-	}
-	e.Reads++
-	e.Bytes += uint64(total)
-	return nil
+	return e.transfer(bdf, iova, buf, pci.DirToDevice)
 }
 
 // Write performs a device write of data to memory at iova (a from-device
-// DMA, e.g. depositing a received packet or a completion status). Split and
-// structured exactly like Read, including the batched multi-chunk path.
+// DMA, e.g. depositing a received packet or a completion status).
 func (e *Engine) Write(bdf pci.BDF, iova uint64, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("dma: zero-length write")
 	}
+	return e.transfer(bdf, iova, data, pci.DirFromDevice)
+}
+
+// transfer moves buf between the device and memory at iova: to the device
+// (a read of memory) for pci.DirToDevice, from it otherwise. The transfer is
+// split at 4 KiB IOVA boundaries, and each chunk is translated, reported to
+// the auditor and copied before the next is translated, as hardware resolves
+// one access at a time. A fault returns at its chunk: earlier chunks have
+// landed, later ones are never translated, and the statistics count only
+// completed transfers.
+func (e *Engine) transfer(bdf pci.BDF, iova uint64, buf []byte, dir pci.Dir) error {
 	iova, _ = e.inj.StaleDMA(bdf, iova)
-	total := len(data)
-	if nc := chunks(iova, total); nc > 1 {
-		if bt := e.batch(); bt != nil {
-			return e.writeBatch(bt, bdf, iova, data, nc)
-		}
-	}
-	for off := 0; off < total; {
-		n := int(mem.PageSize - iova&mem.PageMask)
-		if rem := total - off; n > rem {
-			n = rem
-		}
-		pa, err := e.tr.Translate(bdf, iova, uint32(n), pci.DirFromDevice)
+	for rest := buf; len(rest) > 0; {
+		n := min(int(mem.PageSize-iova&mem.PageMask), len(rest))
+		pa, err := e.tr.Translate(bdf, iova, uint32(n), dir)
 		if err != nil {
 			return err
 		}
 		if e.aud != nil {
-			e.aud.VerifyDMA(bdf, iova, pa, uint32(n), pci.DirFromDevice)
+			e.aud.VerifyDMA(bdf, iova, pa, uint32(n), dir)
 		}
-		if err := e.mm.Write(pa, data[off:off+n]); err != nil {
+		if dir == pci.DirToDevice {
+			err = e.mm.ReadInto(pa, rest[:n])
+		} else {
+			err = e.mm.Write(pa, rest[:n])
+		}
+		if err != nil {
 			return err
 		}
+		rest = rest[n:]
 		iova += uint64(n)
-		off += n
 	}
-	e.Writes++
-	e.Bytes += uint64(len(data))
-	return nil
-}
-
-// writeBatch is Write's multi-chunk body; see readBatch.
-func (e *Engine) writeBatch(bt BatchTranslator, bdf pci.BDF, iova uint64, data []byte, nc int) error {
-	total := len(data)
-	reqs, resps := e.scratch(nc)
-	iv := iova
-	for i, off := 0, 0; off < total; i++ {
-		n := int(mem.PageSize - iv&mem.PageMask)
-		if rem := total - off; n > rem {
-			n = rem
-		}
-		reqs[i] = Req{IOVA: iv, Size: uint32(n), Dir: pci.DirFromDevice}
-		iv += uint64(n)
-		off += n
-	}
-	done := bt.TranslateBatch(bdf, reqs, resps)
-	for i, off := 0, 0; i < done; i++ {
-		n := int(reqs[i].Size)
-		if e.aud != nil {
-			e.aud.VerifyDMA(bdf, reqs[i].IOVA, resps[i].PA, reqs[i].Size, pci.DirFromDevice)
-		}
-		if err := e.mm.Write(resps[i].PA, data[off:off+n]); err != nil {
-			return err
-		}
-		off += n
-	}
-	if done < nc {
-		return resps[done].Err
-	}
-	e.Writes++
-	e.Bytes += uint64(total)
-	return nil
-}
-
-// ReadU64 reads a little-endian quadword at iova (descriptor fields). The
-// callers are descriptor and completion reads, which are 8-byte aligned and
-// so can never cross a page: the aligned fast path performs exactly the one
-// translate + audit + copy the chunk loop would, without entering it.
-func (e *Engine) ReadU64(bdf pci.BDF, iova uint64) (uint64, error) {
-	b := e.qw[:]
-	if iova&mem.PageMask <= mem.PageSize-8 {
-		iv, _ := e.inj.StaleDMA(bdf, iova)
-		pa, err := e.tr.Translate(bdf, iv, 8, pci.DirToDevice)
-		if err != nil {
-			return 0, err
-		}
-		if e.aud != nil {
-			e.aud.VerifyDMA(bdf, iv, pa, 8, pci.DirToDevice)
-		}
-		if err := e.mm.ReadInto(pa, b); err != nil {
-			return 0, err
-		}
+	if dir == pci.DirToDevice {
 		e.Reads++
-		e.Bytes += 8
-	} else if err := e.Read(bdf, iova, b); err != nil {
+	} else {
+		e.Writes++
+	}
+	e.Bytes += uint64(len(buf))
+	return nil
+}
+
+// ReadU64 reads a little-endian quadword at iova (descriptor fields).
+func (e *Engine) ReadU64(bdf pci.BDF, iova uint64) (uint64, error) {
+	var b [8]byte
+	if err := e.transfer(bdf, iova, b[:], pci.DirToDevice); err != nil {
 		return 0, err
 	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// WriteU64 writes a little-endian quadword at iova, with the same
-// never-crosses-a-page fast path as ReadU64.
+// WriteU64 writes a little-endian quadword at iova.
 func (e *Engine) WriteU64(bdf pci.BDF, iova uint64, v uint64) error {
-	b := e.qw[:]
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	if iova&mem.PageMask <= mem.PageSize-8 {
-		iv, _ := e.inj.StaleDMA(bdf, iova)
-		pa, err := e.tr.Translate(bdf, iv, 8, pci.DirFromDevice)
-		if err != nil {
-			return err
-		}
-		if e.aud != nil {
-			e.aud.VerifyDMA(bdf, iv, pa, 8, pci.DirFromDevice)
-		}
-		if err := e.mm.Write(pa, b); err != nil {
-			return err
-		}
-		e.Writes++
-		e.Bytes += 8
-		return nil
-	}
-	return e.Write(bdf, iova, b)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return e.transfer(bdf, iova, b[:], pci.DirFromDevice)
 }

@@ -2,6 +2,8 @@ package dma_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"riommu/internal/cycles"
@@ -133,6 +135,20 @@ func TestPageBoundarySplit(t *testing.T) {
 	if !bytes.Equal(b1, data[:1500]) || !bytes.Equal(b2, data[1500:]) {
 		t.Error("pieces landed on wrong frames")
 	}
+
+	// A quadword at page offset 4092 splits 4+4 across the same frames.
+	const qw = 0x1122334455667788
+	if err := e.WriteU64(dev, 0x10000+mem.PageSize-4, qw); err != nil {
+		t.Fatalf("spanning WriteU64: %v", err)
+	}
+	if v, err := e.ReadU64(dev, 0x10000+mem.PageSize-4); err != nil || v != qw {
+		t.Errorf("spanning ReadU64 = %#x, %v; want %#x", v, err, uint64(qw))
+	}
+	lo, _ := mm.Read(f1.PA()+mem.PageSize-4, 4)
+	hi, _ := mm.Read(f2.PA(), 4)
+	if !bytes.Equal(lo, []byte{0x88, 0x77, 0x66, 0x55}) || !bytes.Equal(hi, []byte{0x44, 0x33, 0x22, 0x11}) {
+		t.Errorf("spanning quadword halves = % x | % x", lo, hi)
+	}
 }
 
 // TestErrantDMABlocked verifies the core protection property: a DMA to an
@@ -175,8 +191,9 @@ func TestErrantDMABlocked(t *testing.T) {
 	}
 }
 
-// TestPartialFailureSpanning: if the second page of a spanning write is
-// unmapped, the first chunk may land but the call reports the fault.
+// TestPartialFailureSpanning: if the second page of a spanning transfer is
+// unmapped, the first chunk moves but the call reports the fault and counts
+// nothing as completed.
 func TestPartialFailureSpanning(t *testing.T) {
 	mm := mustMem(t, 256*mem.PageSize)
 	clk := &cycles.Clock{}
@@ -192,12 +209,107 @@ func TestPartialFailureSpanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := dma.NewEngine(mm, hw)
-	err := e.Write(dev, uint64(0x30000+mem.PageSize-4), make([]byte, 8))
+	start := uint64(0x30000 + mem.PageSize - 4)
+	err := e.Write(dev, start, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	if err == nil {
 		t.Fatal("spanning write into unmapped page must fault")
 	}
-	if e.Writes != 0 {
-		t.Error("failed write counted as completed")
+	if b, _ := mm.Read(f.PA()+mem.PageSize-4, 4); !bytes.Equal(b, []byte{1, 2, 3, 4}) {
+		t.Errorf("first chunk of the failed write = %v, want it landed", b)
+	}
+	buf := bytes.Repeat([]byte{0xee}, 8)
+	if err := e.Read(dev, start, buf); err == nil {
+		t.Fatal("spanning read from unmapped page must fault")
+	}
+	if !bytes.Equal(buf, []byte{1, 2, 3, 4, 0xee, 0xee, 0xee, 0xee}) {
+		t.Errorf("failed read filled %v, want only the first chunk", buf)
+	}
+	if e.Reads != 0 || e.Writes != 0 || e.Bytes != 0 {
+		t.Errorf("failed transfers counted: %d reads %d writes %d bytes", e.Reads, e.Writes, e.Bytes)
+	}
+}
+
+// chunkRec is one chunk as a translator or auditor saw it.
+type chunkRec struct {
+	iova uint64
+	pa   mem.PA
+	size uint32
+	dir  pci.Dir
+}
+
+// recTranslator maps IOVA base+x to PA x, faulting on one IOVA page, and
+// records every chunk it is asked to translate.
+type recTranslator struct {
+	base, failPage uint64
+	seen           []chunkRec
+}
+
+func (r *recTranslator) Translate(_ pci.BDF, iova uint64, size uint32, dir pci.Dir) (mem.PA, error) {
+	r.seen = append(r.seen, chunkRec{iova, mem.PA(iova - r.base), size, dir})
+	if iova>>mem.PageShift == r.failPage {
+		return 0, fmt.Errorf("unmapped iova %#x", iova)
+	}
+	return mem.PA(iova - r.base), nil
+}
+
+type recAuditor struct{ seen []chunkRec }
+
+func (a *recAuditor) VerifyDMA(_ pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
+	a.seen = append(a.seen, chunkRec{iova, pa, size, dir})
+}
+
+// TestAuditSeesTranslatedChunks pins the isolation oracle's contract: the
+// auditor sees exactly the chunks the translator accepted, in transfer
+// order, with the translated IOVA, PA, size and direction, and a fault
+// stops translation at its chunk.
+func TestAuditSeesTranslatedChunks(t *testing.T) {
+	mm := mustMem(t, 64*mem.PageSize)
+	pfn, err := mm.AllocFrames(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 1 << 40
+	start := base + uint64(pfn.PA()) + mem.PageSize - 100
+	want := []chunkRec{
+		{start, pfn.PA() + mem.PageSize - 100, 100, 0},
+		{start + 100, (pfn + 1).PA(), mem.PageSize, 0},
+		{start + 100 + mem.PageSize, (pfn + 2).PA(), 50, 0},
+	}
+	for _, dir := range []pci.Dir{pci.DirToDevice, pci.DirFromDevice} {
+		for _, fail := range []int{-1, 1} {
+			tr := &recTranslator{base: base, failPage: ^uint64(0)}
+			if fail >= 0 {
+				tr.failPage = want[fail].iova >> mem.PageShift
+			}
+			aud := &recAuditor{}
+			e := dma.NewEngine(mm, tr)
+			e.SetAudit(aud)
+			buf := make([]byte, 100+mem.PageSize+50)
+			if dir == pci.DirToDevice {
+				err = e.Read(dev, start, buf)
+			} else {
+				err = e.Write(dev, start, buf)
+			}
+			wantTr := append([]chunkRec(nil), want...)
+			for i := range wantTr {
+				wantTr[i].dir = dir
+			}
+			wantAud := wantTr
+			if fail >= 0 {
+				if err == nil {
+					t.Errorf("dir %v: fault at chunk %d not reported", dir, fail)
+				}
+				wantTr, wantAud = wantTr[:fail+1], wantTr[:fail]
+			} else if err != nil {
+				t.Errorf("dir %v: %v", dir, err)
+			}
+			if !reflect.DeepEqual(tr.seen, wantTr) {
+				t.Errorf("dir %v fail %d: translated %v, want %v", dir, fail, tr.seen, wantTr)
+			}
+			if !reflect.DeepEqual(aud.seen, wantAud) {
+				t.Errorf("dir %v fail %d: audited %v, want %v", dir, fail, aud.seen, wantAud)
+			}
+		}
 	}
 }
 
@@ -223,11 +335,10 @@ func TestRouter(t *testing.T) {
 	}
 }
 
-// TestRouterFallbackAndBatch covers the router plumbing the supervisor and
-// hot-plug paths lean on: the default-unit fallback, route save/restore
-// (RouteOf + Unroute), and batch dispatch through both a route and the
-// scalar fallback.
-func TestRouterFallbackAndBatch(t *testing.T) {
+// TestRouterFallback covers the router plumbing the supervisor and hot-plug
+// paths lean on: the default-unit fallback and route save/restore (RouteOf +
+// Unroute).
+func TestRouterFallback(t *testing.T) {
 	mm := mustMem(t, 64*mem.PageSize)
 	r := dma.NewRouter()
 	devA, devB := pci.NewBDF(0, 1, 0), pci.NewBDF(0, 2, 0)
@@ -235,23 +346,14 @@ func TestRouterFallbackAndBatch(t *testing.T) {
 	f, _ := mm.AllocFrame()
 	iova := uint64(f.PA())
 
-	// Unrouted batch with no default faults on the first request.
-	reqs := []dma.Req{{IOVA: iova, Size: 8, Dir: pci.DirFromDevice}}
-	out := make([]dma.Resp, 1)
-	if n := r.TranslateBatch(devB, reqs, out); n != 0 || out[0].Err == nil {
-		t.Errorf("unrouted batch: n=%d err=%v, want a routing fault", n, out[0].Err)
+	// Unrouted device with no default faults.
+	if _, err := r.Translate(devB, iova, 8, pci.DirFromDevice); err == nil {
+		t.Error("unrouted device translates with no default unit")
 	}
 	// Installing a default unit reroutes the strays.
 	r.SetDefault(iommu.Identity{})
-	if n := r.TranslateBatch(devB, reqs, out); n != 1 || out[0].Err != nil {
-		t.Errorf("default-routed batch: n=%d err=%v", n, out[0].Err)
-	}
 	if _, err := r.Translate(devB, iova, 8, pci.DirFromDevice); err != nil {
-		t.Errorf("default-routed scalar: %v", err)
-	}
-	// Identity speaks no batch verb, so the route goes through ScalarBatch.
-	if n := r.TranslateBatch(devA, reqs, out); n != 1 || out[0].Err != nil {
-		t.Errorf("routed scalar-fallback batch: n=%d err=%v", n, out[0].Err)
+		t.Errorf("default-routed translate: %v", err)
 	}
 
 	// Quarantine shape: save the route, splice a blackhole, restore.
@@ -280,9 +382,8 @@ func TestRouterFallbackAndBatch(t *testing.T) {
 	if e.Faults() != nil {
 		t.Error("fresh engine has a fault injector")
 	}
-	e.SetBatch(false)
 	if err := e.Write(devA, iova, []byte{4, 5}); err != nil {
-		t.Fatalf("default-routed write with batching off: %v", err)
+		t.Fatalf("default-routed write: %v", err)
 	}
 	closed := 0
 	e.AddCloser(func() { closed++ })

@@ -24,15 +24,14 @@ type Protection interface {
 	Unmap(ring int, iova uint64, size uint32, endOfBurst bool) error
 }
 
-// BatchMapper is the optional batch extension of Protection, mirroring
-// dma.BatchTranslator on the map side: MapBatch maps len(pas) same-sized
-// buffers in one call, writing one IOVA per buffer into iovas, and returns
-// how many were mapped (entries [0, n) on error). Implementations must be
-// observationally equivalent to n scalar Maps — same mapping state, same
-// cycle totals and charge-event counts, same audit order — so callers may
-// use whichever form is convenient. The rIOMMU driver (core.Driver)
-// implements it natively; MapBatch below falls back to a scalar loop for
-// everything else.
+// BatchMapper is the optional batch extension of Protection: MapBatch maps
+// len(pas) same-sized buffers in one call, writing one IOVA per buffer into
+// iovas, and returns how many were mapped (entries [0, n) on error).
+// Implementations must be observationally equivalent to n scalar Maps —
+// same mapping state, same cycle totals and charge-event counts, same audit
+// order — so callers may use whichever form is convenient. The rIOMMU
+// driver (core.Driver) implements it natively; MapBatch below falls back to
+// a scalar loop for everything else.
 type BatchMapper interface {
 	MapBatch(ring int, pas []mem.PA, size uint32, dir pci.Dir, iovas []uint64) (int, error)
 }

@@ -263,22 +263,31 @@ func (e *Engine) roll(c Class, bdf pci.BDF, addr uint64) bool {
 	return true
 }
 
-// flip flips one deterministically chosen bit of buf.
-func (e *Engine) flip(buf []byte) {
-	if len(buf) == 0 {
-		return
+// pick deterministically chooses one bit of an n-byte buffer: the byte's
+// index and a mask with that bit set. An empty buffer draws nothing and
+// gets a zero mask.
+func (e *Engine) pick(n int) (int, byte) {
+	if n == 0 {
+		return 0, 0
 	}
-	i := int(e.rng.next() % uint64(len(buf)))
-	buf[i] ^= 1 << (e.rng.next() % 8)
+	i := int(e.rng.next() % uint64(n))
+	return i, 1 << (e.rng.next() % 8)
 }
 
-// ReadFault implements mem.FaultHook: it may corrupt the data just read.
-func (e *Engine) ReadFault(pa mem.PA, buf []byte) bool {
-	if !e.roll(MemReadCorrupt, 0, uint64(pa)) {
-		return false
+// flip flips one deterministically chosen bit of buf.
+func (e *Engine) flip(buf []byte) {
+	if i, mask := e.pick(len(buf)); mask != 0 {
+		buf[i] ^= mask
 	}
-	e.flip(buf)
-	return true
+}
+
+// ReadFault implements mem.FaultHook: it may choose one bit of the n bytes
+// just read to corrupt.
+func (e *Engine) ReadFault(pa mem.PA, n int) (int, byte) {
+	if !e.roll(MemReadCorrupt, 0, uint64(pa)) {
+		return 0, 0
+	}
+	return e.pick(n)
 }
 
 // WriteFault implements mem.FaultHook: it may corrupt the data just stored
@@ -294,9 +303,10 @@ func (e *Engine) WriteFault(pa mem.PA, stored []byte) (poison bool) {
 }
 
 // StaleDMA possibly redirects a device DMA to StaleIOVA (package dma calls
-// this before translating).
+// this before translating). It tests for a nil engine itself, not only in
+// roll, so a DMA with injection off skips the call.
 func (e *Engine) StaleDMA(bdf pci.BDF, iova uint64) (uint64, bool) {
-	if !e.roll(DMAStale, bdf, iova) {
+	if e == nil || !e.roll(DMAStale, bdf, iova) {
 		return iova, false
 	}
 	return StaleIOVA, true

@@ -16,7 +16,7 @@ func exercise(e *Engine) {
 	for i := 0; i < 500; i++ {
 		switch i % 6 {
 		case 0:
-			e.ReadFault(0x1000, buf)
+			e.ReadFault(0x1000, len(buf))
 		case 1:
 			e.WriteFault(0x2000, buf)
 		case 2:
@@ -76,7 +76,7 @@ func TestNilEngineIsSafe(t *testing.T) {
 		t.Error("nil engine reports enabled")
 	}
 	buf := []byte{1, 2, 3}
-	if e.ReadFault(0, buf) || e.WriteFault(0, buf) {
+	if _, mask := e.ReadFault(0, len(buf)); mask != 0 || e.WriteFault(0, buf) {
 		t.Error("nil engine injected")
 	}
 	if iova, hit := e.StaleDMA(dev, 0x123); hit || iova != 0x123 {
@@ -139,9 +139,11 @@ func TestReadFaultCorruptsBuffer(t *testing.T) {
 	cfg.Rates[MemReadCorrupt] = 1
 	e := New(cfg)
 	buf := make([]byte, 32)
-	if !e.ReadFault(0x40, buf) {
+	i, mask := e.ReadFault(0x40, len(buf))
+	if mask == 0 {
 		t.Fatal("rate-1 read corruption did not fire")
 	}
+	buf[i] ^= mask
 	nonzero := 0
 	for _, b := range buf {
 		nonzero += bits.OnesCount8(b)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"riommu/internal/cycles"
-	"riommu/internal/dma"
 	"riommu/internal/iotlb"
 	"riommu/internal/mem"
 	"riommu/internal/pagetable"
@@ -81,22 +80,6 @@ func (u *IOMMU) Translate(bdf pci.BDF, iova uint64, size uint32, dir pci.Dir) (m
 	return pa, nil
 }
 
-// TranslateBatch resolves N single-page chunks with one call: the native
-// batched verb of the dma.BatchTranslator contract. Each chunk performs
-// exactly the scalar Translate's work in order — same IOTLB
-// lookups/insertions, same miss charges — without the per-chunk interface
-// dispatch.
-func (u *IOMMU) TranslateBatch(bdf pci.BDF, reqs []dma.Req, out []dma.Resp) int {
-	for i := range reqs {
-		pa, err := u.Translate(bdf, reqs[i].IOVA, reqs[i].Size, reqs[i].Dir)
-		out[i] = dma.Resp{PA: pa, Err: err}
-		if err != nil {
-			return i
-		}
-	}
-	return len(reqs)
-}
-
 // Identity is the Translator used when the IOMMU is disabled ("none" mode):
 // DMAs execute with physical addresses, unmediated.
 type Identity struct{}
@@ -104,12 +87,4 @@ type Identity struct{}
 // Translate returns the IOVA unchanged.
 func (Identity) Translate(_ pci.BDF, iova uint64, _ uint32, _ pci.Dir) (mem.PA, error) {
 	return mem.PA(iova), nil
-}
-
-// TranslateBatch returns every IOVA unchanged.
-func (Identity) TranslateBatch(_ pci.BDF, reqs []dma.Req, out []dma.Resp) int {
-	for i := range reqs {
-		out[i] = dma.Resp{PA: mem.PA(reqs[i].IOVA)}
-	}
-	return len(reqs)
 }

@@ -54,8 +54,11 @@ func (e *AccessError) Error() string {
 // through the typed accessors (page tables, queue cursors) stays intact and
 // descriptor corruption is modeled separately at the device layer.
 type FaultHook interface {
-	// ReadFault may corrupt buf, the data just read from pa, in place.
-	ReadFault(pa PA, buf []byte) bool
+	// ReadFault may corrupt the n bytes just read from pa: it returns the
+	// index of a byte and a mask to XOR into it, or a zero mask to leave
+	// the data intact. It never sees the reader's buffer, so a buffer
+	// passed to ReadInto does not escape to the heap.
+	ReadFault(pa PA, n int) (i int, mask byte)
 	// WriteFault may corrupt stored, the bytes just written at pa, in
 	// place, and reports whether the cacheline at pa must be poisoned.
 	WriteFault(pa PA, stored []byte) (poison bool)
@@ -452,7 +455,9 @@ func (m *PhysMem) Read(pa PA, size uint64) ([]byte, error) {
 	out := make([]byte, size)
 	copy(out, m.data[pa:uint64(pa)+size])
 	if m.hook != nil {
-		m.hook.ReadFault(pa, out)
+		if i, mask := m.hook.ReadFault(pa, len(out)); mask != 0 {
+			out[i] ^= mask
+		}
 	}
 	return out, nil
 }
@@ -467,7 +472,9 @@ func (m *PhysMem) ReadInto(pa PA, dst []byte) error {
 	}
 	copy(dst, m.data[pa:])
 	if m.hook != nil {
-		m.hook.ReadFault(pa, dst)
+		if i, mask := m.hook.ReadFault(pa, len(dst)); mask != 0 {
+			dst[i] ^= mask
+		}
 	}
 	return nil
 }

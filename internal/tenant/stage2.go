@@ -61,22 +61,6 @@ func (n *nested) Translate(bdf pci.BDF, iova uint64, size uint32, dir pci.Dir) (
 	return gpa, nil
 }
 
-// TranslateBatch resolves N chunks through both stages with one call: the
-// native batched verb of the dma.BatchTranslator contract. Stage 1 itself
-// batches when the guest's translator speaks the verb; each chunk's
-// directory check, stage-2 resolves, and oracle reports then run in the
-// exact order the scalar path produces them.
-func (n *nested) TranslateBatch(bdf pci.BDF, reqs []dma.Req, out []dma.Resp) int {
-	for i := range reqs {
-		gpa, err := n.Translate(bdf, reqs[i].IOVA, reqs[i].Size, reqs[i].Dir)
-		out[i] = dma.Resp{PA: gpa, Err: err}
-		if err != nil {
-			return i
-		}
-	}
-	return len(reqs)
-}
-
 // resolve translates one GPA page through the domain's stage-2 TLB, walking
 // the shared radix table on a miss. Stage-2 permissions intersect with
 // stage 1's: stage 1 already enforced its own, and want must also be

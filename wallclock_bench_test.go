@@ -33,9 +33,9 @@ import (
 	baselinedrv "riommu/internal/baseline"
 )
 
-// newBaselineDriver builds a strict/defer-mode driver over fresh memory.
-func newBaselineDriver(b *testing.B, mode baselinedrv.Mode) (*baselinedrv.Driver, *mem.PhysMem) {
-	b.Helper()
+// benchMapUnmap times one strict/defer-mode map+unmap pair over fresh
+// memory; vcycles/pair is the virtual cost the pair charges the core.
+func benchMapUnmap(b *testing.B, mode baselinedrv.Mode) {
 	mm := mustMem(b, 4096*mem.PageSize)
 	clk := &cycles.Clock{}
 	model := cycles.DefaultModel()
@@ -48,11 +48,6 @@ func newBaselineDriver(b *testing.B, mode baselinedrv.Mode) (*baselinedrv.Driver
 	if err != nil {
 		b.Fatal(err)
 	}
-	return drv, mm
-}
-
-func benchMapUnmap(b *testing.B, mode baselinedrv.Mode) {
-	drv, mm := newBaselineDriver(b, mode)
 	f, _ := mm.AllocFrame()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -65,6 +60,7 @@ func benchMapUnmap(b *testing.B, mode baselinedrv.Mode) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(clk.Now())/float64(b.N), "vcycles/pair")
 }
 
 // BenchmarkMapUnmapStrict times one strict-mode map+unmap pair (Figure 4 +
@@ -98,6 +94,7 @@ func BenchmarkMapUnmapRiommu(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(clk.Now())/float64(b.N), "vcycles/pair")
 }
 
 // BenchmarkWalk times a warm 4-level radix walk (tables resident, IOTLB not
@@ -160,41 +157,55 @@ func BenchmarkIOTLB(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReadU64 times the DMA engine's aligned-quadword fast path:
-// descriptor and completion reads are 8-byte aligned and never cross a page,
-// so ReadU64 does one translate + audit + copy without entering the chunked
-// transfer loop. This pins the fast path against regressions (e.g. the chunk
-// loop creeping back in).
-func BenchmarkEngineReadU64(b *testing.B) {
-	mm := mustMem(b, 1024*mem.PageSize)
+// engineBDF is the device behind the DMA engine benchmarks and allocation
+// gate, engineIOVA the first of its mapped pages.
+var engineBDF = pci.NewBDF(0, 5, 0)
+
+const engineIOVA = 7 << mem.PageShift
+
+// newMappedEngine returns a DMA engine behind a baseline IOMMU with pages
+// consecutive IOVA pages from engineIOVA mapped read/write, one frame each.
+func newMappedEngine(tb testing.TB, pages int) *dma.Engine {
+	tb.Helper()
+	mm := mustMem(tb, 1024*mem.PageSize)
 	clk := &cycles.Clock{}
 	model := cycles.DefaultModel()
 	hier, err := pagetable.NewHierarchy(mm)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	hw := iommu.New(clk, &model, hier, 0)
-	bdf := pci.NewBDF(0, 5, 0)
 	sp, err := pagetable.NewSpace(mm, clk, &model, true)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := hier.Attach(bdf, sp); err != nil {
-		b.Fatal(err)
+	if err := hier.Attach(engineBDF, sp); err != nil {
+		tb.Fatal(err)
 	}
-	f, _ := mm.AllocFrame()
-	const iovaAddr = 7 << mem.PageShift
-	if err := sp.Map(iovaAddr, f, pci.DirBidi); err != nil {
-		b.Fatal(err)
+	for i := 0; i < pages; i++ {
+		f, err := mm.AllocFrame()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := sp.Map(engineIOVA+uint64(i)<<mem.PageShift, f, pci.DirBidi); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	eng := dma.NewEngine(mm, hw)
-	if _, err := eng.ReadU64(bdf, iovaAddr); err != nil {
+	return dma.NewEngine(mm, hw)
+}
+
+// BenchmarkEngineReadU64 times a descriptor quadword read through the DMA
+// engine's chunk loop on a warm IOTLB: one translate, audit check and copy,
+// the shape of most of the simulator's DMAs.
+func BenchmarkEngineReadU64(b *testing.B) {
+	eng := newMappedEngine(b, 1)
+	if _, err := eng.ReadU64(engineBDF, engineIOVA); err != nil {
 		b.Fatal(err) // warm the IOTLB entry
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ReadU64(bdf, iovaAddr); err != nil {
+		if _, err := eng.ReadU64(engineBDF, engineIOVA); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,6 +475,37 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		if orc.ByReason[audit.ReasonStale] == 0 || orc.ByReason[audit.ReasonUnmapped] == 0 {
 			t.Errorf("misses not judged stale and unmapped: %v", orc.ByReason)
+		}
+	})
+
+	t.Run("dma-engine", func(t *testing.T) {
+		// Every DMA shape on a warm IOTLB: single-chunk transfers, 3,000-byte
+		// transfers split across two pages, and descriptor quadwords. The
+		// buffers are the caller's stack arrays, so a buffer that escapes
+		// through the engine counts as an allocation.
+		eng := newMappedEngine(t, 2)
+		const span = engineIOVA + mem.PageSize - 1500
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"read", func() error { var b [1500]byte; return eng.Read(engineBDF, engineIOVA, b[:]) }},
+			{"write", func() error { var b [1500]byte; return eng.Write(engineBDF, engineIOVA, b[:]) }},
+			{"page-crossing read", func() error { var b [3000]byte; return eng.Read(engineBDF, span, b[:]) }},
+			{"page-crossing write", func() error { var b [3000]byte; return eng.Write(engineBDF, span, b[:]) }},
+			{"ReadU64", func() error { _, err := eng.ReadU64(engineBDF, engineIOVA); return err }},
+			{"WriteU64", func() error { return eng.WriteU64(engineBDF, engineIOVA, 42) }},
+		} {
+			if err := op.run(); err != nil {
+				t.Fatalf("%s: %v", op.name, err) // also warms the IOTLB
+			}
+			if n := testing.AllocsPerRun(200, func() {
+				if err := op.run(); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("DMA engine %s allocates %.1f objects per op, want 0", op.name, n)
+			}
 		}
 	})
 
