@@ -105,6 +105,10 @@ type Config struct {
 	// where DMA lands in host memory and what it costs, never what data
 	// moves or which mappings the guest asks for.
 	Tenants int
+	// probe, when set, runs once the system is wired and before the driver
+	// issues its first DMA, so in-package tests can splice observers
+	// between the DMA engine and its translator and auditor.
+	probe func(*sim.System)
 }
 
 var equivBDF = pci.NewBDF(0, 3, 0)
@@ -166,6 +170,9 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 	prot, err := sys.ProtectionFor(equivBDF, driver.RIOMMURingSizesQ(cfg.Profile, cfg.Queues))
 	if err != nil {
 		return tr, err
+	}
+	if cfg.probe != nil {
+		cfg.probe(sys)
 	}
 	mq, err := driver.NewMQNIC(sys.Mem, recorder{inner: prot, events: &tr.Events},
 		sys.Eng, cfg.Profile, equivBDF, cfg.Queues)
