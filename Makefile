@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCH_GOLDEN ?= BENCH_golden.json
 BENCH_WALLCLOCK ?= BENCH_wallclock.txt
 BENCH_GATE ?= BENCH_gate.json
-WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|CampaignCell|EngineReadU64|TrafficCell|OracleVerify|^BenchmarkAllocFrames$$
+WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|CampaignCell|EngineReadU64|TrafficCell|OracleVerify|^BenchmarkAllocFrames$$|^BenchmarkNewSystem$$
 WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
@@ -147,13 +147,19 @@ alloc-check:
 
 # perfbench-check runs the repository benchmark's own tests, then a short
 # churn-audited run (the map/unmap storm under the audit oracle), and fails
-# unless the run's result line reports every simulated output correct.
+# unless the run's result line reports every simulated output correct and an
+# alloc_mb of at most 100. The run allocates ~47 MB, stable to +-0.05 MB
+# between runs; backing each world with an array of its nominal size would
+# allocate ~197 MB, so the bound catches that with room to spare.
 perfbench-check:
 	cd perfbench && $(GO) test ./...
 	@last="$$(bash perfbench/run.sh --workload churn-audited --seconds 5 --trace 0 | tail -n 1)"; \
 	echo "$$last"; \
 	case "$$last" in *'"correct":true'*) ;; \
-	*) echo "perfbench-check: churn-audited run not correct"; exit 1 ;; esac
+	*) echo "perfbench-check: churn-audited run not correct"; exit 1 ;; esac; \
+	mb="$$(printf '%s\n' "$$last" | sed -n 's/.*"alloc_mb":{"value":\([0-9.eE+-]*\).*/\1/p')"; \
+	awk -v mb="$$mb" 'BEGIN { exit (mb != "" && mb + 0 <= 100) ? 0 : 1 }' || { \
+		echo "perfbench-check: churn-audited alloc_mb $$mb exceeds 100"; exit 1; }
 
 # bench-wallclock runs the wall-clock suite (ns/op of the simulator itself,
 # not virtual cycles) and compares against the committed baseline with the

@@ -274,13 +274,6 @@ func (e *Engine) pick(n int) (int, byte) {
 	return i, 1 << (e.rng.next() % 8)
 }
 
-// flip flips one deterministically chosen bit of buf.
-func (e *Engine) flip(buf []byte) {
-	if i, mask := e.pick(len(buf)); mask != 0 {
-		buf[i] ^= mask
-	}
-}
-
 // ReadFault implements mem.FaultHook: it may choose one bit of the n bytes
 // just read to corrupt.
 func (e *Engine) ReadFault(pa mem.PA, n int) (int, byte) {
@@ -290,16 +283,17 @@ func (e *Engine) ReadFault(pa mem.PA, n int) (int, byte) {
 	return e.pick(n)
 }
 
-// WriteFault implements mem.FaultHook: it may corrupt the data just stored
-// (in place) and reports whether the written cacheline must be poisoned.
-func (e *Engine) WriteFault(pa mem.PA, stored []byte) (poison bool) {
+// WriteFault implements mem.FaultHook: it may choose one bit of the n bytes
+// just stored to corrupt, and reports whether the written cacheline must be
+// poisoned.
+func (e *Engine) WriteFault(pa mem.PA, n int) (i int, mask byte, poison bool) {
 	if e == nil {
-		return false
+		return 0, 0, false
 	}
 	if e.roll(MemWriteCorrupt, 0, uint64(pa)) {
-		e.flip(stored)
+		i, mask = e.pick(n)
 	}
-	return e.roll(MemPoison, 0, uint64(pa))
+	return i, mask, e.roll(MemPoison, 0, uint64(pa))
 }
 
 // StaleDMA possibly redirects a device DMA to StaleIOVA (package dma calls

@@ -18,7 +18,7 @@ func exercise(e *Engine) {
 		case 0:
 			e.ReadFault(0x1000, len(buf))
 		case 1:
-			e.WriteFault(0x2000, buf)
+			e.WriteFault(0x2000, len(buf))
 		case 2:
 			e.StaleDMA(dev, uint64(i)<<12)
 		case 3:
@@ -76,7 +76,8 @@ func TestNilEngineIsSafe(t *testing.T) {
 		t.Error("nil engine reports enabled")
 	}
 	buf := []byte{1, 2, 3}
-	if _, mask := e.ReadFault(0, len(buf)); mask != 0 || e.WriteFault(0, buf) {
+	_, wmask, poison := e.WriteFault(0, len(buf))
+	if _, mask := e.ReadFault(0, len(buf)); mask != 0 || wmask != 0 || poison {
 		t.Error("nil engine injected")
 	}
 	if iova, hit := e.StaleDMA(dev, 0x123); hit || iova != 0x123 {

@@ -1,5 +1,5 @@
 // Package mem implements the simulated physical memory substrate: a frame
-// allocator over a flat byte-addressable space, page pinning, and typed
+// allocator over a byte-addressable space, page pinning, and typed
 // accessors. All simulated structures that the (r)IOMMU hardware reads —
 // radix page tables, flat rIOMMU tables, DMA descriptors, target buffers —
 // live inside a PhysMem so that translations and DMAs are exercised against
@@ -53,20 +53,33 @@ func (e *AccessError) Error() string {
 // paths — the data paths DMAs and payload copies use — so metadata accessed
 // through the typed accessors (page tables, queue cursors) stays intact and
 // descriptor corruption is modeled separately at the device layer.
+//
+// Neither method sees the bytes: each returns the index of a byte and a mask
+// that memory XORs into it, or a zero mask to leave the data intact. A
+// buffer passed to ReadInto or Write therefore does not escape to the heap,
+// and a write that spans two frames' separate pages is corrupted by memory,
+// which knows where each byte is stored.
 type FaultHook interface {
-	// ReadFault may corrupt the n bytes just read from pa: it returns the
-	// index of a byte and a mask to XOR into it, or a zero mask to leave
-	// the data intact. It never sees the reader's buffer, so a buffer
-	// passed to ReadInto does not escape to the heap.
+	// ReadFault may corrupt the n bytes just read from pa.
 	ReadFault(pa PA, n int) (i int, mask byte)
-	// WriteFault may corrupt stored, the bytes just written at pa, in
-	// place, and reports whether the cacheline at pa must be poisoned.
-	WriteFault(pa PA, stored []byte) (poison bool)
+	// WriteFault may corrupt the n bytes just stored at pa, and reports
+	// whether the cacheline at pa must be poisoned.
+	WriteFault(pa PA, n int) (i int, mask byte, poison bool)
 }
+
+// page is one frame's bytes.
+type page [PageSize]byte
 
 // PhysMem is a simulated physical memory with a simple page-frame allocator.
 // Frame 0 is reserved (so a zero PA can act as a null pointer in page
 // tables). PhysMem is not safe for concurrent use.
+//
+// Storage is sparse: a per-frame page directory. A frame with no page reads
+// as zeros; the first Write, typed write or nonzero Fill gives it a zeroed
+// page. Span gives its range one contiguous slab and points the range's
+// directory entries into it, so the view and every other accessor see the
+// same bytes. A world therefore costs the pages it writes, not its nominal
+// size.
 //
 // The free list is lazy: frames at or above the watermark have never been
 // allocated and are handed out in ascending order without ever being
@@ -81,7 +94,8 @@ type FaultHook interface {
 // frame in [1, low) is allocated. Frames below low can hold no free run, so
 // skipping them returns the same PFN a scan from frame 1 would.
 type PhysMem struct {
-	data      []byte
+	pages     []*page        // frame directory; a nil page reads as zeros
+	slabs     map[PFN][]byte // Span slabs by first frame
 	frames    int
 	free      []PFN // LIFO stack of explicitly freed frames
 	watermark PFN   // lazy mode: lowest never-allocated frame
@@ -89,28 +103,38 @@ type PhysMem struct {
 	low       PFN   // first-free cursor: frames [1, low) are all allocated
 	alloced   []bool
 	pinCount  []uint32
-	dirty     []bool // dirty[f]: frame f's bytes may differ from zero
+	// dirty[f]: frame f's page may hold nonzero bytes. Write, a nonzero
+	// Fill, the typed writes and Span (up front, for its view) set it, so
+	// a clear bit is exact: the frame has no page or a zeroed one.
+	dirty []bool
 
-	bk *backing // pooled backing this instance borrowed (nil if fresh-only)
+	bk *backing // pooled backing this instance borrowed
 
 	hook   FaultHook
 	poison map[uint64]struct{} // poisoned cacheline indices
 }
 
 // backing is the pooled per-instance state recycled between PhysMem worlds
-// of the same size: the flat byte array plus the frame-metadata arrays.
-// Reuse is observation-equivalent to freshly zeroed arrays: every read/write
-// path checks that the touched frames are allocated, AllocFrame/AllocFrames
-// zero each dirty frame as it is handed out, and New clears the metadata
-// prefix the previous life touched. The dirty array persists across lives —
-// it is precisely the memory of which recycled frames still hold stale
-// bytes — so a frame that was allocated but never written (posted-but-unused
-// RX buffers are the bulk of a NIC world) costs no memclr in the next life.
-// Pooling exists because experiment and campaign grids build one
-// multi-megabyte world per cell, and zeroing those arrays dominated the
-// simulator's wall-clock time.
+// of the same size: the page directory, with the pages and Span slabs
+// earlier lives gave it, the frame-metadata arrays and the free stack's
+// storage. Reuse is observation-equivalent to a fresh directory: every
+// read/write path checks that the touched frames are allocated,
+// AllocFrame/AllocFrames zero each dirty frame's page as it is handed out,
+// and New clears the metadata prefix the previous life touched. The dirty
+// array persists across lives — it is precisely the memory of which
+// recycled pages still hold stale bytes — so a frame that was allocated but
+// never written (posted-but-unused RX buffers are the bulk of a NIC world)
+// costs nothing in the next life. A world of the same shape writes the same
+// frames and spans the same runs, so it finds its pages and slabs already
+// in place.
+//
+// Pooling exists because experiment and campaign grids build one world per
+// cell. A sync.Pool is emptied by the garbage collector, so recycling never
+// outlives the collections that would free the backing anyway.
 type backing struct {
-	data     []byte
+	pages    []*page
+	slabs    map[PFN][]byte
+	free     []PFN // an earlier life's free stack, kept for its capacity
 	alloced  []bool
 	pinCount []uint32
 	dirty    []bool
@@ -121,11 +145,14 @@ type backing struct {
 // 64 MiB block world recycle independently instead of evicting each other.
 var pools sync.Map // uint64 (size) -> *sync.Pool
 
-func getBacking(size uint64) *backing {
+func pool(size uint64) *sync.Pool {
 	p, _ := pools.LoadOrStore(size, &sync.Pool{})
-	pool := p.(*sync.Pool)
+	return p.(*sync.Pool)
+}
+
+func getBacking(size uint64) *backing {
 	frames := int(size / PageSize)
-	if v := pool.Get(); v != nil {
+	if v := pool(size).Get(); v != nil {
 		b := v.(*backing)
 		// Clear only the metadata prefix earlier lives touched: the
 		// watermark allocator hands frames out in ascending order, so
@@ -135,7 +162,7 @@ func getBacking(size uint64) *backing {
 		return b
 	}
 	return &backing{
-		data:     make([]byte, size),
+		pages:    make([]*page, frames),
 		alloced:  make([]bool, frames),
 		pinCount: make([]uint32, frames),
 		dirty:    make([]bool, frames),
@@ -143,14 +170,17 @@ func getBacking(size uint64) *backing {
 }
 
 // New creates a physical memory of the given size in bytes, which must be a
-// positive multiple of PageSize.
+// positive multiple of PageSize. It allocates only the page directory and
+// frame metadata, not the bytes.
 func New(size uint64) (*PhysMem, error) {
 	if size == 0 || size%PageSize != 0 {
 		return nil, &AccessError{Op: "alloc", Size: size, Why: "size must be a positive multiple of the page size"}
 	}
 	bk := getBacking(size)
 	m := &PhysMem{
-		data:      bk.data,
+		pages:     bk.pages,
+		slabs:     bk.slabs,
+		free:      bk.free[:0],
 		frames:    int(size / PageSize),
 		watermark: 1, // frame 0 is reserved
 		lazy:      true,
@@ -162,27 +192,37 @@ func New(size uint64) (*PhysMem, error) {
 	}
 	m.alloced[0] = true
 	// Frame 0 is readable (it is marked allocated) but never handed out, so
-	// it must read as zeros even on a recycled backing array.
+	// it must read as zeros even on a recycled backing.
 	m.clearFrame(0)
 	return m, nil
 }
 
-// clearFrame zeroes frame f's bytes unless they are already known zero.
+// clearFrame zeroes frame f's page unless it is already known zero.
 func (m *PhysMem) clearFrame(f PFN) {
 	if m.dirty[f] {
-		base := uint64(f.PA())
-		clear(m.data[base : base+PageSize])
+		clear(m.pages[f][:])
 		m.dirty[f] = false
 	}
 }
 
-// Release returns the backing arrays to the per-size pool so the next
-// PhysMem of the same size skips the large-allocation zeroing cost. The
-// PhysMem — and every component holding it — must not be used afterwards.
-// Releasing is optional; an unreleased PhysMem is simply garbage-collected.
+// pageOf returns frame f's page, giving the frame a zeroed page first if it
+// has none.
+func (m *PhysMem) pageOf(f PFN) *page {
+	p := m.pages[f]
+	if p == nil {
+		p = new(page)
+		m.pages[f] = p
+	}
+	return p
+}
+
+// Release returns the backing — directory, pages, slabs and metadata — to
+// the per-size pool, so the next PhysMem of the same size reuses the pages
+// its frames wrote instead of allocating them again. The PhysMem — and
+// every component holding it — must not be used afterwards. Releasing is
+// optional; an unreleased PhysMem is simply garbage-collected.
 func (m *PhysMem) Release() {
-	if m.bk == nil || m.data == nil {
-		m.data = nil
+	if m.pages == nil {
 		return
 	}
 	hi := int(m.watermark)
@@ -194,9 +234,17 @@ func (m *PhysMem) Release() {
 	if hi > m.bk.hi {
 		m.bk.hi = hi
 	}
-	p, _ := pools.LoadOrStore(uint64(len(m.data)), &sync.Pool{})
-	p.(*sync.Pool).Put(m.bk)
-	m.data = nil
+	// Keep only the slabs a later life can reuse whole. Deleting during
+	// the range is order-independent.
+	for first, s := range m.slabs {
+		if !m.backedBy(first, len(s)/PageSize, s) {
+			delete(m.slabs, first)
+		}
+	}
+	m.bk.slabs = m.slabs
+	m.bk.free = m.free
+	pool(uint64(m.frames) * PageSize).Put(m.bk)
+	m.pages = nil
 	m.bk = nil
 }
 
@@ -250,7 +298,7 @@ func (m *PhysMem) checkPoison(pa PA, size uint64) error {
 }
 
 // Size returns the total size of the memory in bytes.
-func (m *PhysMem) Size() uint64 { return uint64(len(m.data)) }
+func (m *PhysMem) Size() uint64 { return uint64(m.frames) * PageSize }
 
 // Frames returns the total number of page frames.
 func (m *PhysMem) Frames() int { return m.frames }
@@ -292,7 +340,8 @@ func (m *PhysMem) AllocFrame() (PFN, error) {
 }
 
 // AllocFrames allocates n physically contiguous zeroed frames and returns the
-// first PFN. Contiguity is required for multi-page rings and flat tables.
+// first PFN. Contiguity is required for multi-page rings and flat tables,
+// which take one contiguous view of the run with Span.
 func (m *PhysMem) AllocFrames(n int) (PFN, error) {
 	if n <= 0 {
 		return 0, &AccessError{Op: "alloc", Why: "nonpositive frame count"}
@@ -370,7 +419,8 @@ func (m *PhysMem) materialize() {
 }
 
 // FreeFrame releases a previously allocated frame. Freeing a pinned or
-// unallocated frame is an error.
+// unallocated frame is an error. The frame keeps its page, which is zeroed
+// when the frame is allocated again.
 func (m *PhysMem) FreeFrame(f PFN) error {
 	if err := m.checkFrame("free", f); err != nil {
 		return err
@@ -432,7 +482,7 @@ func (m *PhysMem) checkFrame(op string, f PFN) error {
 
 func (m *PhysMem) checkRange(op string, pa PA, size uint64) error {
 	end := uint64(pa) + size
-	if end < uint64(pa) || end > uint64(len(m.data)) {
+	if end < uint64(pa) || end > uint64(len(m.pages))*PageSize {
 		return &AccessError{Op: op, Addr: pa, Size: size, Why: "out of bounds"}
 	}
 	// Every touched frame must be allocated.
@@ -444,6 +494,36 @@ func (m *PhysMem) checkRange(op string, pa PA, size uint64) error {
 	return nil
 }
 
+// readAt copies the bytes at pa into dst, one frame at a time; a frame
+// without a page reads as zeros. The caller has checked the range.
+func (m *PhysMem) readAt(pa PA, dst []byte) {
+	for len(dst) > 0 {
+		off := pa & PageMask
+		var n int
+		if p := m.pages[PFNOf(pa)]; p != nil {
+			n = copy(dst, p[off:])
+		} else {
+			n = min(len(dst), int(PageSize-off))
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		pa += PA(n)
+	}
+}
+
+// writeAt copies src into memory at pa, one frame at a time, giving each
+// frame a page if it has none and marking it dirty. The caller has checked
+// the range.
+func (m *PhysMem) writeAt(pa PA, src []byte) {
+	for len(src) > 0 {
+		f := PFNOf(pa)
+		n := copy(m.pageOf(f)[pa&PageMask:], src)
+		m.dirty[f] = true
+		src = src[n:]
+		pa += PA(n)
+	}
+}
+
 // Read copies size bytes at pa into a fresh slice.
 func (m *PhysMem) Read(pa PA, size uint64) ([]byte, error) {
 	if err := m.checkRange("read", pa, size); err != nil {
@@ -453,7 +533,7 @@ func (m *PhysMem) Read(pa PA, size uint64) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, size)
-	copy(out, m.data[pa:uint64(pa)+size])
+	m.readAt(pa, out)
 	if m.hook != nil {
 		if i, mask := m.hook.ReadFault(pa, len(out)); mask != 0 {
 			out[i] ^= mask
@@ -470,7 +550,7 @@ func (m *PhysMem) ReadInto(pa PA, dst []byte) error {
 	if err := m.checkPoison(pa, uint64(len(dst))); err != nil {
 		return err
 	}
-	copy(dst, m.data[pa:])
+	m.readAt(pa, dst)
 	if m.hook != nil {
 		if i, mask := m.hook.ReadFault(pa, len(dst)); mask != 0 {
 			dst[i] ^= mask
@@ -480,125 +560,186 @@ func (m *PhysMem) ReadInto(pa PA, dst []byte) error {
 }
 
 // Write copies src into memory at pa. A write repairs any poison its range
-// covers; the fault hook may corrupt the stored bytes or re-poison the line.
+// covers; the fault hook may corrupt one stored byte or re-poison the line.
 func (m *PhysMem) Write(pa PA, src []byte) error {
 	if err := m.checkRange("write", pa, uint64(len(src))); err != nil {
 		return err
 	}
-	copy(m.data[pa:], src)
-	m.markDirty(pa, uint64(len(src)))
+	m.writeAt(pa, src)
 	m.ClearPoison(pa, uint64(len(src)))
 	if m.hook != nil {
-		if m.hook.WriteFault(pa, m.data[pa:uint64(pa)+uint64(len(src))]) {
+		i, mask, poison := m.hook.WriteFault(pa, len(src))
+		if mask != 0 {
+			b := pa + PA(i)
+			m.pages[PFNOf(b)][b&PageMask] ^= mask
+		}
+		if poison {
 			m.PoisonCacheline(pa)
 		}
 	}
 	return nil
 }
 
-// inFrameFast reports whether a width-byte access at pa stays inside one
-// allocated frame — the metadata fast path (page-table entries, rPTEs,
-// queue cursors are naturally aligned and never split pages). It subsumes
-// checkRange for such accesses: in-bounds, single frame, frame allocated.
-// Anything else (page-spanning, out of range) takes the legacy slow path.
-func (m *PhysMem) inFrameFast(pa PA, width uint64) bool {
-	i := uint64(pa)
-	return i&PageMask <= PageSize-width &&
-		i <= uint64(len(m.data))-width &&
-		m.alloced[i>>PageShift]
+// fastPage returns the page holding a width-byte access at pa when the
+// access stays inside one allocated frame that has a page: the metadata
+// fast path (page-table entries, rPTEs, queue cursors are naturally aligned
+// and never split pages). It returns nil for anything else — a
+// page-crossing, out-of-range or unallocated access, or a frame without a
+// page — which takes the checked path.
+func (m *PhysMem) fastPage(pa PA, width uint64) *page {
+	f := uint64(pa) >> PageShift
+	if uint64(pa)&PageMask > PageSize-width || f >= uint64(len(m.pages)) || !m.alloced[f] {
+		return nil
+	}
+	return m.pages[f]
 }
 
 // ReadU64 reads a little-endian uint64 at pa.
 func (m *PhysMem) ReadU64(pa PA) (uint64, error) {
-	if m.inFrameFast(pa, 8) {
-		return binary.LittleEndian.Uint64(m.data[pa:]), nil
+	if p := m.fastPage(pa, 8); p != nil {
+		return binary.LittleEndian.Uint64(p[pa&PageMask:]), nil
 	}
-	if err := m.checkRange("read", pa, 8); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(m.data[pa:]), nil
+	var b [8]byte
+	err := m.readChecked(pa, b[:])
+	return binary.LittleEndian.Uint64(b[:]), err
 }
 
 // WriteU64 writes a little-endian uint64 at pa.
 func (m *PhysMem) WriteU64(pa PA, v uint64) error {
-	if !m.inFrameFast(pa, 8) {
-		if err := m.checkRange("write", pa, 8); err != nil {
-			return err
-		}
+	if p := m.fastPage(pa, 8); p != nil {
+		binary.LittleEndian.PutUint64(p[pa&PageMask:], v)
+		m.dirty[PFNOf(pa)] = true
+		return nil
 	}
-	binary.LittleEndian.PutUint64(m.data[pa:], v)
-	m.markDirty(pa, 8)
-	return nil
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return m.writeChecked(pa, b[:])
 }
 
 // ReadU32 reads a little-endian uint32 at pa.
 func (m *PhysMem) ReadU32(pa PA) (uint32, error) {
-	if m.inFrameFast(pa, 4) {
-		return binary.LittleEndian.Uint32(m.data[pa:]), nil
+	if p := m.fastPage(pa, 4); p != nil {
+		return binary.LittleEndian.Uint32(p[pa&PageMask:]), nil
 	}
-	if err := m.checkRange("read", pa, 4); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(m.data[pa:]), nil
+	var b [4]byte
+	err := m.readChecked(pa, b[:])
+	return binary.LittleEndian.Uint32(b[:]), err
 }
 
 // WriteU32 writes a little-endian uint32 at pa.
 func (m *PhysMem) WriteU32(pa PA, v uint32) error {
-	if !m.inFrameFast(pa, 4) {
-		if err := m.checkRange("write", pa, 4); err != nil {
-			return err
-		}
+	if p := m.fastPage(pa, 4); p != nil {
+		binary.LittleEndian.PutUint32(p[pa&PageMask:], v)
+		m.dirty[PFNOf(pa)] = true
+		return nil
 	}
-	binary.LittleEndian.PutUint32(m.data[pa:], v)
-	m.markDirty(pa, 4)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	return m.writeChecked(pa, b[:])
+}
+
+// readChecked and writeChecked are the typed accessors' checked path: they
+// check the range, then copy through readAt or writeAt, which read a frame
+// without a page as zeros and give a written frame its page.
+func (m *PhysMem) readChecked(pa PA, b []byte) error {
+	if err := m.checkRange("read", pa, uint64(len(b))); err != nil {
+		return err
+	}
+	m.readAt(pa, b)
 	return nil
 }
 
-// Fill sets size bytes at pa to b, repairing any poison in the range.
+func (m *PhysMem) writeChecked(pa PA, b []byte) error {
+	if err := m.checkRange("write", pa, uint64(len(b))); err != nil {
+		return err
+	}
+	m.writeAt(pa, b)
+	return nil
+}
+
+// Fill sets size bytes at pa to b, repairing any poison in the range. A zero
+// fill gives no frame a page: frames without one already read as zeros.
 func (m *PhysMem) Fill(pa PA, size uint64, b byte) error {
 	if err := m.checkRange("write", pa, size); err != nil {
 		return err
 	}
-	for i := uint64(0); i < size; i++ {
-		m.data[uint64(pa)+i] = b
+	for at, end := pa, pa+PA(size); at < end; {
+		f, off := PFNOf(at), at&PageMask
+		n := min(end-at, PageSize-off)
+		if b != 0 {
+			dst := m.pageOf(f)[off : off+n]
+			for i := range dst {
+				dst[i] = b
+			}
+			m.dirty[f] = true
+		} else if p := m.pages[f]; p != nil {
+			clear(p[off : off+n])
+		}
+		at += n
 	}
-	m.markDirty(pa, size)
 	m.ClearPoison(pa, size)
 	return nil
 }
 
 // Span returns a mutable view of [pa, pa+size): the metadata fast path for
 // simulated structures touched on every operation (descriptor rings, flat
-// rPTE tables). The whole range must be allocated when the view is taken and
-// stay allocated for the view's lifetime — it aliases the backing array
-// directly, so it must not outlive a Release. Like the typed accessors,
-// access through the view bypasses fault hooks and poison (metadata
-// integrity is modeled at the device layer, and DMA paths to the same bytes
-// still see every store). The range is conservatively marked dirty up front.
+// rPTE tables). It gives the range's frames one contiguous slab, copying in
+// the bytes they hold, and points their directory entries into it, so the
+// view and every other accessor see the same bytes. Span is for a run no
+// live view covers — its callers take it right after AllocFrames — because
+// a new slab detaches an older view of the same frames. A slab stays with
+// its frames across pooled lives, so a later world that spans the same run
+// reuses it.
+//
+// The whole range must be allocated when the view is taken and stay
+// allocated for the view's lifetime, and the view must not outlive a
+// Release. Like the typed accessors, access through the view bypasses fault
+// hooks and poison (metadata integrity is modeled at the device layer, and
+// DMA paths to the same bytes still see every store). The range is
+// conservatively marked dirty up front.
 func (m *PhysMem) Span(pa PA, size uint64) ([]byte, error) {
 	if err := m.checkRange("span", pa, size); err != nil {
 		return nil, err
 	}
-	m.markDirty(pa, size)
-	end := uint64(pa) + size
-	return m.data[pa:end:end], nil
+	if size == 0 {
+		return nil, nil
+	}
+	first := PFNOf(pa)
+	n := int(PFNOf(pa+PA(size)-1)-first) + 1
+	s := m.slabs[first]
+	if !m.backedBy(first, n, s) {
+		s = make([]byte, n*PageSize)
+		for i := range n {
+			f := first + PFN(i)
+			if p := m.pages[f]; p != nil {
+				copy(s[i*PageSize:], p[:])
+			}
+			m.pages[f] = (*page)(s[i*PageSize:])
+		}
+		if m.slabs == nil {
+			m.slabs = make(map[PFN][]byte)
+		}
+		m.slabs[first] = s
+	}
+	for i := range n {
+		m.dirty[first+PFN(i)] = true
+	}
+	off := uint64(pa & PageMask)
+	return s[off : off+size : off+size], nil
 }
 
-// markDirty records that the frames covering [pa, pa+size) no longer hold
-// known-zero bytes; they will be memclr'd if reallocated (possibly in a
-// later pooled life of the backing array). Callers have already
-// bounds-checked the range. Writes outside the typed accessors, Write, and
-// Fill do not exist: every data mutation flows through this closed set, so
-// the dirty map is exact.
-func (m *PhysMem) markDirty(pa PA, size uint64) {
-	if size == 0 {
-		return
+// backedBy reports whether the n frames from first are the consecutive
+// pages of slab s.
+func (m *PhysMem) backedBy(first PFN, n int, s []byte) bool {
+	if len(s) < n*PageSize {
+		return false
 	}
-	first := uint64(pa) >> PageShift
-	last := (uint64(pa) + size - 1) >> PageShift
-	for f := first; f <= last; f++ {
-		m.dirty[f] = true
+	for i := range n {
+		if m.pages[first+PFN(i)] != (*page)(s[i*PageSize:]) {
+			return false
+		}
 	}
+	return true
 }
 
 // CachelinesSpanned returns how many cachelines the byte range [pa, pa+size)

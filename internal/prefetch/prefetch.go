@@ -284,3 +284,9 @@ func (b *boundedMap) add(k, v uint64) {
 }
 
 func (b *boundedMap) len() int { return len(b.m) }
+
+// reset empties the table in place, keeping its storage for reuse.
+func (b *boundedMap) reset() {
+	clear(b.m)
+	b.order = b.order[:0]
+}

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"math/rand"
 	"testing"
 
 	"riommu/internal/pci"
@@ -161,5 +162,73 @@ func TestSequentialStrideWorkloadFavorsDistance(t *testing.T) {
 	s := Evaluate(NewDistance(DefaultConfig()), tr)
 	if s.HitRate() < 0.8 {
 		t.Errorf("distance on persistent stride workload: hit rate %.2f, want high", s.HitRate())
+	}
+}
+
+// rebuildDistance is the baseline Distance prefetcher as it was before its
+// Unmap reset the stride table in place: every unmap built a fresh table.
+type rebuildDistance struct{ *Distance }
+
+func (r rebuildDistance) Unmap(p uint64) {
+	r.onUnmap(p)
+	if !r.cfg.RetainInvalidated {
+		r.table = newBoundedMap(min(r.cfg.History, distanceTableCap))
+		r.first = true
+		r.delta = 0
+	}
+}
+
+// TestDistanceResetMatchesRebuild drives the baseline Distance prefetcher
+// and the rebuilding reference with the same seeded stream of maps,
+// strided accesses and unmaps, and requires the same hit on every access
+// and the same final counters. Small and capped histories both run, and the
+// test fails unless the stream fills a table to its bound before an unmap
+// and produces prefetches and hits.
+func TestDistanceResetMatchesRebuild(t *testing.T) {
+	var fullAtUnmap int
+	var prefetches, hits uint64
+	for _, history := range []int{8, 4096} {
+		for seed := int64(0); seed < 20; seed++ {
+			cfg := Config{TLBEntries: 16, History: history}
+			got, want := NewDistance(cfg), rebuildDistance{NewDistance(cfg)}
+			rng := rand.New(rand.NewSource(seed))
+			strides := []uint64{1, 2, 5, ^uint64(0)}
+			p := uint64(0x1000)
+			for op := 0; op < 3000; op++ {
+				switch r := rng.Intn(100); {
+				case r < 3:
+					if got.table.len() == got.table.cap {
+						fullAtUnmap++
+					}
+					q := p - uint64(rng.Intn(8))
+					got.Unmap(q)
+					want.Unmap(q)
+				default:
+					if r < 15 {
+						p += uint64(rng.Intn(1 << 12)) // a stride no table holds
+					} else {
+						p += strides[rng.Intn(len(strides))]
+					}
+					// Map the access and every page a stride from it,
+					// so predictions pass the mapped check.
+					for _, q := range append([]uint64{0}, strides...) {
+						got.Map(p + q)
+						want.Map(p + q)
+					}
+					if g, w := got.Access(p), want.Access(p); g != w {
+						t.Fatalf("history %d seed %d op %d: Access(%#x) hit = %v, rebuilt table gives %v", history, seed, op, p, g, w)
+					}
+				}
+			}
+			if g, w := got.Stats(), want.Stats(); g != w {
+				t.Fatalf("history %d seed %d: stats %+v, rebuilt table gives %+v", history, seed, g, w)
+			}
+			prefetches += got.Stats().Prefetches
+			hits += got.Stats().Hits
+		}
+	}
+	t.Logf("tables full at unmap %d, prefetches %d, hits %d", fullAtUnmap, prefetches, hits)
+	if fullAtUnmap == 0 || prefetches == 0 || hits == 0 {
+		t.Fatal("the stream no longer fills a table before an unmap, prefetches and hits")
 	}
 }

@@ -150,11 +150,7 @@ func (d *Distance) Map(p uint64) { d.onMap(p) }
 func (d *Distance) Unmap(p uint64) {
 	d.onUnmap(p)
 	if !d.cfg.RetainInvalidated {
-		capHist := d.cfg.History
-		if capHist > distanceTableCap {
-			capHist = distanceTableCap
-		}
-		d.table = newBoundedMap(capHist)
+		d.table.reset()
 		d.first = true
 		d.delta = 0
 	}

@@ -13,6 +13,7 @@ package riommu
 //	go test -run TestHotPathAllocs -bench 'MapUnmap|Walk|IOTLB|OracleVerify|CampaignCell'
 
 import (
+	"runtime"
 	"testing"
 
 	"riommu/internal/audit"
@@ -21,6 +22,7 @@ import (
 	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/dma"
+	"riommu/internal/faults"
 	"riommu/internal/iommu"
 	"riommu/internal/iotlb"
 	"riommu/internal/iova"
@@ -244,6 +246,25 @@ func BenchmarkAllocFrames(b *testing.B) {
 		b.StopTimer()
 		mm.Release()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkNewSystem times building and tearing down the world of a
+// campaign NIC cell: a 128 MiB riommu system with fault injection wired in,
+// AttachNIC (which fills and maps the Rx ring), then Close. Its B/op and
+// allocs/op are what each grid cell pays for its world.
+func BenchmarkNewSystem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := sim.NewSystem(sim.RIOMMU, 1<<15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.EnableFaults(faults.UniformConfig(42, 0))
+		if _, _, err := sys.AttachNIC(device.ProfileBRCM, pci.NewBDF(0, 3, 0)); err != nil {
+			b.Fatal(err)
+		}
+		sys.Close()
 	}
 }
 
@@ -509,6 +530,41 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
+	t.Run("mem-typed", func(t *testing.T) {
+		// Typed and bulk accesses to frames that already hold pages, the
+		// bulk ones crossing from one frame's page to the next. The
+		// buffers are the caller's stack arrays, so a buffer that escapes
+		// through memory counts as an allocation.
+		mm := mustMem(t, 16*mem.PageSize)
+		f, err := mm.AllocFrames(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa := f.PA() + mem.PageSize - 1500
+		if err := mm.Fill(f.PA(), 2*mem.PageSize, 0xa5); err != nil {
+			t.Fatal(err) // gives both frames their pages
+		}
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"ReadU64", func() error { _, err := mm.ReadU64(f.PA() + 8); return err }},
+			{"WriteU64", func() error { return mm.WriteU64(f.PA()+8, 42) }},
+			{"ReadU32", func() error { _, err := mm.ReadU32(f.PA() + 4); return err }},
+			{"WriteU32", func() error { return mm.WriteU32(f.PA()+4, 42) }},
+			{"ReadInto", func() error { var b [3000]byte; return mm.ReadInto(pa, b[:]) }},
+			{"Write", func() error { var b [3000]byte; return mm.Write(pa, b[:]) }},
+		} {
+			if n := testing.AllocsPerRun(200, func() {
+				if err := op.run(); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("mem %s allocates %.1f objects per op, want 0", op.name, n)
+			}
+		}
+	})
+
 	t.Run("iova-churn-storm", func(t *testing.T) {
 		// Connection-churn shape: a window of live heavy-tailed ranges with
 		// interleaved opens and closes, not a single ping-ponged size. Once
@@ -549,4 +605,47 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("warm churn-storm step allocates %.1f objects per op, want 0", n)
 		}
 	})
+}
+
+// TestSparseMemFootprint pins what simulated memory costs the host: a fresh
+// 128 MiB memory allocates its page directory and frame metadata, under
+// 1 MiB, and writing k frames allocates k pages, not the nominal size.
+func TestSparseMemFootprint(t *testing.T) {
+	// allocated returns the bytes f allocates. It collects twice first, so
+	// the frame-store pools are empty and New builds a fresh directory.
+	allocated := func(f func()) uint64 {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var mm *mem.PhysMem
+	fresh := allocated(func() { mm = mustMem(t, 128<<20) })
+	if fresh >= 1<<20 {
+		t.Errorf("mem.New(128 MiB) allocates %d bytes, want under 1 MiB", fresh)
+	}
+	const k = 256
+	frames := make([]mem.PFN, k)
+	for i := range frames {
+		f, err := mm.AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = f
+	}
+	n := allocated(func() {
+		for _, f := range frames {
+			if err := mm.WriteU64(f.PA(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("mem.New(128 MiB) allocates %d bytes; writing %d frames allocates %d", fresh, k, n)
+	if want := uint64(k * mem.PageSize); n < want || n > want+want/8 {
+		t.Errorf("writing %d frames allocates %d bytes, want about %d", k, n, want)
+	}
+	mm.Release()
 }
