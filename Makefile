@@ -8,7 +8,7 @@ WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
 
-.PHONY: all build test tier1 vet fmt-check race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic clean
+.PHONY: all build test tier1 vet fmt-check race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic clean
 
 all: tier1
 
@@ -138,6 +138,17 @@ bench-check: build
 	fi; \
 	echo "bench-check: no drift vs $(BENCH_GOLDEN)"
 
+# campaign-json regenerates the committed campaign golden: the -json report
+# and the rendered tables of one serial grid that holds every cell family.
+# TestCampaignGolden (cmd/riommu-faults) reruns these flags and fails on any
+# byte of drift from either file, so keep the two flag lists equal. Run it
+# (and commit both files) whenever an intentional change moves a campaign
+# metric or table.
+CAMPAIGN_FLAGS = -seed 5 -rounds 24 -rates 0,0.01 -modes strict,riommu -cores 2 \
+	-chaos all -intchaos all -hotplug all -tenants 3 -churn 2000 -parallel 1
+campaign-json: build
+	$(GO) run ./cmd/riommu-faults $(CAMPAIGN_FLAGS) -json BENCH_campaign.json > BENCH_campaign.txt
+
 # alloc-check is the allocation-regression gate: the steady-state translation
 # hot paths (IOTLB hit, rIOTLB hit, warm radix walk, IOVA recycle) and the DMA
 # engine's transfers must stay at zero allocations per operation. Unlike the wall-clock deltas below this
@@ -205,8 +216,10 @@ grid-full: build
 
 # grid-check is the sharded-runtime byte-identity gate at CI-sized rounds: a
 # serial run and a sharded, checkpoint-resumed run of the same grid must
-# produce byte-identical -json reports.
-GRID_CHECK_FLAGS = -rounds 8 -rates 0,0.01 -modes strict,riommu -parallel 1
+# produce byte-identical -json reports. The grid is the campaign golden's,
+# which holds every cell family; below 24 rounds the tenant liveness gate
+# fails (the hostile tenant is never quarantined).
+GRID_CHECK_FLAGS = $(CAMPAIGN_FLAGS)
 grid-check: build
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/riommu-faults $(GRID_CHECK_FLAGS) -json "$$tmp/serial.json" > /dev/null || exit 1; \

@@ -50,6 +50,43 @@ func TestAuditChaosGatePasses(t *testing.T) {
 	}
 }
 
+// TestCampaignGolden pins the campaign's bytes: one serial grid holding
+// every cell family must reproduce the committed BENCH_campaign.json report
+// and BENCH_campaign.txt tables exactly. The flags are the Makefile's
+// CAMPAIGN_FLAGS; refresh both files with `make campaign-json`.
+func TestCampaignGolden(t *testing.T) {
+	wantJSON, err := os.ReadFile("../../BENCH_campaign.json")
+	if err != nil {
+		t.Fatalf("reading committed golden: %v", err)
+	}
+	wantText, err := os.ReadFile("../../BENCH_campaign.txt")
+	if err != nil {
+		t.Fatalf("reading committed golden: %v", err)
+	}
+	var out, errb bytes.Buffer
+	rep := filepath.Join(t.TempDir(), "rep.json")
+	code := run([]string{
+		"-seed", "5", "-rounds", "24", "-rates", "0,0.01", "-modes", "strict,riommu", "-cores", "2",
+		"-chaos", "all", "-intchaos", "all", "-hotplug", "all", "-tenants", "3", "-churn", "2000",
+		"-parallel", "1", "-json", rep,
+	}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errb.String())
+	}
+	gotJSON, err := os.ReadFile(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("report drifted from BENCH_campaign.json (%d vs %d bytes); "+
+			"if intentional refresh with `make campaign-json`", len(gotJSON), len(wantJSON))
+	}
+	if got := out.Bytes(); !bytes.Equal(got, wantText) {
+		t.Errorf("tables drifted from BENCH_campaign.txt (%d vs %d bytes); "+
+			"if intentional refresh with `make campaign-json`", len(got), len(wantText))
+	}
+}
+
 // TestInterruptFlushesPartialReport: an interrupt mid-campaign yields exit
 // 130 and a valid partial JSON report marked "interrupted": true.
 func TestInterruptFlushesPartialReport(t *testing.T) {
