@@ -1404,7 +1404,8 @@ func (r Result) Render() string {
 	nicTab.AlignLeft(0)
 	var byClass stats.Counters
 	for i, k := range r.Keys {
-		if k.Device != "nic" || k.Clean || k.Cores > 1 || k.Churn > 0 {
+		if k.Device != "nic" || k.Clean || k.Cores > 1 || k.Churn > 0 ||
+			k.Scenario != "" || k.IntScenario != "" || k.Hotplug != "" || k.Tenants > 0 {
 			continue
 		}
 		c := r.Cells[i]

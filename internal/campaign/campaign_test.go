@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
 	"riommu/internal/audit"
 	"riommu/internal/chaos"
+	"riommu/internal/faults"
 	"riommu/internal/sim"
 )
 
@@ -560,5 +562,44 @@ func TestPartialReportDropsUnfinishedCells(t *testing.T) {
 	}
 	if strings.Contains(string(full), "interrupted") {
 		t.Errorf("complete report mentions interrupted:\n%s", full)
+	}
+}
+
+// TestRenderNICTableHoldsBaseCells: the NIC table and its by-class total
+// cover only the base family's NIC rate cells, however many other families
+// share the grid. The Result is built from the grid alone, without running
+// a cell: every cell counts one fault of every class.
+func TestRenderNICTableHoldsBaseCells(t *testing.T) {
+	o := Options{
+		Rates: []float64{0, 0.01}, Modes: []sim.Mode{sim.Strict, sim.RIOMMU}, Cores: []int{2},
+		Chaos: chaos.Scenarios(), IntChaos: chaos.IntScenarios(), Hotplug: HotplugScenarios(),
+		Tenants: []int{3}, Churn: []int{2000},
+	}
+	keys := o.Grid()
+	r := Result{Opts: o, Keys: keys, Cells: make([]CellMetrics, len(keys))}
+	for i := range r.Cells {
+		r.Cells[i].ByClass = map[string]uint64{}
+		for _, cl := range faults.Classes() {
+			r.Cells[i].ByClass[cl.String()] = 1
+		}
+	}
+	tables := strings.Split(r.Render(), "\n\n")
+	want := len(o.Modes) * len(o.Rates)
+	// Each table is a title, a header and a rule, then one line per row.
+	nic := strings.Split(tables[0], "\n")
+	if !strings.HasPrefix(nic[0], "NIC campaign") {
+		t.Fatalf("first table is %q, want the NIC campaign", nic[0])
+	}
+	if got := len(nic) - 3; got != want {
+		t.Errorf("NIC table has %d rows, want %d (modes x rates):\n%s", got, want, tables[0])
+	}
+	byClass := strings.Split(tables[1], "\n")
+	if got := len(byClass) - 3; got != len(faults.Classes()) {
+		t.Fatalf("by-class table has %d rows, want %d:\n%s", got, len(faults.Classes()), tables[1])
+	}
+	for _, row := range byClass[3:] {
+		if f := strings.Fields(row); len(f) != 2 || f[1] != strconv.Itoa(want) {
+			t.Errorf("by-class row %q: want a total of %d", row, want)
+		}
 	}
 }
