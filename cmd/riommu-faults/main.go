@@ -161,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		*auditOn = true // hostile cells are meaningless without the oracle
 	}
-	cores, err := campaign.ParseCores(*coresArg)
+	cores, err := campaign.ParseCounts(*coresArg, "cores", 2, 64)
 	if err != nil {
 		fmt.Fprintln(stderr, "riommu-faults:", err)
 		return 2
@@ -185,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*auditOn = true
 	}
 
-	tenants, err := campaign.ParseTenants(*tenArg)
+	tenants, err := campaign.ParseCounts(*tenArg, "tenants", 2, 512)
 	if err != nil {
 		fmt.Fprintln(stderr, "riommu-faults:", err)
 		return 2
@@ -203,13 +203,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	churn, err := campaign.ParseChurn(*churnArg)
+	churn, err := campaign.ParseCounts(*churnArg, "churn", 1, 10_000_000)
 	if err != nil {
 		fmt.Fprintln(stderr, "riommu-faults:", err)
 		return 2
 	}
 
-	shardIdx, shardCount, err := campaign.ParseShard(*shardArg)
+	shardIdx, shardCount, err := parallel.ParseShard(*shardArg)
 	if err != nil {
 		fmt.Fprintln(stderr, "riommu-faults:", err)
 		return 2

@@ -3,12 +3,13 @@
 // drives supervised NIC / NVMe / SATA workloads through the injection
 // window, and reports how the recovery layer held up.
 //
-// The campaign is a flat cell grid (device x mode x rate, plus a fault-free
-// anchor cell per NIC mode). Every cell builds its own simulation world and
-// derives its fault-engine seed from the base seed and the cell's identity
-// alone (parallel.CellSeed), never from which worker ran it — so the merged
-// result is byte-identical for any worker count, and CI can diff rendered
-// output across code changes.
+// The campaign is a flat cell grid built from cell families (the families
+// table): the base device x mode x rate sweep with a fault-free anchor cell
+// per NIC mode, then one family per optional axis. Every cell builds its own
+// simulation world and derives its fault-engine seed from the base seed and
+// the cell's identity alone (parallel.CellSeed), never from which worker ran
+// it — so the merged result is byte-identical for any worker count, and CI
+// can diff rendered output across code changes.
 package campaign
 
 import (
@@ -23,7 +24,6 @@ import (
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/faults"
-	"riommu/internal/intremap"
 	"riommu/internal/parallel"
 	"riommu/internal/pci"
 	"riommu/internal/perfmodel"
@@ -75,28 +75,7 @@ func HotplugScenarios() []string {
 // ParseHotplug parses a comma-separated hot-plug scenario list; "all"
 // selects every scenario.
 func ParseHotplug(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "all" {
-		return HotplugScenarios(), nil
-	}
-	known := make(map[string]bool)
-	for _, sc := range HotplugScenarios() {
-		known[sc] = true
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		sc := strings.TrimSpace(part)
-		if sc == "" {
-			continue
-		}
-		if !known[sc] {
-			return nil, fmt.Errorf("unknown hot-plug scenario %q", sc)
-		}
-		out = append(out, sc)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty hot-plug scenario list")
-	}
-	return out, nil
+	return chaos.ParseList(s, "hot-plug scenario", HotplugScenarios())
 }
 
 // ParseModes resolves a comma-separated mode list against SafeModes.
@@ -119,8 +98,9 @@ func ParseModes(s string) ([]sim.Mode, error) {
 	return out, nil
 }
 
-// ParseCores parses a comma-separated list of scale-out widths ("" → none).
-func ParseCores(s string) ([]int, error) {
+// ParseCounts parses a comma-separated list of counts for the axis called
+// name, each within [lo, hi] ("" → none).
+func ParseCounts(s, name string, lo, hi int) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
@@ -128,49 +108,10 @@ func ParseCores(s string) ([]int, error) {
 	for _, f := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
-			return nil, fmt.Errorf("bad cores value %q: %w", f, err)
+			return nil, fmt.Errorf("bad %s value %q: %w", name, f, err)
 		}
-		if n < 2 || n > 64 {
-			return nil, fmt.Errorf("cores %d out of [2,64]", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// ParseTenants parses a comma-separated list of tenant counts ("" → none).
-func ParseTenants(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad tenants value %q: %w", f, err)
-		}
-		if n < 2 || n > 512 {
-			return nil, fmt.Errorf("tenants %d out of [2,512]", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// ParseChurn parses a comma-separated list of fleet connection counts for
-// the traffic-engine churn axis ("" → none).
-func ParseChurn(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad churn value %q: %w", f, err)
-		}
-		if n < 1 || n > 10_000_000 {
-			return nil, fmt.Errorf("churn connections %d out of [1,10000000]", n)
+		if n < lo || n > hi {
+			return nil, fmt.Errorf("%s %d out of [%d,%d]", name, n, lo, hi)
 		}
 		out = append(out, n)
 	}
@@ -252,59 +193,92 @@ type Options struct {
 	Merge []string
 }
 
+// Family is a kind of campaign cell. It indexes the families table.
+type Family uint8
+
+// The cell families in grid order. Each family was appended after the
+// previous ones, so turning an axis on is a pure insertion: every other
+// cell keeps its grid position and identity.
+const (
+	Base     Family = iota // per mode a clean NIC anchor and NIC rate cells, then NVMe and SATA rate cells
+	Cores                  // multi-queue NIC rate cells per queue count
+	Chaos                  // hostile-device cells over ChaosModes
+	IntChaos               // hostile-MSI cells over every presentation mode
+	Hotplug                // topology-churn cells over every presentation mode
+	Tenants                // hostile-tenant cells per guest count over every presentation mode
+	Churn                  // fleet-traffic cells per connection count
+)
+
+// A family is everything one kind of cell needs. Grid, Run, BuildReport and
+// Render reach it through Key.Family.
+type family struct {
+	// keys appends the family's cells to dst in grid order.
+	keys func(dst []Key, o Options) []Key
+	// run measures one cell.
+	run func(k Key, seed uint64, o Options) (CellMetrics, error)
+	// report adds the family's own metrics to a cell's report (nil: none).
+	report func(m map[string]float64, c CellMetrics)
+	// table renders the family's cells, given as indices into r.Keys.
+	table func(r Result, cells []int) string
+}
+
+var families = [...]family{
+	Base:     {keys: baseKeys, run: baseCell, table: baseTable},
+	Cores:    {keys: coresKeys, run: mqCell, table: coresTable},
+	Chaos:    {keys: chaosKeys, run: chaosCell, report: breakerMetrics, table: chaosTable},
+	IntChaos: {keys: intchaosKeys, run: intchaosCell, report: intchaosMetrics, table: intchaosTable},
+	Hotplug:  {keys: hotplugKeys, run: hotplugCell, report: hotplugMetrics, table: hotplugTable},
+	Tenants:  {keys: tenantKeys, run: tenantCell, report: tenantMetrics, table: tenantTable},
+	Churn:    {keys: churnKeys, run: churnCell, table: churnTable},
+}
+
 // Key identifies one campaign cell.
 type Key struct {
+	Family Family
 	Device string // "nic", "nvme" or "sata"
 	Mode   sim.Mode
-	Rate   float64
-	// Clean marks the fault-free NIC anchor cell that the throughput
-	// degradation column is measured against.
+	Rate   float64 // base and cores cells' fault rate
+	// Clean marks the base family's fault-free NIC anchor cell that the
+	// throughput degradation column is measured against.
 	Clean bool
-	// Scenario marks a hostile-device chaos cell (empty otherwise).
+	// Scenario names a chaos, intchaos, hotplug or tenants cell's attack.
 	Scenario string
-	// IntScenario marks a hostile-MSI interrupt chaos cell.
-	IntScenario string
-	// Hotplug marks a topology-churn cell.
-	Hotplug string
-	// Cores marks a multi-queue scale-out cell (0 for the legacy
-	// single-queue cells, so their identities — and hence per-cell seeds —
-	// are unchanged).
-	Cores int
-	// Tenants marks a multi-tenant two-stage cell (0 for every
-	// single-tenant cell, so legacy identities and seeds are unchanged);
-	// TenantScenario names its hostile-tenant behavior.
-	Tenants        int
-	TenantScenario string
-	// Churn marks a fleet-traffic connection-churn cell (0 for every
-	// pre-existing cell, so legacy identities and seeds are unchanged);
-	// the value is the modeled concurrent-connection count.
-	Churn int
+	// N is a cores cell's queue pairs, a tenants cell's guests or a churn
+	// cell's modeled concurrent connections.
+	N int
 }
 
 // String is the cell's stable identity; per-cell seeds derive from it.
 func (k Key) String() string {
-	if k.Churn > 0 {
-		return fmt.Sprintf("%s/%s/churn=%d", k.Device, k.Mode, k.Churn)
-	}
-	if k.Tenants > 0 {
-		return fmt.Sprintf("%s/%s/tenants=%d/tchaos=%s", k.Device, k.Mode, k.Tenants, k.TenantScenario)
-	}
-	if k.Cores > 1 {
-		return fmt.Sprintf("%s/%s/cores=%d/r=%g", k.Device, k.Mode, k.Cores, k.Rate)
-	}
-	if k.Scenario != "" {
+	switch k.Family {
+	case Cores:
+		return fmt.Sprintf("%s/%s/cores=%d/r=%g", k.Device, k.Mode, k.N, k.Rate)
+	case Chaos:
 		return fmt.Sprintf("%s/%s/chaos=%s", k.Device, k.Mode, k.Scenario)
-	}
-	if k.IntScenario != "" {
-		return fmt.Sprintf("%s/%s/intchaos=%s", k.Device, k.Mode, k.IntScenario)
-	}
-	if k.Hotplug != "" {
-		return fmt.Sprintf("%s/%s/hotplug=%s", k.Device, k.Mode, k.Hotplug)
+	case IntChaos:
+		return fmt.Sprintf("%s/%s/intchaos=%s", k.Device, k.Mode, k.Scenario)
+	case Hotplug:
+		return fmt.Sprintf("%s/%s/hotplug=%s", k.Device, k.Mode, k.Scenario)
+	case Tenants:
+		return fmt.Sprintf("%s/%s/tenants=%d/tchaos=%s", k.Device, k.Mode, k.N, k.Scenario)
+	case Churn:
+		return fmt.Sprintf("%s/%s/churn=%d", k.Device, k.Mode, k.N)
 	}
 	if k.Clean {
 		return k.Device + "/" + k.Mode.String() + "/clean"
 	}
 	return fmt.Sprintf("%s/%s/r=%g", k.Device, k.Mode, k.Rate)
+}
+
+// scenarioKeys appends one NIC cell of family f per scenario x mode; n is
+// the cells' count, for a family that has one.
+func scenarioKeys[S ~string](dst []Key, f Family, n int, scenarios []S, modes []sim.Mode) []Key {
+	for _, sc := range scenarios {
+		for _, m := range modes {
+			dst = append(dst, Key{Family: f, Device: "nic", Mode: m, Scenario: string(sc), N: n})
+		}
+	}
+	return dst
 }
 
 // CellMetrics is what one campaign cell measured.
@@ -410,78 +384,13 @@ func (r Result) Complete() bool {
 	return true
 }
 
-// Grid enumerates the campaign cells in canonical order: per NIC mode a
-// clean anchor then the rate sweep, then the block devices' mode x rate
-// sweeps. Output order is always this order, independent of scheduling.
+// Grid enumerates the campaign cells in canonical order: each family's
+// cells in turn, in the order of the families table. Output order is always
+// this order, independent of scheduling.
 func (o Options) Grid() []Key {
 	var keys []Key
-	for _, m := range o.Modes {
-		keys = append(keys, Key{Device: "nic", Mode: m, Clean: true})
-		for _, r := range o.Rates {
-			keys = append(keys, Key{Device: "nic", Mode: m, Rate: r})
-		}
-	}
-	for _, dev := range []string{"nvme", "sata"} {
-		for _, m := range o.Modes {
-			for _, r := range o.Rates {
-				keys = append(keys, Key{Device: dev, Mode: m, Rate: r})
-			}
-		}
-	}
-	for _, cores := range o.Cores {
-		if cores <= 1 {
-			continue
-		}
-		for _, m := range o.Modes {
-			for _, r := range o.Rates {
-				keys = append(keys, Key{Device: "nic", Mode: m, Rate: r, Cores: cores})
-			}
-		}
-	}
-	for _, sc := range o.Chaos {
-		for _, m := range ChaosModes {
-			keys = append(keys, Key{Device: "nic", Mode: m, Scenario: string(sc)})
-		}
-	}
-	// The interrupt and hot-plug sweeps cover all seven presentation modes:
-	// the unprotected modes are the "what an attack costs without remapping"
-	// anchors, the deferred modes quantify the IEC stale window.
-	for _, sc := range o.IntChaos {
-		for _, m := range sim.AllModes() {
-			keys = append(keys, Key{Device: "nic", Mode: m, IntScenario: string(sc)})
-		}
-	}
-	for _, sc := range o.Hotplug {
-		for _, m := range sim.AllModes() {
-			keys = append(keys, Key{Device: "nic", Mode: m, Hotplug: sc})
-		}
-	}
-	// The multi-tenant sweep is appended last so every pre-existing cell
-	// keeps its grid position: turning tenancy on is a pure insertion.
-	tchaos := o.TenantChaos
-	if len(o.Tenants) > 0 && len(tchaos) == 0 {
-		tchaos = chaos.TenantScenarios()
-	}
-	for _, n := range o.Tenants {
-		if n < 2 {
-			continue
-		}
-		for _, sc := range tchaos {
-			for _, m := range sim.AllModes() {
-				keys = append(keys, Key{Device: "nic", Mode: m, Tenants: n, TenantScenario: string(sc)})
-			}
-		}
-	}
-	// The connection-churn sweep is likewise appended last (after tenants)
-	// so every pre-existing cell keeps its grid position: turning the churn
-	// axis on is a pure insertion.
-	for _, n := range o.Churn {
-		if n < 1 {
-			continue
-		}
-		for _, m := range o.Modes {
-			keys = append(keys, Key{Device: "nic", Mode: m, Churn: n})
-		}
+	for _, f := range families {
+		keys = f.keys(keys, o)
 	}
 	return keys
 }
@@ -557,33 +466,7 @@ func Run(opts Options) (Result, error) {
 			return nil // another shard's cell
 		}
 		k := keys[i]
-		seed := parallel.CellSeed(opts.Seed, k.String())
-		rate := k.Rate
-		if k.Clean {
-			rate = 0
-		}
-		var (
-			c   CellMetrics
-			err error
-		)
-		switch {
-		case k.Churn > 0:
-			c, err = churnCell(k.Mode, seed, opts.Rounds, k.Churn)
-		case k.Tenants > 0:
-			c, err = tenantCell(k.Mode, chaos.TenantScenario(k.TenantScenario), seed, opts.Rounds, k.Tenants)
-		case k.Scenario != "":
-			c, err = chaosCell(k.Mode, chaos.Scenario(k.Scenario), seed, opts.Rounds)
-		case k.IntScenario != "":
-			c, err = intchaosCell(k.Mode, chaos.IntScenario(k.IntScenario), seed, opts.Rounds)
-		case k.Hotplug != "":
-			c, err = hotplugCell(k.Mode, k.Hotplug, seed, opts.Rounds)
-		case k.Cores > 1:
-			c, err = mqCell(k.Mode, seed, rate, opts.Rounds, k.Cores, opts.Audit)
-		case k.Device == "nic":
-			c, err = nicCell(k.Mode, seed, rate, opts.Rounds, opts.Audit)
-		default:
-			c, err = blockCell(k.Device, k.Mode, seed, rate, opts.Rounds, opts.Audit)
-		}
+		c, err := families[k.Family].run(k, parallel.CellSeed(opts.Seed, k.String()), opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", k, err)
 		}
@@ -597,6 +480,87 @@ func Run(opts Options) (Result, error) {
 		return nil
 	})
 	return res, err
+}
+
+// Render produces the human-readable campaign tables from a merged result:
+// one table per family that has cells, in family order. It walks Keys in
+// grid order only, so its output is worker-count independent.
+func (r Result) Render() string {
+	var cells [len(families)][]int
+	for i, k := range r.Keys {
+		cells[k.Family] = append(cells[k.Family], i)
+	}
+	var tables []string
+	for f, idx := range cells {
+		if len(idx) > 0 {
+			tables = append(tables, families[f].table(r, idx))
+		}
+	}
+	return strings.Join(tables, "\n")
+}
+
+// world builds a cell's system: pages of memory, the fault engine seeded
+// from the cell at the key's rate (0 outside the base and cores families),
+// and the shadow translation oracle when audited. The caller closes it.
+func world(k Key, seed, pages uint64, audited bool) (*sim.System, *faults.Engine, error) {
+	sys, err := sim.NewSystem(k.Mode, pages)
+	if err != nil {
+		return nil, nil, err
+	}
+	f := sys.EnableFaults(faults.UniformConfig(seed, k.Rate))
+	if audited {
+		sys.EnableAudit()
+	}
+	return sys, f, nil
+}
+
+// nicPayload is the 1 KiB frame every NIC cell sends and receives.
+func nicPayload() []byte {
+	p := make([]byte, 1024)
+	for i := range p {
+		p[i] = byte(i)
+	}
+	return p
+}
+
+// soak runs rounds supervised operations. Failed operations are the
+// campaign's subject, not an error: the supervisor counts them and the
+// watchdog clears any wedge. A failed watchdog recovery fails the cell.
+func soak(sup *driver.Supervisor, rounds int, op func() error) error {
+	for round := 0; round < rounds; round++ {
+		_ = sup.Do(op)
+		if _, err := sup.Watch(); err != nil {
+			return fmt.Errorf("watchdog recovery failed: %w", err)
+		}
+	}
+	return nil
+}
+
+// tally fills in what every supervised cell reports once its rounds are
+// done: injections, recovery cycles, cycles per operation over ops, the
+// shadow oracles' verdicts and the final clock.
+func tally(c *CellMetrics, sys *sim.System, f *faults.Engine, ops uint64) {
+	c.Injected = f.TotalInjected()
+	c.RecoveryCycles = sys.CPU.Total(cycles.Recovery)
+	if ops > 0 {
+		c.CyclesPerOp = float64(sys.CPU.Now()) / float64(ops)
+	}
+	recordAudit(c, sys.Auditor, ops)
+	recordIntAudit(c, sys)
+	c.Clock = sys.CPU.Snapshot()
+}
+
+// tallyNIC is tally for a NIC cell that moved pkts packets, adding the
+// model's Gbps and the injected faults by class.
+func tallyNIC(c *CellMetrics, sys *sim.System, f *faults.Engine, pkts uint64) {
+	tally(c, sys, f, pkts)
+	c.ByClass = map[string]uint64{}
+	for _, cl := range faults.Classes() {
+		c.ByClass[cl.String()] = f.Count(cl)
+	}
+	if pkts > 0 {
+		c.Gbps = perfmodel.Gbps(sys.Model, c.CyclesPerOp, device.ProfileBRCM.LineRateGbps)
+	}
 }
 
 // recordAudit copies the oracle's verdicts into the cell (every reason key
@@ -617,148 +581,170 @@ func recordAudit(c *CellMetrics, orc *audit.Oracle, pkts uint64) {
 	}
 }
 
-// nicCell soaks a supervised NIC under uniform injection at the given rate.
-func nicCell(mode sim.Mode, seed uint64, rate float64, rounds int, audited bool) (CellMetrics, error) {
-	sys, err := sim.NewSystem(mode, 1<<15)
+// recordIntAudit copies the remapper's counters and the interrupt oracle's
+// verdicts into the cell (every reason key present for stable columns).
+func recordIntAudit(c *CellMetrics, sys *sim.System) {
+	rem, orc := sys.IntRemap, sys.IntAuditor
+	if rem == nil || orc == nil {
+		return
+	}
+	st := rem.Stats()
+	c.IntDelivered = st.Delivered
+	c.IntBlocked = st.Blocked()
+	c.IntViolations = orc.Violations
+	c.IntByReason = make(map[string]uint64, len(audit.IntReasons()))
+	for _, r := range audit.IntReasons() {
+		c.IntByReason[r] = orc.ByReason[r]
+	}
+}
+
+// recordSLO copies an outage ledger into the cell, with availability
+// measured over now cycles.
+func recordSLO(c *CellMetrics, slo driver.SLOStats, now uint64) {
+	c.Outages = slo.Outages
+	c.DowntimeCycles = slo.DowntimeCycles
+	c.MTTRCycles = slo.MTTRCycles()
+	c.Availability = slo.Availability(now)
+}
+
+// addRecovery accumulates one supervisor's recovery counters into the cell
+// (hot-plug cells re-supervise after every replug).
+func addRecovery(dst *driver.RecoveryStats, s driver.RecoveryStats) {
+	dst.Retries += s.Retries
+	dst.Recoveries += s.Recoveries
+	dst.WatchdogFires += s.WatchdogFires
+	dst.Degradations += s.Degradations
+	dst.Unrecovered += s.Unrecovered
+	dst.Rejected += s.Rejected
+}
+
+// nicRound is one round of single-queue NIC traffic: send, pump and reap a
+// payload, then deliver and reap its echo. midTx, if set, runs while the Tx
+// buffer is still mapped.
+func nicRound(drv *driver.NICDriver, payload []byte, midTx func()) error {
+	if err := drv.Send(payload); err != nil {
+		return err
+	}
+	if _, err := drv.PumpTx(2); err != nil {
+		return err
+	}
+	if midTx != nil {
+		midTx()
+	}
+	if _, err := drv.ReapTx(); err != nil {
+		return err
+	}
+	if err := drv.Deliver(payload); err != nil {
+		return err
+	}
+	_, err := drv.ReapRx()
+	return err
+}
+
+// mqTraffic is one round of bidirectional traffic on a multi-queue NIC:
+// one payload per queue round-robin, every transmit path drained, then
+// return traffic on every queue. The reap paths fire any latched
+// completion interrupts.
+func mqTraffic(mq *driver.MQNIC, payload []byte) error {
+	for q := 0; q < len(mq.Queues); q++ {
+		if err := mq.Send(payload); err != nil {
+			return err
+		}
+	}
+	if _, err := mq.PumpAndReapAll(); err != nil {
+		return err
+	}
+	for q := 0; q < len(mq.Queues); q++ {
+		if err := mq.Deliver(q, payload); err != nil {
+			return err
+		}
+	}
+	_, err := mq.ReapRxAll()
+	return err
+}
+
+// mqPackets counts the packets every queue of mq moved.
+func mqPackets(mq *driver.MQNIC) uint64 {
+	var pkts uint64
+	for q := 0; q < len(mq.Queues); q++ {
+		nic := mq.NIC(q)
+		pkts += nic.TxPackets + nic.RxPackets
+	}
+	return pkts
+}
+
+// breakerSupervise supervises the NIC under a circuit breaker that
+// quarantines its BDF.
+func breakerSupervise(sys *sim.System, target driver.Recoverable) *driver.Supervisor {
+	sup := sys.Supervise(nicBDF, target)
+	sup.Breaker = driver.NewBreaker()
+	sup.Isolator = sys.IsolatorFor(nicBDF)
+	return sup
+}
+
+// recordBreaker copies a breaker-supervised attack cell's attack outcomes,
+// outage ledger and breaker counters into the cell.
+func recordBreaker(c *CellMetrics, sys *sim.System, sup *driver.Supervisor, attacks chaos.Stats) {
+	c.Chaos = attacks
+	recordSLO(c, sup.SLO(), sys.CPU.Now())
+	c.BreakerTrips = sup.Breaker.Trips
+	c.Readmissions = sup.Breaker.Readmissions
+}
+
+func baseKeys(dst []Key, o Options) []Key {
+	for _, m := range o.Modes {
+		dst = append(dst, Key{Device: "nic", Mode: m, Clean: true})
+		for _, r := range o.Rates {
+			dst = append(dst, Key{Device: "nic", Mode: m, Rate: r})
+		}
+	}
+	for _, dev := range []string{"nvme", "sata"} {
+		for _, m := range o.Modes {
+			for _, r := range o.Rates {
+				dst = append(dst, Key{Device: dev, Mode: m, Rate: r})
+			}
+		}
+	}
+	return dst
+}
+
+// baseCell soaks a supervised NIC or block device under uniform injection
+// at the key's rate.
+func baseCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	if k.Device == "nic" {
+		return nicCell(k, seed, o)
+	}
+	return blockCell(k, seed, o)
+}
+
+func nicCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	sys, f, err := world(k, seed, 1<<15, o.Audit)
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	f := sys.EnableFaults(faults.UniformConfig(seed, rate))
-	if audited {
-		sys.EnableAudit()
-	}
 	drv, nic, err := sys.AttachNIC(device.ProfileBRCM, nicBDF)
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	sup := sys.Supervise(nicBDF, drv)
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
+	payload := nicPayload()
+	if err := soak(sup, o.Rounds, func() error { return nicRound(drv, payload, nil) }); err != nil {
+		return CellMetrics{}, err
 	}
-	for round := 0; round < rounds; round++ {
-		// Failed rounds are the campaign's subject, not an error: the
-		// supervisor counts them and the watchdog clears any wedge.
-		_ = sup.Do(func() error {
-			if err := drv.Send(payload); err != nil {
-				return err
-			}
-			if _, err := drv.PumpTx(2); err != nil {
-				return err
-			}
-			if _, err := drv.ReapTx(); err != nil {
-				return err
-			}
-			if err := drv.Deliver(payload); err != nil {
-				return err
-			}
-			_, err := drv.ReapRx()
-			return err
-		})
-		if _, err := sup.Watch(); err != nil {
-			return CellMetrics{}, fmt.Errorf("watchdog recovery failed: %w", err)
-		}
-	}
-	c := CellMetrics{
-		Injected:       f.TotalInjected(),
-		Recovery:       sup.Stats,
-		RecoveryCycles: sys.CPU.Total(cycles.Recovery),
-		ByClass:        map[string]uint64{},
-	}
-	for _, cl := range faults.Classes() {
-		c.ByClass[cl.String()] = f.Count(cl)
-	}
-	pkts := nic.TxPackets + nic.RxPackets
-	if pkts > 0 {
-		c.CyclesPerOp = float64(sys.CPU.Now()) / float64(pkts)
-		c.Gbps = perfmodel.Gbps(sys.Model, c.CyclesPerOp, device.ProfileBRCM.LineRateGbps)
-	}
-	recordAudit(&c, sys.Auditor, pkts)
-	c.Clock = sys.CPU.Snapshot()
+	c := CellMetrics{Recovery: sup.Stats}
+	tallyNIC(&c, sys, f, nic.TxPackets+nic.RxPackets)
 	return c, nil
 }
 
-// mqCell soaks a supervised multi-queue NIC: `cores` queue pairs sharing
-// one device identity, protection domain, and recovery domain (the port
-// resets as a unit). Each round sprays one payload per queue round-robin,
-// drains every transmit path, and delivers return traffic on every queue.
-func mqCell(mode sim.Mode, seed uint64, rate float64, rounds, cores int, audited bool) (CellMetrics, error) {
-	sys, err := sim.NewSystem(mode, 1<<15)
+// blockCell drives a block-device driver (NVMe or AHCI/SATA) through a
+// supervised write/complete loop.
+func blockCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	sys, f, err := world(k, seed, 1<<14, o.Audit)
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	f := sys.EnableFaults(faults.UniformConfig(seed, rate))
-	if audited {
-		sys.EnableAudit()
-	}
-	mq, err := sys.AttachMQNIC(device.ProfileBRCM, nicBDF, cores)
-	if err != nil {
-		return CellMetrics{}, err
-	}
-	sup := sys.Supervise(nicBDF, mq)
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	for round := 0; round < rounds; round++ {
-		_ = sup.Do(func() error {
-			for q := 0; q < cores; q++ {
-				if err := mq.Send(payload); err != nil {
-					return err
-				}
-			}
-			if _, err := mq.PumpAndReapAll(); err != nil {
-				return err
-			}
-			for q := 0; q < cores; q++ {
-				if err := mq.Deliver(q, payload); err != nil {
-					return err
-				}
-			}
-			_, err := mq.ReapRxAll()
-			return err
-		})
-		if _, err := sup.Watch(); err != nil {
-			return CellMetrics{}, fmt.Errorf("watchdog recovery failed: %w", err)
-		}
-	}
-	c := CellMetrics{
-		Injected:       f.TotalInjected(),
-		Recovery:       sup.Stats,
-		RecoveryCycles: sys.CPU.Total(cycles.Recovery),
-		ByClass:        map[string]uint64{},
-	}
-	for _, cl := range faults.Classes() {
-		c.ByClass[cl.String()] = f.Count(cl)
-	}
-	var pkts uint64
-	for q := 0; q < cores; q++ {
-		nic := mq.NIC(q)
-		pkts += nic.TxPackets + nic.RxPackets
-	}
-	if pkts > 0 {
-		c.CyclesPerOp = float64(sys.CPU.Now()) / float64(pkts)
-		c.Gbps = perfmodel.Gbps(sys.Model, c.CyclesPerOp, device.ProfileBRCM.LineRateGbps)
-	}
-	recordAudit(&c, sys.Auditor, pkts)
-	c.Clock = sys.CPU.Snapshot()
-	return c, nil
-}
-
-// blockCell runs the same sweep against a block-device driver (NVMe or
-// AHCI/SATA): a supervised write/complete loop under injection.
-func blockCell(dev string, mode sim.Mode, seed uint64, rate float64, rounds int, audited bool) (CellMetrics, error) {
-	sys, err := sim.NewSystem(mode, 1<<14)
-	if err != nil {
-		return CellMetrics{}, err
-	}
-	defer sys.Close()
-	f := sys.EnableFaults(faults.UniformConfig(seed, rate))
-	if audited {
-		sys.EnableAudit()
-	}
 	payload := make([]byte, 512)
 	for i := range payload {
 		payload[i] = byte(i * 3)
@@ -769,7 +755,7 @@ func blockCell(dev string, mode sim.Mode, seed uint64, rate float64, rounds int,
 		op     func() error
 		bdf    pci.BDF
 	)
-	switch dev {
+	switch k.Device {
 	case "nvme":
 		bdf = nvmeBDF
 		prot, err := sys.ProtectionFor(bdf, []uint32{4, 64, 64})
@@ -811,51 +797,136 @@ func blockCell(dev string, mode sim.Mode, seed uint64, rate float64, rounds int,
 			return err
 		}
 	default:
-		return CellMetrics{}, fmt.Errorf("unknown block device %q", dev)
+		return CellMetrics{}, fmt.Errorf("unknown block device %q", k.Device)
 	}
 
 	sup := sys.Supervise(bdf, target)
-	for round := 0; round < rounds; round++ {
-		_ = sup.Do(op)
-		if _, err := sup.Watch(); err != nil {
-			return CellMetrics{}, fmt.Errorf("watchdog recovery failed: %w", err)
+	if err := soak(sup, o.Rounds, op); err != nil {
+		return CellMetrics{}, err
+	}
+	c := CellMetrics{Recovery: sup.Stats}
+	tally(&c, sys, f, target.Progress())
+	return c, nil
+}
+
+// baseTable renders the NIC rate cells against their mode's clean anchor,
+// the faults they injected by class, and the block-device cells.
+func baseTable(r Result, cells []int) string {
+	clean := map[sim.Mode]CellMetrics{}
+	for _, i := range cells {
+		if k := r.Keys[i]; k.Clean {
+			clean[k.Mode] = r.Cells[i]
 		}
 	}
-	c := CellMetrics{
-		Injected:       f.TotalInjected(),
-		Recovery:       sup.Stats,
-		RecoveryCycles: sys.CPU.Total(cycles.Recovery),
+	nicTab := stats.NewTable(
+		fmt.Sprintf("NIC campaign — %s, %d rounds/cell", device.ProfileBRCM.Name, r.Opts.Rounds),
+		"mode", "rate", "injected", "recov", "retries", "wdog", "degrade", "unrec", "cyc/pkt", "Gbps", "vs clean")
+	nicTab.AlignLeft(0)
+	blkTab := stats.NewTable(
+		fmt.Sprintf("Block-device campaign — %d rounds/cell", r.Opts.Rounds),
+		"device", "mode", "rate", "injected", "recov", "retries", "wdog", "unrec", "recovery cyc", "cyc/cmd")
+	blkTab.AlignLeft(0).AlignLeft(1)
+	var byClass stats.Counters
+	for _, i := range cells {
+		k, c := r.Keys[i], r.Cells[i]
+		switch {
+		case k.Clean:
+		case k.Device == "nic":
+			for _, cl := range faults.Classes() {
+				byClass.Add(cl.String(), c.ByClass[cl.String()])
+			}
+			vs := "n/a"
+			if anchor := clean[k.Mode]; anchor.Gbps > 0 {
+				vs = fmt.Sprintf("%.1f%%", 100*c.Gbps/anchor.Gbps)
+			}
+			nicTab.Row(k.Mode.String(), fmt.Sprintf("%g", k.Rate), c.Injected, c.Recovery.Recoveries,
+				c.Recovery.Retries, c.Recovery.WatchdogFires, c.Recovery.Degradations,
+				c.Recovery.Unrecovered, c.CyclesPerOp, c.Gbps, vs)
+		default:
+			blkTab.Row(k.Device, k.Mode.String(), fmt.Sprintf("%g", k.Rate), c.Injected,
+				c.Recovery.Recoveries, c.Recovery.Retries, c.Recovery.WatchdogFires,
+				c.Recovery.Unrecovered, c.RecoveryCycles, c.CyclesPerOp)
+		}
 	}
-	if cmds := target.Progress(); cmds > 0 {
-		c.CyclesPerOp = float64(sys.CPU.Now()) / float64(cmds)
+	return nicTab.String() + "\n" +
+		byClass.Table("Injected faults by class (NIC sweep total)").String() + "\n" +
+		blkTab.String()
+}
+
+func coresKeys(dst []Key, o Options) []Key {
+	for _, n := range o.Cores {
+		if n <= 1 {
+			continue
+		}
+		for _, m := range o.Modes {
+			for _, r := range o.Rates {
+				dst = append(dst, Key{Family: Cores, Device: "nic", Mode: m, Rate: r, N: n})
+			}
+		}
 	}
-	recordAudit(&c, sys.Auditor, target.Progress())
-	c.Clock = sys.CPU.Snapshot()
+	return dst
+}
+
+// mqCell soaks a supervised multi-queue NIC: k.N queue pairs sharing one
+// device identity, protection domain, and recovery domain (the port resets
+// as a unit).
+func mqCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	sys, f, err := world(k, seed, 1<<15, o.Audit)
+	if err != nil {
+		return CellMetrics{}, err
+	}
+	defer sys.Close()
+	mq, err := sys.AttachMQNIC(device.ProfileBRCM, nicBDF, k.N)
+	if err != nil {
+		return CellMetrics{}, err
+	}
+	sup := sys.Supervise(nicBDF, mq)
+	payload := nicPayload()
+	if err := soak(sup, o.Rounds, func() error { return mqTraffic(mq, payload) }); err != nil {
+		return CellMetrics{}, err
+	}
+	c := CellMetrics{Recovery: sup.Stats}
+	tallyNIC(&c, sys, f, mqPackets(mq))
 	return c, nil
+}
+
+func coresTable(r Result, cells []int) string {
+	t := stats.NewTable(
+		fmt.Sprintf("NIC scale-out campaign — %s multi-queue, %d rounds/cell", device.ProfileBRCM.Name, r.Opts.Rounds),
+		"mode", "cores", "rate", "injected", "recov", "retries", "wdog", "unrec", "cyc/pkt", "Gbps")
+	t.AlignLeft(0)
+	for _, i := range cells {
+		k, c := r.Keys[i], r.Cells[i]
+		t.Row(k.Mode.String(), k.N, fmt.Sprintf("%g", k.Rate), c.Injected,
+			c.Recovery.Recoveries, c.Recovery.Retries, c.Recovery.WatchdogFires,
+			c.Recovery.Unrecovered, c.CyclesPerOp, c.Gbps)
+	}
+	return t.String()
+}
+
+func chaosKeys(dst []Key, o Options) []Key {
+	return scenarioKeys(dst, Chaos, 0, o.Chaos, ChaosModes)
 }
 
 // chaosCell drives one hostile-device scenario against a supervised, audited
 // NIC: the legitimate workload runs every round under the circuit breaker,
 // and the hostile device layers its attacks on top. The oracle judges every
 // DMA the protection hardware let through.
-func chaosCell(mode sim.Mode, scenario chaos.Scenario, seed uint64, rounds int) (CellMetrics, error) {
-	sys, err := sim.NewSystem(mode, 1<<15)
+func chaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	scenario := chaos.Scenario(k.Scenario)
+	// Injection stays quiet except in the cascade scenario, which opens a
+	// multi-class fault storm across the middle third of the cell.
+	sys, f, err := world(k, seed, 1<<15, true)
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	// Injection stays quiet except in the cascade scenario, which opens a
-	// multi-class fault storm across the middle third of the cell.
-	f := sys.EnableFaults(faults.UniformConfig(seed, 0))
-	orc := sys.EnableAudit()
 	drv, nic, err := sys.AttachNIC(device.ProfileBRCM, nicBDF)
 	if err != nil {
 		return CellMetrics{}, err
 	}
-	sup := sys.Supervise(nicBDF, drv)
-	sup.Breaker = driver.NewBreaker()
-	sup.Isolator = sys.IsolatorFor(nicBDF)
-	host := chaos.NewHostile(sys.Eng, orc, nicBDF)
+	sup := breakerSupervise(sys, drv)
+	host := chaos.NewHostile(sys.Eng, sys.Auditor, nicBDF)
 
 	// inv-flood churns map/unmap on a second device, hammering the shared
 	// invalidation path while the victim runs its workload.
@@ -891,32 +962,9 @@ func chaosCell(mode sim.Mode, scenario chaos.Scenario, seed uint64, rounds int) 
 		midTx = func() { host.WriteReadOnly(4) }
 	}
 
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	workload := func() error {
-		if err := drv.Send(payload); err != nil {
-			return err
-		}
-		if _, err := drv.PumpTx(2); err != nil {
-			return err
-		}
-		if midTx != nil {
-			midTx()
-		}
-		if _, err := drv.ReapTx(); err != nil {
-			return err
-		}
-		if err := drv.Deliver(payload); err != nil {
-			return err
-		}
-		_, err := drv.ReapRx()
-		return err
-	}
-
-	stormStart, stormEnd := rounds/3, 2*rounds/3
-	for round := 0; round < rounds; round++ {
+	payload := nicPayload()
+	stormStart, stormEnd := o.Rounds/3, 2*o.Rounds/3
+	for round := 0; round < o.Rounds; round++ {
 		if scenario == chaos.Cascade {
 			if round == stormStart {
 				for _, cl := range faults.Classes() {
@@ -930,7 +978,7 @@ func chaosCell(mode sim.Mode, scenario chaos.Scenario, seed uint64, rounds int) 
 		}
 		// Failed rounds are the subject: the supervisor, breaker, and SLO
 		// ledger record them.
-		_ = sup.Do(workload)
+		_ = sup.Do(func() error { return nicRound(drv, payload, midTx) })
 		switch scenario {
 		case chaos.StaleReplay:
 			host.ReplayRetired(8)
@@ -947,101 +995,45 @@ func chaosCell(mode sim.Mode, scenario chaos.Scenario, seed uint64, rounds int) 
 		_, _ = sup.Watch()
 	}
 
-	c := CellMetrics{
-		Injected:       f.TotalInjected(),
-		Recovery:       sup.Stats,
-		RecoveryCycles: sys.CPU.Total(cycles.Recovery),
-		ByClass:        map[string]uint64{},
-	}
-	for _, cl := range faults.Classes() {
-		c.ByClass[cl.String()] = f.Count(cl)
-	}
-	pkts := nic.TxPackets + nic.RxPackets
-	if pkts > 0 {
-		c.CyclesPerOp = float64(sys.CPU.Now()) / float64(pkts)
-		c.Gbps = perfmodel.Gbps(sys.Model, c.CyclesPerOp, device.ProfileBRCM.LineRateGbps)
-	}
-	recordAudit(&c, orc, pkts)
-	c.Chaos = host.Stats
-	slo := sup.SLO()
-	c.Outages = slo.Outages
-	c.DowntimeCycles = slo.DowntimeCycles
-	c.MTTRCycles = slo.MTTRCycles()
-	c.Availability = slo.Availability(sys.CPU.Now())
-	c.BreakerTrips = sup.Breaker.Trips
-	c.Readmissions = sup.Breaker.Readmissions
-	c.Clock = sys.CPU.Snapshot()
+	c := CellMetrics{Recovery: sup.Stats}
+	tallyNIC(&c, sys, f, nic.TxPackets+nic.RxPackets)
+	recordBreaker(&c, sys, sup, host.Stats)
 	return c, nil
 }
 
-// recordIntAudit copies the remapper's counters and the interrupt oracle's
-// verdicts into the cell (every reason key present for stable columns).
-func recordIntAudit(c *CellMetrics, rem *intremap.Remapper, orc *audit.IntOracle) {
-	if rem == nil || orc == nil {
-		return
+func chaosTable(r Result, cells []int) string {
+	t := stats.NewTable(
+		fmt.Sprintf("Chaos campaign — hostile NIC, %d rounds/cell", r.Opts.Rounds),
+		"mode", "scenario", "attempts", "contained", "landed", "viol", "stale", "bounds", "viol/Mpkt", "trips", "readmit", "mttr cyc", "avail")
+	t.AlignLeft(0).AlignLeft(1)
+	for _, i := range cells {
+		k, c := r.Keys[i], r.Cells[i]
+		t.Row(k.Mode.String(), k.Scenario, c.Chaos.Attempts, c.Chaos.Contained,
+			c.Chaos.Landed, c.Violations, c.ByReason[audit.ReasonStale],
+			c.ByReason[audit.ReasonBounds], fmt.Sprintf("%.1f", c.ViolPerMPkts),
+			c.BreakerTrips, c.Readmissions, fmt.Sprintf("%.0f", c.MTTRCycles),
+			fmt.Sprintf("%.4f", c.Availability))
 	}
-	st := rem.Stats()
-	c.IntDelivered = st.Delivered
-	c.IntBlocked = st.Blocked()
-	c.IntViolations = orc.Violations
-	c.IntByReason = make(map[string]uint64, len(audit.IntReasons()))
-	for _, r := range audit.IntReasons() {
-		c.IntByReason[r] = orc.ByReason[r]
-	}
+	return t.String()
 }
 
-// addRecovery accumulates one supervisor's recovery counters into the cell
-// (hot-plug cells re-supervise after every replug).
-func addRecovery(dst *driver.RecoveryStats, s driver.RecoveryStats) {
-	dst.Retries += s.Retries
-	dst.Recoveries += s.Recoveries
-	dst.WatchdogFires += s.WatchdogFires
-	dst.Degradations += s.Degradations
-	dst.Unrecovered += s.Unrecovered
-	dst.Rejected += s.Rejected
-}
-
-// hotplugProfile keeps the topology-churn cells' repeated ring allocations
-// inside the cell's memory budget.
-func hotplugProfile() device.NICProfile {
-	p := device.ProfileBRCM
-	p.RxEntries = 64
-	p.TxEntries = 64
-	return p
-}
-
-// mqTraffic is one round of bidirectional traffic on a 2-queue NIC; the
-// reap paths fire any latched completion interrupts.
-func mqTraffic(mq *driver.MQNIC, payload []byte) error {
-	for q := 0; q < len(mq.Queues); q++ {
-		if err := mq.Send(payload); err != nil {
-			return err
-		}
-	}
-	if _, err := mq.PumpAndReapAll(); err != nil {
-		return err
-	}
-	for q := 0; q < len(mq.Queues); q++ {
-		if err := mq.Deliver(q, payload); err != nil {
-			return err
-		}
-	}
-	_, err := mq.ReapRxAll()
-	return err
+// The interrupt and hot-plug sweeps cover all seven presentation modes: the
+// unprotected modes are the "what an attack costs without remapping"
+// anchors, the deferred modes quantify the IEC stale window.
+func intchaosKeys(dst []Key, o Options) []Key {
+	return scenarioKeys(dst, IntChaos, 0, o.IntChaos, sim.AllModes())
 }
 
 // intchaosCell drives one hostile-MSI scenario against a supervised,
 // interrupt-audited multi-queue NIC. The legitimate workload keeps raising
 // and servicing real completion interrupts while the hostile requester
 // layers its messages on top; the interrupt oracle judges every delivery.
-func intchaosCell(mode sim.Mode, scenario chaos.IntScenario, seed uint64, rounds int) (CellMetrics, error) {
-	sys, err := sim.NewSystem(mode, 1<<15)
+func intchaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	sys, f, err := world(k, seed, 1<<15, true)
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	f := sys.EnableFaults(faults.UniformConfig(seed, 0))
-	orc := sys.EnableAudit()
 	iorc, err := sys.EnableIntAudit()
 	if err != nil {
 		return CellMetrics{}, err
@@ -1050,18 +1042,13 @@ func intchaosCell(mode sim.Mode, scenario chaos.IntScenario, seed uint64, rounds
 	if err != nil {
 		return CellMetrics{}, err
 	}
-	sup := sys.Supervise(nicBDF, mq)
-	sup.Breaker = driver.NewBreaker()
-	sup.Isolator = sys.IsolatorFor(nicBDF)
+	sup := breakerSupervise(sys, mq)
 	host := chaos.NewIntHostile(sys.IntRemap, iorc, msiBDF, nicBDF)
 
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	for round := 0; round < rounds; round++ {
+	payload := nicPayload()
+	for round := 0; round < o.Rounds; round++ {
 		_ = sup.Do(func() error { return mqTraffic(mq, payload) })
-		switch scenario {
+		switch scenario := chaos.IntScenario(k.Scenario); scenario {
 		case chaos.VectorStorm:
 			host.RunInt(scenario, 16)
 		case chaos.SpoofBDF:
@@ -1083,57 +1070,61 @@ func intchaosCell(mode sim.Mode, scenario chaos.IntScenario, seed uint64, rounds
 		_, _ = sup.Watch()
 	}
 
-	c := CellMetrics{
-		Injected:       f.TotalInjected(),
-		Recovery:       sup.Stats,
-		RecoveryCycles: sys.CPU.Total(cycles.Recovery),
-	}
-	var pkts uint64
-	for q := 0; q < len(mq.Queues); q++ {
-		nic := mq.NIC(q)
-		pkts += nic.TxPackets + nic.RxPackets
-	}
-	if pkts > 0 {
-		c.CyclesPerOp = float64(sys.CPU.Now()) / float64(pkts)
-		c.Gbps = perfmodel.Gbps(sys.Model, c.CyclesPerOp, device.ProfileBRCM.LineRateGbps)
-	}
-	recordAudit(&c, orc, pkts)
-	recordIntAudit(&c, sys.IntRemap, iorc)
-	c.Chaos = host.Stats
-	slo := sup.SLO()
-	c.Outages = slo.Outages
-	c.DowntimeCycles = slo.DowntimeCycles
-	c.MTTRCycles = slo.MTTRCycles()
-	c.Availability = slo.Availability(sys.CPU.Now())
-	c.BreakerTrips = sup.Breaker.Trips
-	c.Readmissions = sup.Breaker.Readmissions
-	c.Clock = sys.CPU.Snapshot()
+	c := CellMetrics{Recovery: sup.Stats}
+	tallyNIC(&c, sys, f, mqPackets(mq))
+	recordBreaker(&c, sys, sup, host.Stats)
 	return c, nil
+}
+
+func intchaosTable(r Result, cells []int) string {
+	t := stats.NewTable(
+		fmt.Sprintf("Interrupt chaos campaign — hostile MSI source, %d rounds/cell", r.Opts.Rounds),
+		"mode", "scenario", "attempts", "contained", "landed", "delivered", "blocked", "viol", "stale", "trips", "mttr cyc", "avail")
+	t.AlignLeft(0).AlignLeft(1)
+	for _, i := range cells {
+		k, c := r.Keys[i], r.Cells[i]
+		t.Row(k.Mode.String(), k.Scenario, c.Chaos.Attempts, c.Chaos.Contained,
+			c.Chaos.Landed, c.IntDelivered, c.IntBlocked, c.IntViolations,
+			c.IntByReason[audit.IntReasonStale], c.BreakerTrips,
+			fmt.Sprintf("%.0f", c.MTTRCycles), fmt.Sprintf("%.4f", c.Availability))
+	}
+	return t.String()
+}
+
+func hotplugKeys(dst []Key, o Options) []Key {
+	return scenarioKeys(dst, Hotplug, 0, o.Hotplug, sim.AllModes())
+}
+
+// hotplugProfile keeps the topology-churn cells' repeated ring allocations
+// inside the cell's memory budget.
+func hotplugProfile() device.NICProfile {
+	p := device.ProfileBRCM
+	p.RxEntries = 64
+	p.TxEntries = 64
+	return p
 }
 
 // hotplugCell drives one topology-churn scenario through the lifecycle
 // state machine under full (DMA + interrupt) audit. The SLO numbers here
 // come from the lifecycle ledger: an outage runs from a surprise removal to
 // the replug that returns the slot to Live.
-func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellMetrics, error) {
-	sys, err := sim.NewSystem(mode, 1<<15)
+func hotplugCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	rounds := o.Rounds
+	sys, f, err := world(k, seed, 1<<15, true)
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	f := sys.EnableFaults(faults.UniformConfig(seed, 0))
-	orc := sys.EnableAudit()
-	iorc, err := sys.EnableIntAudit()
-	if err != nil {
+	if _, err := sys.EnableIntAudit(); err != nil {
 		return CellMetrics{}, err
 	}
 	lc := sys.LifecycleFor(nicBDF)
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
+	payload := nicPayload()
 
-	c := CellMetrics{}
+	var (
+		c   CellMetrics
+		slo driver.SLOStats
+	)
 
 	// attach brings a fresh device into the slot; when it closes a removal
 	// outage, the width lands in the cell's SLO ledger.
@@ -1144,8 +1135,8 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 			return nil, err
 		}
 		if wasRemoved {
-			c.Outages++
-			c.DowntimeCycles += lc.OutageCycles()
+			slo.Outages++
+			slo.DowntimeCycles += lc.OutageCycles()
 		}
 		return mq, nil
 	}
@@ -1186,7 +1177,7 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 		addRecovery(&c.Recovery, sup.Stats)
 	}
 
-	switch scenario {
+	switch k.Scenario {
 	case HotplugAttachStorm:
 		phases := 6
 		perPhase := rounds / phases
@@ -1259,24 +1250,29 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 		supervised(mq2, rounds-rounds/2)
 
 	default:
-		return CellMetrics{}, fmt.Errorf("unknown hot-plug scenario %q", scenario)
+		return CellMetrics{}, fmt.Errorf("unknown hot-plug scenario %q", k.Scenario)
 	}
 
-	c.Injected = f.TotalInjected()
-	c.RecoveryCycles = sys.CPU.Total(cycles.Recovery)
 	c.Attaches = lc.Attaches
 	c.Removals = lc.Removals
 	c.Quarantines = lc.Quarantines
-	if c.Outages > 0 {
-		c.MTTRCycles = float64(c.DowntimeCycles) / float64(c.Outages)
-	}
-	if now := sys.CPU.Now(); now > 0 {
-		c.Availability = 1 - float64(c.DowntimeCycles)/float64(now)
-	}
-	recordAudit(&c, orc, 0)
-	recordIntAudit(&c, sys.IntRemap, iorc)
-	c.Clock = sys.CPU.Snapshot()
+	recordSLO(&c, slo, sys.CPU.Now())
+	tally(&c, sys, f, 0)
 	return c, nil
+}
+
+func hotplugTable(r Result, cells []int) string {
+	t := stats.NewTable(
+		fmt.Sprintf("Hot-plug campaign — lifecycle churn, %d rounds/cell", r.Opts.Rounds),
+		"mode", "scenario", "attach", "remove", "quar", "ghost", "early landed", "int viol", "outages", "mttr cyc", "avail")
+	t.AlignLeft(0).AlignLeft(1)
+	for _, i := range cells {
+		k, c := r.Keys[i], r.Cells[i]
+		t.Row(k.Mode.String(), k.Scenario, c.Attaches, c.Removals, c.Quarantines,
+			c.GhostDeliveries, c.Chaos.Landed, c.IntViolations, c.Outages,
+			fmt.Sprintf("%.0f", c.MTTRCycles), fmt.Sprintf("%.4f", c.Availability))
+	}
+	return t.String()
 }
 
 // IntremapViolationsGate checks the interrupt-isolation claims the intchaos
@@ -1297,14 +1293,14 @@ func (r Result) IntremapViolationsGate() []string {
 	deferReplayCells, sawStale := 0, false
 	for i, k := range r.Keys {
 		c := r.Cells[i]
-		if !r.done(i) || (k.IntScenario == "" && k.Hotplug == "") {
+		if !r.done(i) || (k.Family != IntChaos && k.Family != Hotplug) {
 			continue
 		}
 		if k.Mode == sim.None {
 			continue // no remapping hardware, nothing to gate
 		}
 		deferMode := k.Mode == sim.Defer || k.Mode == sim.DeferPlus
-		if k.IntScenario == string(chaos.IRTEReplay) && deferMode {
+		if k.Family == IntChaos && k.Scenario == string(chaos.IRTEReplay) && deferMode {
 			// The stale window is this cell's subject: landings are expected
 			// here (and required, via the liveness check below), so neither
 			// the zero-violations nor the must-block expectation applies.
@@ -1316,18 +1312,18 @@ func (r Result) IntremapViolationsGate() []string {
 			if c.IntViolations != 0 {
 				fails = append(fails, fmt.Sprintf("%s: %d delivered interrupt violations", k, c.IntViolations))
 			}
-			if k.IntScenario != "" && c.Chaos.Attempts > 0 && c.IntBlocked == 0 {
+			if k.Family == IntChaos && c.Chaos.Attempts > 0 && c.IntBlocked == 0 {
 				fails = append(fails, fmt.Sprintf("%s: hostile MSIs attempted but none blocked — remapper asleep", k))
 			}
 		}
-		if k.Hotplug != "" {
+		if k.Family == Hotplug {
 			if c.GhostDeliveries != 0 {
 				fails = append(fails, fmt.Sprintf("%s: %d interrupts delivered by a removed device", k, c.GhostDeliveries))
 			}
 			if c.Removals > 0 && (c.Outages != c.Removals || c.MTTRCycles <= 0) {
 				fails = append(fails, fmt.Sprintf("%s: %d removals but %d finished outages (MTTR %.0f) — SLO ledger incomplete", k, c.Removals, c.Outages, c.MTTRCycles))
 			}
-			if k.Hotplug == HotplugDMAEarly && c.Chaos.Landed != 0 {
+			if k.Scenario == HotplugDMAEarly && c.Chaos.Landed != 0 {
 				fails = append(fails, fmt.Sprintf("%s: %d pre-attach DMAs landed under protection", k, c.Chaos.Landed))
 			}
 		}
@@ -1356,242 +1352,33 @@ func (r Result) AuditViolationsGate() []string {
 	deferStaleCells, sawDeferStale := 0, false
 	for i, k := range r.Keys {
 		c := r.Cells[i]
-		if !r.done(i) || !c.Audited {
+		if !r.done(i) || !c.Audited || k.Rate > 0 {
 			continue
 		}
-		if k.Scenario == string(chaos.Cascade) || k.Rate > 0 {
-			continue
+		var sc chaos.Scenario
+		if k.Family == Chaos {
+			sc = chaos.Scenario(k.Scenario)
 		}
-		if k.Scenario == string(chaos.StaleReplay) && (k.Mode == sim.Defer || k.Mode == sim.DeferPlus) {
-			deferStaleCells++
-			if c.ByReason[audit.ReasonStale] > 0 {
-				sawDeferStale = true
-			}
-		}
-		if k.Scenario == string(chaos.Overreach) {
+		switch {
+		case sc == chaos.Cascade:
+		case sc == chaos.Overreach:
 			if (k.Mode == sim.RIOMMU || k.Mode == sim.RIOMMUMinus) && c.Violations != 0 {
 				fails = append(fails, fmt.Sprintf("%s: %d violations — rIOMMU must contain sub-page overreach", k, c.Violations))
 			}
-			continue
-		}
-		if k.Mode.Safe() && c.Violations != 0 {
-			fails = append(fails, fmt.Sprintf("%s: %d isolation violations in a gap-free mode", k, c.Violations))
+		default:
+			if sc == chaos.StaleReplay && (k.Mode == sim.Defer || k.Mode == sim.DeferPlus) {
+				deferStaleCells++
+				if c.ByReason[audit.ReasonStale] > 0 {
+					sawDeferStale = true
+				}
+			}
+			if k.Mode.Safe() && c.Violations != 0 {
+				fails = append(fails, fmt.Sprintf("%s: %d isolation violations in a gap-free mode", k, c.Violations))
+			}
 		}
 	}
 	if deferStaleCells > 0 && !sawDeferStale {
 		fails = append(fails, "defer stale-replay cells recorded zero stale violations — auditor liveness check failed")
 	}
 	return fails
-}
-
-// Render produces the human-readable campaign tables from a merged result.
-// It walks Keys in grid order only, so its output is worker-count
-// independent.
-func (r Result) Render() string {
-	var b strings.Builder
-
-	// Clean NIC anchors per mode for the degradation column.
-	clean := map[sim.Mode]CellMetrics{}
-	for i, k := range r.Keys {
-		if k.Device == "nic" && k.Clean {
-			clean[k.Mode] = r.Cells[i]
-		}
-	}
-
-	nicTab := stats.NewTable(
-		fmt.Sprintf("NIC campaign — %s, %d rounds/cell", device.ProfileBRCM.Name, r.Opts.Rounds),
-		"mode", "rate", "injected", "recov", "retries", "wdog", "degrade", "unrec", "cyc/pkt", "Gbps", "vs clean")
-	nicTab.AlignLeft(0)
-	var byClass stats.Counters
-	for i, k := range r.Keys {
-		if k.Device != "nic" || k.Clean || k.Cores > 1 || k.Churn > 0 ||
-			k.Scenario != "" || k.IntScenario != "" || k.Hotplug != "" || k.Tenants > 0 {
-			continue
-		}
-		c := r.Cells[i]
-		for _, cl := range faults.Classes() {
-			byClass.Add(cl.String(), c.ByClass[cl.String()])
-		}
-		vs := "n/a"
-		if anchor := clean[k.Mode]; anchor.Gbps > 0 {
-			vs = fmt.Sprintf("%.1f%%", 100*c.Gbps/anchor.Gbps)
-		}
-		nicTab.Row(k.Mode.String(), fmt.Sprintf("%g", k.Rate), c.Injected, c.Recovery.Recoveries,
-			c.Recovery.Retries, c.Recovery.WatchdogFires, c.Recovery.Degradations,
-			c.Recovery.Unrecovered, c.CyclesPerOp, c.Gbps, vs)
-	}
-	b.WriteString(nicTab.String())
-	b.WriteByte('\n')
-	b.WriteString(byClass.Table("Injected faults by class (NIC sweep total)").String())
-	b.WriteByte('\n')
-
-	blkTab := stats.NewTable(
-		fmt.Sprintf("Block-device campaign — %d rounds/cell", r.Opts.Rounds),
-		"device", "mode", "rate", "injected", "recov", "retries", "wdog", "unrec", "recovery cyc", "cyc/cmd")
-	blkTab.AlignLeft(0).AlignLeft(1)
-	for i, k := range r.Keys {
-		if k.Device == "nic" {
-			continue
-		}
-		c := r.Cells[i]
-		blkTab.Row(k.Device, k.Mode.String(), fmt.Sprintf("%g", k.Rate), c.Injected,
-			c.Recovery.Recoveries, c.Recovery.Retries, c.Recovery.WatchdogFires,
-			c.Recovery.Unrecovered, c.RecoveryCycles, c.CyclesPerOp)
-	}
-	b.WriteString(blkTab.String())
-
-	hasCores := false
-	for _, k := range r.Keys {
-		if k.Cores > 1 {
-			hasCores = true
-			break
-		}
-	}
-	if hasCores {
-		mqTab := stats.NewTable(
-			fmt.Sprintf("NIC scale-out campaign — %s multi-queue, %d rounds/cell", device.ProfileBRCM.Name, r.Opts.Rounds),
-			"mode", "cores", "rate", "injected", "recov", "retries", "wdog", "unrec", "cyc/pkt", "Gbps")
-		mqTab.AlignLeft(0)
-		for i, k := range r.Keys {
-			if k.Cores <= 1 {
-				continue
-			}
-			c := r.Cells[i]
-			mqTab.Row(k.Mode.String(), k.Cores, fmt.Sprintf("%g", k.Rate), c.Injected,
-				c.Recovery.Recoveries, c.Recovery.Retries, c.Recovery.WatchdogFires,
-				c.Recovery.Unrecovered, c.CyclesPerOp, c.Gbps)
-		}
-		b.WriteByte('\n')
-		b.WriteString(mqTab.String())
-	}
-
-	hasChaos := false
-	for _, k := range r.Keys {
-		if k.Scenario != "" {
-			hasChaos = true
-			break
-		}
-	}
-	if hasChaos {
-		chTab := stats.NewTable(
-			fmt.Sprintf("Chaos campaign — hostile NIC, %d rounds/cell", r.Opts.Rounds),
-			"mode", "scenario", "attempts", "contained", "landed", "viol", "stale", "bounds", "viol/Mpkt", "trips", "readmit", "mttr cyc", "avail")
-		chTab.AlignLeft(0).AlignLeft(1)
-		for i, k := range r.Keys {
-			if k.Scenario == "" {
-				continue
-			}
-			c := r.Cells[i]
-			chTab.Row(k.Mode.String(), k.Scenario, c.Chaos.Attempts, c.Chaos.Contained,
-				c.Chaos.Landed, c.Violations, c.ByReason[audit.ReasonStale],
-				c.ByReason[audit.ReasonBounds], fmt.Sprintf("%.1f", c.ViolPerMPkts),
-				c.BreakerTrips, c.Readmissions, fmt.Sprintf("%.0f", c.MTTRCycles),
-				fmt.Sprintf("%.4f", c.Availability))
-		}
-		b.WriteByte('\n')
-		b.WriteString(chTab.String())
-	}
-
-	hasInt := false
-	for _, k := range r.Keys {
-		if k.IntScenario != "" {
-			hasInt = true
-			break
-		}
-	}
-	if hasInt {
-		intTab := stats.NewTable(
-			fmt.Sprintf("Interrupt chaos campaign — hostile MSI source, %d rounds/cell", r.Opts.Rounds),
-			"mode", "scenario", "attempts", "contained", "landed", "delivered", "blocked", "viol", "stale", "trips", "mttr cyc", "avail")
-		intTab.AlignLeft(0).AlignLeft(1)
-		for i, k := range r.Keys {
-			if k.IntScenario == "" {
-				continue
-			}
-			c := r.Cells[i]
-			intTab.Row(k.Mode.String(), k.IntScenario, c.Chaos.Attempts, c.Chaos.Contained,
-				c.Chaos.Landed, c.IntDelivered, c.IntBlocked, c.IntViolations,
-				c.IntByReason[audit.IntReasonStale], c.BreakerTrips,
-				fmt.Sprintf("%.0f", c.MTTRCycles), fmt.Sprintf("%.4f", c.Availability))
-		}
-		b.WriteByte('\n')
-		b.WriteString(intTab.String())
-	}
-
-	hasPlug := false
-	for _, k := range r.Keys {
-		if k.Hotplug != "" {
-			hasPlug = true
-			break
-		}
-	}
-	if hasPlug {
-		hpTab := stats.NewTable(
-			fmt.Sprintf("Hot-plug campaign — lifecycle churn, %d rounds/cell", r.Opts.Rounds),
-			"mode", "scenario", "attach", "remove", "quar", "ghost", "early landed", "int viol", "outages", "mttr cyc", "avail")
-		hpTab.AlignLeft(0).AlignLeft(1)
-		for i, k := range r.Keys {
-			if k.Hotplug == "" {
-				continue
-			}
-			c := r.Cells[i]
-			hpTab.Row(k.Mode.String(), k.Hotplug, c.Attaches, c.Removals, c.Quarantines,
-				c.GhostDeliveries, c.Chaos.Landed, c.IntViolations, c.Outages,
-				fmt.Sprintf("%.0f", c.MTTRCycles), fmt.Sprintf("%.4f", c.Availability))
-		}
-		b.WriteByte('\n')
-		b.WriteString(hpTab.String())
-	}
-
-	hasTenants := false
-	for _, k := range r.Keys {
-		if k.Tenants > 0 {
-			hasTenants = true
-			break
-		}
-	}
-	if hasTenants {
-		tTab := stats.NewTable(
-			fmt.Sprintf("Multi-tenant campaign — hostile tenant 0, %d rounds/cell", r.Opts.Rounds),
-			"mode", "scenario", "tenants", "attempts", "contained", "xten", "tviol", "s2miss", "spoofblk", "throttle", "quar", "victim avail", "hostile avail")
-		tTab.AlignLeft(0).AlignLeft(1)
-		for i, k := range r.Keys {
-			if k.Tenants == 0 {
-				continue
-			}
-			c := r.Cells[i]
-			tTab.Row(k.Mode.String(), k.TenantScenario, k.Tenants, c.Chaos.Attempts,
-				c.Chaos.Contained, c.CrossTenant, c.TenantViolations, c.S2Misses,
-				c.SpoofBlocked, c.Throttled, c.TenantQuarantines,
-				fmt.Sprintf("%.4f", c.VictimAvailability),
-				fmt.Sprintf("%.4f", c.HostileAvailability))
-		}
-		b.WriteByte('\n')
-		b.WriteString(tTab.String())
-	}
-
-	hasChurn := false
-	for _, k := range r.Keys {
-		if k.Churn > 0 {
-			hasChurn = true
-			break
-		}
-	}
-	if hasChurn {
-		cTab := stats.NewTable(
-			fmt.Sprintf("Connection-churn campaign — %s fleet traffic, %d ticks/cell", device.ProfileBRCM.Name, r.Opts.Rounds),
-			"mode", "conns", "pkts", "opens", "closes", "bypass", "checked", "viol", "cyc/pkt", "Gbps")
-		cTab.AlignLeft(0)
-		for i, k := range r.Keys {
-			if k.Churn == 0 {
-				continue
-			}
-			c := r.Cells[i]
-			cTab.Row(k.Mode.String(), k.Churn, c.DataPackets, c.Opens, c.Closes,
-				c.BypassPackets, c.Checked, c.Violations, c.CyclesPerOp, c.Gbps)
-		}
-		b.WriteByte('\n')
-		b.WriteString(cTab.String())
-	}
-	return b.String()
 }

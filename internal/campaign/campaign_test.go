@@ -175,7 +175,7 @@ func TestChaosAsymmetry(t *testing.T) {
 	var deferStale uint64
 	for i, k := range res.Keys {
 		c := res.Cells[i]
-		if k.Scenario == "" {
+		if k.Family != Chaos {
 			continue
 		}
 		// inv-flood pressures the invalidation path with legitimate map/unmap
@@ -224,17 +224,17 @@ func TestAuditViolationsGateCatches(t *testing.T) {
 	mk := func(k Key, c CellMetrics) Result {
 		return Result{Keys: []Key{k}, Cells: []CellMetrics{c}}
 	}
-	bad := mk(Key{Device: "nic", Mode: sim.Strict, Scenario: string(chaos.StaleReplay)},
+	bad := mk(Key{Family: Chaos, Device: "nic", Mode: sim.Strict, Scenario: string(chaos.StaleReplay)},
 		CellMetrics{Audited: true, Violations: 3, ByReason: map[string]uint64{audit.ReasonStale: 3}})
 	if fails := bad.AuditViolationsGate(); len(fails) != 1 {
 		t.Errorf("safe-mode violations not flagged: %v", fails)
 	}
-	dead := mk(Key{Device: "nic", Mode: sim.Defer, Scenario: string(chaos.StaleReplay)},
+	dead := mk(Key{Family: Chaos, Device: "nic", Mode: sim.Defer, Scenario: string(chaos.StaleReplay)},
 		CellMetrics{Audited: true, ByReason: map[string]uint64{}})
 	if fails := dead.AuditViolationsGate(); len(fails) != 1 {
 		t.Errorf("dead auditor not flagged: %v", fails)
 	}
-	cascade := mk(Key{Device: "nic", Mode: sim.Strict, Scenario: string(chaos.Cascade)},
+	cascade := mk(Key{Family: Chaos, Device: "nic", Mode: sim.Strict, Scenario: string(chaos.Cascade)},
 		CellMetrics{Audited: true, Violations: 7})
 	if fails := cascade.AuditViolationsGate(); len(fails) != 0 {
 		t.Errorf("cascade cell wrongly gated: %v", fails)
@@ -244,12 +244,12 @@ func TestAuditViolationsGateCatches(t *testing.T) {
 	if fails := rated.AuditViolationsGate(); len(fails) != 0 {
 		t.Errorf("fault-injection cell wrongly gated: %v", fails)
 	}
-	overreachBase := mk(Key{Device: "nic", Mode: sim.Strict, Scenario: string(chaos.Overreach)},
+	overreachBase := mk(Key{Family: Chaos, Device: "nic", Mode: sim.Strict, Scenario: string(chaos.Overreach)},
 		CellMetrics{Audited: true, Violations: 5, ByReason: map[string]uint64{audit.ReasonBounds: 5}})
 	if fails := overreachBase.AuditViolationsGate(); len(fails) != 0 {
 		t.Errorf("baseline overreach wrongly gated (page granularity cannot contain it): %v", fails)
 	}
-	overreachR := mk(Key{Device: "nic", Mode: sim.RIOMMU, Scenario: string(chaos.Overreach)},
+	overreachR := mk(Key{Family: Chaos, Device: "nic", Mode: sim.RIOMMU, Scenario: string(chaos.Overreach)},
 		CellMetrics{Audited: true, Violations: 1, ByReason: map[string]uint64{audit.ReasonBounds: 1}})
 	if fails := overreachR.AuditViolationsGate(); len(fails) != 1 {
 		t.Errorf("rIOMMU overreach violation not flagged: %v", fails)
@@ -340,14 +340,14 @@ func TestIntChaosAsymmetry(t *testing.T) {
 	var deferStale uint64
 	for i, k := range res.Keys {
 		c := res.Cells[i]
-		if k.IntScenario == "" {
+		if k.Family != IntChaos {
 			continue
 		}
 		deferMode := k.Mode == sim.Defer || k.Mode == sim.DeferPlus
-		switch k.IntScenario {
+		switch k.Scenario {
 		case string(chaos.VectorStorm), string(chaos.SpoofBDF):
 			if k.Mode == sim.None {
-				if c.Chaos.Attempts > 0 && c.Chaos.Landed == 0 && k.IntScenario == string(chaos.VectorStorm) {
+				if c.Chaos.Attempts > 0 && c.Chaos.Landed == 0 && k.Scenario == string(chaos.VectorStorm) {
 					t.Errorf("%s: unremapped mode blocked a storm?", k)
 				}
 				if c.IntViolations != 0 {
@@ -355,7 +355,7 @@ func TestIntChaosAsymmetry(t *testing.T) {
 				}
 				continue
 			}
-			if c.Chaos.Attempts == 0 && k.IntScenario == string(chaos.VectorStorm) {
+			if c.Chaos.Attempts == 0 && k.Scenario == string(chaos.VectorStorm) {
 				t.Errorf("%s: hostile MSI source never fired", k)
 			}
 			if c.Chaos.Landed != 0 || c.IntViolations != 0 {
@@ -396,7 +396,7 @@ func TestHotplugCells(t *testing.T) {
 	}
 	for i, k := range res.Keys {
 		c := res.Cells[i]
-		if k.Hotplug == "" {
+		if k.Family != Hotplug {
 			continue
 		}
 		if c.Attaches == 0 {
@@ -405,7 +405,7 @@ func TestHotplugCells(t *testing.T) {
 		if c.GhostDeliveries != 0 {
 			t.Errorf("%s: removed device delivered %d interrupts", k, c.GhostDeliveries)
 		}
-		switch k.Hotplug {
+		switch k.Scenario {
 		case HotplugAttachStorm:
 			if c.Removals < 6 || c.Outages != c.Removals || c.MTTRCycles <= 0 {
 				t.Errorf("%s: removals=%d outages=%d mttr=%.0f", k, c.Removals, c.Outages, c.MTTRCycles)
@@ -425,7 +425,7 @@ func TestHotplugCells(t *testing.T) {
 				t.Errorf("%s: removals=%d quar=%d outages=%d mttr=%.0f", k, c.Removals, c.Quarantines, c.Outages, c.MTTRCycles)
 			}
 		}
-		if k.Mode != sim.None && c.IntViolations != 0 && k.Hotplug != "" {
+		if k.Mode != sim.None && c.IntViolations != 0 {
 			t.Errorf("%s: %d interrupt violations under topology churn", k, c.IntViolations)
 		}
 	}
@@ -438,37 +438,37 @@ func TestIntremapGateCatches(t *testing.T) {
 	mk := func(k Key, c CellMetrics) Result {
 		return Result{Keys: []Key{k}, Cells: []CellMetrics{c}}
 	}
-	viol := mk(Key{Device: "nic", Mode: sim.Strict, IntScenario: string(chaos.SpoofBDF)},
+	viol := mk(Key{Family: IntChaos, Device: "nic", Mode: sim.Strict, Scenario: string(chaos.SpoofBDF)},
 		CellMetrics{IntViolations: 2, IntBlocked: 5, Chaos: chaos.Stats{Attempts: 5}})
 	if fails := viol.IntremapViolationsGate(); len(fails) != 1 {
 		t.Errorf("delivered violations not flagged: %v", fails)
 	}
-	asleep := mk(Key{Device: "nic", Mode: sim.RIOMMU, IntScenario: string(chaos.VectorStorm)},
+	asleep := mk(Key{Family: IntChaos, Device: "nic", Mode: sim.RIOMMU, Scenario: string(chaos.VectorStorm)},
 		CellMetrics{Chaos: chaos.Stats{Attempts: 10, Landed: 10}})
 	if fails := asleep.IntremapViolationsGate(); len(fails) != 1 {
 		t.Errorf("sleeping remapper not flagged: %v", fails)
 	}
-	dead := mk(Key{Device: "nic", Mode: sim.Defer, IntScenario: string(chaos.IRTEReplay)},
+	dead := mk(Key{Family: IntChaos, Device: "nic", Mode: sim.Defer, Scenario: string(chaos.IRTEReplay)},
 		CellMetrics{IntByReason: map[string]uint64{}})
 	if fails := dead.IntremapViolationsGate(); len(fails) != 1 {
 		t.Errorf("dead stale window not flagged: %v", fails)
 	}
-	ghost := mk(Key{Device: "nic", Mode: sim.Strict, Hotplug: HotplugSurprise},
+	ghost := mk(Key{Family: Hotplug, Device: "nic", Mode: sim.Strict, Scenario: HotplugSurprise},
 		CellMetrics{GhostDeliveries: 1, Removals: 1, Outages: 1, MTTRCycles: 100})
 	if fails := ghost.IntremapViolationsGate(); len(fails) != 1 {
 		t.Errorf("ghost delivery not flagged: %v", fails)
 	}
-	noMTTR := mk(Key{Device: "nic", Mode: sim.Strict, Hotplug: HotplugAttachStorm},
+	noMTTR := mk(Key{Family: Hotplug, Device: "nic", Mode: sim.Strict, Scenario: HotplugAttachStorm},
 		CellMetrics{Removals: 3, Outages: 2, MTTRCycles: 50})
 	if fails := noMTTR.IntremapViolationsGate(); len(fails) != 1 {
 		t.Errorf("incomplete SLO ledger not flagged: %v", fails)
 	}
-	early := mk(Key{Device: "nic", Mode: sim.RIOMMU, Hotplug: HotplugDMAEarly},
+	early := mk(Key{Family: Hotplug, Device: "nic", Mode: sim.RIOMMU, Scenario: HotplugDMAEarly},
 		CellMetrics{Chaos: chaos.Stats{Attempts: 4, Landed: 4}})
 	if fails := early.IntremapViolationsGate(); len(fails) != 1 {
 		t.Errorf("early DMA landing not flagged: %v", fails)
 	}
-	none := mk(Key{Device: "nic", Mode: sim.None, IntScenario: string(chaos.VectorStorm)},
+	none := mk(Key{Family: IntChaos, Device: "nic", Mode: sim.None, Scenario: string(chaos.VectorStorm)},
 		CellMetrics{Chaos: chaos.Stats{Attempts: 10, Landed: 10}})
 	if fails := none.IntremapViolationsGate(); len(fails) != 0 {
 		t.Errorf("mode none wrongly gated: %v", fails)
@@ -529,7 +529,7 @@ func TestPartialReportDropsUnfinishedCells(t *testing.T) {
 		Opts: Options{Seed: 7, Rounds: 3},
 		Keys: []Key{
 			{Device: "nic", Mode: sim.Strict, Clean: true},
-			{Device: "nic", Mode: sim.Defer, Scenario: string(chaos.StaleReplay)},
+			{Family: Chaos, Device: "nic", Mode: sim.Defer, Scenario: string(chaos.StaleReplay)},
 		},
 		Cells:     []CellMetrics{{CyclesPerOp: 12}, {}},
 		Completed: []bool{true, false},

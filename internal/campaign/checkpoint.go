@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"riommu/internal/parallel"
 )
 
 // CheckpointVersion is the on-disk checkpoint format version. Bump it when
@@ -86,12 +84,6 @@ func (o Options) Fingerprint() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// ParseShard parses a -shard flag value "i/K" into (index, count).
-// The empty string means unsharded (0, 0).
-func ParseShard(s string) (index, count int, err error) {
-	return parallel.ParseShard(s)
 }
 
 // LoadCheckpoint reads and validates one checkpoint file against the

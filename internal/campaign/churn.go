@@ -10,8 +10,10 @@ package campaign
 // is a pure function of (key, seed, rounds).
 
 import (
+	"fmt"
+
 	"riommu/internal/device"
-	"riommu/internal/sim"
+	"riommu/internal/stats"
 	"riommu/internal/traffic"
 )
 
@@ -19,7 +21,20 @@ import (
 // stays flat while the modeled fleet grows via shorter flows.
 const churnSlotCap = 160
 
-func churnCell(mode sim.Mode, seed uint64, rounds, conns int) (CellMetrics, error) {
+func churnKeys(dst []Key, o Options) []Key {
+	for _, n := range o.Churn {
+		if n < 1 {
+			continue
+		}
+		for _, m := range o.Modes {
+			dst = append(dst, Key{Family: Churn, Device: "nic", Mode: m, N: n})
+		}
+	}
+	return dst
+}
+
+func churnCell(k Key, seed uint64, o Options) (CellMetrics, error) {
+	conns, rounds := k.N, o.Rounds
 	slots := conns
 	if slots > churnSlotCap {
 		slots = churnSlotCap
@@ -29,7 +44,7 @@ func churnCell(mode sim.Mode, seed uint64, rounds, conns int) (CellMetrics, erro
 		mean = 1
 	}
 	e, err := traffic.NewEngine(traffic.Config{
-		Mode:            mode,
+		Mode:            k.Mode,
 		Profile:         device.ProfileBRCM,
 		Seed:            seed,
 		TableSlots:      slots,
@@ -67,4 +82,17 @@ func churnCell(mode sim.Mode, seed uint64, rounds, conns int) (CellMetrics, erro
 		return CellMetrics{}, err
 	}
 	return c, nil
+}
+
+func churnTable(r Result, cells []int) string {
+	t := stats.NewTable(
+		fmt.Sprintf("Connection-churn campaign — %s fleet traffic, %d ticks/cell", device.ProfileBRCM.Name, r.Opts.Rounds),
+		"mode", "conns", "pkts", "opens", "closes", "bypass", "checked", "viol", "cyc/pkt", "Gbps")
+	t.AlignLeft(0)
+	for _, i := range cells {
+		k, c := r.Keys[i], r.Cells[i]
+		t.Row(k.Mode.String(), k.N, c.DataPackets, c.Opens, c.Closes,
+			c.BypassPackets, c.Checked, c.Violations, c.CyclesPerOp, c.Gbps)
+	}
+	return t.String()
 }

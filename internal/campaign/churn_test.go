@@ -28,7 +28,7 @@ func TestChurnCells(t *testing.T) {
 
 	churn := map[Key]CellMetrics{}
 	for i, k := range res.Keys {
-		if k.Churn == 0 {
+		if k.Family != Churn {
 			continue
 		}
 		if i < len(res.Keys)-4 {
@@ -55,8 +55,8 @@ func TestChurnCells(t *testing.T) {
 		}
 	}
 
-	hiStrict := churn[Key{Device: "nic", Mode: sim.Strict, Churn: 400000}]
-	hiRiommu := churn[Key{Device: "nic", Mode: sim.RIOMMU, Churn: 400000}]
+	hiStrict := churn[Key{Family: Churn, Device: "nic", Mode: sim.Strict, N: 400000}]
+	hiRiommu := churn[Key{Family: Churn, Device: "nic", Mode: sim.RIOMMU, N: 400000}]
 	if hiStrict.Opens == 0 || hiStrict.Closes == 0 {
 		t.Errorf("high-churn cell opened %d / closed %d flows — no churn happened", hiStrict.Opens, hiStrict.Closes)
 	}
@@ -68,20 +68,5 @@ func TestChurnCells(t *testing.T) {
 	text := res.Render()
 	if !strings.Contains(text, "Connection-churn campaign") {
 		t.Fatalf("render missing churn table:\n%s", text)
-	}
-}
-
-func TestParseChurn(t *testing.T) {
-	if got, err := ParseChurn(""); err != nil || got != nil {
-		t.Errorf("ParseChurn(\"\") = %v, %v; want nil, nil", got, err)
-	}
-	got, err := ParseChurn("2000, 500000")
-	if err != nil || len(got) != 2 || got[0] != 2000 || got[1] != 500000 {
-		t.Errorf("ParseChurn(\"2000, 500000\") = %v, %v", got, err)
-	}
-	for _, bad := range []string{"0", "-5", "x", "2000,,4000", "20000001"} {
-		if _, err := ParseChurn(bad); err == nil {
-			t.Errorf("ParseChurn(%q) succeeded, want error", bad)
-		}
 	}
 }

@@ -62,61 +62,83 @@ func BuildReport(r Result) Report {
 				m["viol_"+reason] = float64(c.ByReason[reason])
 			}
 		}
-		if k.Scenario != "" || k.IntScenario != "" {
-			m["chaos_attempts"] = float64(c.Chaos.Attempts)
-			m["chaos_contained"] = float64(c.Chaos.Contained)
-			m["chaos_landed"] = float64(c.Chaos.Landed)
-			m["outages"] = float64(c.Outages)
-			m["downtime_cycles"] = float64(c.DowntimeCycles)
-			m["mttr_cycles"] = c.MTTRCycles
-			m["availability"] = c.Availability
-			m["breaker_trips"] = float64(c.BreakerTrips)
-			m["readmissions"] = float64(c.Readmissions)
-		}
-		if k.IntScenario != "" || k.Hotplug != "" {
-			m["int_delivered"] = float64(c.IntDelivered)
-			m["int_blocked"] = float64(c.IntBlocked)
-			m["int_violations"] = float64(c.IntViolations)
-			for _, reason := range audit.IntReasons() {
-				m["intviol_"+reason] = float64(c.IntByReason[reason])
-			}
-		}
-		if k.Tenants > 0 {
-			m["tenant_checked"] = float64(c.TenantChecked)
-			m["tenant_violations"] = float64(c.TenantViolations)
-			m["cross_tenant"] = float64(c.CrossTenant)
-			for _, reason := range audit.TenantReasons() {
-				m["tviol_"+reason] = float64(c.TenantByReason[reason])
-			}
-			m["s2_hits"] = float64(c.S2Hits)
-			m["s2_misses"] = float64(c.S2Misses)
-			m["s2_faults"] = float64(c.S2Faults)
-			m["s2_cycles"] = float64(c.S2Cycles)
-			m["spoof_blocked"] = float64(c.SpoofBlocked)
-			m["ballooned"] = float64(c.Ballooned)
-			m["throttled"] = float64(c.Throttled)
-			m["tenant_quarantines"] = float64(c.TenantQuarantines)
-			m["hostile_availability"] = c.HostileAvailability
-			m["victim_availability"] = c.VictimAvailability
-			m["chaos_attempts"] = float64(c.Chaos.Attempts)
-			m["chaos_contained"] = float64(c.Chaos.Contained)
-			m["chaos_landed"] = float64(c.Chaos.Landed)
-		}
-		if k.Hotplug != "" {
-			m["attaches"] = float64(c.Attaches)
-			m["removals"] = float64(c.Removals)
-			m["quarantines"] = float64(c.Quarantines)
-			m["ghost_deliveries"] = float64(c.GhostDeliveries)
-			m["early_dma_attempts"] = float64(c.Chaos.Attempts)
-			m["early_dma_landed"] = float64(c.Chaos.Landed)
-			m["outages"] = float64(c.Outages)
-			m["downtime_cycles"] = float64(c.DowntimeCycles)
-			m["mttr_cycles"] = c.MTTRCycles
-			m["availability"] = c.Availability
+		if report := families[k.Family].report; report != nil {
+			report(m, c)
 		}
 		rep.Cells = append(rep.Cells, ReportCell{ID: k.String(), Metrics: m})
 	}
 	return rep
+}
+
+// attackMetrics reports a hostile cell's attack outcomes.
+func attackMetrics(m map[string]float64, c CellMetrics) {
+	m["chaos_attempts"] = float64(c.Chaos.Attempts)
+	m["chaos_contained"] = float64(c.Chaos.Contained)
+	m["chaos_landed"] = float64(c.Chaos.Landed)
+}
+
+// outageMetrics reports a cell's outage ledger.
+func outageMetrics(m map[string]float64, c CellMetrics) {
+	m["outages"] = float64(c.Outages)
+	m["downtime_cycles"] = float64(c.DowntimeCycles)
+	m["mttr_cycles"] = c.MTTRCycles
+	m["availability"] = c.Availability
+}
+
+// intMetrics reports the remapper's counters and the interrupt oracle's
+// verdicts.
+func intMetrics(m map[string]float64, c CellMetrics) {
+	m["int_delivered"] = float64(c.IntDelivered)
+	m["int_blocked"] = float64(c.IntBlocked)
+	m["int_violations"] = float64(c.IntViolations)
+	for _, reason := range audit.IntReasons() {
+		m["intviol_"+reason] = float64(c.IntByReason[reason])
+	}
+}
+
+// breakerMetrics reports a breaker-supervised attack cell (the chaos
+// family): attack outcomes, outage ledger and breaker counters.
+func breakerMetrics(m map[string]float64, c CellMetrics) {
+	attackMetrics(m, c)
+	outageMetrics(m, c)
+	m["breaker_trips"] = float64(c.BreakerTrips)
+	m["readmissions"] = float64(c.Readmissions)
+}
+
+func intchaosMetrics(m map[string]float64, c CellMetrics) {
+	breakerMetrics(m, c)
+	intMetrics(m, c)
+}
+
+func hotplugMetrics(m map[string]float64, c CellMetrics) {
+	intMetrics(m, c)
+	outageMetrics(m, c)
+	m["attaches"] = float64(c.Attaches)
+	m["removals"] = float64(c.Removals)
+	m["quarantines"] = float64(c.Quarantines)
+	m["ghost_deliveries"] = float64(c.GhostDeliveries)
+	m["early_dma_attempts"] = float64(c.Chaos.Attempts)
+	m["early_dma_landed"] = float64(c.Chaos.Landed)
+}
+
+func tenantMetrics(m map[string]float64, c CellMetrics) {
+	attackMetrics(m, c)
+	m["tenant_checked"] = float64(c.TenantChecked)
+	m["tenant_violations"] = float64(c.TenantViolations)
+	m["cross_tenant"] = float64(c.CrossTenant)
+	for _, reason := range audit.TenantReasons() {
+		m["tviol_"+reason] = float64(c.TenantByReason[reason])
+	}
+	m["s2_hits"] = float64(c.S2Hits)
+	m["s2_misses"] = float64(c.S2Misses)
+	m["s2_faults"] = float64(c.S2Faults)
+	m["s2_cycles"] = float64(c.S2Cycles)
+	m["spoof_blocked"] = float64(c.SpoofBlocked)
+	m["ballooned"] = float64(c.Ballooned)
+	m["throttled"] = float64(c.Throttled)
+	m["tenant_quarantines"] = float64(c.TenantQuarantines)
+	m["hostile_availability"] = c.HostileAvailability
+	m["victim_availability"] = c.VictimAvailability
 }
 
 // MarshalReport renders a Report to the canonical byte form.

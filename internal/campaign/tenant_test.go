@@ -8,23 +8,32 @@ import (
 	"riommu/internal/sim"
 )
 
-func TestParseTenants(t *testing.T) {
-	got, err := ParseTenants(" 2, 4 ")
+// TestParseCounts covers the count-list grammar at the bounds the cores,
+// tenants and churn flags use.
+func TestParseCounts(t *testing.T) {
+	got, err := ParseCounts(" 2, 4 ", "tenants", 2, 512)
 	if err != nil || len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Fatalf("ParseTenants = %v, %v", got, err)
+		t.Fatalf("ParseCounts = %v, %v", got, err)
 	}
-	if got, err := ParseTenants(""); err != nil || got != nil {
-		t.Fatalf("empty ParseTenants = %v, %v", got, err)
+	if got, err := ParseCounts("", "churn", 1, 10_000_000); err != nil || got != nil {
+		t.Fatalf("empty ParseCounts = %v, %v", got, err)
 	}
-	for _, bad := range []string{"1", "513", "x"} {
-		if _, err := ParseTenants(bad); err == nil {
-			t.Errorf("ParseTenants(%q) accepted", bad)
+	for _, tc := range []struct {
+		bad    string
+		lo, hi int
+	}{
+		{"1", 2, 512}, {"513", 2, 512}, {"x", 2, 512},
+		{"0", 1, 10_000_000}, {"-5", 1, 10_000_000}, {"2000,,4000", 1, 10_000_000}, {"10000001", 1, 10_000_000},
+		{"65", 2, 64},
+	} {
+		if _, err := ParseCounts(tc.bad, "axis", tc.lo, tc.hi); err == nil {
+			t.Errorf("ParseCounts(%q) in [%d,%d] accepted", tc.bad, tc.lo, tc.hi)
 		}
 	}
 }
 
 func TestTenantKeyString(t *testing.T) {
-	k := Key{Device: "nic", Mode: sim.Strict, Tenants: 3, TenantScenario: "bdf-spoof"}
+	k := Key{Family: Tenants, Device: "nic", Mode: sim.Strict, N: 3, Scenario: "bdf-spoof"}
 	if got, want := k.String(), "nic/strict/tenants=3/tchaos=bdf-spoof"; got != want {
 		t.Fatalf("Key.String() = %q, want %q", got, want)
 	}
@@ -50,7 +59,7 @@ func TestTenantGridAppended(t *testing.T) {
 		t.Fatalf("appended %d tenant cells, want %d", got, want)
 	}
 	for _, k := range eg[len(bg):] {
-		if k.Tenants != 2 || k.TenantScenario == "" {
+		if k.Family != Tenants || k.N != 2 || k.Scenario == "" {
 			t.Fatalf("appended cell %s is not a tenant cell", k)
 		}
 	}
@@ -97,7 +106,7 @@ func TestTenantCampaignGate(t *testing.T) {
 // metrics — no map-iteration order or allocator address may leak in.
 func TestTenantCellDeterminism(t *testing.T) {
 	run := func() CellMetrics {
-		c, err := tenantCell(sim.RIOMMU, chaos.S2StaleReplay, 1, 18, 2)
+		c, err := tenantCell(Key{Family: Tenants, Device: "nic", Mode: sim.RIOMMU, Scenario: string(chaos.S2StaleReplay), N: 2}, 1, Options{Rounds: 18})
 		if err != nil {
 			t.Fatalf("tenantCell: %v", err)
 		}

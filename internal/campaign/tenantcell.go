@@ -10,6 +10,7 @@ import (
 	"riommu/internal/mem"
 	"riommu/internal/pci"
 	"riommu/internal/sim"
+	"riommu/internal/stats"
 	"riommu/internal/tenant"
 )
 
@@ -42,14 +43,31 @@ type tenantGuest struct {
 	bdf   pci.BDF
 }
 
-// tenantCell runs one hostile-tenant scenario: n guests share one
+// tenantKeys appends, per guest count of at least 2, every hostile-tenant
+// scenario (all of them when TenantChaos is empty) over every presentation
+// mode.
+func tenantKeys(dst []Key, o Options) []Key {
+	tchaos := o.TenantChaos
+	if len(tchaos) == 0 {
+		tchaos = chaos.TenantScenarios()
+	}
+	for _, n := range o.Tenants {
+		if n >= 2 {
+			dst = scenarioKeys(dst, Tenants, n, tchaos, sim.AllModes())
+		}
+	}
+	return dst
+}
+
+// tenantCell runs one hostile-tenant scenario: k.N guests share one
 // hypervisor through nested two-stage translation, every guest pushes NIC
 // traffic each round, and tenant 0 — kernel and all — attacks the
 // blast-radius guarantees through a second device of its own. The tenant
 // oracle judges every stage-2 access against the frame-ownership ledger;
-// the per-tenant guards make sure only the hostile tenant pays.
-func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, rounds, tenants int) (CellMetrics, error) {
-	_ = seed // tenant cells are currently deterministic without injection
+// the per-tenant guards make sure only the hostile tenant pays. Tenant
+// cells inject no faults, so the seed goes unused.
+func tenantCell(k Key, _ uint64, o Options) (CellMetrics, error) {
+	mode, scenario, rounds, tenants := k.Mode, chaos.TenantScenario(k.Scenario), o.Rounds, k.N
 	host, err := tenant.NewHost(64 + 8*uint64(tenants))
 	if err != nil {
 		return CellMetrics{}, err
@@ -139,10 +157,7 @@ func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, round
 	}
 	overreachBase := uint64(tenantGuestPages) << mem.PageShift
 
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
+	payload := nicPayload()
 	for round := 0; round < rounds; round++ {
 		for _, g := range gs {
 			mq := g.mq
@@ -210,10 +225,7 @@ func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, round
 				c.ByReason[r] += orc.ByReason[r]
 			}
 		}
-		for q := 0; q < len(g.mq.Queues); q++ {
-			nic := g.mq.NIC(q)
-			pkts += nic.TxPackets + nic.RxPackets
-		}
+		pkts += mqPackets(g.mq)
 		cyc += g.sys.CPU.Now()
 		c.RecoveryCycles += g.sys.CPU.Total(cycles.Recovery)
 	}
@@ -229,18 +241,14 @@ func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, round
 		c.Readmissions += g.guard.Readmissions
 	}
 	c.BreakerTrips = h0.guard.Breaker.Trips
-	c.HostileAvailability = h0.sup.SLO().Availability(h0.sys.CPU.Now())
+	recordSLO(&c, h0.sup.SLO(), h0.sys.CPU.Now())
+	c.HostileAvailability = c.Availability
 	c.VictimAvailability = 1
 	for _, g := range gs[1:] {
 		if av := g.sup.SLO().Availability(g.sys.CPU.Now()); av < c.VictimAvailability {
 			c.VictimAvailability = av
 		}
 	}
-	slo := h0.sup.SLO()
-	c.Outages = slo.Outages
-	c.DowntimeCycles = slo.DowntimeCycles
-	c.MTTRCycles = slo.MTTRCycles()
-	c.Availability = c.HostileAvailability
 	c.Clock = h0.sys.CPU.Snapshot()
 	return c, nil
 }
@@ -248,6 +256,22 @@ func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, round
 // floodBalloonPages is the hostile balloon burst per round; the host quota
 // admits three bursts per window before throttling.
 const floodBalloonPages = 8
+
+func tenantTable(r Result, cells []int) string {
+	t := stats.NewTable(
+		fmt.Sprintf("Multi-tenant campaign — hostile tenant 0, %d rounds/cell", r.Opts.Rounds),
+		"mode", "scenario", "tenants", "attempts", "contained", "xten", "tviol", "s2miss", "spoofblk", "throttle", "quar", "victim avail", "hostile avail")
+	t.AlignLeft(0).AlignLeft(1)
+	for _, i := range cells {
+		k, c := r.Keys[i], r.Cells[i]
+		t.Row(k.Mode.String(), k.Scenario, k.N, c.Chaos.Attempts,
+			c.Chaos.Contained, c.CrossTenant, c.TenantViolations, c.S2Misses,
+			c.SpoofBlocked, c.Throttled, c.TenantQuarantines,
+			fmt.Sprintf("%.4f", c.VictimAvailability),
+			fmt.Sprintf("%.4f", c.HostileAvailability))
+	}
+	return t.String()
+}
 
 // CrossTenantViolationsGate checks the multi-tenant containment claims and
 // returns one failure message per broken expectation:
@@ -263,7 +287,7 @@ const floodBalloonPages = 8
 func (r Result) CrossTenantViolationsGate() []string {
 	var fails []string
 	for i, k := range r.Keys {
-		if !r.done(i) || k.Tenants == 0 {
+		if !r.done(i) || k.Family != Tenants {
 			continue
 		}
 		c := r.Cells[i]
@@ -282,17 +306,17 @@ func (r Result) CrossTenantViolationsGate() []string {
 		if c.Chaos.Attempts == 0 {
 			fails = append(fails, fmt.Sprintf("%s: hostile tenant never attacked", k))
 		}
-		switch k.TenantScenario {
-		case string(chaos.S2StaleReplay), string(chaos.GPAOverreach), string(chaos.BDFSpoof):
+		switch chaos.TenantScenario(k.Scenario) {
+		case chaos.S2StaleReplay, chaos.GPAOverreach, chaos.BDFSpoof:
 			if c.Chaos.Contained == 0 {
 				fails = append(fails, fmt.Sprintf("%s: no hostile probe was contained", k))
 			}
-		case string(chaos.S2InvFlood):
+		case chaos.S2InvFlood:
 			if c.Throttled == 0 {
 				fails = append(fails, fmt.Sprintf("%s: balloon flood never throttled", k))
 			}
 		}
-		if k.TenantScenario == string(chaos.BDFSpoof) && k.Mode == sim.None && c.SpoofBlocked == 0 {
+		if k.Scenario == string(chaos.BDFSpoof) && k.Mode == sim.None && c.SpoofBlocked == 0 {
 			fails = append(fails, fmt.Sprintf("%s: device directory blocked nothing in the unprotected mode", k))
 		}
 		if c.TenantQuarantines == 0 {

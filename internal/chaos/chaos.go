@@ -16,6 +16,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"riommu/internal/audit"
@@ -52,26 +53,28 @@ func Scenarios() []Scenario {
 
 // Parse parses a comma-separated scenario list; "all" selects every scenario.
 func Parse(s string) ([]Scenario, error) {
+	return ParseList(s, "chaos scenario", Scenarios())
+}
+
+// ParseList parses a comma-separated list of scenarios drawn from all,
+// naming them what in errors; "all" selects every one of them in order.
+func ParseList[S ~string](s, what string, all []S) ([]S, error) {
 	if strings.TrimSpace(s) == "all" {
-		return Scenarios(), nil
+		return all, nil
 	}
-	known := make(map[Scenario]bool)
-	for _, sc := range Scenarios() {
-		known[sc] = true
-	}
-	var out []Scenario
+	var out []S
 	for _, part := range strings.Split(s, ",") {
-		sc := Scenario(strings.TrimSpace(part))
+		sc := S(strings.TrimSpace(part))
 		if sc == "" {
 			continue
 		}
-		if !known[sc] {
-			return nil, fmt.Errorf("chaos: unknown scenario %q", sc)
+		if !slices.Contains(all, sc) {
+			return nil, fmt.Errorf("unknown %s %q", what, sc)
 		}
 		out = append(out, sc)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("chaos: empty scenario list")
+		return nil, fmt.Errorf("empty %s list", what)
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"riommu/internal/dma"
 	"riommu/internal/driver"
@@ -42,28 +41,7 @@ func TenantScenarios() []TenantScenario {
 // ParseTenant parses a comma-separated hostile-tenant scenario list; "all"
 // selects every scenario.
 func ParseTenant(s string) ([]TenantScenario, error) {
-	if strings.TrimSpace(s) == "all" {
-		return TenantScenarios(), nil
-	}
-	known := make(map[TenantScenario]bool)
-	for _, sc := range TenantScenarios() {
-		known[sc] = true
-	}
-	var out []TenantScenario
-	for _, part := range strings.Split(s, ",") {
-		sc := TenantScenario(strings.TrimSpace(part))
-		if sc == "" {
-			continue
-		}
-		if !known[sc] {
-			return nil, fmt.Errorf("chaos: unknown tenant scenario %q", sc)
-		}
-		out = append(out, sc)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("chaos: empty tenant scenario list")
-	}
-	return out, nil
+	return ParseList(s, "tenant scenario", TenantScenarios())
 }
 
 // ErrAttackContained is returned by attack rounds whose every probe the

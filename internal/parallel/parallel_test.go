@@ -176,3 +176,30 @@ func TestInterrupt(t *testing.T) {
 		t.Errorf("run after reset failed: %v", err)
 	}
 }
+
+// TestParseShard covers the -shard flag grammar.
+func TestParseShard(t *testing.T) {
+	for _, tc := range []struct {
+		in         string
+		idx, count int
+		wantErr    bool
+	}{
+		{"", 0, 0, false},
+		{"0/4", 0, 4, false},
+		{"3/4", 3, 4, false},
+		{"4/4", 0, 0, true},
+		{"-1/4", 0, 0, true},
+		{"1", 0, 0, true},
+		{"a/b", 0, 0, true},
+		{"0/0", 0, 0, true},
+	} {
+		idx, count, err := ParseShard(tc.in)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("ParseShard(%q): err=%v, wantErr=%v", tc.in, err, tc.wantErr)
+			continue
+		}
+		if err == nil && (idx != tc.idx || count != tc.count) {
+			t.Errorf("ParseShard(%q) = %d/%d, want %d/%d", tc.in, idx, count, tc.idx, tc.count)
+		}
+	}
+}
