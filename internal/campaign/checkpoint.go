@@ -14,7 +14,7 @@ import (
 // the CellMetrics schema or the fingerprint recipe changes incompatibly; a
 // resume against a checkpoint from another version is refused rather than
 // silently merged.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // Checkpoint is the versioned on-disk record of a partially (or fully)
 // completed campaign grid. Cells maps each completed cell's stable identity
@@ -23,67 +23,30 @@ const CheckpointVersion = 1
 // cycle ledger a freshly-run cell would, and a resumed run can render
 // reports and enforce gates without recomputing anything.
 //
-// The fingerprint pins the grid identity: every Options field that changes
-// which cells exist or what they measure participates, while pure scheduling
-// knobs (Workers, the shard assignment, the checkpoint paths themselves) do
-// not. Resuming with a different seed, rate list, or scenario set is a
-// different campaign and is refused.
+// The fingerprint pins the grid identity: the cells the grid holds and what
+// they measure (seed, rounds, audit), never the scheduling (Workers, the
+// shard assignment, the checkpoint paths themselves). Resuming with a
+// different seed, rate list, count list or scenario set is a different
+// campaign and is refused.
 type Checkpoint struct {
 	Version     int                    `json:"version"`
 	Fingerprint string                 `json:"fingerprint"`
 	Cells       map[string]CellMetrics `json:"cells"`
 }
 
-// fingerprintID is the canonical identity the checkpoint fingerprint hashes:
-// Options minus the scheduling-only fields. Field order is fixed by the
-// struct, so the encoding is stable.
-type fingerprintID struct {
-	Seed        uint64    `json:"seed"`
-	Rates       []float64 `json:"rates"`
-	Modes       []string  `json:"modes"`
-	Rounds      int       `json:"rounds"`
-	Audit       bool      `json:"audit"`
-	Chaos       []string  `json:"chaos"`
-	Cores       []int     `json:"cores"`
-	IntChaos    []string  `json:"intchaos"`
-	Hotplug     []string  `json:"hotplug"`
-	Tenants     []int     `json:"tenants"`
-	TenantChaos []string  `json:"tenantchaos"`
-}
-
 // Fingerprint returns the hex digest identifying this Options' grid, for
-// checkpoint validation. Workers, ShardIndex/ShardCount, and the checkpoint
-// paths are deliberately excluded: any worker count or shard split of the
-// same grid may share (and resume from) the same checkpoint.
+// checkpoint validation: it hashes the seed, the rounds, the audit switch
+// and the identity of every cell Grid enumerates, in grid order. Two
+// spellings of the same grid share a fingerprint; Workers, the shard split
+// and the checkpoint paths never enter it, so any worker count or shard
+// split of the same grid may share (and resume from) the same checkpoint.
 func (o Options) Fingerprint() string {
-	id := fingerprintID{
-		Seed:    o.Seed,
-		Rates:   o.Rates,
-		Rounds:  o.Rounds,
-		Audit:   o.Audit,
-		Cores:   o.Cores,
-		Tenants: o.Tenants,
+	h := sha256.New()
+	fmt.Fprintf(h, "seed=%d rounds=%d audit=%t\n", o.Seed, o.Rounds, o.Audit)
+	for _, k := range o.Grid() {
+		fmt.Fprintln(h, k)
 	}
-	for _, m := range o.Modes {
-		id.Modes = append(id.Modes, m.String())
-	}
-	for _, s := range o.Chaos {
-		id.Chaos = append(id.Chaos, string(s))
-	}
-	for _, s := range o.IntChaos {
-		id.IntChaos = append(id.IntChaos, string(s))
-	}
-	id.Hotplug = append(id.Hotplug, o.Hotplug...)
-	for _, s := range o.TenantChaos {
-		id.TenantChaos = append(id.TenantChaos, string(s))
-	}
-	b, err := json.Marshal(id)
-	if err != nil {
-		// fingerprintID is plain data; Marshal cannot fail on it.
-		panic("campaign: fingerprint marshal: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // LoadCheckpoint reads and validates one checkpoint file against the
@@ -105,7 +68,7 @@ func LoadCheckpoint(path string, opts Options) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint %s: version %d, want %d", path, ck.Version, CheckpointVersion)
 	}
 	if fp := opts.Fingerprint(); ck.Fingerprint != fp {
-		return nil, fmt.Errorf("checkpoint %s: grid fingerprint %.12s does not match these options (%.12s) — different seed/rates/modes/scenarios", path, ck.Fingerprint, fp)
+		return nil, fmt.Errorf("checkpoint %s: grid fingerprint %.12s does not match these options (%.12s) — a different grid, seed, rounds or audit setting", path, ck.Fingerprint, fp)
 	}
 	if ck.Cells == nil {
 		ck.Cells = map[string]CellMetrics{}

@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"riommu/internal/chaos"
 	"riommu/internal/cycles"
 	"riommu/internal/sim"
 )
@@ -167,7 +169,7 @@ func TestCheckpointRejectsMismatchedGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := strings.Replace(string(b), `"version": 1`, `"version": 99`, 1)
+	bad := strings.Replace(string(b), fmt.Sprintf(`"version": %d`, CheckpointVersion), `"version": 99`, 1)
 	if bad == string(b) {
 		t.Fatal("version field not found in checkpoint")
 	}
@@ -176,6 +178,39 @@ func TestCheckpointRejectsMismatchedGrid(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(o.Checkpoint, smallOpts()); err == nil {
 		t.Error("checkpoint accepted with a future version")
+	}
+}
+
+// TestCheckpointFingerprintsTheGrid: a checkpoint belongs to the cells a
+// grid holds, not to how the options spell it. A different churn list is a
+// different grid; naming every tenant scenario spells out the default.
+func TestCheckpointFingerprintsTheGrid(t *testing.T) {
+	write := func(o Options) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "grid.ckpt")
+		if err := newCheckpointer(path, o, nil).record("cell", CellMetrics{}); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	churn := smallOpts()
+	churn.Churn = []int{2000}
+	more := churn
+	more.Churn = []int{4000}
+	if _, err := LoadCheckpoint(write(churn), more); err == nil {
+		t.Error("a -churn 2000 checkpoint accepted by a -churn 4000 grid")
+	}
+	tenants := smallOpts()
+	tenants.Tenants = []int{3}
+	spelled := tenants
+	spelled.TenantChaos = chaos.TenantScenarios()
+	if _, err := LoadCheckpoint(write(tenants), spelled); err != nil {
+		t.Errorf("-tenants 3 checkpoint refused by the same grid spelled with every tenant scenario: %v", err)
+	}
+	reseeded := tenants
+	reseeded.Seed++
+	if _, err := LoadCheckpoint(write(tenants), reseeded); err == nil {
+		t.Error("checkpoint accepted under a different seed")
 	}
 }
 
