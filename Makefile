@@ -85,17 +85,19 @@ hotplug:
 # two-stage translation + per-tenant frame-ownership oracle + tenant-scoped
 # circuit breakers) built with the race detector. The command exits non-zero
 # if any attack crosses a tenant boundary, if the hostile tenant escapes
-# quarantine, or if any victim tenant dips below 100% availability.
+# quarantine, or if any victim tenant dips below 100% availability; the
+# isolation gate also judges the guests' stage-1 audit verdicts.
 tenants:
 	$(GO) run -race ./cmd/riommu-faults \
 		-rounds 30 -rates 0 -modes strict -tenants 3 -tenantchaos all > /dev/null
 
 # traffic is the fleet-scale churn gate: a quick Figure S2 sweep (connection
 # churn x all seven modes x kernel/bypass paths, every cell audited) plus an
-# audited campaign churn axis, built with the race detector. The sweep
-# itself exits non-zero if any cell records an isolation violation; the
-# crossover property (rIOMMU and bypass >= 3x strict goodput at high churn)
-# is pinned by TestFigS2Crossover and the committed golden.
+# audited campaign churn axis, built with the race detector. Each exits
+# non-zero if any cell records an isolation violation (the campaign through
+# its isolation gate); the crossover property (rIOMMU and bypass >= 3x
+# strict goodput at high churn) is pinned by TestFigS2Crossover and the
+# committed golden.
 traffic: build
 	$(GO) run ./cmd/riommu-bench -quality quick -exp figS2 > /dev/null
 	$(GO) run -race ./cmd/riommu-faults \

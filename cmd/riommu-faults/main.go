@@ -24,8 +24,7 @@
 // -chaos adds hostile-device cells (stale replay, overreach, read-only
 // write, invalidation flood, cascade) across all protection modes including
 // the deferred ones, quarantined by the supervisor's circuit breaker.
-// -chaos implies -audit. After an audited run the isolation gate is
-// enforced: any violation in a gap-free mode fails the command.
+// -chaos implies -audit.
 //
 // -tenants adds multi-tenant two-stage cells: for each guest count >= 2,
 // every hostile-tenant scenario (-tenantchaos, default all: stage-2 stale
@@ -56,6 +55,20 @@
 // is consulted. Two runs with the same flags produce identical bytes for
 // any -parallel value, which makes the campaign diffable across code
 // changes.
+//
+// Each gate runs when the grid holds a cell it judges, and prints a verdict
+// only then. The isolation gate judges every audited cell: every cell under
+// -audit, and the chaos, intchaos, hotplug, tenant and churn cells always.
+// Any violation in a gap-free mode outside the fault-injecting and cascade
+// cells fails the command. The interrupt gate judges the -intchaos and
+// -hotplug cells, the cross-tenant gate the -tenants cells.
+//
+// -checkpoint FILE flushes every completed cell to FILE and restores the
+// cells already there on a rerun; -shard i/K computes every K-th cell into
+// it. The checkpoint is fingerprinted by the grid: the seed, -rounds,
+// -audit and the identity of every cell. A rerun whose grid differs is
+// refused, while two spellings of the same grid (-tenants 3 with or without
+// -tenantchaos all) share one checkpoint.
 //
 // SIGINT/SIGTERM stop the campaign cooperatively: in-flight cells finish,
 // the partial -json report is flushed with "interrupted": true, and the
@@ -297,35 +310,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "riommu-faults: wrote %s\n", *jsonOut)
 	}
 
-	if *auditOn {
-		if fails := res.AuditViolationsGate(); len(fails) != 0 {
-			for _, f := range fails {
-				fmt.Fprintln(stderr, "riommu-faults: isolation gate:", f)
-			}
-			fmt.Fprintf(stderr, "riommu-faults: isolation gate failed (%d violation(s))\n", len(fails))
-			return 1
-		}
-		fmt.Fprintln(stderr, "riommu-faults: isolation gate passed")
+	// A gate runs when the grid holds a cell it judges.
+	var audited, intCells, tenantCells bool
+	for i, k := range res.Keys {
+		audited = audited || res.Cells[i].Audited
+		intCells = intCells || k.Family == campaign.IntChaos || k.Family == campaign.Hotplug
+		tenantCells = tenantCells || k.Family == campaign.Tenants
 	}
-	if len(intScenarios) > 0 || len(plugScenarios) > 0 {
-		if fails := res.IntremapViolationsGate(); len(fails) != 0 {
+	for _, g := range []struct {
+		name  string
+		run   bool
+		fails func() []string
+	}{
+		{"isolation", audited, res.AuditViolationsGate},
+		{"interrupt", intCells, res.IntremapViolationsGate},
+		{"cross-tenant", tenantCells, res.CrossTenantViolationsGate},
+	} {
+		if !g.run {
+			continue
+		}
+		if fails := g.fails(); len(fails) != 0 {
 			for _, f := range fails {
-				fmt.Fprintln(stderr, "riommu-faults: interrupt gate:", f)
+				fmt.Fprintf(stderr, "riommu-faults: %s gate: %s\n", g.name, f)
 			}
-			fmt.Fprintf(stderr, "riommu-faults: interrupt gate failed (%d violation(s))\n", len(fails))
+			fmt.Fprintf(stderr, "riommu-faults: %s gate failed (%d violation(s))\n", g.name, len(fails))
 			return 1
 		}
-		fmt.Fprintln(stderr, "riommu-faults: interrupt gate passed")
-	}
-	if len(tenants) > 0 {
-		if fails := res.CrossTenantViolationsGate(); len(fails) != 0 {
-			for _, f := range fails {
-				fmt.Fprintln(stderr, "riommu-faults: cross-tenant gate:", f)
-			}
-			fmt.Fprintf(stderr, "riommu-faults: cross-tenant gate failed (%d violation(s))\n", len(fails))
-			return 1
-		}
-		fmt.Fprintln(stderr, "riommu-faults: cross-tenant gate passed")
+		fmt.Fprintf(stderr, "riommu-faults: %s gate passed\n", g.name)
 	}
 	return 0
 }

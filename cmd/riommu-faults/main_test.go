@@ -250,6 +250,23 @@ func TestShardedGridRenders(t *testing.T) {
 	}
 }
 
+// TestChurnRunIsGated: churn cells are always audited, so a -churn run
+// without -audit still enforces the isolation gate, and prints no verdict
+// for the gates that have no cell to judge.
+func TestChurnRunIsGated(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-rounds", "8", "-rates", "0", "-modes", "strict", "-churn", "2000", "-parallel", "1"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "isolation gate passed") {
+		t.Errorf("isolation gate verdict missing from stderr:\n%s", errb.String())
+	}
+	if strings.Contains(errb.String(), "interrupt gate") || strings.Contains(errb.String(), "cross-tenant gate") {
+		t.Errorf("verdict printed for a gate with no cell to judge:\n%s", errb.String())
+	}
+}
+
 // TestBadChaosFlag: unknown scenarios are a usage error.
 func TestBadChaosFlag(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -244,6 +244,11 @@ func TestAuditViolationsGateCatches(t *testing.T) {
 	if fails := rated.AuditViolationsGate(); len(fails) != 0 {
 		t.Errorf("fault-injection cell wrongly gated: %v", fails)
 	}
+	churn := mk(Key{Family: Churn, Device: "nic", Mode: sim.RIOMMU, N: 2000},
+		CellMetrics{Audited: true, Violations: 1})
+	if fails := churn.AuditViolationsGate(); len(fails) != 1 {
+		t.Errorf("churn-cell violation not flagged: %v", fails)
+	}
 	overreachBase := mk(Key{Family: Chaos, Device: "nic", Mode: sim.Strict, Scenario: string(chaos.Overreach)},
 		CellMetrics{Audited: true, Violations: 5, ByReason: map[string]uint64{audit.ReasonBounds: 5}})
 	if fails := overreachBase.AuditViolationsGate(); len(fails) != 0 {
