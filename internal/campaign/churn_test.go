@@ -70,3 +70,18 @@ func TestChurnCells(t *testing.T) {
 		t.Fatalf("render missing churn table:\n%s", text)
 	}
 }
+
+func TestParseChurn(t *testing.T) {
+	if got, err := ParseCounts("", "churn", 1, 10_000_000); err != nil || got != nil {
+		t.Errorf("ParseCounts(\"\", churn) = %v, %v; want nil, nil", got, err)
+	}
+	got, err := ParseCounts("2000, 500000", "churn", 1, 10_000_000)
+	if err != nil || len(got) != 2 || got[0] != 2000 || got[1] != 500000 {
+		t.Errorf("ParseCounts(\"2000, 500000\", churn) = %v, %v", got, err)
+	}
+	for _, bad := range []string{"0", "-5", "x", "2000,,4000", "10000001"} {
+		if _, err := ParseCounts(bad, "churn", 1, 10_000_000); err == nil {
+			t.Errorf("ParseCounts(%q, churn) succeeded, want error", bad)
+		}
+	}
+}

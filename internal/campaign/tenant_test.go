@@ -8,26 +8,34 @@ import (
 	"riommu/internal/sim"
 )
 
-// TestParseCounts covers the count-list grammar at the bounds the cores,
-// tenants and churn flags use.
+// TestParseCounts covers the count-list grammar shared by the cores,
+// tenants and churn flags, at the bounds the cores flag uses.
 func TestParseCounts(t *testing.T) {
-	got, err := ParseCounts(" 2, 4 ", "tenants", 2, 512)
-	if err != nil || len(got) != 2 || got[0] != 2 || got[1] != 4 {
+	got, err := ParseCounts("2, 64", "cores", 2, 64)
+	if err != nil || len(got) != 2 || got[0] != 2 || got[1] != 64 {
 		t.Fatalf("ParseCounts = %v, %v", got, err)
 	}
-	if got, err := ParseCounts("", "churn", 1, 10_000_000); err != nil || got != nil {
-		t.Fatalf("empty ParseCounts = %v, %v", got, err)
+	for _, bad := range []string{"1", "65", "x", "2,,4"} {
+		_, err := ParseCounts(bad, "cores", 2, 64)
+		if err == nil {
+			t.Errorf("ParseCounts(%q) in [2,64] accepted", bad)
+		} else if !strings.Contains(err.Error(), "cores") {
+			t.Errorf("ParseCounts(%q) error %q does not name the axis", bad, err)
+		}
 	}
-	for _, tc := range []struct {
-		bad    string
-		lo, hi int
-	}{
-		{"1", 2, 512}, {"513", 2, 512}, {"x", 2, 512},
-		{"0", 1, 10_000_000}, {"-5", 1, 10_000_000}, {"2000,,4000", 1, 10_000_000}, {"10000001", 1, 10_000_000},
-		{"65", 2, 64},
-	} {
-		if _, err := ParseCounts(tc.bad, "axis", tc.lo, tc.hi); err == nil {
-			t.Errorf("ParseCounts(%q) in [%d,%d] accepted", tc.bad, tc.lo, tc.hi)
+}
+
+func TestParseTenants(t *testing.T) {
+	got, err := ParseCounts(" 2, 4 ", "tenants", 2, 512)
+	if err != nil || len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Fatalf("ParseCounts(tenants) = %v, %v", got, err)
+	}
+	if got, err := ParseCounts("", "tenants", 2, 512); err != nil || got != nil {
+		t.Fatalf("empty ParseCounts(tenants) = %v, %v", got, err)
+	}
+	for _, bad := range []string{"1", "513", "x"} {
+		if _, err := ParseCounts(bad, "tenants", 2, 512); err == nil {
+			t.Errorf("ParseCounts(%q, tenants) accepted", bad)
 		}
 	}
 }
