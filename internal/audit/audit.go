@@ -92,10 +92,10 @@ func (v Violation) String() string {
 		v.Mode, v.Reason, v.BDF, v.IOVA, v.Size, v.Dir, v.Cycle)
 }
 
-// retiredCap bounds the per-device tombstone history. It comfortably covers
-// a full deferred-invalidation batch (250) plus the in-flight ring churn, so
-// every access inside the defer window classifies as stale rather than
-// unmapped.
+// retiredCap is the least number of a device's newest tombstones the
+// oracle keeps (see device.retire). It comfortably covers a full
+// deferred-invalidation batch (250) plus the in-flight ring churn, so every
+// access inside the defer window classifies as stale rather than unmapped.
 const retiredCap = 1024
 
 // maxEvents bounds the recorded Violation events; totals keep counting past
@@ -113,17 +113,14 @@ type Oracle struct {
 	// outside the oracle's live set without being a protection failure.
 	passThrough bool
 
-	// live files each device's live mappings under every IOVA page they
-	// span, so the mapping containing an address, or the one based at it,
-	// is a map lookup away. Live mappings never share a byte, but sub-page
-	// buffers from two IOVA allocators can share a page: a hot-attached
-	// driver gets a fresh allocator while the detached instance's buffers
-	// are still mapped. live holds the first mapping filed under a page and
-	// shared every later one, in filing order; shared stays nil until a
-	// page is shared.
-	live    map[pci.BDF]map[uint64]*Mapping
-	shared  map[devPage][]*Mapping
-	retired map[pci.BDF][]Retired
+	// devs holds one record per device that has mapped, so each call
+	// looks its device up once. Lookups never add a record. The key is the
+	// BDF widened to 32 bits, which the runtime hashes on its fast path
+	// for 4-byte keys rather than its generic one for 2-byte keys.
+	devs map[uint32]*device
+	// spare holds the mapping records unmap and duplicate-base retirement
+	// released (their tombstones keep a copy), for OnMap to reuse.
+	spare []*Mapping
 
 	// Aggregate counters. Checked counts verified DMA chunks; Violations
 	// counts every breach (Events holds only the first maxEvents).
@@ -140,14 +137,31 @@ type Oracle struct {
 	LiveNow, LivePeak int
 }
 
+// device is the oracle's record of one device: its live mappings, indexed
+// by IOVA page, and its tombstones.
+type device struct {
+	// live files the device's live mappings under every IOVA page they
+	// span, so the mapping containing an address, or the one based at it,
+	// is a map lookup away. Live mappings never share a byte, but sub-page
+	// buffers from two IOVA allocators can share a page: a hot-attached
+	// driver gets a fresh allocator while the detached instance's buffers
+	// are still mapped. live holds the first mapping filed under a page and
+	// shared every later one, in filing order; shared stays nil until a
+	// page is shared.
+	live   map[uint64]*Mapping
+	shared map[uint64][]*Mapping
+
+	// retired holds the device's tombstones, oldest first (see retire).
+	retired []Retired
+}
+
 // NewOracle creates an oracle for a system in the named protection mode.
 // clk is read (never charged) to stamp events with the offending cycle.
 func NewOracle(mode string, clk *cycles.Clock) *Oracle {
 	return &Oracle{
 		mode:     mode,
 		clk:      clk,
-		live:     make(map[pci.BDF]map[uint64]*Mapping),
-		retired:  make(map[pci.BDF][]Retired),
+		devs:     make(map[uint32]*device),
 		ByReason: make(map[string]uint64),
 	}
 }
@@ -159,17 +173,31 @@ func (o *Oracle) Mode() string { return o.mode }
 // unprotected none/hwpt/swpt configurations, which never map anything).
 func (o *Oracle) SetPassThrough(v bool) { o.passThrough = v }
 
+// lookup returns bdf's record, or nil if the device never mapped.
+func (o *Oracle) lookup(bdf pci.BDF) *device { return o.devs[uint32(bdf)] }
+
+// device returns bdf's record, adding one if the device has none.
+func (o *Oracle) device(bdf pci.BDF) *device {
+	d := o.lookup(bdf)
+	if d == nil {
+		d = &device{live: make(map[uint64]*Mapping)}
+		o.devs[uint32(bdf)] = d
+	}
+	return d
+}
+
 // OnMap mirrors a successful driver map. A duplicate base IOVA retires the
 // previous mapping first (defensive: a best-effort device recovery can lose
 // an unmap).
 func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	o.Maps++
-	if old := o.base(bdf, iova); old != nil {
-		o.unfile(old)
-		o.retire(bdf, old)
-		o.LiveNow--
+	d := o.device(bdf)
+	if old := d.base(iova); old != nil {
+		o.release(d, old)
 	}
-	o.file(&Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()})
+	m := o.newMapping()
+	*m = Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()}
+	d.file(m)
 	o.LiveNow++
 	if o.LiveNow > o.LivePeak {
 		o.LivePeak = o.LiveNow
@@ -179,27 +207,49 @@ func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci
 // OnUnmap mirrors a successful driver unmap of the mapping based at iova.
 func (o *Oracle) OnUnmap(bdf pci.BDF, iova uint64) {
 	o.Unmaps++
-	m := o.base(bdf, iova)
+	d := o.lookup(bdf)
+	m := d.base(iova)
 	if m == nil {
 		o.UnmapMisses++
 		return
 	}
-	o.unfile(m)
-	o.LiveNow--
-	o.retire(bdf, m)
+	o.release(d, m)
 }
 
-func (o *Oracle) retire(bdf pci.BDF, m *Mapping) {
-	r := append(o.retired[bdf], Retired{Mapping: *m, UnmapCycle: o.clk.Now()})
+// newMapping returns a released record, or a new one if none is left.
+func (o *Oracle) newMapping() *Mapping {
+	n := len(o.spare)
+	if n == 0 {
+		return new(Mapping)
+	}
+	m := o.spare[n-1]
+	o.spare = o.spare[:n-1]
+	return m
+}
+
+// release takes the live mapping m out of d's index, files its tombstone
+// and keeps the record for OnMap to reuse.
+func (o *Oracle) release(d *device, m *Mapping) {
+	d.unfile(m)
+	d.retire(m, o.clk.Now())
+	o.spare = append(o.spare, m)
+	o.LiveNow--
+}
+
+// retire files m's tombstone, unmapped at cycle now.
+func (d *device) retire(m *Mapping, now uint64) {
+	r := append(d.retired, Retired{Mapping: *m, UnmapCycle: now})
 	// Compact lazily, at twice the cap, so a teardown that retires a whole
 	// ring (8K mlx Rx buffers) pays a handful of copies rather than one
-	// full-window copy per unmap. Readers only ever need the newest
+	// full-window copy per unmap. The newest retiredCap entries move down
+	// in place, so once the slice has grown to 2*retiredCap entries,
+	// retiring allocates nothing. Readers only ever need the newest
 	// retiredCap entries; the slack between cap and 2*cap just widens the
 	// stale-classification window, which errs on the informative side.
 	if len(r) >= 2*retiredCap {
-		r = append(r[:0:0], r[len(r)-retiredCap:]...)
+		r = r[:copy(r, r[len(r)-retiredCap:])]
 	}
-	o.retired[bdf] = r
+	d.retired = r
 }
 
 // OnInvalidate mirrors a hardware-level invalidation (an IOTLB entry for the
@@ -220,12 +270,14 @@ func (o *Oracle) VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir
 	if o.passThrough {
 		return
 	}
-	o.judge(o.find(bdf, iova), bdf, iova, pa, size, dir)
+	d := o.lookup(bdf)
+	o.judge(d, d.find(iova), bdf, iova, pa, size, dir)
 }
 
-// judge records the verdict on a chunk whose first byte lies in the live
-// mapping m, or in none when m is nil.
-func (o *Oracle) judge(m *Mapping, bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
+// judge records the verdict on a chunk of device d (nil if it never
+// mapped) whose first byte lies in the live mapping m, or in none when m is
+// nil.
+func (o *Oracle) judge(d *device, m *Mapping, bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	if m != nil {
 		switch {
 		case !m.Dir.Allows(dir):
@@ -239,7 +291,7 @@ func (o *Oracle) judge(m *Mapping, bdf pci.BDF, iova uint64, pa mem.PA, size uin
 	}
 	// No live mapping contains the start: a stale translation if the oracle
 	// recently retired one there, wild otherwise.
-	if r := o.findRetired(bdf, iova); r != nil {
+	if r := d.findRetired(iova); r != nil {
 		o.violate(Violation{
 			Reason: ReasonStale, BDF: bdf, IOVA: iova, Size: size, Dir: dir,
 			StaleCycles: o.clk.Now() - r.UnmapCycle,
@@ -250,8 +302,11 @@ func (o *Oracle) judge(m *Mapping, bdf pci.BDF, iova uint64, pa mem.PA, size uin
 }
 
 // findRetired returns the most recently retired mapping containing iova.
-func (o *Oracle) findRetired(bdf pci.BDF, iova uint64) *Retired {
-	r := o.retired[bdf]
+func (d *device) findRetired(iova uint64) *Retired {
+	if d == nil {
+		return nil
+	}
+	r := d.retired
 	for i := len(r) - 1; i >= 0; i-- {
 		if iova >= r[i].IOVA && iova < r[i].IOVA+uint64(r[i].Size) {
 			return &r[i]
@@ -276,11 +331,11 @@ func (o *Oracle) violate(v Violation) {
 // OnMap retires a duplicate base, so base IOVAs are unique per device and
 // the selection cannot depend on map iteration order.
 func (o *Oracle) LiveFirst(bdf pci.BDF, n int, keep func(Mapping) bool) []Mapping {
-	dev := o.live[bdf]
-	if len(dev) == 0 || n <= 0 {
+	d := o.lookup(bdf)
+	if d == nil || len(d.live) == 0 || n <= 0 {
 		return nil
 	}
-	out := make([]Mapping, 0, min(n, len(dev)))
+	out := make([]Mapping, 0, min(n, len(d.live)))
 	pick := func(page uint64, m *Mapping) {
 		// A mapping sits in the index once per page it spans; count it
 		// only at its base page.
@@ -299,15 +354,12 @@ func (o *Oracle) LiveFirst(bdf pci.BDF, n int, keep func(Mapping) bool) []Mappin
 			out[i-1], out[i] = out[i], out[i-1]
 		}
 	}
-	for page, m := range dev {
+	for page, m := range d.live {
 		pick(page, m)
 	}
-	for k, ms := range o.shared {
-		if k.bdf != bdf {
-			continue
-		}
+	for page, ms := range d.shared {
 		for _, m := range ms {
-			pick(k.page, m)
+			pick(page, m)
 		}
 	}
 	return out
@@ -315,7 +367,10 @@ func (o *Oracle) LiveFirst(bdf pci.BDF, n int, keep func(Mapping) bool) []Mappin
 
 // RecentRetired returns up to n tombstones, newest first.
 func (o *Oracle) RecentRetired(bdf pci.BDF, n int) []Retired {
-	r := o.retired[bdf]
+	var r []Retired
+	if d := o.lookup(bdf); d != nil {
+		r = d.retired
+	}
 	if n > len(r) {
 		n = len(r)
 	}
@@ -326,12 +381,6 @@ func (o *Oracle) RecentRetired(bdf pci.BDF, n int) []Retired {
 	return out
 }
 
-// devPage names one IOVA page of one device.
-type devPage struct {
-	bdf  pci.BDF
-	page uint64
-}
-
 // pageSpan returns the first and last IOVA page of a mapping; a zero-size
 // mapping is filed under its base page.
 func pageSpan(m *Mapping) (first, last uint64) {
@@ -339,62 +388,57 @@ func pageSpan(m *Mapping) (first, last uint64) {
 }
 
 // file adds m to the live index under every page it spans.
-func (o *Oracle) file(m *Mapping) {
-	dev := o.live[m.BDF]
-	if dev == nil {
-		dev = make(map[uint64]*Mapping)
-		o.live[m.BDF] = dev
-	}
+func (d *device) file(m *Mapping) {
 	first, last := pageSpan(m)
 	for p := first; p <= last; p++ {
-		if dev[p] == nil {
-			dev[p] = m
+		if d.live[p] == nil {
+			d.live[p] = m
 			continue
 		}
-		if o.shared == nil {
-			o.shared = make(map[devPage][]*Mapping)
+		if d.shared == nil {
+			d.shared = make(map[uint64][]*Mapping)
 		}
-		k := devPage{m.BDF, p}
-		o.shared[k] = append(o.shared[k], m)
+		d.shared[p] = append(d.shared[p], m)
 	}
 }
 
 // unfile removes m from every page it spans. Where m held a shared page's
 // live slot, the oldest shared mapping takes it over.
-func (o *Oracle) unfile(m *Mapping) {
-	dev := o.live[m.BDF]
+func (d *device) unfile(m *Mapping) {
 	first, last := pageSpan(m)
 	for p := first; p <= last; p++ {
-		k := devPage{m.BDF, p}
-		rest := o.shared[k]
+		rest := d.shared[p]
 		i := 0
-		if dev[p] == m {
+		if d.live[p] == m {
 			if len(rest) == 0 {
-				delete(dev, p)
+				delete(d.live, p)
 				continue
 			}
-			dev[p] = rest[0]
+			d.live[p] = rest[0]
 		} else {
 			for rest[i] != m { // m is filed under every page it spans
 				i++
 			}
 		}
 		if len(rest) == 1 {
-			delete(o.shared, k)
+			delete(d.shared, p)
 		} else {
-			o.shared[k] = append(rest[:i], rest[i+1:]...)
+			d.shared[p] = append(rest[:i], rest[i+1:]...)
 		}
 	}
 }
 
-// find returns the live mapping of bdf containing iova, or nil.
-func (o *Oracle) find(bdf pci.BDF, iova uint64) *Mapping {
+// find returns the live mapping containing iova, or nil.
+func (d *device) find(iova uint64) *Mapping {
+	if d == nil {
+		return nil
+	}
 	p := iova >> mem.PageShift
-	m := o.live[bdf][p]
+	m := d.live[p]
 	if m == nil || m.contains(iova) {
 		return m
 	}
-	for _, s := range o.shared[devPage{bdf, p}] {
+	for _, s := range d.shared[p] {
 		if s.contains(iova) {
 			return s
 		}
@@ -402,14 +446,17 @@ func (o *Oracle) find(bdf pci.BDF, iova uint64) *Mapping {
 	return nil
 }
 
-// base returns the live mapping of bdf based exactly at iova, or nil.
-func (o *Oracle) base(bdf pci.BDF, iova uint64) *Mapping {
+// base returns the live mapping based exactly at iova, or nil.
+func (d *device) base(iova uint64) *Mapping {
+	if d == nil {
+		return nil
+	}
 	p := iova >> mem.PageShift
-	m := o.live[bdf][p]
+	m := d.live[p]
 	if m == nil || m.IOVA == iova {
 		return m
 	}
-	for _, s := range o.shared[devPage{bdf, p}] {
+	for _, s := range d.shared[p] {
 		if s.IOVA == iova {
 			return s
 		}

@@ -149,18 +149,22 @@ func TestLiveFirstDeterministic(t *testing.T) {
 
 func TestRetiredHistoryBounded(t *testing.T) {
 	o, _ := newTestOracle()
-	for i := 0; i < 3*retiredCap; i++ {
-		iova := uint64(0x1000 + 0x1000*i)
+	iovaOf := func(i int) uint64 { return uint64(0x1000 + 0x1000*i) }
+	for total := 1; total <= 3*retiredCap+1; total++ {
+		iova := iovaOf(total - 1)
 		o.OnMap(bdf, iova, mem.PA(iova), 512, pci.DirBidi)
 		o.OnUnmap(bdf, iova)
-	}
-	if got := len(o.retired[bdf]); got > retiredCap {
-		t.Fatalf("retired history %d exceeds cap %d", got, retiredCap)
-	}
-	// The newest tombstone is still the most recent unmap.
-	last := o.RecentRetired(bdf, 1)
-	if len(last) != 1 || last[0].IOVA != uint64(0x1000+0x1000*(3*retiredCap-1)) {
-		t.Fatalf("newest tombstone wrong: %+v", last)
+		// The window holds at least the newest min(total, retiredCap)
+		// tombstones and never 2*retiredCap, newest first.
+		got := o.RecentRetired(bdf, 2*retiredCap)
+		if lo := min(total, retiredCap); len(got) < lo || len(got) > 2*retiredCap-1 {
+			t.Fatalf("after %d retires the window holds %d tombstones, want %d to %d", total, len(got), lo, 2*retiredCap-1)
+		}
+		for i, r := range got {
+			if want := iovaOf(total - 1 - i); r.IOVA != want {
+				t.Fatalf("after %d retires tombstone %d is %#x, want %#x", total, i, r.IOVA, want)
+			}
+		}
 	}
 }
 

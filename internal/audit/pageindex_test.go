@@ -63,7 +63,7 @@ func (o *scanOracle) retireScan(bdf pci.BDF, m *Mapping) {
 	if m == o.lastHit {
 		o.lastHit = nil
 	}
-	o.retire(bdf, m)
+	o.device(bdf).retire(m, o.clk.Now())
 }
 
 func (o *scanOracle) VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
@@ -85,7 +85,7 @@ func (o *scanOracle) VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32,
 			o.lastBDF, o.lastHit = bdf, m
 		}
 	}
-	o.judge(m, bdf, iova, pa, size, dir)
+	o.judge(o.lookup(bdf), m, bdf, iova, pa, size, dir)
 }
 
 // liveSorted copies and sorts the device's whole live set by base IOVA.
@@ -144,8 +144,8 @@ func equivSlots(rng *rand.Rand) []slot {
 
 var equivDirs = []pci.Dir{pci.DirToDevice, pci.DirFromDevice, pci.DirBidi}
 
-// compareOracles fails the test unless the page-indexed oracle and the
-// scan reference agree on every counter and event.
+// compareOracles fails the test unless the oracle and a test-only
+// reference agree on every counter and event.
 func compareOracles(t *testing.T, seed int64, step int, got, want *Oracle) {
 	t.Helper()
 	type counters struct {
@@ -155,10 +155,10 @@ func compareOracles(t *testing.T, seed int64, step int, got, want *Oracle) {
 	g := counters{got.Checked, got.Violations, got.Maps, got.Unmaps, got.UnmapMisses, got.LiveNow, got.LivePeak}
 	w := counters{want.Checked, want.Violations, want.Maps, want.Unmaps, want.UnmapMisses, want.LiveNow, want.LivePeak}
 	if g != w {
-		t.Fatalf("seed %d step %d: counters %+v, scan reference %+v", seed, step, g, w)
+		t.Fatalf("seed %d step %d: counters %+v, reference %+v", seed, step, g, w)
 	}
 	if !reflect.DeepEqual(got.ByReason, want.ByReason) {
-		t.Fatalf("seed %d step %d: ByReason %v, scan reference %v", seed, step, got.ByReason, want.ByReason)
+		t.Fatalf("seed %d step %d: ByReason %v, reference %v", seed, step, got.ByReason, want.ByReason)
 	}
 	if !reflect.DeepEqual(got.Events, want.Events) {
 		t.Fatalf("seed %d step %d: Events differ\n got %+v\nwant %+v", seed, step, got.Events, want.Events)
@@ -319,8 +319,8 @@ func TestHotplugSharedPage(t *testing.T) {
 		if o.ByReason[ReasonStale] != 2 || o.Violations != 2 {
 			t.Fatalf("unmapped buffers: ByReason %v, want 2 stale", o.ByReason)
 		}
-		if o.LiveNow != 0 || o.UnmapMisses != 0 || len(o.live[bdf]) != 0 || len(o.shared) != 0 {
-			t.Fatalf("index not empty after both unmaps: LiveNow=%d misses=%d live=%v shared=%v", o.LiveNow, o.UnmapMisses, o.live[bdf], o.shared)
+		if d := o.lookup(bdf); o.LiveNow != 0 || o.UnmapMisses != 0 || len(d.live) != 0 || len(d.shared) != 0 {
+			t.Fatalf("index not empty after both unmaps: LiveNow=%d misses=%d live=%v shared=%v", o.LiveNow, o.UnmapMisses, d.live, d.shared)
 		}
 	}
 }

@@ -365,6 +365,61 @@ func BenchmarkOracleVerify(b *testing.B) {
 	}
 }
 
+// oracleChurnBDF is the second device of the oracle's map/unmap benchmark.
+var oracleChurnBDF = pci.NewBDF(0, 4, 0)
+
+// oracleChurnRing is the Rx ring length of the map/unmap benchmark.
+const oracleChurnRing = 512
+
+// newOracleChurn returns an audit oracle holding a full Rx ring of 2 KiB
+// buffers, each on its own IOVA page, on each of two devices. It has
+// already mirrored 6*1024 refills, 3*1024 retires per device: past the
+// 2*1024 at which a device's tombstone slice stops growing, so the oracle
+// is in its steady state, and a whole number of turns of both rings, so
+// refill 0 comes next.
+func newOracleChurn() *audit.Oracle {
+	orc := audit.NewOracle("strict", &cycles.Clock{})
+	for _, bdf := range []pci.BDF{oracleBDF, oracleChurnBDF} {
+		for e := uint64(0); e < oracleChurnRing; e++ {
+			orc.OnMap(bdf, oracleBufIOVA+e<<mem.PageShift, mem.PA(0x100_0000+e<<mem.PageShift), 2048, pci.DirFromDevice)
+		}
+	}
+	for i := uint64(0); i < 6*1024; i++ {
+		rotateOracleRing(orc, i)
+	}
+	return orc
+}
+
+// rotateOracleRing mirrors refill i of the Rx rings: it unmaps a ring
+// slot's buffer and maps a fresh one there, alternating between the two
+// devices so that each refill looks its device up.
+func rotateOracleRing(orc *audit.Oracle, i uint64) {
+	bdf := oracleBDF
+	if i%2 == 1 {
+		bdf = oracleChurnBDF
+	}
+	e := i / 2 % oracleChurnRing
+	iova := oracleBufIOVA + e<<mem.PageShift
+	orc.OnUnmap(bdf, iova)
+	orc.OnMap(bdf, iova, mem.PA(0x100_0000+e<<mem.PageShift), 2048, pci.DirFromDevice)
+}
+
+// BenchmarkOracleMapUnmap times the audit oracle's mirror of one Rx
+// refill, an unmap and a map, on 512-entry rings: the churn every received
+// packet and every ring recovery sends through the oracle.
+func BenchmarkOracleMapUnmap(b *testing.B) {
+	orc := newOracleChurn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rotateOracleRing(orc, uint64(i))
+	}
+	b.StopTimer()
+	if orc.LiveNow != 2*oracleChurnRing || orc.UnmapMisses != 0 {
+		b.Fatalf("churn lost track of the rings: %d live, %d unmap misses", orc.LiveNow, orc.UnmapMisses)
+	}
+}
+
 // TestHotPathAllocs pins the steady-state translation hot paths at zero
 // allocations per operation: a regression here silently costs wall-clock
 // across every experiment, so it hard-fails CI (satellite 3, PR 4).
@@ -496,6 +551,26 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		if orc.ByReason[audit.ReasonStale] == 0 || orc.ByReason[audit.ReasonUnmapped] == 0 {
 			t.Errorf("misses not judged stale and unmapped: %v", orc.ByReason)
+		}
+	})
+
+	t.Run("oracle-map-unmap", func(t *testing.T) {
+		orc := newOracleChurn()
+		var i uint64
+		// Each device's tombstones are cut once per 2*1024 refills of both
+		// rings, so count whole batches of that many: a cut that allocates
+		// would average out below one object per pair.
+		const batch = 2 * 1024
+		if n := testing.AllocsPerRun(4, func() {
+			for k := 0; k < batch; k++ {
+				rotateOracleRing(orc, i)
+				i++
+			}
+		}); n != 0 {
+			t.Errorf("oracle unmap+map allocates %.0f objects per %d pairs, want 0", n, batch)
+		}
+		if orc.LiveNow != 2*oracleChurnRing || orc.UnmapMisses != 0 {
+			t.Errorf("churn lost track of the rings: %d live, %d unmap misses", orc.LiveNow, orc.UnmapMisses)
 		}
 	})
 
