@@ -160,7 +160,7 @@ campaign-json: build
 alloc-check:
 	$(GO) test -run TestHotPathAllocs -count=1 .
 
-# perfbench-check runs the repository benchmark's own tests, then two short
+# perfbench-check runs the repository benchmark's own tests, then four short
 # runs, and fails unless each run's result line reports every simulated
 # output correct and an alloc_mb under the run's ceiling:
 #   - churn-audited (the map/unmap storm under the audit oracle), 40 MB. It
@@ -170,9 +170,15 @@ alloc-check:
 #   - fault-grid (the audited campaign grid with every cell family),
 #     200 MB. It allocates 164-172 MB, moving with collection timing; the
 #     copied tombstone windows and per-map records allocated ~340 MB.
+#   - paper-quick (every experiment at Quick quality), 450 MB. Three 5 s runs
+#     allocated 408.6-418.1 MB. Rebuilding the worlds of the 82 cells one
+#     RunAll call repeats, instead of taking them from its cell memo,
+#     allocated 492.5-500.2 MB over three runs.
+#   - churn-raw (the churn worlds unaudited), 32 MB. Three 5 s runs
+#     allocated 29.42 MB each.
 perfbench-check:
 	cd perfbench && $(GO) test ./...
-	@for run in churn-audited:40 fault-grid:200; do \
+	@for run in churn-audited:40 fault-grid:200 paper-quick:450 churn-raw:32; do \
 		w="$${run%%:*}"; max="$${run##*:}"; \
 		last="$$(bash perfbench/run.sh --workload "$$w" --seconds 5 --trace 0 | tail -n 1)"; \
 		echo "$$last"; \

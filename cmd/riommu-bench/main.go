@@ -3,7 +3,9 @@
 //
 // Usage:
 //
-//	riommu-bench [-quality quick|full] [-parallel N] [-json FILE] [-list] [-exp id[,id...]]
+//	riommu-bench [-quality quick|full] [-parallel N] [-exp id[,id...]] [-json FILE]
+//	             [-csv DIR] [-shard i/K] [-cpuprofile FILE] [-memprofile FILE] [-list]
+//	riommu-bench -merge FILE[,FILE...] -json FILE
 //
 // With no -exp, every registered experiment runs in order. Output is the
 // paper-style rendering of each table/figure, with the paper's own numbers
@@ -12,11 +14,16 @@
 // -parallel N fans each experiment's cell grid across N workers (default:
 // GOMAXPROCS; -parallel 1 forces the legacy serial path). Results are merged
 // in grid order, so stdout and -json output are byte-identical for any
-// worker count. Per-experiment wall-clock timing goes to stderr only, to
-// keep stdout deterministic.
+// worker count. Per-experiment wall-clock timing, with the number of cells
+// each experiment reused from an earlier one of the same run, goes to stderr
+// only, to keep stdout deterministic.
 //
 // -json FILE additionally writes the machine-readable per-cell report (the
 // format the CI benchmark-regression gate diffs against BENCH_golden.json).
+// -shard i/K runs every K-th selected experiment starting at the i-th, and
+// -merge folds the shards' -json reports into the bytes of one unsharded
+// run. -csv DIR exports the Figure 7, 8 and 12 series, and -cpuprofile and
+// -memprofile write runtime/pprof profiles.
 package main
 
 import (
@@ -172,6 +179,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	results := experiments.RunAll(cfg, selected)
+	for _, r := range results {
+		fmt.Fprintf(stderr, "riommu-bench: %-12s %6.2fs  %d cell(s) reused\n",
+			r.Experiment.ID, r.Elapsed.Seconds(), r.Reused)
+	}
 	fmt.Fprintf(stderr, "riommu-bench: %d experiment(s), %d worker(s), %.1fs\n",
 		len(selected), cfg.Workers, time.Since(start).Seconds())
 

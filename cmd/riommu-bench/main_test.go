@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
@@ -50,21 +52,31 @@ func TestInterruptFlushesPartialReport(t *testing.T) {
 // TestShardMergeByteIdentical: splitting a selection across -shard runs and
 // folding the per-shard -json reports back together with -merge must produce
 // the same bytes as one unsharded run. The selection is listed in registry
-// (ID-sorted) order because that is the order -merge restores.
+// (ID-sorted) order because that is the order -merge restores. The
+// unsharded run reuses table1's cells from figure7; shard 1/2 runs table1
+// without figure7 and computes them itself.
 func TestShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments; slow under -short")
 	}
 	dir := t.TempDir()
-	sel := "misspenalty,pathology,table1,table3"
+	sel := "figure7,misspenalty,pathology,table1,table3"
 	full := filepath.Join(dir, "full.json")
 	shard0 := filepath.Join(dir, "shard0.json")
 	shard1 := filepath.Join(dir, "shard1.json")
 	merged := filepath.Join(dir, "merged.json")
 
+	// table1Reused matches table1's stderr timing line with the number of
+	// cells it reused.
+	table1Reused := func(n int) *regexp.Regexp {
+		return regexp.MustCompile(fmt.Sprintf(`(?m)^riommu-bench: table1 +[0-9.]+s +%d cell\(s\) reused$`, n))
+	}
 	var out, errb bytes.Buffer
 	if code := run([]string{"-exp", sel, "-json", full}, &out, &errb); code != 0 {
 		t.Fatalf("full run: exit %d\nstderr:\n%s", code, errb.String())
+	}
+	if !table1Reused(4).Match(errb.Bytes()) {
+		t.Errorf("unsharded run: table1 did not reuse figure7's 4 cells\nstderr:\n%s", errb.String())
 	}
 	for i, rep := range []string{shard0, shard1} {
 		out.Reset()
@@ -73,6 +85,9 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		if code := run(shard, &out, &errb); code != 0 {
 			t.Fatalf("shard %d/2: exit %d\nstderr:\n%s", i, code, errb.String())
 		}
+	}
+	if !table1Reused(0).Match(errb.Bytes()) {
+		t.Errorf("shard 1/2: table1 did not compute its own cells\nstderr:\n%s", errb.String())
 	}
 	out.Reset()
 	errb.Reset()

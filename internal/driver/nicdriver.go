@@ -457,6 +457,21 @@ func (d *NICDriver) Recover() error {
 	if d.irq != nil {
 		d.irq.Drop()
 	}
+	d.releaseSlots()
+	if err := d.rx.Reset(); err != nil {
+		return err
+	}
+	if err := d.tx.Reset(); err != nil {
+		return err
+	}
+	d.rxReap, d.txReap = 0, 0
+	return d.fillRx()
+}
+
+// releaseSlots unmaps every live Tx and Rx target buffer best-effort,
+// returns its frame to the pool and clears the slot, as a device reset
+// does.
+func (d *NICDriver) releaseSlots() {
 	for slot := range d.txSlots {
 		m := d.txSlots[slot]
 		if m.live && !m.inline {
@@ -473,14 +488,6 @@ func (d *NICDriver) Recover() error {
 		}
 		d.rxSlots[slot] = mapped{}
 	}
-	if err := d.rx.Reset(); err != nil {
-		return err
-	}
-	if err := d.tx.Reset(); err != nil {
-		return err
-	}
-	d.rxReap, d.txReap = 0, 0
-	return d.fillRx()
 }
 
 // Progress returns the device's monotonic forward-progress counter for the
@@ -497,22 +504,7 @@ func (d *NICDriver) Reattach(prot Protection) error {
 	if d.irq != nil {
 		d.irq.Drop() // ring reset: pending completions are void
 	}
-	for slot := range d.txSlots {
-		m := d.txSlots[slot]
-		if m.live && !m.inline {
-			_ = d.prot.Unmap(d.ringTx, m.iova, m.size, true)
-			d.pool.Put(m.pa)
-		}
-		d.txSlots[slot] = mapped{}
-	}
-	for slot := range d.rxSlots {
-		m := d.rxSlots[slot]
-		if m.live {
-			_ = d.prot.Unmap(d.ringRx, m.iova, m.size, true)
-			d.pool.Put(m.pa)
-		}
-		d.rxSlots[slot] = mapped{}
-	}
+	d.releaseSlots()
 	for i := len(d.staticIOVAs) - 1; i >= 0; i-- {
 		_ = d.prot.Unmap(RingStatic, d.staticIOVAs[i].iova, d.staticIOVAs[i].size, i == 0)
 	}
@@ -550,17 +542,14 @@ func (d *NICDriver) Teardown() error {
 	}
 	// Unmap the posted Rx buffers still owned by the device.
 	var lastErr error
-	n := 0
 	for slot := d.rxReap; slot != d.rx.Tail(); slot = (slot + 1) % d.rx.Size() {
 		m := d.rxSlots[slot]
-		n++
 		if err := d.prot.Unmap(d.ringRx, m.iova, m.size, slot == (d.rx.Tail()+d.rx.Size()-1)%d.rx.Size()); err != nil {
 			lastErr = err
 			continue
 		}
 		d.pool.Put(m.pa)
 	}
-	_ = n
 	for i, m := range d.staticIOVAs {
 		if err := d.prot.Unmap(RingStatic, m.iova, m.size, i == len(d.staticIOVAs)-1); err != nil {
 			lastErr = err

@@ -10,10 +10,13 @@ import (
 // experiment layer: Map over modes (table1, table3), Map over a flattened
 // multi-dimension grid (figure7), indexed Run with disjoint writes
 // (methodology, pathology), multi-sweep (ablations), split RNG streams
-// (misspenalty), and nested parts (prefetchers). The heavyweight full-matrix
-// experiments (figure12, table2) use the same parallel.Map shape as figure7
-// and are exercised across worker counts by the CI golden diff, which runs
-// at default workers against a -parallel 1 golden.
+// (misspenalty), and nested parts (prefetchers). table1 runs before figure7
+// here, so figure7 takes four of its cells from RunAll's cell memo and the
+// memo's hits run under every worker count too; methodology computes its RR
+// cells itself, without figure12. The heavyweight full-matrix experiments
+// (figure12, table2) use the same parallel.Map shape as figure7 and are
+// exercised across worker counts by the CI golden diff, which runs at
+// default workers against a -parallel 1 golden.
 var equivalenceSubset = []string{
 	"table1", "table3", "figure7", "ablations", "misspenalty",
 	"methodology", "pathology", "prefetchers", "bonnie", "nvme",
@@ -97,6 +100,7 @@ func TestReportCellsCoverAllExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkReused(t, results)
 	if len(rep.Experiments) != len(All()) {
 		t.Fatalf("report covers %d experiments, registry has %d", len(rep.Experiments), len(All()))
 	}

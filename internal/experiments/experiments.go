@@ -54,6 +54,11 @@ type Config struct {
 	// fully isolated simulation world, so Workers also bounds live
 	// simulated memories.
 	Workers int
+
+	// memo is the cell memo of the RunAll call running the experiment. It
+	// is nil in every Config built outside RunAll, so a direct RunX call
+	// computes all of its cells.
+	memo *cellMemo
 }
 
 // Serial is the canonical single-worker config used by tests and golden

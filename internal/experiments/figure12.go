@@ -46,15 +46,15 @@ func RunFigure12(cfg Config) (Figure12Result, error) {
 	runCell := func(nic device.NICProfile, bench string, m sim.Mode) (workload.Result, error) {
 		switch bench {
 		case "stream":
-			return workload.NetperfStream(m, nic, streamOpts)
+			return netperfStream(cfg, m, nic, streamOpts)
 		case "rr":
-			return workload.NetperfRR(m, nic, rrOpts)
+			return netperfRR(cfg, m, nic, rrOpts)
 		case "apache-1M":
-			return workload.Apache(m, nic, ap1M)
+			return apache(cfg, m, nic, ap1M)
 		case "apache-1K":
-			return workload.Apache(m, nic, ap1K)
+			return apache(cfg, m, nic, ap1K)
 		case "memcached":
-			return workload.Memcached(m, nic, memOpts)
+			return memcached(cfg, m, nic, memOpts)
 		}
 		return workload.Result{}, fmt.Errorf("unknown benchmark %q", bench)
 	}

@@ -41,7 +41,7 @@ func RunFigure7(cfg Config) (Figure7Result, error) {
 		WarmupMessages: cfg.Quality.scale(60, 150),
 	}
 	cells, err := parallel.Map(cfg.Workers, res.Modes, func(_ int, m sim.Mode) (workload.Result, error) {
-		return workload.NetperfStream(m, device.ProfileMLX, opts)
+		return netperfStream(cfg, m, device.ProfileMLX, opts)
 	})
 	if err != nil {
 		return res, err

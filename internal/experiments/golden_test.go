@@ -29,6 +29,7 @@ func TestGoldenPurity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkReused(t, results)
 	got, err := MarshalReport(rep)
 	if err != nil {
 		t.Fatal(err)

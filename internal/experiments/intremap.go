@@ -54,7 +54,7 @@ func RunIntremap(cfg Config) (IntremapResult, error) {
 		}
 	}
 	cells, err := parallel.Map(cfg.Workers, grid, func(_ int, k IntremapKey) (multicore.Result, error) {
-		r, err := multicore.Run(multicore.Params{
+		r, err := runMulticore(cfg, multicore.Params{
 			Mode:           k.Mode,
 			Profile:        device.ProfileMLX,
 			Cores:          res.Cores,

@@ -60,7 +60,7 @@ func RunMethodology(cfg Config) (MethodologyResult, error) {
 			streams[i] = st
 			return err
 		case i < 2*len(res.Modes):
-			rr, err := workload.NetperfRR(res.Modes[i-len(res.Modes)], device.ProfileMLX, rrOpts)
+			rr, err := netperfRR(cfg, res.Modes[i-len(res.Modes)], device.ProfileMLX, rrOpts)
 			rrs[i-len(res.Modes)] = rr
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 )
 
 // Cell is one machine-readable grid point: an experiment, the cell's
@@ -45,10 +46,15 @@ type Report struct {
 
 // RunResult pairs an experiment with its outcome. Err is per-experiment so
 // callers can report every failing cell rather than stopping at the first.
+// Reused counts the cells the experiment took from an earlier experiment of
+// the same RunAll call, and Elapsed is its host wall-clock time; neither is
+// part of the report.
 type RunResult struct {
 	Experiment Experiment
 	Output     Output
 	Err        error
+	Reused     int
+	Elapsed    time.Duration
 }
 
 // RunAll executes the selected experiments (all registered ones when sel is
@@ -56,14 +62,34 @@ type RunResult struct {
 // the cell level inside each experiment, so at most cfg.Workers simulation
 // worlds are live at any moment regardless of how many experiments are
 // selected.
+//
+// The experiments of one call share the cells they repeat: Table 2 is
+// derived from Figure 12's matrix, Table 1 measures four of Figure 7's
+// stream cells, Figure S1's seven mlx 4-core cells are intremap's remap-off
+// half, and at Quick quality §5.1's no-IOMMU RR cell is Figure 12's
+// mlx/rr/none. Those experiments look each cell up, by its runner and every
+// argument, in a memo that lives only for this call, before building a
+// world. The first to need a cell computes and stores its result value; a
+// later one reuses it. A cell is a pure function of those inputs, so an
+// experiment's output is the same bytes whether or not the cells it needs
+// ran before it. Two calls share nothing, and a Config built outside
+// RunAll has no memo.
 func RunAll(cfg Config, sel []Experiment) []RunResult {
 	if sel == nil {
 		sel = All()
 	}
+	cfg.memo = newCellMemo()
 	out := make([]RunResult, len(sel))
 	for i, e := range sel {
+		start, reused := time.Now(), cfg.memo.reused()
 		o, err := e.Run(cfg)
-		out[i] = RunResult{Experiment: e, Output: o, Err: err}
+		out[i] = RunResult{
+			Experiment: e,
+			Output:     o,
+			Err:        err,
+			Reused:     cfg.memo.reused() - reused,
+			Elapsed:    time.Since(start),
+		}
 	}
 	return out
 }

@@ -60,7 +60,7 @@ func RunScalability(cfg Config) (ScalabilityResult, error) {
 		return device.ProfileMLX
 	}
 	cells, err := parallel.Map(cfg.Workers, grid, func(_ int, k ScaleKey) (multicore.Result, error) {
-		r, err := multicore.Run(multicore.Params{
+		r, err := runMulticore(cfg, multicore.Params{
 			Mode:           k.Mode,
 			Profile:        profile(k.NIC),
 			Cores:          k.Cores,

@@ -55,7 +55,7 @@ func RunTable1(cfg Config) (Table1Result, error) {
 		WarmupMessages: cfg.Quality.scale(60, 150),
 	}
 	cells, err := parallel.Map(cfg.Workers, res.Modes, func(_ int, m sim.Mode) (workload.Result, error) {
-		return workload.NetperfStream(m, device.ProfileMLX, opts)
+		return netperfStream(cfg, m, device.ProfileMLX, opts)
 	})
 	if err != nil {
 		return res, err

@@ -29,7 +29,9 @@ type Table2Result struct {
 }
 
 // RunTable2 derives Table 2 from a Figure 12 run (which fans the benchmark
-// matrix across cfg.Workers).
+// matrix across cfg.Workers). When figure12 ran earlier in the same RunAll
+// call, every one of its 70 cells comes from that call's cell memo and
+// Table 2 builds no world of its own; run alone, it computes them.
 func RunTable2(cfg Config) (Table2Result, error) {
 	fig, err := RunFigure12(cfg)
 	return Table2Result{Fig: fig}, err
