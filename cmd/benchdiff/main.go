@@ -154,6 +154,7 @@ func pct(before, after float64) float64 {
 // gate means no spec was given.
 func diff(w io.Writer, old, cur map[string]*sample, failOver float64, gate *gateSpec) bool {
 	names := make([]string, 0, len(old))
+	// maporder: sorted into file order below.
 	for n := range old {
 		names = append(names, n)
 	}
@@ -202,6 +203,7 @@ func diff(w io.Writer, old, cur map[string]*sample, failOver float64, gate *gate
 		}
 	}
 	newNames := make([]string, 0, len(cur))
+	// maporder: sorted into file order below.
 	for n := range cur {
 		if old[n] == nil {
 			newNames = append(newNames, n)

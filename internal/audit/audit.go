@@ -354,9 +354,12 @@ func (o *Oracle) LiveFirst(bdf pci.BDF, n int, keep func(Mapping) bool) []Mappin
 			out[i-1], out[i] = out[i], out[i-1]
 		}
 	}
+	// maporder: base IOVAs are unique, so pick keeps the same n lowest
+	// mappings, sorted, whatever order it is offered them in.
 	for page, m := range d.live {
 		pick(page, m)
 	}
+	// maporder: as for d.live above; pick is order-blind.
 	for page, ms := range d.shared {
 		for _, m := range ms {
 			pick(page, m)

@@ -199,6 +199,7 @@ func (o *IntOracle) OnIntBlocked(_ pci.BDF, _ int, out intremap.Outcome) {
 // deterministic view chaos scenarios pick spoof targets from.
 func (o *IntOracle) LiveSortedFor(bdf pci.BDF) []int {
 	var out []int
+	// maporder: the indices are sorted before they are returned.
 	for idx, s := range o.live {
 		if s.BDF == bdf {
 			out = append(out, idx)

@@ -2,6 +2,7 @@ package cycles
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -202,29 +203,43 @@ func TestDefaultModelTable1Anchors(t *testing.T) {
 	}
 }
 
+// TestScaledModel walks every uint64 cost in Model by reflection: the
+// machine-physics costs on the fixed list come back unchanged, every other
+// one is scaled and rounded, so a new constant that Scaled forgets fails.
 func TestScaledModel(t *testing.T) {
+	fixed := map[string]bool{
+		"RBNodeVisit":  true, // DRAM-bound pointer chase
+		"IOTLBMiss":    true, // device-side walks and lookups
+		"RIOTLBFetch":  true,
+		"IRTEWalk":     true,
+		"IRTECacheHit": true,
+		"Stage2Walk":   true,
+	}
 	m := DefaultModel()
-	s := m.Scaled(0.5)
-	// Driver/hardware per-op costs halve (rounded).
-	if s.IOTLBInvEntry != 1064 {
+	for _, f := range []float64{0.5, 0.37, 1.9} {
+		s := m.Scaled(f)
+		if s.ClockGHz != m.ClockGHz {
+			t.Errorf("Scaled(%v) changed the clock", f)
+		}
+		mv, sv := reflect.ValueOf(m), reflect.ValueOf(s)
+		for i := 0; i < mv.NumField(); i++ {
+			name := mv.Type().Field(i).Name
+			if mv.Field(i).Kind() != reflect.Uint64 {
+				continue
+			}
+			v, got := mv.Field(i).Uint(), sv.Field(i).Uint()
+			want := uint64(math.Round(float64(v) * f))
+			if fixed[name] {
+				want = v
+			}
+			if got != want {
+				t.Errorf("Scaled(%v).%s = %d, want %d", f, name, got, want)
+			}
+		}
+	}
+	// Table 1's invalidation cost halves, rounded.
+	if s := m.Scaled(0.5); s.IOTLBInvEntry != 1064 {
 		t.Errorf("scaled IOTLBInvEntry = %d, want 1064", s.IOTLBInvEntry)
-	}
-	if s.CachelineFlush != m.CachelineFlush/2 {
-		t.Errorf("scaled CachelineFlush = %d", s.CachelineFlush)
-	}
-	if s.FreelistOp != m.FreelistOp/2 {
-		t.Errorf("scaled FreelistOp = %d", s.FreelistOp)
-	}
-	// Machine physics stay fixed: clock, DRAM-bound rbtree visits,
-	// device-side walk costs.
-	if s.ClockGHz != m.ClockGHz {
-		t.Error("Scaled must not change the clock")
-	}
-	if s.RBNodeVisit != m.RBNodeVisit {
-		t.Error("Scaled must not change the DRAM-bound node visit cost")
-	}
-	if s.IOTLBMiss != m.IOTLBMiss || s.RIOTLBFetch != m.RIOTLBFetch {
-		t.Error("Scaled must not change device-side costs")
 	}
 	// Scaling by 1 is the identity.
 	if m.Scaled(1.0) != m {

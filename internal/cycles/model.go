@@ -226,8 +226,10 @@ func DefaultModel() Model {
 // the paper's brcm setup (Linux 3.11, a different chipset) exhibits visibly
 // cheaper per-(un)map costs than the mlx setup, as derived from the CPU
 // ratios of Table 2. The clock speed, the DRAM-latency-dominated rbtree
-// node visits, and the device-side walk costs are machine physics and stay
-// fixed.
+// node visits (RBNodeVisit), and the device-side walk and lookup costs
+// (IOTLBMiss, RIOTLBFetch, IRTEWalk, IRTECacheHit, Stage2Walk) are machine
+// physics and stay fixed. PassthroughOp is the kernel's DMA-API software
+// path, like MapFixed and UnmapFixed, so it scales.
 func (m Model) Scaled(f float64) Model {
 	scale := func(v *uint64) { *v = uint64(float64(*v)*f + 0.5) }
 	for _, v := range []*uint64{
@@ -235,7 +237,8 @@ func (m Model) Scaled(f float64) Model {
 		&m.IOTLBGlobalFlush, &m.DeferQueueOp, &m.RBFindVisit,
 		&m.RBInsertFixed, &m.RBEraseFixed, &m.ConstFindVisit, &m.FreelistOp,
 		&m.PTELevelWrite, &m.PTELevelWalk, &m.PTEMapInit, &m.MapFixed,
-		&m.UnmapFixed, &m.DeferUnmapExtra, &m.RMapAllocFixed, &m.RPTEWrite,
+		&m.UnmapFixed, &m.DeferUnmapExtra, &m.PassthroughOp,
+		&m.RMapAllocFixed, &m.RPTEWrite,
 		&m.RMapFixed, &m.RUnmapFreeFixed, &m.RUnmapFixed,
 		&m.IECInvEntry, &m.IECGlobalFlush, &m.IECDeferOp,
 		&m.IntDeliver, &m.IntPost, &m.HotAttach, &m.HotDetach,

@@ -111,6 +111,7 @@ func register(e Experiment) {
 // All returns every registered experiment sorted by ID.
 func All() []Experiment {
 	out := make([]Experiment, 0, len(registry))
+	// maporder: sorted by ID below.
 	for _, e := range registry {
 		out = append(out, e)
 	}
@@ -129,6 +130,7 @@ func Lookup(id string) (Experiment, error) {
 
 func ids() []string {
 	var out []string
+	// maporder: sorted below.
 	for id := range registry {
 		out = append(out, id)
 	}

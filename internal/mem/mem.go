@@ -234,8 +234,9 @@ func (m *PhysMem) Release() {
 	if hi > m.bk.hi {
 		m.bk.hi = hi
 	}
-	// Keep only the slabs a later life can reuse whole. Deleting during
-	// the range is order-independent.
+	// Keep only the slabs a later life can reuse whole.
+	// maporder: each slab is kept or deleted on its own test, and deleting
+	// the current key during a range is safe.
 	for first, s := range m.slabs {
 		if !m.backedBy(first, len(s)/PageSize, s) {
 			delete(m.slabs, first)

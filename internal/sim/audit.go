@@ -34,6 +34,8 @@ func (s *System) EnableAudit() *audit.Oracle {
 	if s.RHW != nil {
 		s.RHW.SetAudit(orc)
 	}
+	// maporder: each device's protection is wired to the same oracle on
+	// its own.
 	for _, p := range s.Protections {
 		s.auditProtection(p)
 	}

@@ -23,6 +23,8 @@ func (s *System) EnableFaults(cfg faults.Config) *faults.Engine {
 	s.FaultEng = f
 	s.Eng.SetFaults(f)
 	s.Mem.SetFaultHook(f)
+	// maporder: each baseline driver is handed the same engine on its own;
+	// none draws from it here.
 	for _, p := range s.Protections {
 		if bd, ok := p.(*baseline.Driver); ok {
 			bd.SetFaults(f)

@@ -430,6 +430,7 @@ func (h *Host) Balloon(d *Domain, pages int) error {
 // charge or ledger order).
 func (d *Domain) highestPages(n int) []uint64 {
 	gpns := make([]uint64, 0, len(d.pages))
+	// maporder: sorted below.
 	for gpn := range d.pages {
 		gpns = append(gpns, gpn)
 	}
@@ -460,6 +461,7 @@ func (h *Host) Teardown(d *Domain) error {
 		delete(h.dir, bdf)
 	}
 	gpns := make([]uint64, 0, len(d.pages))
+	// maporder: sorted below, before any page is unmapped.
 	for gpn := range d.pages {
 		gpns = append(gpns, gpn)
 	}

@@ -6,31 +6,34 @@ package traffic
 // load curve. Everything is integer arithmetic so results are identical on
 // every platform.
 
+import "encoding/binary"
+
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-func fnvByte(h uint64, b byte) uint64 {
-	if h == 0 {
+// fnvFold folds the low n bytes of w, least significant first, into the
+// digest state h: 64-bit FNV-1a, except that a zero state restarts at the
+// offset basis before its next byte (so the zero value of a digest field is
+// a fresh digest). A state reaches zero only when it equals the byte xored
+// into it, so the restart is a branch out of the xor-multiply loop that is
+// almost never taken, not a test on every byte's dependency chain.
+func fnvFold(h, w uint64, n int) uint64 {
+	for {
+		for ; n > 0 && h != 0; n-- {
+			h = (h ^ w&0xff) * fnvPrime
+			w >>= 8
+		}
+		if n == 0 {
+			return h
+		}
 		h = fnvOffset
 	}
-	return (h ^ uint64(b)) * fnvPrime
 }
 
-func fnv64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-func fnvBytes(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h = fnvByte(h, b)
-	}
-	return h
-}
+// fnv64 folds v's eight bytes, little-endian, into h.
+func fnv64(h, v uint64) uint64 { return fnvFold(h, v, 8) }
 
 func splitmix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
@@ -40,14 +43,27 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func fillPayload(rng *uint64, p []byte) {
-	var w uint64
-	for i := range p {
-		if i&7 == 0 {
-			w = splitmix64(rng)
-		}
-		p[i] = byte(w >> (8 * uint(i&7)))
+// fillDigest writes the payload stream *rng draws into p and returns h with
+// p folded in. Each splitmix64 word fills eight bytes little-endian; a tail
+// shorter than eight bytes takes the low bytes of one more word. Each word
+// is folded from the register it was drawn into, never read back from p.
+func fillDigest(h uint64, rng *uint64, p []byte) uint64 {
+	x := *rng
+	for len(p) >= 8 {
+		w := splitmix64(&x)
+		binary.LittleEndian.PutUint64(p, w)
+		h = fnvFold(h, w, 8)
+		p = p[8:]
 	}
+	if len(p) > 0 {
+		w := splitmix64(&x)
+		for i := range p {
+			p[i] = byte(w >> (8 * i))
+		}
+		h = fnvFold(h, w, len(p))
+	}
+	*rng = x
+	return h
 }
 
 // drawMsgBytes samples the heavy-tailed request-size mix: mostly small

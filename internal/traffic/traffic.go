@@ -143,14 +143,22 @@ func (c Config) withDefaults() Config {
 
 // Result is everything a run measures, plus the digests that make two runs
 // comparable byte-for-byte.
+//
+// Both digests are 64-bit FNV-1a (offset basis 14695981039346656037, prime
+// 1099511628211, xor then multiply per byte) over the little-endian bytes
+// of what they cover, except that a zero state restarts at the offset
+// basis before its next byte. Each digest starts at zero, so its first
+// byte starts from the offset basis as in standard FNV-1a; it departs from
+// the standard only where a state happens to reach zero mid-stream.
 type Result struct {
-	// AppDigest is the FNV-1a digest of the application byte stream (every
-	// payload sent or received, tagged with its slot). It depends only on
-	// seed and schedule — never on mode or path.
+	// AppDigest digests the application byte stream: for every payload sent
+	// or received, its connection-table slot as 8 bytes, then the payload.
+	// It depends only on seed and schedule — never on mode or path.
 	AppDigest uint64
-	// MapDigest is the FNV-1a digest of the protection-boundary mapping
-	// history (op, ring, IOVA, size, direction, burst marker per event);
-	// MapEvents counts them.
+	// MapDigest digests the protection-boundary mapping history: per event,
+	// the op byte ('M' or 'U'), then the ring, IOVA, size and the direction
+	// (map) or end-of-burst marker (unmap) as 8 bytes each. MapEvents
+	// counts the events.
 	MapDigest uint64
 	MapEvents uint64
 
@@ -267,7 +275,7 @@ func (p meteredProt) MapBatch(ring int, pas []mem.PA, size uint32, dir pci.Dir, 
 }
 
 func (e *Engine) noteMap(op byte, ring int, iova uint64, size uint32, extra uint64) {
-	h := fnvByte(e.mapDigest, op)
+	h := fnvFold(e.mapDigest, uint64(op), 1)
 	h = fnv64(h, uint64(ring))
 	h = fnv64(h, iova)
 	h = fnv64(h, uint64(size))
@@ -475,8 +483,7 @@ func (e *Engine) sendMessage(slot int) error {
 func (e *Engine) sendPacket(slot int, n int) (closed bool, err error) {
 	c := &e.conns[slot]
 	p := e.scratch[:n]
-	fillPayload(&c.payloadRNG, p)
-	e.appDigest = fnvBytes(fnv64(e.appDigest, uint64(slot)), p)
+	e.appDigest = fillDigest(fnv64(e.appDigest, uint64(slot)), &c.payloadRNG, p)
 	if c.path == PathBypass {
 		e.bypassPk++
 		err = e.bypassTx(p)
@@ -555,8 +562,7 @@ func (e *Engine) Incast(fan int) error {
 		slot := int(e.rand() % uint64(len(e.conns)))
 		n := 256 + int(e.rand()%uint64(e.mss-256))
 		p := e.scratch[:n]
-		fillPayload(&e.rng, p)
-		e.appDigest = fnvBytes(fnv64(e.appDigest, uint64(slot)), p)
+		e.appDigest = fillDigest(fnv64(e.appDigest, uint64(slot)), &e.rng, p)
 		c := &e.conns[slot]
 		if c.path == PathBypass {
 			e.sys.CPU.Charge(cycles.Stack, e.pollCy)

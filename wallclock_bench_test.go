@@ -315,6 +315,70 @@ func BenchmarkTrafficCell(b *testing.B) {
 	}
 }
 
+// trafficTickPeriod is one diurnal day of the traffic engine: eight load
+// phases of four ticks each.
+const trafficTickPeriod = 32
+
+// BenchmarkTrafficTick times traffic.(*Engine).Tick alone over one diurnal
+// period of a churn-shaped strict world: every packet closes its flow, so
+// each one maps and unmaps a steering buffer, on the kernel path, with
+// incast bursts. Short rings keep building and closing a world, untimed,
+// cheap enough for CI's 1000-op run.
+//
+// Simulated memory recycles through a sync.Pool that every collection
+// empties, so whether a world finds a recycled backing, and then how many
+// pages its ticks allocate, would depend on collection timing and on which
+// P runs it. Two collections before each world start every op cold, as
+// perfbench starts each repetition, so ns/op, allocs/op and vcycles/op
+// repeat at any -benchtime.
+func BenchmarkTrafficTick(b *testing.B) {
+	profile := device.ProfileMLX
+	profile.RxEntries, profile.TxEntries = 256, 256
+	cfg := traffic.Config{
+		Mode:            sim.Strict,
+		Profile:         profile,
+		Seed:            1,
+		TableSlots:      16,
+		MeanFlowPackets: 1,
+		MsgsPerTick:     2,
+		IncastEvery:     4,
+		IncastFan:       6,
+		Diurnal:         true,
+	}
+	var vcycles uint64
+	op := func() {
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		e, err := traffic.NewEngine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cpu := e.System().CPU
+		start := cpu.Now()
+		b.StartTimer()
+		for t := 0; t < trafficTickPeriod; t++ {
+			if err := e.Tick(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		vcycles += cpu.Now() - start
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	op() // first-use initialisation stays out of the counts
+	vcycles = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(vcycles)/float64(b.N), "vcycles/op")
+}
+
 // The audited Rx ring of the oracle benchmark: an mlx-sized ring on one
 // device, its descriptor area and its buffers at separate IOVA ranges.
 const (
