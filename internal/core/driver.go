@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -74,87 +73,6 @@ func (d *Driver) syncMem(comp cycles.Component) {
 	d.clk.ChargeFree(comp, d.model.MemoryBarrier)
 }
 
-// syncMemN charges n sync_mem publications at once (see syncMem).
-func (d *Driver) syncMemN(comp cycles.Component, n uint64) {
-	if !d.coherent {
-		d.clk.ChargeFreeN(comp, n, d.model.MemoryBarrier)
-		d.clk.ChargeFreeN(comp, n, d.model.CachelineFlush)
-	}
-	d.clk.ChargeFreeN(comp, n, d.model.MemoryBarrier)
-}
-
-// MapBatch maps len(pas) same-sized buffers into consecutive ring-tail
-// rPTEs, writing the packed rIOVAs into iovas. It is observationally
-// equivalent to len(pas) scalar Map calls — same rPTE/tail/pin state, same
-// cycle totals and charge-event counts, same audit-mirror order — but
-// validates the ring once and groups the clock accounting with ChargeN,
-// which is what makes refilling a whole Rx ring cheap. It returns how many
-// entries were mapped; on error, entries [0, n) are mapped and the rest are
-// untouched.
-func (d *Driver) MapBatch(rid int, pas []mem.PA, size uint32, dir pci.Dir, iovas []uint64) (int, error) {
-	r := d.dev.Ring(rid)
-	if r == nil {
-		return 0, fmt.Errorf("riommu: map on nonexistent ring %d", rid)
-	}
-	if size == 0 || size >= MaxOffset {
-		return 0, fmt.Errorf("riommu: buffer size %d out of u30 range", size)
-	}
-	if dir&pci.DirBidi == 0 {
-		return 0, fmt.Errorf("riommu: mapping with no direction")
-	}
-	n := 0
-	// A failed scalar Map still charges its IOVA allocation when the pin
-	// fails after the tail advance; extraAlloc mirrors that exactly.
-	extraAlloc := uint64(0)
-	var err error
-	// Every entry in the batch encodes the same second word; only the
-	// physical address differs. Accessing the flat table directly (it is a
-	// Span over simulated memory, exactly what read/writeRPTE do) keeps the
-	// loop to two stores and a valid-bit test per entry.
-	w1 := uint64(size&(MaxOffset-1))<<rpteSizeShift |
-		uint64(dir&3)<<rpteDirShift | 1<<rpteValidShift
-	for ; n < len(pas); n++ {
-		if r.nmapped == r.size {
-			err = ErrOverflow
-			break
-		}
-		t := r.tail
-		e := r.tbl[uint64(t)*rpteBytes:]
-		if e[12]&1 != 0 { // w1 valid bit (bit 32): live entry at the tail — out-of-order unmaps (see Map)
-			err = ErrOverflow
-			break
-		}
-		if r.tail++; r.tail == r.size {
-			r.tail = 0
-		}
-		r.nmapped++
-		if perr := d.pinRange(pas[n], size); perr != nil {
-			r.tail = t
-			r.nmapped--
-			extraAlloc = 1
-			err = perr
-			break
-		}
-		binary.LittleEndian.PutUint64(e, uint64(pas[n]))
-		binary.LittleEndian.PutUint64(e[8:], w1)
-		iovas[n] = uint64(PackIOVA(0, t, uint16(rid)))
-	}
-	if m := uint64(n) + extraAlloc; m > 0 {
-		d.clk.ChargeN(cycles.MapIOVAAlloc, m, d.model.RMapAllocFixed)
-	}
-	if n > 0 {
-		d.clk.ChargeN(cycles.MapPageTable, uint64(n), d.model.RPTEWrite)
-		d.syncMemN(cycles.MapPageTable, uint64(n))
-		d.clk.ChargeN(cycles.MapOther, uint64(n), d.model.RMapFixed)
-		if d.aud != nil {
-			for i := 0; i < n; i++ {
-				d.aud.OnMap(d.dev.bdf, iovas[i], pas[i], size, dir)
-			}
-		}
-	}
-	return n, err
-}
-
 // Map implements map (Figure 11 left): allocate the ring-tail rPTE, fill it,
 // publish it, and return the packed rIOVA with offset 0. The physical
 // address need not be page-aligned and size may be any u30 value —
@@ -183,9 +101,7 @@ func (d *Driver) Map(rid int, pa mem.PA, size uint32, dir pci.Dir) (uint64, erro
 	// reach an entry that is still live even though nmapped < size.
 	// Overwriting it would corrupt an in-flight mapping, so treat it as
 	// overflow; out-of-order devices should use MapAt instead.
-	if cur, err := d.hw.readRPTE(r, t); err != nil {
-		return 0, err
-	} else if cur.valid {
+	if d.hw.readRPTE(r, t).valid {
 		return 0, ErrOverflow
 	}
 	r.tail = (r.tail + 1) % r.size
@@ -201,9 +117,7 @@ func (d *Driver) Map(rid int, pa mem.PA, size uint32, dir pci.Dir) (uint64, erro
 
 	// Fill and publish the rPTE (the analogue of updating the page-table
 	// hierarchy, but flat).
-	if err := d.hw.writeRPTE(r, t, rpte{physAddr: pa, size: size, dir: dir, valid: true}); err != nil {
-		return 0, err
-	}
+	d.hw.writeRPTE(r, t, rpte{physAddr: pa, size: size, dir: dir, valid: true})
 	d.clk.Charge(cycles.MapPageTable, d.model.RPTEWrite)
 	d.syncMem(cycles.MapPageTable)
 	d.clk.Charge(cycles.MapOther, d.model.RMapFixed)
@@ -234,11 +148,7 @@ func (d *Driver) MapAt(rid int, rentry uint32, pa mem.PA, size uint32, dir pci.D
 	if dir&pci.DirBidi == 0 {
 		return 0, fmt.Errorf("riommu: mapping with no direction")
 	}
-	cur, err := d.hw.readRPTE(r, rentry)
-	if err != nil {
-		return 0, err
-	}
-	if cur.valid {
+	if d.hw.readRPTE(r, rentry).valid {
 		return 0, fmt.Errorf("riommu: slot %d already mapped", rentry)
 	}
 	r.nmapped++
@@ -247,9 +157,7 @@ func (d *Driver) MapAt(rid int, rentry uint32, pa mem.PA, size uint32, dir pci.D
 		r.nmapped--
 		return 0, err
 	}
-	if err := d.hw.writeRPTE(r, rentry, rpte{physAddr: pa, size: size, dir: dir, valid: true}); err != nil {
-		return 0, err
-	}
+	d.hw.writeRPTE(r, rentry, rpte{physAddr: pa, size: size, dir: dir, valid: true})
 	d.clk.Charge(cycles.MapPageTable, d.model.RPTEWrite)
 	d.syncMem(cycles.MapPageTable)
 	d.clk.Charge(cycles.MapOther, d.model.RMapFixed)
@@ -275,17 +183,12 @@ func (d *Driver) Unmap(_ int, iovaAddr uint64, _ uint32, endOfBurst bool) error 
 	if iova.REntry() >= r.size {
 		return fmt.Errorf("riommu: unmap rentry %d out of range", iova.REntry())
 	}
-	p, err := d.hw.readRPTE(r, iova.REntry())
-	if err != nil {
-		return err
-	}
+	p := d.hw.readRPTE(r, iova.REntry())
 	if !p.valid {
 		return fmt.Errorf("riommu: unmap of invalid rPTE %s", iova)
 	}
 	p.valid = false
-	if err := d.hw.writeRPTE(r, iova.REntry(), p); err != nil {
-		return err
-	}
+	d.hw.writeRPTE(r, iova.REntry(), p)
 	d.clk.Charge(cycles.UnmapPageTable, d.model.RPTEWrite)
 	r.nmapped--
 	d.clk.Charge(cycles.UnmapIOVAFree, d.model.RUnmapFreeFixed)

@@ -286,21 +286,19 @@ func (u *RIOMMU) Device(bdf pci.BDF) *Device { return u.devices[bdf] }
 // readRPTE fetches flat-table entry i of ring r from simulated memory. The
 // flat table is read through the Span view taken at attach: the table stays
 // allocated for the device's whole lifetime and callers bounds-check i
-// against the ring size, so — exactly like the typed mm accessors this
-// replaces — the fetch cannot fail and sees every store DMA paths make to
-// the same bytes.
-func (u *RIOMMU) readRPTE(r *Ring, i uint32) (rpte, error) {
+// against the ring size, so the fetch cannot fail and sees every store DMA
+// paths make to the same bytes.
+func (u *RIOMMU) readRPTE(r *Ring, i uint32) rpte {
 	e := r.tbl[uint64(i)*rpteBytes:]
-	return decodeRPTE(binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint64(e[8:])), nil
+	return decodeRPTE(binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint64(e[8:]))
 }
 
 // writeRPTE stores flat-table entry i of ring r (used by the OS driver).
-func (u *RIOMMU) writeRPTE(r *Ring, i uint32, p rpte) error {
+func (u *RIOMMU) writeRPTE(r *Ring, i uint32, p rpte) {
 	e := r.tbl[uint64(i)*rpteBytes:]
 	w0, w1 := encodeRPTE(p)
 	binary.LittleEndian.PutUint64(e, w0)
 	binary.LittleEndian.PutUint64(e[8:], w1)
-	return nil
 }
 
 func (u *RIOMMU) fault(bdf pci.BDF, iova IOVA, reason string) error {
@@ -325,10 +323,7 @@ func (u *RIOMMU) rtableWalk(bdf pci.BDF, iova IOVA, s int32) error {
 	if iova.REntry() >= r.size {
 		return u.fault(bdf, iova, "rentry out of range")
 	}
-	p, err := u.readRPTE(r, iova.REntry())
-	if err != nil {
-		return err
-	}
+	p := u.readRPTE(r, iova.REntry())
 	u.stats.TableFetches++
 	u.clk.Charge(cycles.DeviceSide, u.model.RIOTLBFetch)
 	if !p.valid {
@@ -352,7 +347,7 @@ func (u *RIOMMU) rprefetch(d *Device, s int32) {
 	next := (u.tlb.rentry[s] + 1) % r.size
 	u.tlb.next[s] = rpte{}
 	if r.size > 1 {
-		if p, err := u.readRPTE(r, next); err == nil && p.valid {
+		if p := u.readRPTE(r, next); p.valid {
 			u.tlb.next[s] = p
 		}
 	}

@@ -109,16 +109,6 @@ func (c *Clock) ChargeFree(comp Component, n uint64) {
 	c.byComp[comp] += n
 }
 
-// ChargeN records n charge events of cost cycles each against comp in one
-// call. It is exactly equivalent to calling Charge(comp, cost) n times —
-// same total, same event count — and exists so batched operations (e.g. a
-// MapBatch of N ring entries) do not pay per-entry accounting overhead.
-func (c *Clock) ChargeN(comp Component, n, cost uint64) {
-	c.now += n * cost
-	c.byComp[comp] += n * cost
-	c.charges[comp] += n
-}
-
 // ChargeFreeN is the batched form of ChargeFree: n follow-on costs of cost
 // cycles each, with no charge events counted.
 func (c *Clock) ChargeFreeN(comp Component, n, cost uint64) {

@@ -1,76 +1,30 @@
 package device
 
-import "sync"
-
 // The block devices (SATA and NVMe) back their namespaces with a sparse
-// chunked store: chunk buffers are materialized on first write, and reads of
-// never-written bytes observe zeros — indistinguishable from one flat zeroed
-// array, but a mostly-idle multi-hundred-MiB disk costs only its touched
-// working set. Eagerly zeroing a flat array per device was a dominant cost
-// of building a fresh world in experiment and campaign grids.
-//
-// Chunks recycle through a process-wide pool *without* being zeroed: each
-// chunk carries a per-page valid-prefix watermark — bytes [0, valid) of a
-// page hold real data, bytes beyond it logically read as zero even though
-// the recycled buffer physically holds garbage there. Writes extend the
-// watermark (zeroing any gap they skip over); reads splice zeros in for the
-// invalid suffix. Block workloads write page-aligned records, so the common
-// case extends the watermark with no memclr at all.
-const (
-	storeChunk    = 1 << 18 // 256 KiB chunk granule
-	storePage     = 1 << 12 // watermark granule
-	pagesPerChunk = storeChunk / storePage
-)
-
-// chunkBuf is one pooled chunk: raw bytes plus the per-page watermarks.
-type chunkBuf struct {
-	data  []byte
-	valid []uint32 // valid[p]: bytes [0, v) of page p hold real data
-}
-
-// chunkPool recycles chunk buffers across devices and simulated worlds.
-var chunkPool sync.Pool
-
-func getChunkBuf() *chunkBuf {
-	if v := chunkPool.Get(); v != nil {
-		b := v.(*chunkBuf)
-		clear(b.valid) // garbage bytes are fenced off by zero watermarks
-		return b
-	}
-	return &chunkBuf{
-		data:  make([]byte, storeChunk),
-		valid: make([]uint32, pagesPerChunk),
-	}
-}
+// chunked store: a chunk is allocated, zeroed, on its first write, and reads
+// of never-written chunks observe zeros — indistinguishable from one flat
+// zeroed array, but a mostly-idle multi-hundred-MiB disk costs only its
+// touched working set. Eagerly zeroing a flat array per device was a
+// dominant cost of building a fresh world in experiment and campaign grids.
+const storeChunk = 1 << 18 // 256 KiB chunk granule
 
 // blockStore is a sparse byte-addressable backing store.
 type blockStore struct {
-	size    uint64      // virtual size in bytes
-	chunks  []*chunkBuf // nil chunk = all zeros (never written)
-	zeroBuf []byte      // shared all-zero read source, never written
-	asmBuf  []byte      // assembly target for watermark-splicing reads
+	size    uint64   // virtual size in bytes
+	chunks  [][]byte // nil chunk = all zeros (never written)
+	zeroBuf []byte   // shared all-zero read source, never written
+	asmBuf  []byte   // assembly target for reads that cross a chunk
 }
 
 func newBlockStore(size uint64) blockStore {
 	return blockStore{
 		size:   size,
-		chunks: make([]*chunkBuf, (size+storeChunk-1)/storeChunk),
-	}
-}
-
-// release returns every materialized chunk to the process-wide pool. The
-// store reads as all zeros afterwards; call it only when the device is done.
-func (s *blockStore) release() {
-	for i, c := range s.chunks {
-		if c != nil {
-			chunkPool.Put(c)
-			s.chunks[i] = nil
-		}
+		chunks: make([][]byte, (size+storeChunk-1)/storeChunk),
 	}
 }
 
 // read returns n bytes of content at off. The returned slice is valid until
-// the next read and must not be written.
+// the next read or write and must not be written.
 func (s *blockStore) read(off uint64, n uint32) []byte {
 	ci, co := off/storeChunk, off%storeChunk
 	if co+uint64(n) <= storeChunk {
@@ -81,11 +35,7 @@ func (s *blockStore) read(off uint64, n uint32) []byte {
 			}
 			return s.zeroBuf[:n]
 		}
-		// Zero-copy when the range sits inside one page's valid prefix.
-		if pi, po := co/storePage, co%storePage; po+uint64(n) <= storePage &&
-			po+uint64(n) <= uint64(c.valid[pi]) {
-			return c.data[co : co+uint64(n)]
-		}
+		return c[co : co+uint64(n)]
 	}
 	if uint32(cap(s.asmBuf)) < n {
 		s.asmBuf = make([]byte, n)
@@ -94,56 +44,27 @@ func (s *blockStore) read(off uint64, n uint32) []byte {
 	for done := uint64(0); done < uint64(n); {
 		g := off + done
 		ci, co := g/storeChunk, g%storeChunk
-		pi, po := co/storePage, co%storePage
-		take := storePage - po
-		if rem := uint64(n) - done; take > rem {
-			take = rem
-		}
-		c := s.chunks[ci]
-		if c == nil {
-			clear(out[done : done+take])
-			done += take
-			continue
-		}
-		// Valid prefix from the chunk, zeros for the garbage suffix.
-		vend := min(uint64(c.valid[pi]), po+take)
-		if vend > po {
-			copy(out[done:done+(vend-po)], c.data[co:])
+		take := min(storeChunk-co, uint64(n)-done)
+		if c := s.chunks[ci]; c != nil {
+			copy(out[done:done+take], c[co:])
 		} else {
-			vend = po
+			clear(out[done : done+take])
 		}
-		clear(out[done+(vend-po) : done+take])
 		done += take
 	}
 	return out
 }
 
-// write stores src at off, materializing chunks on first touch and
-// extending each touched page's valid watermark.
+// write stores src at off, allocating a zeroed chunk on its first write.
 func (s *blockStore) write(off uint64, src []byte) {
-	for done := uint64(0); done < uint64(len(src)); {
-		g := off + done
+	for done := 0; done < len(src); {
+		g := off + uint64(done)
 		ci, co := g/storeChunk, g%storeChunk
 		c := s.chunks[ci]
 		if c == nil {
-			c = getChunkBuf()
+			c = make([]byte, storeChunk)
 			s.chunks[ci] = c
 		}
-		pi, po := co/storePage, co%storePage
-		take := storePage - po
-		if rem := uint64(len(src)) - done; take > rem {
-			take = rem
-		}
-		v := uint64(c.valid[pi])
-		if v < po {
-			// The write skips over never-written bytes of a recycled
-			// buffer: normalize the gap so it reads back as zero.
-			clear(c.data[co-po+v : co])
-		}
-		copy(c.data[co:co+take], src[done:done+take])
-		if end := po + take; end > v {
-			c.valid[pi] = uint32(end)
-		}
-		done += take
+		done += copy(c[co:], src[done:])
 	}
 }

@@ -185,7 +185,6 @@ type NVMe struct {
 // NewNVMe creates an SSD with the given number of blocks.
 func NewNVMe(bdf pci.BDF, eng *dma.Engine, blockSize uint32, blocks uint64) *NVMe {
 	n := &NVMe{bdf: bdf, eng: eng, BlockSize: blockSize, store: newBlockStore(uint64(blockSize) * blocks)}
-	eng.AddCloser(n.store.release)
 	return n
 }
 

@@ -58,15 +58,14 @@ func NewSATA(bdf pci.BDF, eng *dma.Engine, blockSize uint32, blocks uint64) *SAT
 		store:            newBlockStore(uint64(blockSize) * blocks),
 		SeqLatencyCycles: 300_000, // ~100 µs/op at 3.1 GHz: a fast SATA SSD
 	}
-	s.eng.AddCloser(s.store.release)
 	return s
 }
 
 // storageRead returns n bytes of disk content at off. The returned slice is
-// valid until the next storageRead and must not be written.
+// valid until the next storageRead or storageWrite and must not be written.
 func (s *SATA) storageRead(off uint64, n uint32) []byte { return s.store.read(off, n) }
 
-// storageWrite stores src at off, materializing chunks on first touch.
+// storageWrite stores src at off, allocating chunks on first touch.
 func (s *SATA) storageWrite(off uint64, src []byte) { s.store.write(off, src) }
 
 // BDF returns the drive's PCI identity.

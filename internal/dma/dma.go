@@ -121,9 +121,6 @@ type Engine struct {
 	inj *faults.Engine
 	aud Auditor
 
-	// closers run at world teardown (see AddCloser).
-	closers []func()
-
 	// Reads/Writes/Bytes count completed DMA operations for statistics.
 	Reads, Writes, Bytes uint64
 }
@@ -135,19 +132,6 @@ func NewEngine(mm *mem.PhysMem, tr Translator) *Engine {
 
 // Translator returns the engine's current translator.
 func (e *Engine) Translator() Translator { return e.tr }
-
-// AddCloser registers a cleanup to run when the engine's world is torn down
-// (sim.System.Close). Devices use it to return pooled resources — e.g. block
-// storage chunks — without every construction site needing a release call.
-func (e *Engine) AddCloser(f func()) { e.closers = append(e.closers, f) }
-
-// Close runs the registered cleanups (once) in registration order.
-func (e *Engine) Close() {
-	for _, f := range e.closers {
-		f()
-	}
-	e.closers = nil
-}
 
 // SetTranslator swaps the translation path (used when comparing modes).
 func (e *Engine) SetTranslator(tr Translator) { e.tr = tr }

@@ -259,14 +259,9 @@ func TestReapRxRejectsOversizedLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	slot := drv.RxRing().Head() - 1
-	desc, err := drv.RxRing().ReadSlot(slot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	desc := drv.RxRing().ReadSlot(slot)
 	desc.Len = 1 << 20
-	if err := drv.RxRing().WriteSlot(slot, desc); err != nil {
-		t.Fatal(err)
-	}
+	drv.RxRing().WriteSlot(slot, desc)
 	frames, err := drv.ReapRx()
 	if err == nil || frames != nil {
 		t.Fatalf("oversized completion reaped: %d frames, err %v", len(frames), err)
@@ -327,10 +322,7 @@ func TestDriverStats(t *testing.T) {
 // must carry the addresses Map returned (here identity, so PAs).
 func TestDescriptorsCarryMappedAddresses(t *testing.T) {
 	drv, _, mm := identityNIC(t, device.ProfileBRCM)
-	d, err := drv.RxRing().ReadSlot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := drv.RxRing().ReadSlot(0)
 	if d.Addr == 0 || d.Addr >= mm.Size() {
 		t.Errorf("descriptor address %#x not a valid identity-mapped PA", d.Addr)
 	}

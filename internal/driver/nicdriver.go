@@ -71,9 +71,6 @@ type NICDriver struct {
 
 	staticIOVAs []mapped // persistent ring-page mappings
 
-	fillPAs   [fillChunk]mem.PA // scratch for batched Rx refills
-	fillIOVAs [fillChunk]uint64
-
 	reapScratch []uint32 // reusable completed-slot list for Reap{Rx,Tx}
 
 	irq QueueIRQ // nil: interrupts not modeled
@@ -161,62 +158,46 @@ func (d *NICDriver) SetIRQ(irq QueueIRQ) {
 // IRQ returns the wired interrupt source (nil when not modeled).
 func (d *NICDriver) IRQ() QueueIRQ { return d.irq }
 
-// fillChunk bounds one batched refill round; the scratch lives in the
-// driver struct so refills never allocate.
-const fillChunk = 256
-
-// fillRx tops the Rx ring up to capacity with freshly mapped buffers. The
-// refill runs through the batch verbs — GetN, MapBatch, PostN, in chunks of
-// fillChunk — which is observationally identical to posting the buffers one
-// by one (same buffer placement, mapping order, charge accounting, and ring
-// state) but costs three calls per chunk instead of three per buffer.
+// fillRx tops the Rx ring up to capacity with freshly mapped buffers, one
+// at a time: take a buffer from the pool, map it and post it. A buffer whose
+// map or post fails is unwound (see mapPost) and the refill stops with that
+// error; the buffers posted before it stay posted.
 func (d *NICDriver) fillRx() error {
 	size := d.pool.BufSize()
-	sz := d.rx.Size()
-	for {
-		free := int(sz - 1 - d.rx.Pending())
-		if free <= 0 {
-			return nil
-		}
-		if free > fillChunk {
-			free = fillChunk
-		}
-		pas := d.fillPAs[:free]
-		iovas := d.fillIOVAs[:free]
-		if err := d.pool.GetN(pas); err != nil {
+	for !d.rx.Full() {
+		pa, err := d.pool.Get()
+		if err != nil {
 			return err
 		}
-		n, merr := MapBatch(d.prot, d.ringRx, pas, size, pci.DirFromDevice, iovas)
-		first, posted, perr := d.rx.PostN(iovas[:n], size)
-		slot := first
-		for i := 0; i < posted; i++ {
-			d.rxSlots[slot] = mapped{pa: pas[i], iova: iovas[i], size: size, live: true}
-			if slot++; slot == sz {
-				slot = 0
-			}
-		}
-		if perr != nil {
-			// Unreachable when the fill is sized to the free slots, but
-			// mirror the scalar cleanup: unmap whatever could not be posted
-			// so no stale state survives, and return every unused buffer.
-			for i := posted; i < n; i++ {
-				if uerr := d.prot.Unmap(d.ringRx, iovas[i], size, true); uerr != nil {
-					return uerr
-				}
-				d.pool.Put(pas[i])
-			}
-			d.pool.PutN(pas[n:])
-			return perr
-		}
-		if merr != nil {
-			// Restore the free list to what a scalar fill would leave: the
-			// never-used tail first (in reverse, undoing the pops), then the
-			// buffer whose map failed.
-			d.pool.PutN(pas[n+1:])
-			d.pool.Put(pas[n])
-			return merr
+		if err := d.mapPost(d.rx, d.rxSlots, d.ringRx, pa, size, pci.DirFromDevice); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// mapPost maps the pool buffer at pa through flat table rid, posts it to r
+// and records the mapping in slots, r's per-slot table. On failure it
+// unwinds: a mapping that could not be posted is unmapped with the
+// burst-end marker, so no stale state survives, and the buffer goes back to
+// the pool.
+func (d *NICDriver) mapPost(r *ring.Ring, slots []mapped, rid int, pa mem.PA, size uint32, dir pci.Dir) error {
+	iova, err := d.prot.Map(rid, pa, size, dir)
+	if err != nil {
+		d.pool.Put(pa)
+		return err
+	}
+	slot, err := r.Post(ring.Descriptor{Addr: iova, Len: size})
+	if err != nil {
+		uerr := d.prot.Unmap(rid, iova, size, true)
+		d.pool.Put(pa)
+		if uerr != nil {
+			return uerr
+		}
+		return err
+	}
+	slots[slot] = mapped{pa: pa, iova: iova, size: size, live: true}
+	return nil
 }
 
 // Send maps the packet's buffer(s) and posts the Tx descriptor(s). The
@@ -248,21 +229,9 @@ func (d *NICDriver) Send(payload []byte) error {
 		if size == 0 {
 			size = 1 // descriptor must describe at least one byte
 		}
-		iova, err := d.prot.Map(d.ringTx, pa, size, pci.DirToDevice)
-		if err != nil {
-			d.pool.Put(pa)
+		if err := d.mapPost(d.tx, d.txSlots, d.ringTx, pa, size, pci.DirToDevice); err != nil {
 			return err
 		}
-		slot, err := d.tx.Post(ring.Descriptor{Addr: iova, Len: size})
-		if err != nil {
-			uerr := d.prot.Unmap(d.ringTx, iova, size, true)
-			d.pool.Put(pa)
-			if uerr != nil {
-				return uerr
-			}
-			return err
-		}
-		d.txSlots[slot] = mapped{pa: pa, iova: iova, size: size, live: true}
 	}
 	d.TxQueued++
 	return nil
@@ -321,11 +290,7 @@ func (d *NICDriver) ReapTx() (int, error) {
 	}
 	done := d.reapScratch[:0]
 	for d.txReap != d.tx.Head() {
-		desc, err := d.tx.ReadSlot(d.txReap)
-		if err != nil {
-			return 0, err
-		}
-		if desc.Flags&ring.FlagDone == 0 {
+		if d.tx.ReadSlot(d.txReap).Flags&ring.FlagDone == 0 {
 			break
 		}
 		done = append(done, d.txReap)
@@ -381,11 +346,7 @@ func (d *NICDriver) ReapRx() ([][]byte, error) {
 	}
 	done := d.reapScratch[:0]
 	for d.rxReap != d.rx.Head() {
-		desc, err := d.rx.ReadSlot(d.rxReap)
-		if err != nil {
-			return nil, err
-		}
-		if desc.Flags&ring.FlagDone == 0 {
+		if d.rx.ReadSlot(d.rxReap).Flags&ring.FlagDone == 0 {
 			break
 		}
 		done = append(done, d.rxReap)

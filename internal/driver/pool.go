@@ -58,43 +58,6 @@ func (p *BufferPool) Get() (mem.PA, error) {
 	return pa, nil
 }
 
-// GetN fills pas with free buffers. It hands out exactly the addresses, in
-// exactly the order, that len(pas) scalar Gets would — pop the free list
-// from the end, growing by one frame only when it runs dry — so batch and
-// scalar callers see identical buffer placement.
-func (p *BufferPool) GetN(pas []mem.PA) error {
-	for i := range pas {
-		if len(p.free) == 0 {
-			f, err := p.mm.AllocFrame()
-			if err != nil {
-				// Undo the pops so the pool is untouched on failure.
-				for j := i - 1; j >= 0; j-- {
-					p.free = append(p.free, pas[j])
-				}
-				return fmt.Errorf("driver: growing buffer pool: %w", err)
-			}
-			p.frames = append(p.frames, f)
-			for off := uint32(0); off+p.bufSize <= mem.PageSize; off += p.bufSize {
-				p.free = append(p.free, f.PA()+mem.PA(off))
-			}
-		}
-		pas[i] = p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-	}
-	p.out += len(pas)
-	return nil
-}
-
-// PutN returns pas to the pool in reverse order, restoring the free list to
-// exactly the state it would have had if the buffers had never been taken.
-// Used by batch callers to back out unused tail entries after an error.
-func (p *BufferPool) PutN(pas []mem.PA) {
-	for i := len(pas) - 1; i >= 0; i-- {
-		p.free = append(p.free, pas[i])
-	}
-	p.out -= len(pas)
-}
-
 // Put returns a buffer to the pool.
 func (p *BufferPool) Put(pa mem.PA) {
 	p.free = append(p.free, pa)

@@ -24,34 +24,6 @@ type Protection interface {
 	Unmap(ring int, iova uint64, size uint32, endOfBurst bool) error
 }
 
-// BatchMapper is the optional batch extension of Protection: MapBatch maps
-// len(pas) same-sized buffers in one call, writing one IOVA per buffer into
-// iovas, and returns how many were mapped (entries [0, n) on error).
-// Implementations must be observationally equivalent to n scalar Maps —
-// same mapping state, same cycle totals and charge-event counts, same audit
-// order — so callers may use whichever form is convenient. The rIOMMU
-// driver (core.Driver) implements it natively; MapBatch below falls back to
-// a scalar loop for everything else.
-type BatchMapper interface {
-	MapBatch(ring int, pas []mem.PA, size uint32, dir pci.Dir, iovas []uint64) (int, error)
-}
-
-// MapBatch maps pas through p using its native batch verb when it has one
-// and a scalar loop otherwise. iovas must have at least len(pas) entries.
-func MapBatch(p Protection, ring int, pas []mem.PA, size uint32, dir pci.Dir, iovas []uint64) (int, error) {
-	if b, ok := p.(BatchMapper); ok {
-		return b.MapBatch(ring, pas, size, dir, iovas)
-	}
-	for i, pa := range pas {
-		iova, err := p.Map(ring, pa, size, dir)
-		if err != nil {
-			return i, err
-		}
-		iovas[i] = iova
-	}
-	return len(pas), nil
-}
-
 // NoProtection is the disabled-IOMMU mode ("none"): DMAs use physical
 // addresses directly, with no safety and no per-packet overhead.
 type NoProtection struct{}

@@ -169,21 +169,20 @@ func decode(w0, w1 uint64) Descriptor {
 
 // WriteSlot stores a descriptor into slot i (driver-side, direct memory).
 // Slots are accessed through the Span view taken at allocation: the array
-// stays allocated for the ring's lifetime and i wraps modulo the size, so —
-// exactly like the typed mm accessors this replaces — the store cannot fail,
-// and device DMA to the same bytes stays coherent with it.
-func (r *Ring) WriteSlot(i uint32, d Descriptor) error {
+// stays allocated for the ring's lifetime and i wraps modulo the size, so
+// the store cannot fail, and device DMA to the same bytes stays coherent
+// with it.
+func (r *Ring) WriteSlot(i uint32, d Descriptor) {
 	s := r.buf[r.idx(i)*DescBytes:]
 	w0, w1 := encode(d)
 	binary.LittleEndian.PutUint64(s, w0)
 	binary.LittleEndian.PutUint64(s[8:], w1)
-	return nil
 }
 
 // ReadSlot loads the descriptor in slot i (driver-side, direct memory).
-func (r *Ring) ReadSlot(i uint32) (Descriptor, error) {
+func (r *Ring) ReadSlot(i uint32) Descriptor {
 	s := r.buf[r.idx(i)*DescBytes:]
-	return decode(binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[8:])), nil
+	return decode(binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[8:]))
 }
 
 // Post adds a descriptor at the tail and advances it. It fails when the
@@ -194,43 +193,9 @@ func (r *Ring) Post(d Descriptor) (slot uint32, err error) {
 	}
 	slot = r.tail
 	d.Flags = (d.Flags &^ FlagDone) | FlagReady
-	if err := r.WriteSlot(slot, d); err != nil {
-		return 0, err
-	}
+	r.WriteSlot(slot, d)
 	r.tail = r.idx(r.tail + 1)
 	return slot, nil
-}
-
-// PostN posts one descriptor per address in addrs, all with the same length
-// and ready status, advancing the tail once per descriptor exactly as N
-// scalar Posts would. It returns the first slot filled (the others follow
-// modulo the size) and how many were posted; posting stops with an error if
-// the ring fills first.
-func (r *Ring) PostN(addrs []uint64, length uint32) (first uint32, n int, err error) {
-	first = r.tail
-	w1 := uint64(length) | uint64(FlagReady)<<32
-	// One capacity check up front replaces the per-descriptor Full() test;
-	// nothing consumes slots while the driver is posting, so the available
-	// count is static for the whole batch.
-	post := len(addrs)
-	if avail := int(r.size - 1 - r.Pending()); post > avail {
-		post = avail
-	}
-	tail := r.tail
-	for _, a := range addrs[:post] {
-		s := r.buf[tail*DescBytes:]
-		binary.LittleEndian.PutUint64(s, a)
-		binary.LittleEndian.PutUint64(s[8:], w1)
-		if tail++; tail == r.size {
-			tail = 0
-		}
-	}
-	r.tail = tail
-	n = post
-	if post < len(addrs) {
-		return first, n, fmt.Errorf("ring: full (%d pending)", r.Pending())
-	}
-	return first, n, nil
 }
 
 // AdvanceHead moves the device cursor past one consumed descriptor. Called
@@ -246,18 +211,13 @@ func (r *Ring) AdvanceHead() error {
 // Reap returns the completed descriptor in slot i and clears its status so
 // the slot can be reused. It fails if the descriptor is not marked done.
 func (r *Ring) Reap(i uint32) (Descriptor, error) {
-	d, err := r.ReadSlot(i)
-	if err != nil {
-		return Descriptor{}, err
-	}
+	d := r.ReadSlot(i)
 	if d.Flags&FlagDone == 0 {
 		return Descriptor{}, fmt.Errorf("ring: slot %d not complete (flags=%#x)", i, d.Flags)
 	}
 	clear := d
 	clear.Flags = 0
-	if err := r.WriteSlot(i, clear); err != nil {
-		return Descriptor{}, err
-	}
+	r.WriteSlot(i, clear)
 	return d, nil
 }
 

@@ -43,14 +43,8 @@ func TestMultiPageRing(t *testing.T) {
 	}
 	// Slot 300 lives on the second page and must round-trip.
 	want := Descriptor{Addr: 0xabcd, Len: 1500, Flags: FlagReady}
-	if err := r.WriteSlot(300, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReadSlot(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	r.WriteSlot(300, want)
+	if got := r.ReadSlot(300); got != want {
 		t.Errorf("slot 300 = %+v, want %+v", got, want)
 	}
 	if err := r.Free(); err != nil {
@@ -71,17 +65,12 @@ func TestPostConsumeReap(t *testing.T) {
 		t.Errorf("slot=%d pending=%d", slot, r.Pending())
 	}
 	// Device consumes: read, mark done, advance.
-	d, err := r.ReadSlot(slot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := r.ReadSlot(slot)
 	if d.Flags&FlagReady == 0 {
 		t.Error("posted descriptor not marked ready")
 	}
 	d.Flags |= FlagDone
-	if err := r.WriteSlot(slot, d); err != nil {
-		t.Fatal(err)
-	}
+	r.WriteSlot(slot, d)
 	if err := r.AdvanceHead(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +170,7 @@ func TestFIFOProperty(t *testing.T) {
 				if r.Empty() {
 					continue
 				}
-				d, err := r.ReadSlot(r.Head())
-				if err != nil || d.Addr != nextConsume {
+				if r.ReadSlot(r.Head()).Addr != nextConsume {
 					return false // out of order!
 				}
 				if err := r.AdvanceHead(); err != nil {

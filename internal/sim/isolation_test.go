@@ -60,10 +60,7 @@ func TestInterDeviceIsolation(t *testing.T) {
 			// Attack: device B replays one of device A's live Rx IOVAs —
 			// a high slot that has no counterpart in B's small rings, so
 			// any success would mean B reached A's translations.
-			descA, err := drvA.RxRing().ReadSlot(drvA.RxRing().Size() - 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			descA := drvA.RxRing().ReadSlot(drvA.RxRing().Size() - 2)
 			if err := sys.Eng.Write(devB, descA.Addr, []byte{0xEE}); err == nil {
 				t.Error("device B wrote through device A's IOVA")
 			}
@@ -73,7 +70,7 @@ func TestInterDeviceIsolation(t *testing.T) {
 			}
 			// And when coordinates do coincide (slot 0 exists on both),
 			// B's translation must resolve to B's own buffer, never A's.
-			dA0, _ := drvA.RxRing().ReadSlot(0)
+			dA0 := drvA.RxRing().ReadSlot(0)
 			paA, errA := sys.Eng.Translator().Translate(devA, dA0.Addr, 8, pci.DirFromDevice)
 			paB, errB := sys.Eng.Translator().Translate(devB, dA0.Addr, 8, pci.DirFromDevice)
 			if errA != nil {
@@ -119,8 +116,8 @@ func TestTwoDevicesIndependentRings(t *testing.T) {
 	}
 	// Slot 0 of each device's Rx ring: same packed rIOVA value, different
 	// physical buffers.
-	dA, _ := drvA.RxRing().ReadSlot(0)
-	dB, _ := drvB.RxRing().ReadSlot(0)
+	dA := drvA.RxRing().ReadSlot(0)
+	dB := drvB.RxRing().ReadSlot(0)
 	if dA.Addr != dB.Addr {
 		t.Fatalf("expected identical rIOVA coordinates, got %#x vs %#x", dA.Addr, dB.Addr)
 	}

@@ -266,14 +266,6 @@ func (p meteredProt) Unmap(ring int, iova uint64, size uint32, endOfBurst bool) 
 	return err
 }
 
-func (p meteredProt) MapBatch(ring int, pas []mem.PA, size uint32, dir pci.Dir, iovas []uint64) (int, error) {
-	n, err := driver.MapBatch(p.e.prot, ring, pas, size, dir, iovas)
-	for i := 0; i < n; i++ {
-		p.e.noteMap('M', ring, iovas[i], size, uint64(dir))
-	}
-	return n, err
-}
-
 func (e *Engine) noteMap(op byte, ring int, iova uint64, size uint32, extra uint64) {
 	h := fnvFold(e.mapDigest, uint64(op), 1)
 	h = fnv64(h, uint64(ring))
