@@ -290,6 +290,11 @@ func BenchmarkCampaignCell(b *testing.B) {
 // construction, warmup and measured ticks over a mixed kernel/bypass
 // connection table, teardown — the unit the figS2 sweep and the campaign
 // -churn axis scale by.
+//
+// As in BenchmarkTrafficTick, two untimed collections before each op empty
+// the pool simulated memory recycles through, so every cell starts cold,
+// and one untimed op before the timer starts keeps first-use
+// initialisation out of the counts: allocs/op repeats at any -benchtime.
 func BenchmarkTrafficCell(b *testing.B) {
 	cfg := traffic.Config{
 		Mode:            sim.RIOMMU,
@@ -306,12 +311,20 @@ func BenchmarkTrafficCell(b *testing.B) {
 		Diurnal:         true,
 		Audit:           true,
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	op := func() {
 		if _, err := traffic.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
+		op()
 	}
 }
 
