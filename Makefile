@@ -8,7 +8,7 @@ WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
 
-.PHONY: all build test tier1 vet fmt-check race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic clean
+.PHONY: all build test tier1 vet fmt-check race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic loc clean
 
 all: tier1
 
@@ -249,6 +249,14 @@ grid-check: build
 		echo "grid-check: sharded report differs from serial run"; exit 1; \
 	fi; \
 	echo "grid-check: sharded report byte-identical to serial run"
+
+# loc prints the line count of the non-test Go source, leaving out the
+# benchmark's own module (perfbench/), its build directory (.bench_build/)
+# and .git/: the figure ROADMAP aim 2 ("the same bytes from less code")
+# tracks.
+loc:
+	@find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # profile runs the quick campaign grid under the CPU and heap profilers; feed
 # the outputs to `go tool pprof`.
