@@ -153,6 +153,9 @@ type device struct {
 
 	// retired holds the device's tombstones, oldest first (see retire).
 	retired []Retired
+
+	// n counts the device's live mappings.
+	n int
 }
 
 // NewOracle creates an oracle for a system in the named protection mode.
@@ -198,6 +201,7 @@ func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci
 	m := o.newMapping()
 	*m = Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()}
 	d.file(m)
+	d.n++
 	o.LiveNow++
 	if o.LiveNow > o.LivePeak {
 		o.LivePeak = o.LiveNow
@@ -233,7 +237,17 @@ func (o *Oracle) release(d *device, m *Mapping) {
 	d.unfile(m)
 	d.retire(m, o.clk.Now())
 	o.spare = append(o.spare, m)
+	d.n--
 	o.LiveNow--
+}
+
+// LiveOf returns the number of bdf's live mappings; LiveNow sums it over
+// every device.
+func (o *Oracle) LiveOf(bdf pci.BDF) int {
+	if d := o.lookup(bdf); d != nil {
+		return d.n
+	}
+	return 0
 }
 
 // retire files m's tombstone, unmapped at cycle now.

@@ -62,6 +62,15 @@ func (d *Driver) SetAudit(o MapObserver) { d.aud = o }
 // Coherent reports whether this is the riommu (true) or riommu− (false) variant.
 func (d *Driver) Coherent() bool { return d.coherent }
 
+// Live returns the number of live mappings across the device's rings.
+func (d *Driver) Live() int {
+	n := 0
+	for _, r := range d.dev.rings {
+		n += int(r.Mapped())
+	}
+	return n
+}
+
 // syncMem implements sync_mem (Figure 11 bottom/right): a memory barrier,
 // plus a cacheline flush and a second barrier when the rIOMMU page walk is
 // not coherent with the CPU caches.

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"fmt"
 
 	"riommu/internal/device"
@@ -73,6 +74,9 @@ type NICDriver struct {
 
 	reapScratch []uint32 // reusable completed-slot list for Reap{Rx,Tx}
 
+	txHeader []byte    // two-buffer profiles' synthesized protocol header
+	txPieces [2][]byte // splitTx's reusable result
+
 	irq QueueIRQ // nil: interrupts not modeled
 
 	// Statistics.
@@ -112,6 +116,9 @@ func newNICDriverQueue(mm *mem.PhysMem, prot Protection, eng *dma.Engine, profil
 		rxSlots: make([]mapped, profile.RxEntries),
 		txSlots: make([]mapped, profile.TxEntries),
 	}
+	if profile.BuffersPerPacket >= 2 {
+		d.txHeader = bytes.Repeat([]byte{0x5a}, profile.HeaderBytes) // synthesized protocol header bytes
+	}
 
 	// Persistently map the ring memory so the device can fetch descriptors
 	// (the "first rRING" of §4; a single fine-grained mapping per ring).
@@ -142,6 +149,11 @@ func (d *NICDriver) TxRing() *ring.Ring { return d.tx }
 
 // Profile returns the NIC profile.
 func (d *NICDriver) Profile() device.NICProfile { return d.profile }
+
+// Live returns the mappings the driver owns: one per pool buffer it has
+// handed out (posted Rx and in-flight Tx buffers) plus its static ring
+// mappings. Inline Tx descriptors map nothing.
+func (d *NICDriver) Live() int { return d.pool.Outstanding() + len(d.staticIOVAs) }
 
 // SetIRQ wires the queue's interrupt source into both halves of the path:
 // the driver fires/drops it, and — when the source is also a device-side
@@ -264,16 +276,15 @@ func (d *NICDriver) SendInline(payload []byte) error {
 }
 
 // splitTx produces the per-buffer pieces for a payload: header + payload
-// for two-buffer profiles, a single frame otherwise.
+// for two-buffer profiles, a single frame otherwise. The result reuses one
+// slice, valid until the next call.
 func (d *NICDriver) splitTx(payload []byte) [][]byte {
 	if d.profile.BuffersPerPacket < 2 {
-		return [][]byte{payload}
+		d.txPieces[0] = payload
+		return d.txPieces[:1]
 	}
-	header := make([]byte, d.profile.HeaderBytes)
-	for i := range header {
-		header[i] = 0x5a // synthesized protocol header bytes
-	}
-	return [][]byte{header, payload}
+	d.txPieces[0], d.txPieces[1] = d.txHeader, payload
+	return d.txPieces[:2]
 }
 
 // PumpTx lets the device transmit up to maxPackets queued packets.
@@ -490,7 +501,12 @@ func (d *NICDriver) Reattach(prot Protection) error {
 }
 
 // Teardown drains completions, unmaps every live mapping (including the
-// persistent ring mappings), and releases rings and buffers.
+// persistent ring mappings), and releases rings and buffers: the unmap path
+// of a driver unload. A world that ends once its result is taken does not
+// run it; it compares Live with its protection layer's count
+// (sim.(*System).CheckLive) and closes, since no output reads what a
+// teardown would simulate. Tests of the unmap path and the internal/check
+// harness still tear down.
 func (d *NICDriver) Teardown() error {
 	if _, err := d.PumpTx(int(d.tx.Pending())); err != nil {
 		return err

@@ -83,6 +83,10 @@ func (d *NVMeDriver) Device() *device.NVMe { return d.ssd }
 // Queue exposes the queue pair.
 func (d *NVMeDriver) Queue() *device.NVMeQueuePair { return d.q }
 
+// Live returns the mappings the driver owns: one per command buffer it has
+// handed out plus the two queue mappings.
+func (d *NVMeDriver) Live() int { return d.pool.Outstanding() + len(d.staticIOVAs) }
+
 // Write submits a write of data (at most one page) at the given block.
 // The buffer is mapped just before submission (Figure 4's discipline).
 func (d *NVMeDriver) Write(block uint64, data []byte) (uint32, error) {

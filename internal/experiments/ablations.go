@@ -99,7 +99,8 @@ func RunAblations(cfg Config) (AblationsResult, error) {
 		}
 		defer sys.Close()
 		sys.RHW.DisablePrefetch = disable
-		drv, _, err := sys.AttachNIC(device.ProfileBRCM, pci.NewBDF(0, 3, 0))
+		bdf := pci.NewBDF(0, 3, 0)
+		drv, _, err := sys.AttachNIC(device.ProfileBRCM, bdf)
 		if err != nil {
 			return cell, err
 		}
@@ -122,7 +123,7 @@ func RunAblations(cfg Config) (AblationsResult, error) {
 		if st.PrefetchHits+st.TableFetches > 0 {
 			cell.hitRate = float64(st.PrefetchHits) / float64(st.PrefetchHits+st.TableFetches)
 		}
-		return cell, drv.Teardown()
+		return cell, sys.CheckLive(bdf, drv.Live())
 	})
 	if err != nil {
 		return res, err
@@ -141,7 +142,8 @@ func RunAblations(cfg Config) (AblationsResult, error) {
 			return 0, err
 		}
 		defer sys.Close()
-		prot, err := sys.ProtectionFor(pci.NewBDF(0, 3, 0), []uint32{2, n, n})
+		bdf := pci.NewBDF(0, 3, 0)
+		prot, err := sys.ProtectionFor(bdf, []uint32{2, n, n})
 		if err != nil {
 			return 0, err
 		}
@@ -150,9 +152,8 @@ func RunAblations(cfg Config) (AblationsResult, error) {
 			return 0, err
 		}
 		overflows := 0
-		var live []uint64
 		for i := 0; i < 64; i++ {
-			iova, err := prot.Map(driver.RingTx, f.PA(), 64, pci.DirToDevice)
+			_, err := prot.Map(driver.RingTx, f.PA(), 64, pci.DirToDevice)
 			if errors.Is(err, core.ErrOverflow) {
 				overflows++
 				continue
@@ -160,14 +161,8 @@ func RunAblations(cfg Config) (AblationsResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			live = append(live, iova)
 		}
-		for i, v := range live {
-			if err := prot.Unmap(driver.RingTx, v, 64, i == len(live)-1); err != nil {
-				return 0, err
-			}
-		}
-		return overflows, nil
+		return overflows, sys.CheckLive(bdf, 64-overflows)
 	})
 	if err != nil {
 		return res, err

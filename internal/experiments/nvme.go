@@ -91,7 +91,7 @@ func RunNVMe(cfg Config) (NVMeResult, error) {
 		}
 		cell.cyclesPerOp = float64(sys.CPU.Now()) / float64(ops)
 		cell.kiops = perfmodel.RatePerSecond(sys.Model, cell.cyclesPerOp, nvmeDriveKIOPS*1000) / 1000
-		return cell, d.Teardown()
+		return cell, sys.CheckLive(bdf, d.Live())
 	})
 	if err != nil {
 		return res, err

@@ -101,17 +101,21 @@ type view struct {
 // the reference and every operation must fail exactly when the reference
 // says it must. Between lives the memory is released and rebuilt at the
 // same size; each life first allocates every frame and requires it to read
-// zero, and starts with the same four-frame Span. The test fails unless the
-// seeds recycle backings, reuse a slab from an earlier life, cross pages
-// with the armed hook and hit the poison and pin errors.
+// zero, and starts with the same four-frame Span. A life ends as a
+// disposable world does, with whatever frames it still holds allocated and
+// pinned, so the next life's zero sweep and frees check that a recycled
+// backing forgets them. The test fails unless the seeds recycle backings,
+// recycle one released with pinned frames, reuse a slab from an earlier
+// life, cross pages with the armed hook and hit the poison and pin errors.
 func TestSparseMatchesDense(t *testing.T) {
-	var recycled, slabReuse, crossingFaults, poisonErrs, pinErrs int
+	var recycled, pinnedRecycled, slabReuse, crossingFaults, poisonErrs, pinErrs int
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		frames := 16 + rng.Intn(49)
 		size := uint64(frames) * PageSize
 		m := mustMem(t, size)
 		hook := &stubHook{}
+		held := false // the life just ended held pinned frames
 		for life := 0; life < 3; life++ {
 			if life > 0 {
 				bk := m.bk
@@ -119,6 +123,9 @@ func TestSparseMatchesDense(t *testing.T) {
 				m = mustMem(t, size)
 				if m.bk == bk {
 					recycled++
+					if held {
+						pinnedRecycled++
+					}
 				}
 			}
 			m.SetFaultHook(hook)
@@ -417,12 +424,18 @@ func TestSparseMatchesDense(t *testing.T) {
 					}
 				}
 			}
+			held = false
+			for g := 1; g < frames; g++ {
+				if ref.alloced[g] && ref.pins[g] > 0 {
+					held = true
+				}
+			}
 		}
 		m.Release()
 	}
-	t.Logf("recycled %d, slab reuse %d, page-crossing write faults %d, poisoned reads %d, pinned frees %d",
-		recycled, slabReuse, crossingFaults, poisonErrs, pinErrs)
-	if recycled == 0 || slabReuse == 0 || crossingFaults == 0 || poisonErrs == 0 || pinErrs == 0 {
+	t.Logf("recycled %d (%d released holding pinned frames), slab reuse %d, page-crossing write faults %d, poisoned reads %d, pinned frees %d",
+		recycled, pinnedRecycled, slabReuse, crossingFaults, poisonErrs, pinErrs)
+	if recycled == 0 || pinnedRecycled == 0 || slabReuse == 0 || crossingFaults == 0 || poisonErrs == 0 || pinErrs == 0 {
 		t.Fatal("the seeded sequences no longer reach every store state")
 	}
 }

@@ -287,12 +287,38 @@ func (s *System) ResetClocks() {
 	s.Dev.Reset()
 }
 
+// CheckLive compares want, the mappings bdf's owners account for, with the
+// live count of bdf's protection layer and, on an audited world, with the
+// audit oracle's count for bdf, and returns an error naming both counts
+// when they differ. A world that ends once its result is taken calls it
+// instead of unmapping everything before Close: the check catches a mapping
+// no owner accounts for without moving a simulated byte. Pass-through
+// protections map nothing, so they pass.
+func (s *System) CheckLive(bdf pci.BDF, want int) error {
+	p, ok := s.Protections[bdf].(interface{ Live() int })
+	if !ok {
+		return nil
+	}
+	if n := p.Live(); n != want {
+		return fmt.Errorf("sim: %s ends with %d live mappings in its protection layer, but its owners account for %d", bdf, n, want)
+	}
+	if s.Auditor != nil {
+		if n := s.Auditor.LiveOf(bdf); n != want {
+			return fmt.Errorf("sim: %s ends with %d live mappings in the audit oracle, but its owners account for %d", bdf, n, want)
+		}
+	}
+	return nil
+}
+
 // Close releases the system's simulated memory backing into the shared
 // pool (mem.PhysMem.Release), so the next world of the same memory size in
 // an experiment or campaign grid reuses its page directory, pages and
 // metadata instead of allocating them again. Nothing else is pooled: block
-// devices' storage chunks are left to the collector. The system — and
-// every driver, device, and engine built on it — must not be used
+// devices' storage chunks are left to the collector. Close unmaps nothing:
+// a world that ends once its result is taken checks its live mappings
+// (CheckLive) and closes, and the backing goes back with frames still
+// allocated and pinned, which the next life's mem.New resets. The system —
+// and every driver, device, and engine built on it — must not be used
 // afterwards. Closing is optional: an unclosed system is simply
 // garbage-collected.
 func (s *System) Close() {

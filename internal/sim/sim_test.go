@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"riommu/internal/device"
@@ -322,5 +323,63 @@ func TestModeMetadata(t *testing.T) {
 	}
 	if _, err := NewSystem(Mode(99), 1024); err == nil {
 		t.Error("NewSystem with bad mode should fail")
+	}
+}
+
+// TestCheckLive: CheckLive passes when the owners' count equals the
+// protection layer's live count and the audit oracle's count for the
+// device, and otherwise returns an error naming both counts. A mapping
+// only the oracle holds, or one on another device, is judged per device,
+// and pass-through modes, which map nothing, always pass.
+func TestCheckLive(t *testing.T) {
+	other := pci.NewBDF(0, 4, 0)
+	for _, mode := range []Mode{Strict, Defer, RIOMMU, None} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sys, err := NewSystem(mode, 1<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			orc := sys.EnableAudit()
+			f, err := sys.Mem.AllocFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dev := range []pci.BDF{bdf, other} {
+				prot, err := sys.ProtectionFor(dev, []uint32{2, 4, 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := prot.Map(driver.RingTx, f.PA(), 64, pci.DirToDevice); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if mode == None {
+				if err := sys.CheckLive(bdf, 7); err != nil {
+					t.Fatalf("pass-through mode failed the check: %v", err)
+				}
+				return
+			}
+			if err := sys.CheckLive(bdf, 1); err != nil {
+				t.Fatalf("one mapping, owners account for one: %v", err)
+			}
+			wantErr := func(err error, counts ...string) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("mismatch accepted, want an error naming %q", counts)
+				}
+				for _, c := range counts {
+					if !strings.Contains(err.Error(), c) {
+						t.Errorf("error %q does not name %q", err, c)
+					}
+				}
+			}
+			wantErr(sys.CheckLive(bdf, 2), "1 live mappings in its protection layer", "account for 2")
+			orc.OnMap(bdf, 0x7000_0000, f.PA(), 64, pci.DirToDevice)
+			wantErr(sys.CheckLive(bdf, 1), "2 live mappings in the audit oracle", "account for 1")
+			if err := sys.CheckLive(other, 1); err != nil {
+				t.Errorf("another device's oracle mapping failed the check: %v", err)
+			}
+		})
 	}
 }

@@ -64,19 +64,6 @@ func (e *Engine) mapBypass(i int) error {
 	return nil
 }
 
-func (e *Engine) closeBypass() error {
-	var firstErr error
-	for i := 0; i < bypassBufs; i++ {
-		if e.bp.iova[i] == 0 && e.bp.pa[i] == 0 {
-			continue
-		}
-		if err := e.mp.Unmap(ringBypass, e.bp.iova[i], bypassBufBytes, i == bypassBufs-1); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // bypassTx transmits one packet on the bypass path: busy-poll charge, copy
 // into the next pool buffer, then the device fetches it through the IOMMU
 // — verified byte-for-byte against what was written.

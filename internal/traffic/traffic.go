@@ -401,7 +401,7 @@ func (e *Engine) closeFlow(slot int) error {
 	if c.steerSize > 0 {
 		e.steerSeq++
 		eob := e.steerSeq%closeBurst == 0
-		if err := e.unmapSteer(c.steerIOVA, c.steerSize, eob); err != nil {
+		if err := e.mp.Unmap(ringSteer, c.steerIOVA, c.steerSize, eob); err != nil {
 			return err
 		}
 		c.steerSize = 0
@@ -418,10 +418,6 @@ func (e *Engine) mapSteer(slot int, size uint32) (uint64, error) {
 		return iova, err
 	}
 	return e.mp.Map(ringSteer, e.steerPA[slot], size, pci.DirFromDevice)
-}
-
-func (e *Engine) unmapSteer(iova uint64, size uint32, eob bool) error {
-	return e.mp.Unmap(ringSteer, iova, size, eob)
 }
 
 // Tick advances the schedule one step: the diurnal-modulated message quota
@@ -619,8 +615,8 @@ func (e *Engine) resetCounters() {
 	e.opens, e.closes, e.incasts = 0, 0, 0
 }
 
-// Finish drains and assembles the Result. The cycle snapshot is taken
-// before teardown so the ledger covers exactly the measured window.
+// Finish drains and assembles the Result, whose cycle ledger covers
+// exactly the measured window.
 func (e *Engine) Finish() (Result, error) {
 	if err := e.Drain(); err != nil {
 		return Result{}, err
@@ -659,28 +655,23 @@ func (e *Engine) Finish() (Result, error) {
 	return r, nil
 }
 
-// Close tears the world down: live steering buffers, the bypass pool, the
-// NIC driver's rings and pool, then the system itself.
+// Close checks the world's live mappings and releases the system. It
+// unmaps nothing, because every result is fixed before its world closes:
+// the mappings the engine's owners account for (the NIC driver's buffers
+// and rings, the live steering buffers and the bypass pool) must equal the
+// protection layer's live count and, when audited, the oracle's
+// (sim.(*System).CheckLive). A mismatch is an error naming both counts;
+// the system is released either way.
 func (e *Engine) Close() error {
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	keep(e.Drain())
+	want := e.drv.Live() + bypassBufs
 	for i := range e.conns {
-		c := &e.conns[i]
-		if c.steerSize > 0 {
-			keep(e.unmapSteer(c.steerIOVA, c.steerSize, true))
-			c.steerSize = 0
+		if e.conns[i].steerSize > 0 {
+			want++
 		}
 	}
-	keep(e.closeBypass())
-	keep(e.FlushDeferred())
-	keep(e.drv.Teardown())
+	err := e.sys.CheckLive(BDF, want)
 	e.sys.Close()
-	return firstErr
+	return err
 }
 
 // Run executes the full schedule: warmup, clock reset, measured ticks,

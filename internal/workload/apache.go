@@ -113,7 +113,7 @@ func Apache(mode sim.Mode, profile device.NICProfile, opts ApacheOpts) (Result, 
 		Breakdown:     sys.CPU.Snapshot(),
 		Units:         uint64(opts.Requests),
 	}
-	if err := fx.drv.Teardown(); err != nil {
+	if err := sys.CheckLive(NICBDF, fx.drv.Live()); err != nil {
 		return Result{}, err
 	}
 	return res, nil

@@ -101,7 +101,7 @@ func Memcached(mode sim.Mode, profile device.NICProfile, opts MemcachedOpts) (Re
 		Breakdown:     sys.CPU.Snapshot(),
 		Units:         uint64(opts.Operations),
 	}
-	if err := fx.drv.Teardown(); err != nil {
+	if err := sys.CheckLive(NICBDF, fx.drv.Live()); err != nil {
 		return Result{}, err
 	}
 	return res, nil

@@ -108,7 +108,7 @@ func NetperfStream(mode sim.Mode, profile device.NICProfile, opts StreamOpts) (R
 		Units:          pkts,
 		MaxAllocVisits: maxWalk,
 	}
-	if err := fx.drv.Teardown(); err != nil {
+	if err := sys.CheckLive(NICBDF, fx.drv.Live()); err != nil {
 		return Result{}, err
 	}
 	return res, nil
@@ -223,7 +223,7 @@ func NetperfRR(mode sim.Mode, profile device.NICProfile, opts RROpts) (Result, e
 		Breakdown:     sys.CPU.Snapshot(),
 		Units:         uint64(opts.Transactions),
 	}
-	if err := fx.drv.Teardown(); err != nil {
+	if err := sys.CheckLive(NICBDF, fx.drv.Live()); err != nil {
 		return Result{}, err
 	}
 	return res, nil

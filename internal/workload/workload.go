@@ -68,8 +68,9 @@ func (r Result) String() string {
 }
 
 // newSystemWithNIC builds the system + NIC + netstack fixture shared by the
-// networking workloads.
-func newSystemWithNIC(mode sim.Mode, profile device.NICProfile) (*sim.System, *nicFixture, error) {
+// networking workloads. It is a variable so that leak tests can build the
+// NIC over a protection that loses an unmap.
+var newSystemWithNIC = func(mode sim.Mode, profile device.NICProfile) (*sim.System, *nicFixture, error) {
 	sys, err := sim.NewSystemScaled(mode, MemPages, profile.CostScale)
 	if err != nil {
 		return nil, nil, err

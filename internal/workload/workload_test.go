@@ -1,9 +1,14 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"riommu/internal/device"
+	"riommu/internal/driver"
+	"riommu/internal/mem"
+	"riommu/internal/pci"
 	"riommu/internal/sim"
 )
 
@@ -222,5 +227,77 @@ func TestBonnieIndistinguishable(t *testing.T) {
 	ratio := strict.Throughput / none.Throughput
 	if ratio < 0.95 || ratio > 1.0 {
 		t.Errorf("bonnie strict/none = %.3f, want ≈1 (indistinguishable)", ratio)
+	}
+}
+
+// lostTxUnmap drops the first Tx unmap the driver asks for: the driver
+// returns the buffer to its pool while the protection layer keeps it
+// mapped. live counts the mappings the protection layer holds.
+type lostTxUnmap struct {
+	driver.Protection
+	lost bool
+	live int
+}
+
+func (p *lostTxUnmap) Map(ring int, pa mem.PA, size uint32, dir pci.Dir) (uint64, error) {
+	iova, err := p.Protection.Map(ring, pa, size, dir)
+	if err == nil {
+		p.live++
+	}
+	return iova, err
+}
+
+func (p *lostTxUnmap) Unmap(ring int, iova uint64, size uint32, endOfBurst bool) error {
+	if ring == driver.RingTx && !p.lost {
+		p.lost = true
+		return nil
+	}
+	err := p.Protection.Unmap(ring, iova, size, endOfBurst)
+	if err == nil {
+		p.live--
+	}
+	return err
+}
+
+// TestRunnerFindsLeak: a runner whose world ends holding a Tx mapping the
+// driver has let go of fails, with an error naming the protection layer's
+// count and the driver's, in each mapping mode, audited or not.
+func TestRunnerFindsLeak(t *testing.T) {
+	build := newSystemWithNIC
+	defer func() { newSystemWithNIC = build }()
+	for _, mode := range []sim.Mode{sim.Strict, sim.Defer, sim.RIOMMU} {
+		for _, audited := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/audit=%v", mode, audited), func(t *testing.T) {
+				var prot *lostTxUnmap
+				newSystemWithNIC = func(mode sim.Mode, profile device.NICProfile) (*sim.System, *nicFixture, error) {
+					sys, err := sim.NewSystemScaled(mode, MemPages, profile.CostScale)
+					if err != nil {
+						return nil, nil, err
+					}
+					if audited {
+						sys.EnableAudit()
+					}
+					p, err := sys.ProtectionFor(NICBDF, driver.RIOMMURingSizes(profile))
+					if err != nil {
+						return nil, nil, err
+					}
+					prot = &lostTxUnmap{Protection: p}
+					drv, nic, err := driver.NewNICDriver(sys.Mem, prot, sys.Eng, profile, NICBDF)
+					return sys, &nicFixture{drv: drv, nic: nic}, err
+				}
+				_, err := NetperfStream(mode, device.ProfileMLX, quickStream)
+				if err == nil {
+					t.Fatal("runner accepted a Tx mapping its driver let go of")
+				}
+				if !prot.lost {
+					t.Fatal("the stream reaped no Tx buffer")
+				}
+				for _, c := range []string{fmt.Sprintf("%d live mappings", prot.live), fmt.Sprintf("account for %d", prot.live-1)} {
+					if !strings.Contains(err.Error(), c) {
+						t.Errorf("runner error %q does not name %q", err, c)
+					}
+				}
+			})
+		}
 	}
 }

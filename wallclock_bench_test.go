@@ -288,8 +288,8 @@ func BenchmarkCampaignCell(b *testing.B) {
 
 // BenchmarkTrafficCell times one complete fleet-traffic churn cell — engine
 // construction, warmup and measured ticks over a mixed kernel/bypass
-// connection table, teardown — the unit the figS2 sweep and the campaign
-// -churn axis scale by.
+// connection table, the close's live-mapping check — the unit the figS2
+// sweep and the campaign -churn axis scale by.
 //
 // As in BenchmarkTrafficTick, two untimed collections before each op empty
 // the pool simulated memory recycles through, so every cell starts cold,
@@ -713,6 +713,47 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			}); n != 0 {
 				t.Errorf("mem %s allocates %.1f objects per op, want 0", op.name, n)
+			}
+		}
+	})
+
+	t.Run("nic-tx-round", func(t *testing.T) {
+		// One packet through the NIC driver's Tx path: Send maps the
+		// header and payload buffers (mlx) or the one frame (brcm), PumpTx
+		// transmits, ReapTx unmaps. The warm-up grows the buffer pool and
+		// the driver's and device's scratch and runs past a deferred flush;
+		// the steady state must then allocate nothing.
+		payload := make([]byte, 1448)
+		for _, p := range []device.NICProfile{device.ProfileMLX, device.ProfileBRCM} {
+			for _, mode := range []sim.Mode{sim.Strict, sim.Defer, sim.RIOMMU} {
+				t.Run(p.Name+"/"+mode.String(), func(t *testing.T) {
+					sys, err := sim.NewSystemScaled(mode, 1<<15, p.CostScale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sys.Close()
+					drv, _, err := sys.AttachNIC(p, pci.NewBDF(0, 3, 0))
+					if err != nil {
+						t.Fatal(err)
+					}
+					round := func() {
+						if err := drv.Send(payload); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := drv.PumpTx(1); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := drv.ReapTx(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for range baselinedrv.DeferBatch {
+						round()
+					}
+					if n := testing.AllocsPerRun(500, round); n != 0 {
+						t.Errorf("a NIC Tx round allocates %.2f objects per op, want 0", n)
+					}
+				})
 			}
 		}
 	})
