@@ -153,8 +153,9 @@ campaign-json: build
 
 # alloc-check is the allocation-regression gate: the steady-state hot paths
 # (IOTLB hit, rIOTLB hit, warm radix walk, IOVA recycle and churn, the audit
-# oracle's verify and its unmap+map pair, the DMA engine's transfers and
-# memory's typed accessors) must stay at zero allocations per operation.
+# oracle's verify and its unmap+map pair, the DMA engine's transfers,
+# memory's typed accessors and one NIC Tx round, Send -> PumpTx -> ReapTx)
+# must stay at zero allocations per operation.
 # Unlike the wall-clock deltas below this gate is machine-independent, so CI
 # hard-fails on it.
 alloc-check:
@@ -162,23 +163,27 @@ alloc-check:
 
 # perfbench-check runs the repository benchmark's own tests, then four short
 # runs, and fails unless each run's result line reports every simulated
-# output correct and an alloc_mb under the run's ceiling:
-#   - churn-audited (the map/unmap storm under the audit oracle), 40 MB. It
-#     allocates ~34.5 MB, stable to +-0.05 MB between runs. The oracle's
-#     copied tombstone windows and per-map records allocated ~46.5 MB, and
-#     backing each world with an array of its nominal size ~197 MB.
+# output correct and an alloc_mb under the run's ceiling. Each figure below
+# is three 5 s runs. "Before" is the code that unmapped everything in each
+# NIC world after its result (where it now checks its live mappings) and
+# built a fresh Tx header for every mlx packet.
+#   - churn-audited (the map/unmap storm under the audit oracle), 35 MB. It
+#     allocates 31.14-31.18 MB, 34.41-34.45 MB before. The oracle's copied
+#     tombstone windows and per-map records allocated ~46.5 MB, and backing
+#     each world with an array of its nominal size ~197 MB.
 #   - fault-grid (the audited campaign grid with every cell family),
-#     200 MB. It allocates 164-172 MB, moving with collection timing; the
+#     200 MB. It allocates 163.1-163.8 MB, 161.5-169.8 MB before (only its
+#     churn cells unmapped everything), moving with collection timing; the
 #     copied tombstone windows and per-map records allocated ~340 MB.
-#   - paper-quick (every experiment at Quick quality), 450 MB. Three 5 s runs
-#     allocated 408.6-418.1 MB. Rebuilding the worlds of the 82 cells one
-#     RunAll call repeats, instead of taking them from its cell memo,
-#     allocated 492.5-500.2 MB over three runs.
-#   - churn-raw (the churn worlds unaudited), 32 MB. Three 5 s runs
-#     allocated 29.42 MB each.
+#   - paper-quick (every experiment at Quick quality), 380 MB. It allocates
+#     316.6-324.8 MB, 414.8-416.7 MB before. Rebuilding the worlds of the
+#     82 cells one RunAll call repeats, instead of taking them from its cell
+#     memo, allocated 492.5-500.2 MB.
+#   - churn-raw (the churn worlds unaudited), 30 MB. It allocates 27.04 MB
+#     in every run, 29.40 MB before.
 perfbench-check:
 	cd perfbench && $(GO) test ./...
-	@for run in churn-audited:40 fault-grid:200 paper-quick:450 churn-raw:32; do \
+	@for run in churn-audited:35 fault-grid:200 paper-quick:380 churn-raw:30; do \
 		w="$${run%%:*}"; max="$${run##*:}"; \
 		last="$$(bash perfbench/run.sh --workload "$$w" --seconds 5 --trace 0 | tail -n 1)"; \
 		echo "$$last"; \
