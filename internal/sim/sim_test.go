@@ -378,7 +378,7 @@ func TestCheckLive(t *testing.T) {
 			orc.OnMap(bdf, 0x7000_0000, f.PA(), 64, pci.DirToDevice)
 			wantErr(sys.CheckLive(bdf, 1), "2 live mappings in the audit oracle", "account for 1")
 			if err := sys.CheckLive(other, 1); err != nil {
-				t.Errorf("another device's oracle mapping failed the check: %v", err)
+				t.Errorf("%s failed the check over another device's oracle mapping: %v", other, err)
 			}
 		})
 	}
