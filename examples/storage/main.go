@@ -57,14 +57,14 @@ func nvmeDemo(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, hw *core.
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %d blocks; per-op CPU cost %.0f cycles (map+submit+unmap)\n",
-		len(done), float64(clk.Now()-before)/ops)
+		done, float64(clk.Now()-before)/ops)
 
 	for i := 0; i < 4; i++ {
 		if _, err := d.Read(uint64(i), 4096); err != nil {
 			log.Fatal(err)
 		}
 	}
-	reads, err := d.Poll(4)
+	reads, err := d.PollData(4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func sataDemo(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, hw *core.
 			log.Fatal(err)
 		}
 	}
-	results, err := d.CompleteAll(rand.New(rand.NewSource(2015)))
+	results, err := d.CompleteAllData(rand.New(rand.NewSource(2015)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func sataDemo(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, hw *core.
 	if _, err := d.SubmitRead(70, 4096); err != nil {
 		log.Fatal(err)
 	}
-	reads, err := d.CompleteAll(rand.New(rand.NewSource(7)))
+	reads, err := d.CompleteAllData(rand.New(rand.NewSource(7)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,6 +113,34 @@ func TestFaultCellsInject(t *testing.T) {
 	}
 	if recovered == 0 {
 		t.Error("no recoveries recorded across fault cells")
+	}
+}
+
+// TestWorstFaultCellsBoundedAlloc: the heaviest fault cells, four queues
+// at a 5% rate, stay bounded in host memory. An injected fault can flip a
+// Tx descriptor's length to gigabytes; the device reads such a payload
+// without a buffer (dma.(*Engine).ReadDiscard), so the length costs no
+// host memory. Copying it into a buffer of that length allocated 334 MB
+// in these ten rounds, and 4.9 GB in twenty.
+func TestWorstFaultCellsBoundedAlloc(t *testing.T) {
+	const ceiling = 32 << 20 // bytes; the cells allocate about 10 MB
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(Options{Seed: 42, Rates: []float64{0.05}, Modes: SafeModes, Rounds: 10, Workers: 1, Cores: []int{4}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var injected uint64
+	for _, c := range res.Cells {
+		injected += c.Injected
+	}
+	if injected == 0 {
+		t.Fatal("the cells injected no faults")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > ceiling {
+		t.Errorf("the -rates 0.05 -cores 4 cells allocate %.1f MB, want at most %d MB", float64(n)/(1<<20), ceiling>>20)
 	}
 }
 

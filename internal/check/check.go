@@ -214,12 +214,12 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 			if err := mq.Deliver(q, frame); err != nil {
 				return tr, fmt.Errorf("round %d deliver: %w", round, err)
 			}
-			frames, err := mq.ReapRxAll()
-			if err != nil {
-				return tr, fmt.Errorf("round %d rx reap: %w", round, err)
-			}
-			for _, f := range frames {
-				tr.RxFrames = append(tr.RxFrames, append([]byte(nil), f...))
+			for _, drv := range mq.Queues {
+				frames, err := drv.ReapRxFrames()
+				if err != nil {
+					return tr, fmt.Errorf("round %d rx reap: %w", round, err)
+				}
+				tr.RxFrames = append(tr.RxFrames, frames...)
 			}
 		}
 	}

@@ -99,14 +99,11 @@ type NIC struct {
 	Faults             uint64
 
 	// CaptureTx retains the payload of the most recently transmitted packet
-	// in LastTx for end-to-end verification in tests.
+	// in LastTx for end-to-end verification in tests. Without it the device
+	// fetches each payload by dma.(*Engine).ReadDiscard: the same DMA,
+	// faults and statistics, with nothing copied or allocated.
 	CaptureTx bool
 	LastTx    []byte
-
-	// txScratch is the reusable DMA target for Tx payload fetches, so the
-	// per-packet path allocates nothing. Its contents never outlive one
-	// descriptor's processing (CaptureTx copies out via append).
-	txScratch []byte
 }
 
 // NewNIC binds a NIC model to its rings and DMA engine. The rings are the
@@ -197,19 +194,24 @@ func (n *NIC) ProcessTx(maxPackets int) (int, error) {
 					}
 				}
 			} else {
-				if uint32(cap(n.txScratch)) < d.Len {
-					n.txScratch = make([]byte, d.Len)
+				var err error
+				if n.CaptureTx {
+					// A fresh buffer, not an extension of pkt, which would be
+					// zeroed page by page: the pages of a fault-corrupted
+					// length stay untouched past the chunk that faults.
+					buf := make([]byte, d.Len)
+					if err = n.eng.Read(n.bdf, d.Addr, buf); err == nil {
+						pkt = append(pkt, buf...)
+					}
+				} else {
+					err = n.eng.ReadDiscard(n.bdf, d.Addr, int(d.Len))
 				}
-				buf := n.txScratch[:d.Len]
-				if err := n.eng.Read(n.bdf, d.Addr, buf); err != nil {
+				if err != nil {
 					n.Faults++
 					d.Flags |= ring.FlagDone | ring.FlagError
 					_ = n.writeDescriptorStatus(n.tx, slot, d)
 					_ = n.tx.AdvanceHead()
 					return sent, fmt.Errorf("device %s: tx buffer DMA: %w", n.Profile.Name, err)
-				}
-				if n.CaptureTx {
-					pkt = append(pkt, buf...)
 				}
 			}
 			d.Flags |= ring.FlagDone

@@ -156,7 +156,18 @@ func (e *Engine) Read(bdf pci.BDF, iova uint64, buf []byte) error {
 	if len(buf) == 0 {
 		return fmt.Errorf("dma: zero-length read")
 	}
-	return e.transfer(bdf, iova, buf, pci.DirToDevice)
+	return e.transfer(bdf, iova, len(buf), buf, pci.DirToDevice)
+}
+
+// ReadDiscard is Read of n bytes that the device does not keep (a
+// transmitted payload no one inspects): the same translations, audit,
+// memory checks, fault draws and statistics, without a buffer or a copy,
+// so a corrupted length costs no host memory.
+func (e *Engine) ReadDiscard(bdf pci.BDF, iova uint64, n int) error {
+	if n == 0 {
+		return fmt.Errorf("dma: zero-length read")
+	}
+	return e.transfer(bdf, iova, n, nil, pci.DirToDevice)
 }
 
 // Write performs a device write of data to memory at iova (a from-device
@@ -165,51 +176,55 @@ func (e *Engine) Write(bdf pci.BDF, iova uint64, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("dma: zero-length write")
 	}
-	return e.transfer(bdf, iova, data, pci.DirFromDevice)
+	return e.transfer(bdf, iova, len(data), data, pci.DirFromDevice)
 }
 
-// transfer moves buf between the device and memory at iova: to the device
-// (a read of memory) for pci.DirToDevice, from it otherwise. The transfer is
-// split at 4 KiB IOVA boundaries, and each chunk is translated, reported to
-// the auditor and copied before the next is translated, as hardware resolves
-// one access at a time. A fault returns at its chunk: earlier chunks have
-// landed, later ones are never translated, and the statistics count only
-// completed transfers.
-func (e *Engine) transfer(bdf pci.BDF, iova uint64, buf []byte, dir pci.Dir) error {
+// transfer moves n bytes between the device and memory at iova: to the
+// device (a read of memory, into buf, or nowhere when buf is nil) for
+// pci.DirToDevice, from buf otherwise. The transfer is split at 4 KiB IOVA
+// boundaries, and each chunk is translated, reported to the auditor and
+// copied before the next is translated, as hardware resolves one access at
+// a time. A fault returns at its chunk: earlier chunks have landed, later
+// ones are never translated, and the statistics count only completed
+// transfers.
+func (e *Engine) transfer(bdf pci.BDF, iova uint64, n int, buf []byte, dir pci.Dir) error {
 	iova, _ = e.inj.StaleDMA(bdf, iova)
-	for rest := buf; len(rest) > 0; {
-		n := min(int(mem.PageSize-iova&mem.PageMask), len(rest))
-		pa, err := e.tr.Translate(bdf, iova, uint32(n), dir)
+	for off := 0; off < n; {
+		c := min(int(mem.PageSize-iova&mem.PageMask), n-off)
+		pa, err := e.tr.Translate(bdf, iova, uint32(c), dir)
 		if err != nil {
 			return err
 		}
 		if e.aud != nil {
-			e.aud.VerifyDMA(bdf, iova, pa, uint32(n), dir)
+			e.aud.VerifyDMA(bdf, iova, pa, uint32(c), dir)
 		}
-		if dir == pci.DirToDevice {
-			err = e.mm.ReadInto(pa, rest[:n])
-		} else {
-			err = e.mm.Write(pa, rest[:n])
+		switch {
+		case dir != pci.DirToDevice:
+			err = e.mm.Write(pa, buf[off:off+c])
+		case buf == nil:
+			err = e.mm.ReadDiscard(pa, uint64(c))
+		default:
+			err = e.mm.ReadInto(pa, buf[off:off+c])
 		}
 		if err != nil {
 			return err
 		}
-		rest = rest[n:]
-		iova += uint64(n)
+		off += c
+		iova += uint64(c)
 	}
 	if dir == pci.DirToDevice {
 		e.Reads++
 	} else {
 		e.Writes++
 	}
-	e.Bytes += uint64(len(buf))
+	e.Bytes += uint64(n)
 	return nil
 }
 
 // ReadU64 reads a little-endian quadword at iova (descriptor fields).
 func (e *Engine) ReadU64(bdf pci.BDF, iova uint64) (uint64, error) {
 	var b [8]byte
-	if err := e.transfer(bdf, iova, b[:], pci.DirToDevice); err != nil {
+	if err := e.transfer(bdf, iova, len(b), b[:], pci.DirToDevice); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
@@ -219,5 +234,5 @@ func (e *Engine) ReadU64(bdf pci.BDF, iova uint64) (uint64, error) {
 func (e *Engine) WriteU64(bdf pci.BDF, iova uint64, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	return e.transfer(bdf, iova, b[:], pci.DirFromDevice)
+	return e.transfer(bdf, iova, len(b), b[:], pci.DirFromDevice)
 }

@@ -313,6 +313,71 @@ func TestAuditSeesTranslatedChunks(t *testing.T) {
 	}
 }
 
+// drawHook records memory's fault-hook read draws and corrupts nothing.
+type drawHook struct{ reads []chunkRec }
+
+func (h *drawHook) ReadFault(pa mem.PA, n int) (int, byte) {
+	h.reads = append(h.reads, chunkRec{pa: pa, size: uint32(n)})
+	return 0, 0
+}
+
+func (h *drawHook) WriteFault(mem.PA, int) (int, byte, bool) { return 0, 0, false }
+
+// TestReadDiscardMatchesRead: a read with no buffer is the same DMA as a
+// copying one. It translates and audits the same chunks, fails at the same
+// chunk with the same error (a translation fault, poisoned memory, a zero
+// length), draws the same memory faults and counts the same statistics.
+func TestReadDiscardMatchesRead(t *testing.T) {
+	mm := mustMem(t, 64*mem.PageSize)
+	pfn, err := mm.AllocFrames(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 1 << 40
+	start := base + uint64(pfn.PA()) + mem.PageSize - 100
+	mm.PoisonCacheline((pfn + 2).PA() + 64)
+	type run struct {
+		tr, aud, draws   []chunkRec
+		err              string
+		reads, bytesRead uint64
+	}
+	do := func(n int, failPage uint64, discard bool) run {
+		tr := &recTranslator{base: base, failPage: failPage}
+		aud := &recAuditor{}
+		hook := &drawHook{}
+		mm.SetFaultHook(hook)
+		defer mm.SetFaultHook(nil)
+		e := dma.NewEngine(mm, tr)
+		e.SetAudit(aud)
+		var err error
+		if discard {
+			err = e.ReadDiscard(dev, start, n)
+		} else {
+			err = e.Read(dev, start, make([]byte, n))
+		}
+		return run{tr.seen, aud.seen, hook.reads, fmt.Sprint(err), e.Reads, e.Bytes}
+	}
+	for _, c := range []struct {
+		name     string
+		n        int
+		failPage uint64
+		fail     bool
+	}{
+		{"three chunks", 100 + mem.PageSize + 50, ^uint64(0), false},
+		{"translation fault", 100 + mem.PageSize + 50, (start + 100) >> mem.PageShift, true},
+		{"poisoned chunk", 100 + mem.PageSize + 100, ^uint64(0), true},
+		{"zero length", 0, ^uint64(0), true},
+	} {
+		copied, discarded := do(c.n, c.failPage, false), do(c.n, c.failPage, true)
+		if (copied.err != "<nil>") != c.fail {
+			t.Fatalf("%s: Read error %s; the case is mis-built", c.name, copied.err)
+		}
+		if !reflect.DeepEqual(copied, discarded) {
+			t.Errorf("%s: ReadDiscard %+v, Read %+v", c.name, discarded, copied)
+		}
+	}
+}
+
 func TestRouter(t *testing.T) {
 	mm := mustMem(t, 64*mem.PageSize)
 	r := dma.NewRouter()

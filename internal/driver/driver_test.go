@@ -225,7 +225,7 @@ func TestRxDeliverReapRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frames, err := drv.ReapRx()
+	frames, err := drv.ReapRxFrames()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRxDeliverReapRoundTrip(t *testing.T) {
 		t.Error("Rx ring not refilled after reap")
 	}
 	// An empty reap is a no-op.
-	frames, err = drv.ReapRx()
+	frames, err = drv.ReapRxFrames()
 	if err != nil || frames != nil {
 		t.Errorf("empty reap = %v, %v", frames, err)
 	}
@@ -262,7 +262,7 @@ func TestReapRxRejectsOversizedLength(t *testing.T) {
 	desc := drv.RxRing().ReadSlot(slot)
 	desc.Len = 1 << 20
 	drv.RxRing().WriteSlot(slot, desc)
-	frames, err := drv.ReapRx()
+	frames, err := drv.ReapRxFrames()
 	if err == nil || frames != nil {
 		t.Fatalf("oversized completion reaped: %d frames, err %v", len(frames), err)
 	}
@@ -282,7 +282,7 @@ func TestReapRxRejectsOversizedLength(t *testing.T) {
 	if err := drv.Deliver(frame); err != nil {
 		t.Fatal(err)
 	}
-	frames, err = drv.ReapRx()
+	frames, err = drv.ReapRxFrames()
 	if err != nil || len(frames) != 1 || !bytes.Equal(frames[0], frame) {
 		t.Fatalf("after Recover: %d frames, err %v", len(frames), err)
 	}

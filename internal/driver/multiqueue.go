@@ -88,17 +88,19 @@ func (m *MQNIC) PumpAndReapAll() (int, error) {
 // Deliver places a frame on queue q's receive path.
 func (m *MQNIC) Deliver(q int, frame []byte) error { return m.Queues[q].Deliver(frame) }
 
-// ReapRxAll runs every queue's Rx interrupt handler.
-func (m *MQNIC) ReapRxAll() ([][]byte, error) {
-	var frames [][]byte
+// ReapRxAll runs every queue's Rx interrupt handler and returns the number
+// of packets received (see NICDriver.ReapRx; a caller that reads the
+// frames reaps each queue with ReapRxFrames).
+func (m *MQNIC) ReapRxAll() (int, error) {
+	total := 0
 	for _, drv := range m.Queues {
-		fs, err := drv.ReapRx()
+		n, err := drv.ReapRx()
 		if err != nil {
-			return frames, err
+			return total, err
 		}
-		frames = append(frames, fs...)
+		total += n
 	}
-	return frames, nil
+	return total, nil
 }
 
 // Recover reinitializes every queue pair in order — the OS response to a

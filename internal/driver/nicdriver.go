@@ -348,10 +348,28 @@ func (d *NICDriver) Deliver(frame []byte) error {
 }
 
 // ReapRx runs the Rx completion burst: for every completed descriptor it
-// unmaps the buffer (burst-end marker on the last), copies the data out to
-// hand upstream, returns the buffer to the pool, and reposts a freshly
-// mapped buffer. It returns the received frames.
-func (d *NICDriver) ReapRx() ([][]byte, error) {
+// unmaps the buffer (burst-end marker on the last), reads the data,
+// returns the buffer to the pool, and reposts a freshly mapped buffer. It
+// returns the number of packets received. The read keeps nothing
+// (mem.(*PhysMem).ReadDiscard) but fails and draws faults as a copy would;
+// ReapRxFrames returns the frames.
+func (d *NICDriver) ReapRx() (int, error) {
+	return d.reapRx(nil)
+}
+
+// ReapRxFrames is ReapRx for callers that read what arrived: it returns a
+// copy of every received frame.
+func (d *NICDriver) ReapRxFrames() ([][]byte, error) {
+	var frames [][]byte
+	if _, err := d.reapRx(&frames); err != nil {
+		return nil, err
+	}
+	return frames, nil
+}
+
+// reapRx is ReapRx, appending each received frame to *frames when frames
+// is non-nil.
+func (d *NICDriver) reapRx(frames *[][]byte) (int, error) {
 	if d.irq != nil {
 		d.irq.FireRx()
 	}
@@ -365,23 +383,23 @@ func (d *NICDriver) ReapRx() ([][]byte, error) {
 	}
 	d.reapScratch = done
 	if len(done) == 0 {
-		return nil, nil
+		return 0, nil
 	}
-	var frames [][]byte
+	pkts := 0
 	var frame []byte
 	for i, slot := range done {
 		desc, err := d.rx.Reap(slot)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		m := d.rxSlots[slot]
 		// The unmap must precede touching the buffer (per the DMA API the
 		// driver must not read it earlier; see §2.1 footnote). The slot
-		// state is retired with it, so a failure on the copy below cannot
+		// state is retired with it, so a failure on the read below cannot
 		// leave a live-looking slot whose mapping is already gone (Recover
 		// would double-unmap).
 		if err := d.prot.Unmap(d.ringRx, m.iova, m.size, i == len(done)-1); err != nil {
-			return nil, fmt.Errorf("driver: rx unmap slot %d: %w", slot, err)
+			return 0, fmt.Errorf("driver: rx unmap slot %d: %w", slot, err)
 		}
 		d.rxSlots[slot] = mapped{}
 		if desc.Len > m.size {
@@ -389,30 +407,36 @@ func (d *NICDriver) ReapRx() ([][]byte, error) {
 			// slot; a longer length is a corrupted completion, and copying
 			// it would read past the buffer into whatever memory follows.
 			d.pool.Put(m.pa)
-			return nil, fmt.Errorf("driver: rx slot %d: completion length %d exceeds its %d-byte buffer", slot, desc.Len, m.size)
+			return 0, fmt.Errorf("driver: rx slot %d: completion length %d exceeds its %d-byte buffer", slot, desc.Len, m.size)
 		}
 		if desc.Len > 0 {
-			// Copy straight out of simulated memory into the frame;
-			// ReadInto has the same poison/fault-hook semantics as Read
-			// without the intermediate allocation.
-			off := len(frame)
-			frame = append(frame, make([]byte, desc.Len)...)
-			if err := d.mm.ReadInto(m.pa, frame[off:]); err != nil {
+			if frames == nil {
+				err = d.mm.ReadDiscard(m.pa, uint64(desc.Len))
+			} else {
+				// Copy straight out of simulated memory into the frame.
+				off := len(frame)
+				frame = append(frame, make([]byte, desc.Len)...)
+				err = d.mm.ReadInto(m.pa, frame[off:])
+			}
+			if err != nil {
 				d.pool.Put(m.pa)
-				return nil, err
+				return 0, err
 			}
 		}
 		d.pool.Put(m.pa)
 		if (i+1)%d.profile.BuffersPerPacket == 0 {
-			frames = append(frames, frame)
-			frame = nil
+			pkts++
+			if frames != nil {
+				*frames = append(*frames, frame)
+				frame = nil
+			}
 		}
 	}
-	d.RxReceived += uint64(len(frames))
+	d.RxReceived += uint64(pkts)
 	if err := d.fillRx(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return frames, nil
+	return pkts, nil
 }
 
 // Recover reinitializes the device path after an I/O page fault, as OSes do

@@ -142,17 +142,33 @@ func (d *NVMeDriver) submit(pa mem.PA, block uint64, length uint32, op uint32, i
 
 // Poll lets the device consume up to max commands, then reaps every new
 // completion: buffers are unmapped in completion order with the
-// end-of-burst marker on the last one, and read payloads are copied out
-// before their buffers return to the pool.
-func (d *NVMeDriver) Poll(max int) ([]NVMeCompletion, error) {
-	if _, err := d.ssd.ProcessSQ(d.q, max); err != nil {
-		return nil, err
-	}
+// end-of-burst marker on the last one, and read payloads are read before
+// their buffers return to the pool. It returns the number of completions
+// reaped. The reads keep nothing (see readPayload); PollData returns the
+// completions.
+func (d *NVMeDriver) Poll(max int) (int, error) {
+	return d.poll(max, nil)
+}
+
+// PollData is Poll for callers that read the completions: it returns each
+// one's command id and status, and a copy of every completed read's
+// payload. On an error it returns the completions reaped before it.
+func (d *NVMeDriver) PollData(max int) ([]NVMeCompletion, error) {
 	var done []NVMeCompletion
+	_, err := d.poll(max, &done)
+	return done, err
+}
+
+// poll is Poll, appending each completion to *out when out is non-nil.
+func (d *NVMeDriver) poll(max int, out *[]NVMeCompletion) (int, error) {
+	if _, err := d.ssd.ProcessSQ(d.q, max); err != nil {
+		return 0, err
+	}
+	n := 0
 	for {
 		c, ok, err := d.q.ReapCompletion(d.seen)
 		if err != nil {
-			return done, err
+			return n, err
 		}
 		if !ok {
 			break
@@ -160,38 +176,50 @@ func (d *NVMeDriver) Poll(max int) ([]NVMeCompletion, error) {
 		d.seen++
 		cmd, known := d.pending[c.CID]
 		if !known {
-			return done, fmt.Errorf("driver: completion for unknown cid %d", c.CID)
+			return n, fmt.Errorf("driver: completion for unknown cid %d", c.CID)
 		}
 		// NVMe queues complete strictly in submission order (§4) — the
 		// property that makes rIOMMU's sequential flat tables applicable.
 		// A violation means the device model is broken.
-		if len(d.order) <= len(done) || d.order[len(done)] != c.CID {
-			return done, fmt.Errorf("driver: out-of-order NVMe completion: cid %d", c.CID)
+		if len(d.order) <= n || d.order[n] != c.CID {
+			return n, fmt.Errorf("driver: out-of-order NVMe completion: cid %d", c.CID)
 		}
-		out := NVMeCompletion{CID: c.CID, Status: c.Status}
+		var data []byte
 		if cmd.isRead && c.Status == device.NVMeStatusOK {
-			data, err := d.mm.Read(cmd.m.pa, uint64(cmd.length))
-			if err != nil {
-				return done, err
+			if data, err = readPayload(d.mm, cmd.m.pa, cmd.length, out != nil); err != nil {
+				return n, err
 			}
-			out.Data = data
 		}
-		done = append(done, out)
+		if out != nil {
+			*out = append(*out, NVMeCompletion{CID: c.CID, Status: c.Status, Data: data})
+		}
+		n++
 	}
-	// Unmap the burst in completion order; burst-end on the last.
-	for i, c := range done {
-		cmd := d.pending[c.CID]
-		if err := d.prot.Unmap(RingRx, cmd.m.iova, cmd.m.size, i == len(done)-1); err != nil {
-			return done, fmt.Errorf("driver: NVMe unmap cid %d: %w", c.CID, err)
+	// Unmap the burst in completion order, which is submission order;
+	// burst-end on the last.
+	for i, cid := range d.order[:n] {
+		cmd := d.pending[cid]
+		if err := d.prot.Unmap(RingRx, cmd.m.iova, cmd.m.size, i == n-1); err != nil {
+			return n, fmt.Errorf("driver: NVMe unmap cid %d: %w", cid, err)
 		}
 		d.pool.Put(cmd.m.pa)
-		delete(d.pending, c.CID)
+		delete(d.pending, cid)
 		d.Completed++
 	}
-	if len(done) > 0 {
-		d.order = d.order[len(done):]
+	// Drop the reaped commands in place, so a steady stream of commands
+	// reuses one backing array.
+	d.order = d.order[:copy(d.order, d.order[n:])]
+	return n, nil
+}
+
+// readPayload reads a completed command's n-byte payload at pa: a copy when
+// keep is set, otherwise mem.(*PhysMem).ReadDiscard, which fails and draws
+// faults as the copy would but keeps nothing.
+func readPayload(mm *mem.PhysMem, pa mem.PA, n uint32, keep bool) ([]byte, error) {
+	if !keep {
+		return nil, mm.ReadDiscard(pa, uint64(n))
 	}
-	return done, nil
+	return mm.Read(pa, uint64(n))
 }
 
 // Recover reinitializes the device path after a fault, as the OS does on an

@@ -140,7 +140,7 @@ func TestRxRefillMapFailure(t *testing.T) {
 			if err := drv.Deliver(frame); err != nil {
 				t.Fatal(err)
 			}
-			frames, err := drv.ReapRx()
+			frames, err := drv.ReapRxFrames()
 			if err != nil || len(frames) != 1 || !bytes.Equal(frames[0], frame) {
 				t.Fatalf("reap after the failure = %d frames, %v", len(frames), err)
 			}

@@ -136,35 +136,51 @@ type SATAResult struct {
 
 // CompleteAll lets the drive finish every issued command in arbitrary
 // order, then unmaps each buffer in that completion order (burst-end on the
-// last). Returns results in completion order.
-func (d *SATADriver) CompleteAll(rng *rand.Rand) ([]SATAResult, error) {
+// last). It returns the number of commands completed. Read payloads are
+// read before their buffers return to the pool, keeping nothing (see
+// readPayload); CompleteAllData returns the results.
+func (d *SATADriver) CompleteAll(rng *rand.Rand) (int, error) {
+	return d.completeAll(rng, nil)
+}
+
+// CompleteAllData is CompleteAll for callers that read the results: it
+// returns them in completion order, with a copy of every read's payload.
+// On an error it returns the results completed before it.
+func (d *SATADriver) CompleteAllData(rng *rand.Rand) ([]SATAResult, error) {
+	var out []SATAResult
+	_, err := d.completeAll(rng, &out)
+	return out, err
+}
+
+// completeAll is CompleteAll, appending each result to *out when out is
+// non-nil.
+func (d *SATADriver) completeAll(rng *rand.Rand, out *[]SATAResult) (int, error) {
 	order, err := d.disk.CompleteAll(rng)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var out []SATAResult
 	for i, slot := range order {
 		cmd := d.slots[slot]
 		if cmd == nil {
-			return out, fmt.Errorf("driver: completion for empty slot %d", slot)
+			return i, fmt.Errorf("driver: completion for empty slot %d", slot)
 		}
-		res := SATAResult{Slot: slot}
+		var data []byte
 		if cmd.isRead {
-			data, err := d.mm.Read(cmd.m.pa, uint64(cmd.length))
-			if err != nil {
-				return out, err
+			if data, err = readPayload(d.mm, cmd.m.pa, cmd.length, out != nil); err != nil {
+				return i, err
 			}
-			res.Data = data
 		}
 		if err := d.prot.Unmap(RingRx, cmd.m.iova, cmd.m.size, i == len(order)-1); err != nil {
-			return out, fmt.Errorf("driver: SATA unmap slot %d: %w", slot, err)
+			return i, fmt.Errorf("driver: SATA unmap slot %d: %w", slot, err)
 		}
 		d.pool.Put(cmd.m.pa)
 		d.slots[slot] = nil
 		d.Completed++
-		out = append(out, res)
+		if out != nil {
+			*out = append(*out, SATAResult{Slot: slot, Data: data})
+		}
 	}
-	return out, nil
+	return len(order), nil
 }
 
 // Recover reinitializes the drive after a fault: every issued command's

@@ -77,7 +77,7 @@ func TestNVMeDriverRoundTrip(t *testing.T) {
 					t.Fatalf("write %d: %v", blk, err)
 				}
 			}
-			done, err := d.Poll(16)
+			done, err := d.PollData(16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestNVMeDriverRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			done, err = d.Poll(16)
+			done, err = d.PollData(16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestNVMeDriverValidation(t *testing.T) {
 	if _, err := d.Read(999, 4096); err != nil {
 		t.Fatal(err)
 	}
-	done, err := d.Poll(4)
+	done, err := d.PollData(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSATADriverOutOfOrder(t *testing.T) {
 				}
 			}
 			rng := rand.New(rand.NewSource(99))
-			results, err := d.CompleteAll(rng)
+			results, err := d.CompleteAllData(rng)
 			if err != nil {
 				t.Fatalf("out-of-order completion: %v", err)
 			}
@@ -177,7 +177,7 @@ func TestSATADriverOutOfOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			results, err = d.CompleteAll(rng)
+			results, err = d.CompleteAllData(rng)
 			if err != nil {
 				t.Fatal(err)
 			}

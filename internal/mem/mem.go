@@ -49,10 +49,11 @@ func (e *AccessError) Error() string {
 }
 
 // FaultHook is the memory fault-injection interface (implemented by
-// faults.Engine). It is consulted only on the bulk Read/ReadInto/Write
-// paths — the data paths DMAs and payload copies use — so metadata accessed
-// through the typed accessors (page tables, queue cursors) stays intact and
-// descriptor corruption is modeled separately at the device layer.
+// faults.Engine). It is consulted only on the bulk Read, ReadInto,
+// ReadDiscard and Write paths — the data paths DMAs and payload copies use
+// — so metadata accessed through the typed accessors (page tables, queue
+// cursors) stays intact and descriptor corruption is modeled separately at
+// the device layer.
 //
 // Neither method sees the bytes: each returns the index of a byte and a mask
 // that memory XORs into it, or a zero mask to leave the data intact. A
@@ -525,39 +526,56 @@ func (m *PhysMem) writeAt(pa PA, src []byte) {
 	}
 }
 
-// Read copies size bytes at pa into a fresh slice.
-func (m *PhysMem) Read(pa PA, size uint64) ([]byte, error) {
+// bulkRead is the checked part of a bulk read of size bytes at pa: the
+// range and poison checks, then the fault hook's draw. It returns the byte
+// index and mask the hook chose (a zero mask leaves the data intact).
+func (m *PhysMem) bulkRead(pa PA, size uint64) (int, byte, error) {
 	if err := m.checkRange("read", pa, size); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	if err := m.checkPoison(pa, size); err != nil {
+		return 0, 0, err
+	}
+	if m.hook == nil {
+		return 0, 0, nil
+	}
+	i, mask := m.hook.ReadFault(pa, int(size))
+	return i, mask, nil
+}
+
+// Read copies size bytes at pa into a fresh slice.
+func (m *PhysMem) Read(pa PA, size uint64) ([]byte, error) {
+	i, mask, err := m.bulkRead(pa, size)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, size)
 	m.readAt(pa, out)
-	if m.hook != nil {
-		if i, mask := m.hook.ReadFault(pa, len(out)); mask != 0 {
-			out[i] ^= mask
-		}
+	if mask != 0 {
+		out[i] ^= mask
 	}
 	return out, nil
 }
 
 // ReadInto copies len(dst) bytes at pa into dst.
 func (m *PhysMem) ReadInto(pa PA, dst []byte) error {
-	if err := m.checkRange("read", pa, uint64(len(dst))); err != nil {
-		return err
-	}
-	if err := m.checkPoison(pa, uint64(len(dst))); err != nil {
+	i, mask, err := m.bulkRead(pa, uint64(len(dst)))
+	if err != nil {
 		return err
 	}
 	m.readAt(pa, dst)
-	if m.hook != nil {
-		if i, mask := m.hook.ReadFault(pa, len(dst)); mask != 0 {
-			dst[i] ^= mask
-		}
+	if mask != 0 {
+		dst[i] ^= mask
 	}
 	return nil
+}
+
+// ReadDiscard is Read of size bytes that no caller keeps: it fails where
+// Read would and the fault hook draws as for Read, so a fault schedule does
+// not depend on whether anyone reads the data. Only the copy is left out.
+func (m *PhysMem) ReadDiscard(pa PA, size uint64) error {
+	_, _, err := m.bulkRead(pa, size)
+	return err
 }
 
 // Write copies src into memory at pa. A write repairs any poison its range

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -218,6 +220,55 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if dst[4] != 5 {
 		t.Errorf("ReadInto = %v", dst)
 	}
+}
+
+// recHook records the fault hook's read draws and corrupts nothing.
+type recHook struct{ reads [][2]uint64 }
+
+func (h *recHook) ReadFault(pa PA, n int) (int, byte) {
+	h.reads = append(h.reads, [2]uint64{uint64(pa), uint64(n)})
+	return 0, 0
+}
+
+func (h *recHook) WriteFault(PA, int) (int, byte, bool) { return 0, 0, false }
+
+// TestReadDiscardChecksLikeRead: ReadDiscard fails exactly where Read does,
+// with the same error, and the fault hook draws for it exactly as for a
+// copy, so a fault schedule cannot tell a discarded read from a kept one.
+func TestReadDiscardChecksLikeRead(t *testing.T) {
+	m := mustMem(t, 8*PageSize)
+	f, _ := m.AllocFrames(2) // frames 1 and 2; frame 3 stays unallocated
+	m.PoisonCacheline(f.PA() + PageSize + 2*CachelineSize)
+	for _, c := range []struct {
+		name string
+		pa   PA
+		size uint64
+		fail bool
+	}{
+		{"one frame", f.PA() + 8, 100, false},
+		{"page-crossing", f.PA() + PageSize - 10, 20, false},
+		{"empty", f.PA(), 0, false},
+		{"poisoned", f.PA() + PageSize + 2*CachelineSize + 8, 8, true},
+		{"into an unallocated frame", f.PA() + 2*PageSize - 4, 8, true},
+		{"past the end", PA(m.Size() - 4), 8, true},
+	} {
+		var copyHook, discardHook recHook
+		m.SetFaultHook(&copyHook)
+		_, copyErr := m.Read(c.pa, c.size)
+		m.SetFaultHook(&discardHook)
+		discardErr := m.ReadDiscard(c.pa, c.size)
+		drew := len(copyHook.reads) > 0
+		if (copyErr != nil) != c.fail || drew == c.fail {
+			t.Fatalf("%s: Read error %v after %d draws; the case is mis-built", c.name, copyErr, len(copyHook.reads))
+		}
+		if fmt.Sprint(copyErr) != fmt.Sprint(discardErr) {
+			t.Errorf("%s: ReadDiscard error %v, Read error %v", c.name, discardErr, copyErr)
+		}
+		if !reflect.DeepEqual(copyHook.reads, discardHook.reads) {
+			t.Errorf("%s: ReadDiscard drew %v, Read drew %v", c.name, discardHook.reads, copyHook.reads)
+		}
+	}
+	m.SetFaultHook(nil)
 }
 
 func TestTypedAccessors(t *testing.T) {

@@ -160,17 +160,18 @@ func (c *Conn) reapTx() error {
 
 // Receive models an inbound packet: the frame arrives by DMA, the Rx
 // interrupt handler runs (unmap burst + refill), and the stack processes it.
-func (c *Conn) Receive(frame []byte) ([][]byte, error) {
+// It returns the number of packets the handler received.
+func (c *Conn) Receive(frame []byte) (int, error) {
 	c.clk.Charge(cycles.Stack, c.p.StackCyclesPerPacket)
 	if err := c.drv.Deliver(frame); err != nil {
-		return nil, err
+		return 0, err
 	}
-	frames, err := c.drv.ReapRx()
+	n, err := c.drv.ReapRx()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	c.RxPackets += uint64(len(frames))
-	return frames, nil
+	c.RxPackets += uint64(n)
+	return n, nil
 }
 
 // Flush drains all outstanding Tx completions and pending ack reaps.

@@ -76,7 +76,7 @@ func TestIOPFRecovery(t *testing.T) {
 			if err := drv.Deliver([]byte("rx ok")); err != nil {
 				t.Fatal(err)
 			}
-			frames, err := drv.ReapRx()
+			frames, err := drv.ReapRxFrames()
 			if err != nil || len(frames) != 1 || string(frames[0]) != "rx ok" {
 				t.Fatalf("rx after recovery: %q, %v", frames, err)
 			}
@@ -137,7 +137,7 @@ func TestDifferentialModes(t *testing.T) {
 				if err := drv.Deliver(frame); err != nil {
 					t.Fatal(err)
 				}
-				frames, err := drv.ReapRx()
+				frames, err := drv.ReapRxFrames()
 				if err != nil {
 					t.Fatal(err)
 				}

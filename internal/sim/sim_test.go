@@ -75,7 +75,7 @@ func TestEndToEndAllModes(t *testing.T) {
 						t.Fatalf("deliver %d: %v", i, err)
 					}
 				}
-				frames, err := drv.ReapRx()
+				frames, err := drv.ReapRxFrames()
 				if err != nil {
 					t.Fatalf("ReapRx: %v", err)
 				}

@@ -22,6 +22,7 @@ import (
 	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/dma"
+	"riommu/internal/driver"
 	"riommu/internal/faults"
 	"riommu/internal/iommu"
 	"riommu/internal/iotlb"
@@ -332,6 +333,24 @@ func BenchmarkTrafficCell(b *testing.B) {
 // phases of four ticks each.
 const trafficTickPeriod = 32
 
+// trafficTickConfig is BenchmarkTrafficTick's world: churn-shaped strict
+// traffic on an mlx NIC with short rings.
+func trafficTickConfig() traffic.Config {
+	profile := device.ProfileMLX
+	profile.RxEntries, profile.TxEntries = 256, 256
+	return traffic.Config{
+		Mode:            sim.Strict,
+		Profile:         profile,
+		Seed:            1,
+		TableSlots:      16,
+		MeanFlowPackets: 1,
+		MsgsPerTick:     2,
+		IncastEvery:     4,
+		IncastFan:       6,
+		Diurnal:         true,
+	}
+}
+
 // BenchmarkTrafficTick times traffic.(*Engine).Tick alone over one diurnal
 // period of a churn-shaped strict world: every packet closes its flow, so
 // each one maps and unmaps a steering buffer, on the kernel path, with
@@ -345,25 +364,12 @@ const trafficTickPeriod = 32
 // perfbench starts each repetition, so ns/op, allocs/op and vcycles/op
 // repeat at any -benchtime.
 func BenchmarkTrafficTick(b *testing.B) {
-	profile := device.ProfileMLX
-	profile.RxEntries, profile.TxEntries = 256, 256
-	cfg := traffic.Config{
-		Mode:            sim.Strict,
-		Profile:         profile,
-		Seed:            1,
-		TableSlots:      16,
-		MeanFlowPackets: 1,
-		MsgsPerTick:     2,
-		IncastEvery:     4,
-		IncastFan:       6,
-		Diurnal:         true,
-	}
 	var vcycles uint64
 	op := func() {
 		b.StopTimer()
 		runtime.GC()
 		runtime.GC()
-		e, err := traffic.NewEngine(cfg)
+		e, err := traffic.NewEngine(trafficTickConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -724,37 +730,126 @@ func TestHotPathAllocs(t *testing.T) {
 		// the driver's and device's scratch and runs past a deferred flush;
 		// the steady state must then allocate nothing.
 		payload := make([]byte, 1448)
-		for _, p := range []device.NICProfile{device.ProfileMLX, device.ProfileBRCM} {
-			for _, mode := range []sim.Mode{sim.Strict, sim.Defer, sim.RIOMMU} {
-				t.Run(p.Name+"/"+mode.String(), func(t *testing.T) {
-					sys, err := sim.NewSystemScaled(mode, 1<<15, p.CostScale)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sys.Close()
-					drv, _, err := sys.AttachNIC(p, pci.NewBDF(0, 3, 0))
-					if err != nil {
-						t.Fatal(err)
-					}
-					round := func() {
-						if err := drv.Send(payload); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := drv.PumpTx(1); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := drv.ReapTx(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for range baselinedrv.DeferBatch {
-						round()
-					}
-					if n := testing.AllocsPerRun(500, round); n != 0 {
-						t.Errorf("a NIC Tx round allocates %.2f objects per op, want 0", n)
-					}
-				})
+		eachNICWorld(t, func(t *testing.T, p device.NICProfile, sys *sim.System) {
+			drv, _, err := sys.AttachNIC(p, pci.NewBDF(0, 3, 0))
+			if err != nil {
+				t.Fatal(err)
 			}
+			round := func() {
+				if err := drv.Send(payload); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := drv.PumpTx(1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := drv.ReapTx(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range baselinedrv.DeferBatch {
+				round()
+			}
+			if n := batchAllocs(round); n != 0 {
+				t.Errorf("NIC Tx rounds allocate %.0f objects per %d rounds, want 0", n, allocBatch)
+			}
+		})
+	})
+
+	t.Run("nic-rx-round", func(t *testing.T) {
+		// One packet through the NIC driver's Rx path: Deliver writes the
+		// header and payload (mlx) or the one frame (brcm) into posted
+		// buffers, ReapRx unmaps, reads and reposts them. Deliver gives
+		// each buffer page it first writes a page of simulated memory, so
+		// the warm-up runs the whole Rx ring once, and past a deferred
+		// flush; the steady state must then allocate nothing.
+		frame := make([]byte, 1448)
+		eachNICWorld(t, func(t *testing.T, p device.NICProfile, sys *sim.System) {
+			drv, _, err := sys.AttachNIC(p, pci.NewBDF(0, 3, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			round := func() {
+				if err := drv.Deliver(frame); err != nil {
+					t.Fatal(err)
+				}
+				if n, err := drv.ReapRx(); err != nil || n != 1 {
+					t.Fatalf("ReapRx = %d, %v; want 1 packet", n, err)
+				}
+			}
+			for range int(p.RxEntries) + baselinedrv.DeferBatch {
+				round()
+			}
+			if n := batchAllocs(round); n != 0 {
+				t.Errorf("NIC Rx rounds allocate %.0f objects per %d rounds, want 0", n, allocBatch)
+			}
+		})
+	})
+
+	t.Run("nvme-read-round", func(t *testing.T) {
+		// One 4 KiB NVMe read: Read maps a buffer and submits, Poll lets
+		// the device write the block and reaps, unmaps and reads the
+		// completion. The warm-up gives the buffer its page and runs past a
+		// deferred flush; the steady state must then allocate nothing.
+		eachNICWorld(t, func(t *testing.T, _ device.NICProfile, sys *sim.System) {
+			bdf := pci.NewBDF(0, 4, 0)
+			prot, err := sys.ProtectionFor(bdf, []uint32{4, 64, 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := driver.NewNVMeDriver(sys.Mem, prot, sys.Eng, bdf, 4096, 128, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lba uint64
+			round := func() {
+				if _, err := d.Read(lba%64, 4096); err != nil {
+					t.Fatal(err)
+				}
+				lba++
+				if n, err := d.Poll(8); err != nil || n != 1 {
+					t.Fatalf("Poll = %d, %v; want 1 completion", n, err)
+				}
+			}
+			for range baselinedrv.DeferBatch {
+				round()
+			}
+			if n := batchAllocs(round); n != 0 {
+				t.Errorf("NVMe read rounds allocate %.0f objects per %d rounds, want 0", n, allocBatch)
+			}
+		})
+	})
+
+	t.Run("traffic-tick", func(t *testing.T) {
+		// One diurnal period of BenchmarkTrafficTick's world, started cold
+		// as the benchmark starts it. Its ticks still give each frame of
+		// simulated memory they first write a page, so this pins a count,
+		// not zero: any allocation per packet or flow shows up above it.
+		const ceiling = 232
+		period := func() uint64 {
+			runtime.GC()
+			runtime.GC()
+			e, err := traffic.NewEngine(trafficTickConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range trafficTickPeriod {
+				if err := e.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return after.Mallocs - before.Mallocs
+		}
+		period() // first-use initialisation stays out of the count
+		if n := period(); n > ceiling {
+			t.Errorf("a traffic period allocates %d objects, want at most %d", n, ceiling)
+		} else {
+			t.Logf("a traffic period allocates %d objects (ceiling %d)", n, ceiling)
 		}
 	})
 
@@ -796,6 +891,37 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, step); n != 0 {
 			t.Errorf("warm churn-storm step allocates %.1f objects per op, want 0", n)
+		}
+	})
+}
+
+// eachNICWorld runs f, as a subtest, in a fresh strict, defer and riommu
+// world at each NIC profile's cost scale.
+func eachNICWorld(t *testing.T, f func(t *testing.T, p device.NICProfile, sys *sim.System)) {
+	for _, p := range []device.NICProfile{device.ProfileMLX, device.ProfileBRCM} {
+		for _, mode := range []sim.Mode{sim.Strict, sim.Defer, sim.RIOMMU} {
+			t.Run(p.Name+"/"+mode.String(), func(t *testing.T) {
+				sys, err := sim.NewSystemScaled(mode, 1<<15, p.CostScale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				f(t, p, sys)
+			})
+		}
+	}
+}
+
+// allocBatch is how many rounds batchAllocs counts together.
+const allocBatch = 64
+
+// batchAllocs returns the objects allocBatch calls of round allocate. It
+// counts whole batches because AllocsPerRun floors its mean: a growth that
+// allocates once per many rounds would read zero per round.
+func batchAllocs(round func()) float64 {
+	return testing.AllocsPerRun(8, func() {
+		for range allocBatch {
+			round()
 		}
 	})
 }
