@@ -40,10 +40,8 @@ race:
 # race detector.
 ci: build vet race
 
-# ci-local mirrors every gate of .github/workflows/ci.yml in one invocation
-# (grid-check stands in for the scheduled grid-full job: same byte-identity
-# property, CI-sized rounds).
-ci-local: build vet fmt-check test race equivalence fuzz-smoke bench-check alloc-check cover grid-check audit hotplug tenants traffic perfbench-check
+# ci-local mirrors every gate of .github/workflows/ci.yml in one invocation.
+ci-local: build vet fmt-check test race equivalence fuzz-smoke bench-check alloc-check cover grid-check audit hotplug tenants grid-full traffic perfbench-check
 
 # equivalence runs the mode-equivalence property suite under the race
 # detector: every protection mode must produce byte-identical Tx/Rx payloads
@@ -154,8 +152,11 @@ campaign-json: build
 # alloc-check is the allocation-regression gate: the steady-state hot paths
 # (IOTLB hit, rIOTLB hit, warm radix walk, IOVA recycle and churn, the audit
 # oracle's verify and its unmap+map pair, the DMA engine's transfers,
-# memory's typed accessors and one NIC Tx round, Send -> PumpTx -> ReapTx)
-# must stay at zero allocations per operation.
+# memory's typed accessors, one NIC Tx round, Send -> PumpTx -> ReapTx, one
+# NIC Rx round, Deliver -> ReapRx, and one NVMe read round, Read -> Poll)
+# must stay at zero allocations per operation, and one period of
+# traffic.(*Engine).Tick at the 232 allocations of the simulated-memory
+# pages its ticks first write.
 # Unlike the wall-clock deltas below this gate is machine-independent, so CI
 # hard-fails on it.
 alloc-check:
@@ -164,26 +165,21 @@ alloc-check:
 # perfbench-check runs the repository benchmark's own tests, then four short
 # runs, and fails unless each run's result line reports every simulated
 # output correct and an alloc_mb under the run's ceiling. Each figure below
-# is three 5 s runs. "Before" is the code that unmapped everything in each
-# NIC world after its result (where it now checks its live mappings) and
-# built a fresh Tx header for every mlx packet.
-#   - churn-audited (the map/unmap storm under the audit oracle), 35 MB. It
-#     allocates 31.14-31.18 MB, 34.41-34.45 MB before. The oracle's copied
-#     tombstone windows and per-map records allocated ~46.5 MB, and backing
-#     each world with an array of its nominal size ~197 MB.
+# is three 5 s runs. "Before" is the code that copied every DMA payload into
+# host memory: each Tx payload the device fetched (into a buffer sized by
+# the descriptor's length), each received frame and each NVMe and SATA read.
+#   - churn-audited (the map/unmap storm under the audit oracle), 30 MB. It
+#     allocates 26.33 MB in every run, 31.18 MB before.
 #   - fault-grid (the audited campaign grid with every cell family),
-#     200 MB. It allocates 163.1-163.8 MB, 161.5-169.8 MB before (only its
-#     churn cells unmapped everything), moving with collection timing; the
-#     copied tombstone windows and per-map records allocated ~340 MB.
-#   - paper-quick (every experiment at Quick quality), 380 MB. It allocates
-#     316.6-324.8 MB, 414.8-416.7 MB before. Rebuilding the worlds of the
-#     82 cells one RunAll call repeats, instead of taking them from its cell
-#     memo, allocated 492.5-500.2 MB.
-#   - churn-raw (the churn worlds unaudited), 30 MB. It allocates 27.04 MB
-#     in every run, 29.40 MB before.
+#     130 MB. It allocates 98.1-105.2 MB, 154.7-156.5 MB before, moving
+#     with collection timing.
+#   - paper-quick (every experiment at Quick quality), 300 MB. It allocates
+#     260.6-262.4 MB, 319.9-322.2 MB before.
+#   - churn-raw (the churn worlds unaudited), 25 MB. It allocates 22.19 MB
+#     in every run, 27.04 MB before.
 perfbench-check:
 	cd perfbench && $(GO) test ./...
-	@for run in churn-audited:35 fault-grid:200 paper-quick:380 churn-raw:30; do \
+	@for run in churn-audited:30 fault-grid:130 paper-quick:300 churn-raw:25; do \
 		w="$${run%%:*}"; max="$${run##*:}"; \
 		last="$$(bash perfbench/run.sh --workload "$$w" --seconds 5 --trace 0 | tail -n 1)"; \
 		echo "$$last"; \
