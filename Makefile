@@ -8,7 +8,7 @@ WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
 
-.PHONY: all build test tier1 vet fmt-check race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic loc clean
+.PHONY: all build test tier1 vet fmt-check reach race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic loc clean
 
 all: tier1
 
@@ -33,6 +33,15 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# reach is the reachability gate alone (it also runs in `make test`): it
+# fails on, and names with its file:line, every function or method under
+# internal/ that no non-test code in internal/, cmd/, examples/ or
+# perfbench/ refers to, outside the interface methods, the one-statement
+# getters and the reasoned allowlist in reach_test.go; TestReachFixture
+# checks the analysis on testdata/reach.
+reach:
+	$(GO) test -count=1 -run '^(TestInternalFuncsReached|TestReachFixture)$$' .
+
 race:
 	$(GO) test -race ./...
 
@@ -41,7 +50,7 @@ race:
 ci: build vet race
 
 # ci-local mirrors every gate of .github/workflows/ci.yml in one invocation.
-ci-local: build vet fmt-check test race equivalence fuzz-smoke bench-check alloc-check cover grid-check audit hotplug tenants grid-full traffic perfbench-check
+ci-local: build vet fmt-check reach test race equivalence fuzz-smoke bench-check alloc-check cover grid-check audit hotplug tenants grid-full traffic perfbench-check
 
 # equivalence runs the mode-equivalence property suite under the race
 # detector: every protection mode must produce byte-identical Tx/Rx payloads

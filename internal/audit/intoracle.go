@@ -71,7 +71,7 @@ const intRetiredCap = 256
 
 // IntOracle is the interrupt shadow oracle: an independent record of the
 // live interrupt-remap table, maintained purely from the OS-side
-// alloc/free/retarget mirror, judging every delivered interrupt. Like the
+// alloc/free mirror, judging every delivered interrupt. Like the
 // DMA Oracle it is a pure observer — no clock charges, no randomness — so
 // enabling it cannot change any simulated metric.
 //
@@ -97,8 +97,8 @@ type IntOracle struct {
 	Events     []IntViolation
 
 	// Mirror-traffic counters.
-	Allocs, Frees, Retargets uint64
-	LiveNow, LivePeak        int
+	Allocs, Frees     uint64
+	LiveNow, LivePeak int
 }
 
 // NewIntOracle creates an interrupt oracle for a system in the named mode.
@@ -144,15 +144,6 @@ func (o *IntOracle) OnIRTEFree(index int, e intremap.IRTE) {
 	o.retired = append(o.retired, intRetired{intShadow: s, Index: index, FreeCycle: o.clk.Now()})
 	if len(o.retired) > intRetiredCap {
 		o.retired = append(o.retired[:0:0], o.retired[len(o.retired)-intRetiredCap:]...)
-	}
-}
-
-// OnIRTERetarget mirrors an affinity change.
-func (o *IntOracle) OnIRTERetarget(index int, e intremap.IRTE) {
-	o.Retargets++
-	if s, ok := o.live[index]; ok {
-		s.DestCore = e.DestCore
-		o.live[index] = s
 	}
 }
 

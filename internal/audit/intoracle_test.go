@@ -83,8 +83,8 @@ func TestIntOraclePassThroughNeverFlags(t *testing.T) {
 }
 
 func TestIntOracleWrongCoreAfterMissedRetarget(t *testing.T) {
-	// Simulate an affinity bypass: the oracle sees a retarget the hardware
-	// delivery does not honor (constructed by feeding the oracle directly).
+	// Simulate a delivery to a core the IRTE does not name (constructed by
+	// feeding the oracle directly).
 	cpu := &cycles.Clock{}
 	o := NewIntOracle("test", cpu)
 	nic := pci.NewBDF(0, 3, 0)

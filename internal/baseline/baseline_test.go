@@ -207,24 +207,22 @@ func TestStrictCostBreakdown(t *testing.T) {
 	dS, _, mmS, clkS := setup(t, Strict)
 	pa := allocBuffer(t, mmS)
 	iovaAddr, _ := dS.Map(0, pa, 64, pci.DirFromDevice)
-	before := clkS.Snapshot()
+	clkS.Reset()
 	if err := dS.Unmap(0, iovaAddr, 64, true); err != nil {
 		t.Fatal(err)
 	}
-	dlt := clkS.Snapshot().Sub(before)
-	if got := dlt.Total(cycles.UnmapIOTLBInv); got != 2127 {
+	if got := clkS.Total(cycles.UnmapIOTLBInv); got != 2127 {
 		t.Errorf("strict unmap IOTLB inv = %d cycles, want 2127", got)
 	}
 
 	dD, _, mmD, clkD := setup(t, Defer)
 	pa2 := allocBuffer(t, mmD)
 	iova2, _ := dD.Map(0, pa2, 64, pci.DirFromDevice)
-	before = clkD.Snapshot()
+	clkD.Reset()
 	if err := dD.Unmap(0, iova2, 64, true); err != nil {
 		t.Fatal(err)
 	}
-	dlt = clkD.Snapshot().Sub(before)
-	if got := dlt.Total(cycles.UnmapIOTLBInv); got != 9 {
+	if got := clkD.Total(cycles.UnmapIOTLBInv); got != 9 {
 		t.Errorf("defer unmap IOTLB inv = %d cycles, want 9", got)
 	}
 }
@@ -277,11 +275,10 @@ func TestPlusModesUseConstAllocator(t *testing.T) {
 	if err := d.Unmap(0, v, 64, true); err != nil {
 		t.Fatal(err)
 	}
-	before := clk.Snapshot()
+	clk.Reset()
 	v, _ = d.Map(0, pa, 64, pci.DirBidi)
-	dlt := clk.Snapshot().Sub(before)
 	model := cycles.DefaultModel()
-	if got := dlt.Total(cycles.MapIOVAAlloc); got != model.FreelistOp*2 {
+	if got := clk.Total(cycles.MapIOVAAlloc); got != model.FreelistOp*2 {
 		t.Errorf("strict+ alloc = %d cycles, want constant %d", got, model.FreelistOp*2)
 	}
 	if err := d.Unmap(0, v, 64, true); err != nil {

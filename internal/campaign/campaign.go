@@ -1121,24 +1121,12 @@ func hotplugCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	lc := sys.LifecycleFor(nicBDF)
 	payload := nicPayload()
 
-	var (
-		c   CellMetrics
-		slo driver.SLOStats
-	)
+	var c CellMetrics
 
-	// attach brings a fresh device into the slot; when it closes a removal
-	// outage, the width lands in the cell's SLO ledger.
+	// attach brings a fresh device into the slot; the lifecycle's ledger
+	// records the removal outage it closes.
 	attach := func() (*driver.MQNIC, error) {
-		wasRemoved := lc.State() == sim.SurpriseRemoved || lc.State() == sim.Quarantined
-		mq, err := sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
-		if err != nil {
-			return nil, err
-		}
-		if wasRemoved {
-			slo.Outages++
-			slo.DowntimeCycles += lc.OutageCycles()
-		}
-		return mq, nil
+		return sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
 	}
 	// yank latches fresh completions on every queue, surprise-removes the
 	// device, then has the ghost's reap paths run: anything they deliver is
@@ -1256,7 +1244,7 @@ func hotplugCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	c.Attaches = lc.Attaches
 	c.Removals = lc.Removals
 	c.Quarantines = lc.Quarantines
-	recordSLO(&c, slo, sys.CPU.Now())
+	recordSLO(&c, driver.SLOStats{Outages: lc.Outages, DowntimeCycles: lc.DowntimeCycles}, sys.CPU.Now())
 	tally(&c, sys, f, 0)
 	return c, nil
 }

@@ -59,9 +59,6 @@ func (d *Driver) Device() *Device { return d.dev }
 // SetAudit installs a map/unmap observer (nil disables mirroring).
 func (d *Driver) SetAudit(o MapObserver) { d.aud = o }
 
-// Coherent reports whether this is the riommu (true) or riommu− (false) variant.
-func (d *Driver) Coherent() bool { return d.coherent }
-
 // Live returns the number of live mappings across the device's rings.
 func (d *Driver) Live() int {
 	n := 0

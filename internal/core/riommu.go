@@ -77,9 +77,6 @@ type Device struct {
 // BDF returns the device's PCI identity.
 func (d *Device) BDF() pci.BDF { return d.bdf }
 
-// Rings returns the number of flat tables the device owns.
-func (d *Device) Rings() int { return len(d.rings) }
-
 // Ring returns ring rid, or nil if out of range.
 func (d *Device) Ring(rid int) *Ring {
 	if rid < 0 || rid >= len(d.rings) {

@@ -71,15 +71,6 @@ func (c Component) String() string {
 // NumComponents is the number of distinct accounting components.
 const NumComponents = int(numComponents)
 
-// Components lists every component in declaration order.
-func Components() []Component {
-	out := make([]Component, NumComponents)
-	for i := range out {
-		out[i] = Component(i)
-	}
-	return out
-}
-
 // Clock is a deterministic virtual CPU cycle counter with per-component
 // attribution. The zero value is ready to use.
 //
@@ -122,14 +113,6 @@ func (c *Clock) Total(comp Component) uint64 { return c.byComp[comp] }
 // Count returns how many Charge events were recorded for comp.
 func (c *Clock) Count(comp Component) uint64 { return c.charges[comp] }
 
-// Average returns the mean cycles per Charge event for comp, or 0 if none.
-func (c *Clock) Average(comp Component) float64 {
-	if c.charges[comp] == 0 {
-		return 0
-	}
-	return float64(c.byComp[comp]) / float64(c.charges[comp])
-}
-
 // Reset zeroes the clock and all per-component accounting.
 func (c *Clock) Reset() {
 	c.now = 0
@@ -164,17 +147,6 @@ type Snapshot struct {
 	Now         uint64
 	ByComponent [numComponents]uint64
 	Charges     [numComponents]uint64
-}
-
-// Sub returns the accounting delta s - earlier.
-func (s Snapshot) Sub(earlier Snapshot) Snapshot {
-	var d Snapshot
-	d.Now = s.Now - earlier.Now
-	for i := range s.ByComponent {
-		d.ByComponent[i] = s.ByComponent[i] - earlier.ByComponent[i]
-		d.Charges[i] = s.Charges[i] - earlier.Charges[i]
-	}
-	return d
 }
 
 // Total returns the cycles attributed to comp in the snapshot.

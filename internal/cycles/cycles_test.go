@@ -12,7 +12,7 @@ func TestClockZeroValue(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("zero clock Now = %d, want 0", c.Now())
 	}
-	for _, comp := range Components() {
+	for comp := Component(0); comp < numComponents; comp++ {
 		if c.Total(comp) != 0 || c.Count(comp) != 0 {
 			t.Fatalf("zero clock has accounting for %v", comp)
 		}
@@ -34,7 +34,7 @@ func TestChargeAdvancesAndAttributes(t *testing.T) {
 	if got := c.Count(MapIOVAAlloc); got != 2 {
 		t.Errorf("Count(MapIOVAAlloc) = %d, want 2", got)
 	}
-	if got := c.Average(MapIOVAAlloc); got != 75 {
+	if got := c.Snapshot().Average(MapIOVAAlloc); got != 75 {
 		t.Errorf("Average(MapIOVAAlloc) = %v, want 75", got)
 	}
 	if got := c.Total(UnmapIOTLBInv); got != 2127 {
@@ -59,7 +59,8 @@ func TestChargeFreeDoesNotCount(t *testing.T) {
 
 func TestAverageEmpty(t *testing.T) {
 	var c Clock
-	if got := c.Average(Stack); got != 0 {
+	c.Charge(App, 10)
+	if got := c.Snapshot().Average(Stack); got != 0 {
 		t.Errorf("Average of uncharged component = %v, want 0", got)
 	}
 }
@@ -74,25 +75,29 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
+func TestSnapshotRestore(t *testing.T) {
 	var c Clock
 	c.Charge(MapPageTable, 588)
-	before := c.Snapshot()
+	saved := c.Snapshot()
 	c.Charge(MapPageTable, 590)
 	c.Charge(App, 1000)
-	delta := c.Snapshot().Sub(before)
+	s := c.Snapshot()
 
-	if got := delta.Total(MapPageTable); got != 590 {
-		t.Errorf("delta Total(MapPageTable) = %d, want 590", got)
+	if got := s.Total(MapPageTable); got != 1178 {
+		t.Errorf("Total(MapPageTable) = %d, want 1178", got)
 	}
-	if got := delta.Total(App); got != 1000 {
-		t.Errorf("delta Total(App) = %d, want 1000", got)
+	if got := s.Total(App); got != 1000 {
+		t.Errorf("Total(App) = %d, want 1000", got)
 	}
-	if got := delta.Now; got != 1590 {
-		t.Errorf("delta Now = %d, want 1590", got)
+	if got := s.Now; got != 2178 {
+		t.Errorf("Now = %d, want 2178", got)
 	}
-	if got := delta.Average(MapPageTable); got != 590 {
-		t.Errorf("delta Average(MapPageTable) = %v, want 590", got)
+	if got := s.Average(MapPageTable); got != 589 {
+		t.Errorf("Average(MapPageTable) = %v, want 589", got)
+	}
+	c.Restore(saved)
+	if c.Snapshot() != saved {
+		t.Errorf("Restore: clock reads %+v, want %+v", c.Snapshot(), saved)
 	}
 }
 
@@ -118,15 +123,22 @@ func TestComponentString(t *testing.T) {
 	}
 }
 
+// TestComponentsList: every component up to NumComponents has its own
+// stable name, so ledgers keyed by name cannot merge two components.
 func TestComponentsList(t *testing.T) {
-	comps := Components()
-	if len(comps) != NumComponents {
-		t.Fatalf("len(Components()) = %d, want %d", len(comps), NumComponents)
+	if len(componentNames) != NumComponents {
+		t.Fatalf("%d component names for %d components", len(componentNames), NumComponents)
 	}
-	for i, comp := range comps {
-		if int(comp) != i {
-			t.Errorf("Components()[%d] = %v", i, comp)
+	seen := map[string]Component{}
+	for comp := Component(0); comp < numComponents; comp++ {
+		name := comp.String()
+		if name == "" {
+			t.Errorf("component %d has no name", int(comp))
 		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("components %d and %d share the name %q", int(prev), int(comp), name)
+		}
+		seen[name] = comp
 	}
 }
 
@@ -139,7 +151,7 @@ func TestClockConservation(t *testing.T) {
 			c.Charge(comp, uint64(n))
 		}
 		var sum uint64
-		for _, comp := range Components() {
+		for comp := Component(0); comp < numComponents; comp++ {
 			sum += c.Total(comp)
 		}
 		return sum == c.Now()
@@ -149,23 +161,22 @@ func TestClockConservation(t *testing.T) {
 	}
 }
 
-// Property: Snapshot/Sub is consistent with direct accounting.
-func TestSnapshotSubProperty(t *testing.T) {
+// Property: a Reset clock accounts exactly what was charged after it.
+func TestResetProperty(t *testing.T) {
 	f := func(a, b []uint8) bool {
 		var c Clock
 		for i, n := range a {
 			c.Charge(Component(i%NumComponents), uint64(n))
 		}
-		s1 := c.Snapshot()
+		c.Reset()
 		for i, n := range b {
 			c.Charge(Component(i%NumComponents), uint64(n))
 		}
-		d := c.Snapshot().Sub(s1)
 		var want uint64
 		for _, n := range b {
 			want += uint64(n)
 		}
-		return d.Now == want
+		return c.Snapshot().Now == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

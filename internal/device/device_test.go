@@ -319,8 +319,8 @@ func TestSATAOutOfOrderCompletion(t *testing.T) {
 	if !bytes.Equal(got, bytes.Repeat([]byte{4}, 512)) {
 		t.Error("block 3 contents wrong")
 	}
-	if disk.FreeSlots() != SATASlots {
-		t.Errorf("FreeSlots = %d", disk.FreeSlots())
+	if disk.issued != 0 {
+		t.Errorf("slots %#x still occupied after CompleteAll", disk.issued)
 	}
 	_ = bufs
 }

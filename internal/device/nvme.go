@@ -191,9 +191,6 @@ func NewNVMe(bdf pci.BDF, eng *dma.Engine, blockSize uint32, blocks uint64) *NVM
 // BDF returns the device's PCI identity.
 func (n *NVMe) BDF() pci.BDF { return n.bdf }
 
-// Blocks returns the namespace capacity in blocks.
-func (n *NVMe) Blocks() uint64 { return n.store.size / uint64(n.BlockSize) }
-
 // writeScratch returns a reused sz-byte DMA target for write commands.
 func (n *NVMe) writeScratch(sz uint32) []byte {
 	if uint32(cap(n.wbuf)) < sz {

@@ -81,17 +81,6 @@ func (s *SATA) ResetDevice() {
 	s.eng.Faults().ClearHang(s.bdf)
 }
 
-// FreeSlots returns how many of the 32 slots are unoccupied.
-func (s *SATA) FreeSlots() int {
-	n := 0
-	for i := 0; i < SATASlots; i++ {
-		if s.issued&(1<<i) == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Issue places a command in a free slot, returning the slot index.
 func (s *SATA) Issue(cmd SATACommand) (int, error) {
 	for i := 0; i < SATASlots; i++ {

@@ -80,9 +80,6 @@ func NewNVMeDriver(mm *mem.PhysMem, prot Protection, eng *dma.Engine, bdf pci.BD
 // Device exposes the SSD model (tests, fault injection).
 func (d *NVMeDriver) Device() *device.NVMe { return d.ssd }
 
-// Queue exposes the queue pair.
-func (d *NVMeDriver) Queue() *device.NVMeQueuePair { return d.q }
-
 // Live returns the mappings the driver owns: one per command buffer it has
 // handed out plus the two queue mappings.
 func (d *NVMeDriver) Live() int { return d.pool.Outstanding() + len(d.staticIOVAs) }

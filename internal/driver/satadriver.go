@@ -52,9 +52,6 @@ func NewSATADriver(mm *mem.PhysMem, prot Protection, eng *dma.Engine, bdf pci.BD
 	}
 }
 
-// Disk exposes the drive model.
-func (d *SATADriver) Disk() *device.SATA { return d.disk }
-
 // SubmitWrite issues a write command, mapping its buffer to the flat-table
 // entry matching the AHCI slot when the protection supports it.
 func (d *SATADriver) SubmitWrite(block uint64, data []byte) (int, error) {

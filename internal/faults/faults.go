@@ -171,17 +171,6 @@ func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg, rng: rng{s: cfg.Seed}, hung: make(map[pci.BDF]bool)}
 }
 
-// Enabled reports whether injection is active.
-func (e *Engine) Enabled() bool { return e != nil }
-
-// Config returns the engine's configuration (zero value for a nil engine).
-func (e *Engine) Config() Config {
-	if e == nil {
-		return Config{}
-	}
-	return e.cfg
-}
-
 // SetRate changes one class's injection rate mid-run (tests use this to open
 // and close fault windows deterministically).
 func (e *Engine) SetRate(c Class, rate float64) {
@@ -208,22 +197,6 @@ func (e *Engine) TotalInjected() uint64 {
 		n += c
 	}
 	return n
-}
-
-// Opportunities returns how many injection opportunities were observed.
-func (e *Engine) Opportunities() uint64 {
-	if e == nil {
-		return 0
-	}
-	return e.seq
-}
-
-// Schedule returns the injected faults in order.
-func (e *Engine) Schedule() []Injection {
-	if e == nil {
-		return nil
-	}
-	return e.sched
 }
 
 // ScheduleBytes serializes the fault schedule into a canonical byte string;
@@ -337,10 +310,6 @@ func (e *Engine) HangCheck(bdf pci.BDF) bool {
 	}
 	return false
 }
-
-// Hung reports whether the device is currently hung, without consuming an
-// injection opportunity.
-func (e *Engine) Hung(bdf pci.BDF) bool { return e != nil && e.hung[bdf] }
 
 // ClearHang un-wedges the device; drivers call it from their reset path.
 func (e *Engine) ClearHang(bdf pci.BDF) {

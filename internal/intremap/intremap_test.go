@@ -87,19 +87,22 @@ func TestTableFull(t *testing.T) {
 }
 
 func TestFreeBDF(t *testing.T) {
-	tb, _ := NewTable(4)
+	r, _, _ := newRemapper(t, Config{TableOrder: 4})
 	a, b := pci.NewBDF(0, 3, 0), pci.NewBDF(0, 4, 0)
 	for i := 0; i < 3; i++ {
-		if _, err := tb.Alloc(a, uint8(i), 0, false); err != nil {
+		if _, err := r.Alloc(a, uint8(i), 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tb.Alloc(b, 9, 0, false); err != nil {
+	if _, err := r.Alloc(b, 9, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	freed := tb.FreeBDF(a)
-	if len(freed) != 3 || tb.Live() != 1 || tb.LiveFor(a) != 0 || tb.LiveFor(b) != 1 {
-		t.Fatalf("FreeBDF: freed=%v live=%d", freed, tb.Live())
+	tb := r.Table()
+	if n := r.FreeBDF(a); n != 3 || tb.Live() != 1 || tb.LiveFor(a) != 0 || tb.LiveFor(b) != 1 {
+		t.Fatalf("FreeBDF: freed=%d live=%d", n, tb.Live())
+	}
+	if st := r.Stats(); st.Frees != 3 {
+		t.Fatalf("FreeBDF counted %d frees, want 3", st.Frees)
 	}
 }
 
@@ -220,22 +223,6 @@ func TestPassThroughDelivers(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Vector != 0x24 || got[0].Core != 3 || got[0].Index != -1 {
 		t.Fatalf("delivery: %+v", got)
-	}
-}
-
-func TestRetarget(t *testing.T) {
-	r, _, _ := newRemapper(t, Config{TableOrder: 4})
-	nic := pci.NewBDF(0, 3, 0)
-	idx, _ := r.Alloc(nic, 0x20, 0, false)
-	r.Deliver(nic, idx, 0, 0) // warm IEC with core 0
-	if err := r.Retarget(idx, 5); err != nil {
-		t.Fatal(err)
-	}
-	var got []Delivery
-	r.SetSink(func(d Delivery) { got = append(got, d) })
-	r.Deliver(nic, idx, 0, 0)
-	if len(got) != 1 || got[0].Core != 5 {
-		t.Fatalf("retargeted delivery: %+v", got)
 	}
 }
 

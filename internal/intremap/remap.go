@@ -60,7 +60,6 @@ type Delivery struct {
 type Observer interface {
 	OnIRTEAlloc(index int, e IRTE)
 	OnIRTEFree(index int, e IRTE)
-	OnIRTERetarget(index int, e IRTE)
 	OnIntDelivered(d Delivery)
 	OnIntBlocked(src pci.BDF, index int, o Outcome)
 }
@@ -79,10 +78,10 @@ type Stats struct {
 	CacheHits   uint64
 	CacheMisses uint64
 
-	Allocs, Frees, Retargets uint64
-	IECInvEntries            uint64 // strict per-entry IEC invalidations
-	IECDeferQueued           uint64 // deferred invalidations queued
-	IECGlobalFlushes         uint64
+	Allocs, Frees    uint64
+	IECInvEntries    uint64 // strict per-entry IEC invalidations
+	IECDeferQueued   uint64 // deferred invalidations queued
+	IECGlobalFlushes uint64
 }
 
 // Blocked returns the total number of refused messages.
@@ -238,25 +237,6 @@ func (r *Remapper) FreeBDF(bdf pci.BDF) int {
 		}
 	}
 	return len(fs)
-}
-
-// Retarget moves a live IRTE to a new destination core and invalidates its
-// IEC entry so the change takes effect.
-func (r *Remapper) Retarget(index, destCore int) error {
-	if r.cfg.PassThrough {
-		return nil
-	}
-	if err := r.table.Retarget(index, destCore); err != nil {
-		return err
-	}
-	r.cpu.Charge(cycles.IntRemap, r.model.IRTEWalk)
-	r.stats.Retargets++
-	r.invalidate(index)
-	if r.obs != nil {
-		e, _ := r.table.At(index)
-		r.obs.OnIRTERetarget(index, e)
-	}
-	return nil
 }
 
 // invalidate removes index from the IEC per policy.

@@ -21,8 +21,6 @@ type Source struct {
 	rxVec, txVec uint8
 
 	pendRx, pendTx uint32
-	droppedRx      uint64
-	droppedTx      uint64
 	closed         bool
 }
 
@@ -94,14 +92,9 @@ func (s *Source) FireTx() {
 // many latched raises were discarded.
 func (s *Source) Drop() int {
 	n := int(s.pendRx) + int(s.pendTx)
-	s.droppedRx += uint64(s.pendRx)
-	s.droppedTx += uint64(s.pendTx)
 	s.pendRx, s.pendTx = 0, 0
 	return n
 }
-
-// Dropped returns the cumulative raises discarded by Drop.
-func (s *Source) Dropped() uint64 { return s.droppedRx + s.droppedTx }
 
 // Pending returns the currently latched (undelivered) raise count.
 func (s *Source) Pending() int { return int(s.pendRx) + int(s.pendTx) }

@@ -132,31 +132,3 @@ func (t *Table) Free(index int) error {
 	}
 	return nil
 }
-
-// FreeBDF clears every entry owned by bdf and returns the freed indices in
-// ascending order (surprise removal tears down the whole device).
-func (t *Table) FreeBDF(bdf pci.BDF) []int {
-	var freed []int
-	for i := range t.entries {
-		if t.entries[i].Present && t.entries[i].BDF == bdf {
-			freed = append(freed, i)
-		}
-	}
-	for _, i := range freed {
-		_ = t.Free(i)
-	}
-	return freed
-}
-
-// Retarget redirects a live entry to a new destination core (interrupt
-// affinity change), keeping source and vector.
-func (t *Table) Retarget(index, destCore int) error {
-	if index < 0 || index >= len(t.entries) {
-		return ErrBadIndex
-	}
-	if !t.entries[index].Present {
-		return ErrNotPresent
-	}
-	t.entries[index].DestCore = destCore
-	return nil
-}

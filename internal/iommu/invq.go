@@ -96,9 +96,6 @@ func NewInvQueue(mm *mem.PhysMem, tlb *iotlb.IOTLB) (*InvQueue, error) {
 	}, nil
 }
 
-// Pending returns the descriptors the hardware has not drained yet.
-func (q *InvQueue) Pending() uint32 { return (q.tail + q.size - q.head) % q.size }
-
 func (q *InvQueue) slotPA(i uint32) mem.PA {
 	return q.base.PA() + mem.PA((i%q.size)*invDescBytes)
 }

@@ -635,28 +635,6 @@ func (m *PhysMem) WriteU64(pa PA, v uint64) error {
 	return m.writeChecked(pa, b[:])
 }
 
-// ReadU32 reads a little-endian uint32 at pa.
-func (m *PhysMem) ReadU32(pa PA) (uint32, error) {
-	if p := m.fastPage(pa, 4); p != nil {
-		return binary.LittleEndian.Uint32(p[pa&PageMask:]), nil
-	}
-	var b [4]byte
-	err := m.readChecked(pa, b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-// WriteU32 writes a little-endian uint32 at pa.
-func (m *PhysMem) WriteU32(pa PA, v uint32) error {
-	if p := m.fastPage(pa, 4); p != nil {
-		binary.LittleEndian.PutUint32(p[pa&PageMask:], v)
-		m.dirty[PFNOf(pa)] = true
-		return nil
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return m.writeChecked(pa, b[:])
-}
-
 // readChecked and writeChecked are the typed accessors' checked path: they
 // check the range, then copy through readAt or writeAt, which read a frame
 // without a page as zeros and give a written frame its page.
@@ -759,15 +737,4 @@ func (m *PhysMem) backedBy(first PFN, n int, s []byte) bool {
 		}
 	}
 	return true
-}
-
-// CachelinesSpanned returns how many cachelines the byte range [pa, pa+size)
-// touches; used to charge per-cacheline flush costs.
-func CachelinesSpanned(pa PA, size uint64) uint64 {
-	if size == 0 {
-		return 0
-	}
-	first := uint64(pa) / CachelineSize
-	last := (uint64(pa) + size - 1) / CachelineSize
-	return last - first + 1
 }

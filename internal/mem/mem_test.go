@@ -286,16 +286,6 @@ func TestTypedAccessors(t *testing.T) {
 	if v != 0xdeadbeefcafebabe {
 		t.Errorf("ReadU64 = %#x", v)
 	}
-	if err := m.WriteU32(pa+8, 0x12345678); err != nil {
-		t.Fatal(err)
-	}
-	w, err := m.ReadU32(pa + 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 0x12345678 {
-		t.Errorf("ReadU32 = %#x", w)
-	}
 }
 
 func TestAccessToUnallocatedFails(t *testing.T) {
@@ -330,28 +320,6 @@ func TestPFNConversions(t *testing.T) {
 	}
 	if PFNOf(PA(3*PageSize+17)) != 3 {
 		t.Error("PFNOf wrong")
-	}
-}
-
-func TestCachelinesSpanned(t *testing.T) {
-	cases := []struct {
-		pa   PA
-		size uint64
-		want uint64
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 64, 1},
-		{0, 65, 2},
-		{63, 2, 2},
-		{64, 64, 1},
-		{60, 8, 2},
-		{0, 128, 2},
-	}
-	for _, c := range cases {
-		if got := CachelinesSpanned(c.pa, c.size); got != c.want {
-			t.Errorf("CachelinesSpanned(%d,%d) = %d, want %d", c.pa, c.size, got, c.want)
-		}
 	}
 }
 

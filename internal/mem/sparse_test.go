@@ -343,46 +343,24 @@ func TestSparseMatchesDense(t *testing.T) {
 					disarm()
 				case r < 72: // typed access at a possibly page-crossing offset
 					pa, _ := addr()
-					width := uint64(8)
-					if rng.Intn(2) == 0 {
-						width = 4
-					}
 					calls := hook.reads + hook.writes
-					ok := ref.inRange(pa, width)
+					ok := ref.inRange(pa, 8)
 					if rng.Intn(2) == 0 {
 						v := rng.Uint64()
-						var err error
-						if width == 8 {
-							err = m.WriteU64(pa, v)
-						} else {
-							err = m.WriteU32(pa, uint32(v))
-						}
-						if (err == nil) != ok {
-							t.Fatalf("seed %d op %d: WriteU%d(%#x) = %v; reference accepts: %v", seed, op, width*8, pa, err, ok)
+						if err := m.WriteU64(pa, v); (err == nil) != ok {
+							t.Fatalf("seed %d op %d: WriteU64(%#x) = %v; reference accepts: %v", seed, op, pa, err, ok)
 						}
 						if ok {
-							var b [8]byte
-							binary.LittleEndian.PutUint64(b[:], v)
-							copy(ref.data[pa:uint64(pa)+width], b[:])
+							binary.LittleEndian.PutUint64(ref.data[pa:], v)
 						}
 					} else {
-						var got uint64
-						var err error
-						if width == 8 {
-							got, err = m.ReadU64(pa)
-						} else {
-							var v uint32
-							v, err = m.ReadU32(pa)
-							got = uint64(v)
-						}
+						got, err := m.ReadU64(pa)
 						if (err == nil) != ok {
-							t.Fatalf("seed %d op %d: ReadU%d(%#x) = %v; reference accepts: %v", seed, op, width*8, pa, err, ok)
+							t.Fatalf("seed %d op %d: ReadU64(%#x) = %v; reference accepts: %v", seed, op, pa, err, ok)
 						}
 						if ok {
-							var b [8]byte
-							copy(b[:], ref.data[pa:uint64(pa)+width])
-							if want := binary.LittleEndian.Uint64(b[:]); got != want {
-								t.Fatalf("seed %d op %d: ReadU%d(%#x) = %#x, reference %#x", seed, op, width*8, pa, got, want)
+							if want := binary.LittleEndian.Uint64(ref.data[pa:]); got != want {
+								t.Fatalf("seed %d op %d: ReadU64(%#x) = %#x, reference %#x", seed, op, pa, got, want)
 							}
 						}
 					}

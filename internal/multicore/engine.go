@@ -28,10 +28,6 @@ type Params struct {
 	// MemPages sizes the simulated physical memory (default 1<<15 pages =
 	// 128 MiB).
 	MemPages uint64
-	// Lock calibrates the shared-structure contention model; zero fields
-	// take DefaultLockParams. The lock wraps the baseline modes' shared
-	// protection driver only — rIOMMU and none run lock-free.
-	Lock LockParams
 	// IntRemap models MSI-X completion interrupts: queue i's vectors are
 	// remapped (posted-format) to core i, and each delivery's dispatch cost
 	// lands on the receiving core's virtual timeline. Off by default, which
@@ -137,7 +133,9 @@ func Run(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	lock := NewLock(p.Lock)
+	// The lock wraps the baseline modes' shared protection driver only;
+	// rIOMMU and none run lock-free.
+	lock := NewLock(DefaultLockParams())
 	if ContendedMode(p.Mode) {
 		prot = Contend(prot, lock, sys.CPU)
 	}

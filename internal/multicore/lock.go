@@ -37,10 +37,11 @@ type LockParams struct {
 }
 
 // DefaultLockParams models a cross-core spinlock on the paper's Sandy Bridge
-// setup: ~40 cycles for the contended-cacheline atomic, backoff spins from
-// 50 cycles doubling to a 3,200-cycle cap.
+// setup: ~40 cycles for the contended-cacheline atomic and fixed 50-cycle
+// backoff spins (the cap equals the base, so spins never double). These are
+// the constants every scale-out cell runs with.
 func DefaultLockParams() LockParams {
-	return LockParams{AcquireCycles: 40, BackoffBase: 50, BackoffMax: 3200}
+	return LockParams{AcquireCycles: 40, BackoffBase: 50, BackoffMax: 50}
 }
 
 // LockStats aggregates what the lock observed over a run.
@@ -61,7 +62,8 @@ type Lock struct {
 	Stats    LockStats
 }
 
-// NewLock builds a lock, substituting defaults for zero-valued parameters.
+// NewLock builds a lock. A zero AcquireCycles or BackoffBase takes the
+// default; a BackoffMax below BackoffBase is raised to it.
 func NewLock(p LockParams) *Lock {
 	d := DefaultLockParams()
 	if p.AcquireCycles == 0 {

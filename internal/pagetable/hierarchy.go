@@ -25,7 +25,6 @@ type Hierarchy struct {
 
 	contextTables map[uint8]mem.PFN  // bus -> context table frame
 	spaces        map[pci.BDF]*Space // OS-side handle to the attached spaces
-	frames        []mem.PFN          // for teardown
 
 	// last caches the most recent successful Lookup. The fast path still
 	// re-reads both table entries from simulated memory and compares them to
@@ -51,7 +50,6 @@ func NewHierarchy(mm *mem.PhysMem) (*Hierarchy, error) {
 		root:          root,
 		contextTables: make(map[uint8]mem.PFN),
 		spaces:        make(map[pci.BDF]*Space),
-		frames:        []mem.PFN{root},
 	}, nil
 }
 
@@ -70,7 +68,6 @@ func (h *Hierarchy) Attach(bdf pci.BDF, space *Space) error {
 		}
 		ct = f
 		h.contextTables[bdf.Bus()] = ct
-		h.frames = append(h.frames, ct)
 		rootEntry := h.root.PA() + mem.PA(int(bdf.Bus())*8)
 		if err := h.mm.WriteU64(rootEntry, uint64(ct.PA())|ctxPresent); err != nil {
 			return err
@@ -144,17 +141,3 @@ func (h *Hierarchy) Lookup(bdf pci.BDF) (*Space, error) {
 
 // Space returns the OS-side handle for an attached device, or nil.
 func (h *Hierarchy) Space(bdf pci.BDF) *Space { return h.spaces[bdf] }
-
-// Destroy frees the root and context table frames (not the attached spaces).
-func (h *Hierarchy) Destroy() error {
-	h.last.valid = false
-	for _, f := range h.frames {
-		if err := h.mm.FreeFrame(f); err != nil {
-			return err
-		}
-	}
-	h.frames = nil
-	h.contextTables = nil
-	h.spaces = nil
-	return nil
-}

@@ -88,8 +88,7 @@ type Space struct {
 	coherent bool // is the I/O page walk coherent with CPU caches?
 
 	root   mem.PFN
-	tables []mem.PFN // every table frame ever allocated, for teardown/leak checks
-	mapped int       // live leaf mappings
+	mapped int // live leaf mappings
 }
 
 // NewSpace allocates an empty address space. coherent selects whether OS
@@ -106,7 +105,6 @@ func NewSpace(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, coherent 
 		model:    model,
 		coherent: coherent,
 		root:     root,
-		tables:   []mem.PFN{root},
 	}, nil
 }
 
@@ -116,9 +114,6 @@ func (s *Space) Root() mem.PFN { return s.root }
 
 // Mapped returns the number of live leaf mappings.
 func (s *Space) Mapped() int { return s.mapped }
-
-// TableFrames returns how many table pages the tree currently owns.
-func (s *Space) TableFrames() int { return len(s.tables) }
 
 // indices splits the 36-bit virtual page number into the four 9-bit radix
 // indices i1..i4.
@@ -172,7 +167,6 @@ func (s *Space) Map(iova uint64, frame mem.PFN, perm pci.Dir) error {
 			if err != nil {
 				return fmt.Errorf("pagetable: allocating level-%d table: %w", l+2, err)
 			}
-			s.tables = append(s.tables, next)
 			e = uint64(next.PA()) | pteRead | pteWrite
 			if err := s.mm.WriteU64(pa, e); err != nil {
 				return err
@@ -313,17 +307,4 @@ func permOf(pte uint64) pci.Dir {
 		d |= pci.DirFromDevice
 	}
 	return d
-}
-
-// Destroy releases every table frame owned by the space. The space must not
-// be used afterwards.
-func (s *Space) Destroy() error {
-	for _, f := range s.tables {
-		if err := s.mm.FreeFrame(f); err != nil {
-			return err
-		}
-	}
-	s.tables = nil
-	s.mapped = 0
-	return nil
 }

@@ -27,12 +27,6 @@ type Config struct {
 	RetainInvalidated bool
 }
 
-// DefaultConfig mirrors the paper's setting: a realistic IOTLB and a
-// moderate history.
-func DefaultConfig() Config {
-	return Config{TLBEntries: 64, History: 1024, RetainInvalidated: true}
-}
-
 // Stats accumulates a prefetcher evaluation.
 type Stats struct {
 	Accesses    uint64

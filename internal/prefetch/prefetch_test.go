@@ -10,6 +10,10 @@ import (
 
 var dev = pci.NewBDF(0, 3, 0)
 
+// paperConfig is the paper's setting, the one the prefetchers experiment
+// sweeps around: a realistic IOTLB and a moderate history.
+var paperConfig = Config{TLBEntries: 64, History: 1024, RetainInvalidated: true}
+
 func TestLRUSet(t *testing.T) {
 	s := newLRUSet(2)
 	s.Insert(1)
@@ -125,7 +129,7 @@ func TestMappedCheckSuppressesStale(t *testing.T) {
 
 func TestEvaluateCounters(t *testing.T) {
 	tr := SyntheticRingTrace(dev, 16, 2, 1, 0)
-	s := Evaluate(NewMarkov(DefaultConfig()), tr)
+	s := Evaluate(NewMarkov(paperConfig), tr)
 	if s.Accesses != 32 {
 		t.Errorf("Accesses = %d, want 32", s.Accesses)
 	}
@@ -136,7 +140,7 @@ func TestEvaluateCounters(t *testing.T) {
 
 func TestPrefetcherNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, p := range NewAll(DefaultConfig()) {
+	for _, p := range NewAll(paperConfig) {
 		names[p.Name()] = true
 	}
 	for _, want := range []string{"markov", "recency", "distance"} {
@@ -159,7 +163,7 @@ func TestSequentialStrideWorkloadFavorsDistance(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		tr.Record(trace.EvTranslate, dev, uint64(0x1000+i%128)<<12, pci.DirFromDevice)
 	}
-	s := Evaluate(NewDistance(DefaultConfig()), tr)
+	s := Evaluate(NewDistance(paperConfig), tr)
 	if s.HitRate() < 0.8 {
 		t.Errorf("distance on persistent stride workload: hit rate %.2f, want high", s.HitRate())
 	}

@@ -132,11 +132,6 @@ func (r *Ring) DeviceSlotAddr(i uint32) uint64 {
 	return r.deviceAddr + uint64(r.idx(i))*DescBytes
 }
 
-// SlotPA returns the physical address of slot i.
-func (r *Ring) SlotPA(i uint32) mem.PA {
-	return r.basePA + mem.PA(r.idx(i)*DescBytes)
-}
-
 // Head returns the device cursor; Tail the driver cursor.
 func (r *Ring) Head() uint32 { return r.head }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"riommu/internal/baseline"
@@ -10,10 +9,6 @@ import (
 	"riommu/internal/driver"
 	"riommu/internal/pci"
 )
-
-// ErrReadmitBackoff: a quarantined slot's re-admission backoff has not yet
-// expired; BeginAttach must be retried after the slot's ReadmitAt time.
-var ErrReadmitBackoff = errors.New("sim: quarantined slot in re-admission backoff")
 
 // DevState is a device's position in the hot-plug lifecycle.
 type DevState int
@@ -58,16 +53,6 @@ type Lifecycle struct {
 	state DevState
 	iso   driver.Isolator // lazily built; isolates the slot's DMA route
 
-	// ReadmitBackoffCycles arms an exponential virtual-clock backoff on
-	// quarantine: the first re-admission may begin ReadmitBackoffCycles
-	// after the quarantine, and each further quarantine of the slot doubles
-	// the wait, saturating at MaxReadmitBackoffCycles (0 = unbounded).
-	// The zero value keeps the legacy behavior: immediate re-admission.
-	ReadmitBackoffCycles    uint64
-	MaxReadmitBackoffCycles uint64
-	curBackoff              uint64
-	readmitAt               uint64
-
 	// Counters and timeline marks for the campaign's SLO accounting.
 	Attaches    uint64
 	Removals    uint64
@@ -76,7 +61,8 @@ type Lifecycle struct {
 	RestoredAt  uint64 // CPU cycle of the most recent return to Live after one
 
 	// Cumulative outage ledger: every removal→restore interval, summed, so
-	// MTTR and availability survive multiple removals of one slot.
+	// MTTR and availability (driver.SLOStats) survive multiple removals of
+	// one slot.
 	Outages        uint64
 	DowntimeCycles uint64
 }
@@ -111,12 +97,7 @@ func (lc *Lifecycle) badTransition(to DevState) error {
 // finishes with CompleteAttach.
 func (lc *Lifecycle) BeginAttach() error {
 	switch lc.state {
-	case Detached, SurpriseRemoved:
-	case Quarantined:
-		if now := lc.sys.CPU.Now(); now < lc.readmitAt {
-			return fmt.Errorf("%w: %s until cycle %d (now %d)",
-				ErrReadmitBackoff, lc.bdf, lc.readmitAt, now)
-		}
+	case Detached, SurpriseRemoved, Quarantined:
 	default:
 		return lc.badTransition(Attaching)
 	}
@@ -188,57 +169,7 @@ func (lc *Lifecycle) Quarantine() error {
 	}
 	lc.state = Quarantined
 	lc.Quarantines++
-	if lc.ReadmitBackoffCycles > 0 {
-		if lc.curBackoff == 0 {
-			lc.curBackoff = lc.ReadmitBackoffCycles
-		} else {
-			lc.curBackoff *= 2
-			if m := lc.MaxReadmitBackoffCycles; m > 0 && lc.curBackoff > m {
-				lc.curBackoff = m
-			}
-		}
-		lc.readmitAt = lc.sys.CPU.Now() + lc.curBackoff
-	}
 	return nil
-}
-
-// ReadmitAt returns the virtual time at which a quarantined slot becomes
-// eligible for re-admission (0 when no backoff is armed).
-func (lc *Lifecycle) ReadmitAt() uint64 { return lc.readmitAt }
-
-// OutageCycles returns the width of the most recent removal outage, or 0 if
-// the slot never recovered (the MTTR numerator for hot-plug cells).
-func (lc *Lifecycle) OutageCycles() uint64 {
-	if lc.RemovedAt == 0 || lc.RestoredAt < lc.RemovedAt {
-		return 0
-	}
-	return lc.RestoredAt - lc.RemovedAt
-}
-
-// MTTRCycles is the slot's mean time to recover across every completed
-// removal→restore interval (0 when the slot never recovered).
-func (lc *Lifecycle) MTTRCycles() float64 {
-	if lc.Outages == 0 {
-		return 0
-	}
-	return float64(lc.DowntimeCycles) / float64(lc.Outages)
-}
-
-// Availability is the slot's uptime fraction over totalCycles of elapsed
-// virtual time, counting an unrecovered removal up to now.
-func (lc *Lifecycle) Availability(totalCycles uint64) float64 {
-	if totalCycles == 0 {
-		return 1
-	}
-	down := lc.DowntimeCycles
-	if lc.RemovedAt != 0 && lc.RestoredAt < lc.RemovedAt {
-		down += lc.sys.CPU.Now() - lc.RemovedAt
-	}
-	av := 1 - float64(down)/float64(totalCycles)
-	if av < 0 {
-		return 0
-	}
-	return av
 }
 
 // DetachProtection tears down the per-device translation structures so the

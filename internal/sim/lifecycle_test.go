@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"riommu/internal/audit"
+	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/intremap"
 )
@@ -136,8 +137,8 @@ func TestSurpriseRemovalSilencesDevice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("replug: %v", err)
 			}
-			if lc.State() != Live || lc.OutageCycles() == 0 {
-				t.Fatalf("after replug: state=%s outage=%d", lc.State(), lc.OutageCycles())
+			if lc.State() != Live || lc.Outages != 1 || lc.DowntimeCycles == 0 {
+				t.Fatalf("after replug: state=%s outages=%d downtime=%d", lc.State(), lc.Outages, lc.DowntimeCycles)
 			}
 			for i := 0; i < 4; i++ {
 				if err := mq2.Send(payload); err != nil {
@@ -211,5 +212,48 @@ func TestDeferredIntRemapStaleWindowEndToEnd(t *testing.T) {
 	rem.FlushIEC()
 	if out := rem.Deliver(bdf, idx, 0, 0); out == intremap.Delivered {
 		t.Fatal("window still open after flush")
+	}
+}
+
+// TestLifecycleOutageLedger: the cumulative Outages/DowntimeCycles ledger
+// must survive multiple removals of one slot and count only closed
+// outages.
+func TestLifecycleOutageLedger(t *testing.T) {
+	sys, err := NewSystem(Strict, 1<<13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	lc := sys.LifecycleFor(bdf)
+
+	var wantDown uint64
+	for i, gap := range []uint64{40_000, 90_000} {
+		if err := lc.SurpriseRemove(); err != nil {
+			t.Fatal(err)
+		}
+		removed := sys.CPU.Now()
+		sys.CPU.Charge(cycles.Recovery, gap)
+		if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		wantDown += sys.CPU.Now() - removed
+		if lc.Outages != uint64(i+1) {
+			t.Fatalf("after removal %d: Outages = %d", i+1, lc.Outages)
+		}
+	}
+	if lc.DowntimeCycles != wantDown {
+		t.Fatalf("DowntimeCycles = %d, want %d", lc.DowntimeCycles, wantDown)
+	}
+
+	// An unrecovered removal is not yet an outage in the ledger.
+	if err := lc.SurpriseRemove(); err != nil {
+		t.Fatal(err)
+	}
+	sys.CPU.Charge(cycles.Recovery, 30_000)
+	if lc.Outages != 2 || lc.DowntimeCycles != wantDown {
+		t.Fatalf("open outage entered the ledger: Outages = %d, DowntimeCycles = %d", lc.Outages, lc.DowntimeCycles)
 	}
 }

@@ -1,69 +1,13 @@
-// Package stats provides the small numeric and presentation helpers the
-// experiment harness uses: summary statistics over repeated runs and
-// fixed-width ASCII tables shaped like the paper's.
+// Package stats provides the presentation helpers the experiment harness
+// and the fault campaign use: fixed-width ASCII tables shaped like the
+// paper's, an insertion-ordered counter set that renders as one, and the
+// paper's normalized ratio cells.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Summary describes a sample of measurements.
-type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	Median    float64
-}
-
-// Summarize computes summary statistics; an empty sample yields zeros.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
-	s.Median = Percentile(sorted, 50)
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	s.Mean = sum / float64(s.N)
-	var sq float64
-	for _, x := range xs {
-		d := x - s.Mean
-		sq += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(sq / float64(s.N-1))
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0..100) of a sorted sample using
-// linear interpolation.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
 
 // Table is a simple fixed-width ASCII table builder.
 type Table struct {
@@ -182,17 +126,6 @@ func (c *Counters) Add(name string, n uint64) {
 	}
 	c.values[name] += n
 }
-
-// Get returns the counter's value (0 for unknown names).
-func (c *Counters) Get(name string) uint64 {
-	if c.values == nil {
-		return 0
-	}
-	return c.values[name]
-}
-
-// Names returns the counter names in first-added order.
-func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
 
 // Table renders the counters as a two-column table.
 func (c *Counters) Table(title string) *Table {

@@ -1,73 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Errorf("N = %d", s.N)
-	}
-	if s.Mean != 5 {
-		t.Errorf("Mean = %v", s.Mean)
-	}
-	if math.Abs(s.Std-2.138) > 0.01 {
-		t.Errorf("Std = %v", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if s.Median != 4.5 {
-		t.Errorf("Median = %v", s.Median)
-	}
-}
-
-func TestSummarizeEdge(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Error("empty summary not zero")
-	}
-	s := Summarize([]float64{42})
-	if s.Mean != 42 || s.Std != 0 || s.Median != 42 {
-		t.Errorf("singleton = %+v", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 40}, {50, 25}, {25, 17.5}, {-5, 10}, {200, 40},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("P%.0f = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-}
-
-// Property: mean is within [min,max]; std >= 0.
-func TestSummarizeProperty(t *testing.T) {
-	prop := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		s := Summarize(xs)
-		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9 && s.Std >= 0
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Table 9. Test", "mode", "value", "ratio")

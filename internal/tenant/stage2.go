@@ -41,24 +41,36 @@ func (n *nested) Translate(bdf pci.BDF, iova uint64, size uint32, dir pci.Dir) (
 		h.SpoofBlocked++
 		return 0, fmt.Errorf("%w: device %s, domain %d", ErrNotOwner, bdf, d.ID)
 	}
-	if d.torn {
-		return 0, fmt.Errorf("%w: domain %d, device %s", ErrTornDown, d.ID, bdf)
+	if _, err := d.resolveRange(bdf, uint64(gpa), size, dir); err != nil {
+		return 0, err
 	}
-	end := uint64(gpa) + uint64(size) - 1
-	for gpn := uint64(gpa) >> mem.PageShift; gpn <= end>>mem.PageShift; gpn++ {
+	return gpa, nil
+}
+
+// resolveRange resolves every GPA page that [gpa, gpa+size) touches,
+// counting a fault on the first that fails, and hands each resolved segment
+// to the oracle as issued by bdf. It returns the HPA of gpa itself.
+func (d *Domain) resolveRange(bdf pci.BDF, gpa uint64, size uint32, dir pci.Dir) (mem.PA, error) {
+	h := d.host
+	end := gpa + uint64(size) - 1
+	var first mem.PA
+	for gpn := gpa >> mem.PageShift; gpn <= end>>mem.PageShift; gpn++ {
 		base, err := d.resolve(gpn, dir)
 		if err != nil {
 			d.S2Faults++
 			return 0, err
 		}
+		if gpn == gpa>>mem.PageShift {
+			first = base | mem.PA(gpa&mem.PageMask)
+		}
 		if h.aud != nil {
-			segStart := max(uint64(gpa), gpn<<mem.PageShift)
+			segStart := max(gpa, gpn<<mem.PageShift)
 			segEnd := min(end, (gpn<<mem.PageShift)|mem.PageMask)
 			segHPA := uint64(base) | (segStart & mem.PageMask)
 			h.aud.VerifyStage2(d.ID, bdf, segStart, mem.PA(segHPA), uint32(segEnd-segStart+1), dir)
 		}
 	}
-	return gpa, nil
+	return first, nil
 }
 
 // resolve translates one GPA page through the domain's stage-2 TLB, walking
@@ -90,32 +102,10 @@ func (d *Domain) resolve(gpn uint64, want pci.Dir) (mem.PA, error) {
 // exactly as a device DMA would (TLB, walk costs, oracle check) without
 // going through a guest device — the entry point for fuzzing and tests.
 func (d *Domain) Stage2(gpa uint64, size uint32, dir pci.Dir) (mem.PA, error) {
-	if d.torn {
-		return 0, ErrTornDown
-	}
 	if size == 0 {
 		return 0, fmt.Errorf("tenant: zero-size stage-2 access")
 	}
-	h := d.host
-	end := gpa + uint64(size) - 1
-	var first mem.PA
-	for gpn := gpa >> mem.PageShift; gpn <= end>>mem.PageShift; gpn++ {
-		base, err := d.resolve(gpn, dir)
-		if err != nil {
-			d.S2Faults++
-			return 0, err
-		}
-		if gpn == gpa>>mem.PageShift {
-			first = base | mem.PA(gpa&mem.PageMask)
-		}
-		if h.aud != nil {
-			segStart := max(gpa, gpn<<mem.PageShift)
-			segEnd := min(end, (gpn<<mem.PageShift)|mem.PageMask)
-			segHPA := uint64(base) | (segStart & mem.PageMask)
-			h.aud.VerifyStage2(d.ID, pci.BDF(0), segStart, mem.PA(segHPA), uint32(segEnd-segStart+1), dir)
-		}
-	}
-	return first, nil
+	return d.resolveRange(pci.BDF(0), gpa, size, dir)
 }
 
 // s2InvQueue is the per-domain stage-2 invalidation queue. Strict policy
@@ -162,16 +152,3 @@ func (d *Domain) DrainInvalidations() {
 
 // PendingInvalidations returns the lazy queue's depth.
 func (d *Domain) PendingInvalidations() int { return len(d.invq.pending) }
-
-// TLBStats returns the stage-2 TLB counters.
-func (d *Domain) TLBStats() iotlb.Stats { return d.tlb.Stats() }
-
-// MappedPages returns the number of live stage-2 mappings.
-func (d *Domain) MappedPages() int { return len(d.pages) }
-
-// FrameOf returns the frame backing a GPA page in the hypervisor's shadow
-// map (ok=false when unmapped). Test/oracle plumbing, charges nothing.
-func (d *Domain) FrameOf(gpa uint64) (mem.PFN, bool) {
-	f, ok := d.pages[gpa>>mem.PageShift]
-	return f, ok
-}

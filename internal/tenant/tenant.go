@@ -40,8 +40,6 @@ var (
 	// ErrNotOwner: a device issued a DMA but is not in the issuing
 	// domain's directory slot (BDF spoof).
 	ErrNotOwner = errors.New("tenant: device not owned by issuing domain")
-	// ErrTornDown: the domain's stage-2 state has been destroyed.
-	ErrTornDown = errors.New("tenant: domain torn down")
 )
 
 // Host is the hypervisor: it owns host physical memory, the device
@@ -100,7 +98,6 @@ type Domain struct {
 	s2    *pagetable.Space
 	tlb   *iotlb.IOTLB
 	pages map[uint64]mem.PFN // GPA page → granted frame (hypervisor shadow)
-	bdfs  []pci.BDF          // devices in directory order (deterministic teardown)
 
 	invq s2InvQueue
 
@@ -113,8 +110,6 @@ type Domain struct {
 	S2Invalidations, S2Flushes uint64
 	SpoofBlocked               uint64
 	Ballooned, Throttled       uint64
-
-	torn bool
 }
 
 // stage2TLBEntries sizes each domain's stage-2 TLB. Stage-2 TLBs are larger
@@ -306,7 +301,7 @@ func (h *Host) AttachDevice(d *Domain, profile device.NICProfile, bdf pci.BDF, q
 	if err != nil {
 		return nil, err
 	}
-	h.register(d, bdf)
+	h.dir[bdf] = d
 	return mq, nil
 }
 
@@ -316,32 +311,12 @@ func (h *Host) Register(d *Domain, bdf pci.BDF) error {
 	if owner, ok := h.dir[bdf]; ok && owner != d {
 		return fmt.Errorf("tenant: device %s already owned by tenant %d", bdf, owner.ID)
 	}
-	h.register(d, bdf)
-	return nil
-}
-
-func (h *Host) register(d *Domain, bdf pci.BDF) {
-	if _, ok := h.dir[bdf]; !ok {
-		d.bdfs = append(d.bdfs, bdf)
-	}
 	h.dir[bdf] = d
+	return nil
 }
 
 // DirectoryOwner returns the domain owning bdf, or nil.
 func (h *Host) DirectoryOwner(bdf pci.BDF) *Domain { return h.dir[bdf] }
-
-// RemoveDevice surprise-removes a directory device from the domain's guest.
-// The directory slot stays with the tenant (the slot is quarantined, not
-// reassigned) — only Teardown releases slots.
-func (h *Host) RemoveDevice(d *Domain, bdf pci.BDF) error {
-	if h.dir[bdf] != d {
-		return fmt.Errorf("tenant: device %s not owned by tenant %d", bdf, d.ID)
-	}
-	if d.Sys == nil {
-		return fmt.Errorf("tenant: domain %d has no guest system", d.ID)
-	}
-	return d.Sys.LifecycleFor(bdf).SurpriseRemove()
-}
 
 // Reclaim unmaps pages of the domain's guest-physical space starting at
 // gpa and returns their host frames to the free list (memory unplug). With
@@ -349,9 +324,6 @@ func (h *Host) RemoveDevice(d *Domain, bdf pci.BDF) error {
 // mappings; with lazy invalidation they linger in the queue — the stale
 // window HostileTenant's replay scenario aims at.
 func (h *Host) Reclaim(d *Domain, gpa uint64, pages int) error {
-	if d.torn {
-		return ErrTornDown
-	}
 	for i := 0; i < pages; i++ {
 		f, err := h.unmapGPA(d, gpa+uint64(i)<<mem.PageShift)
 		if err != nil {
@@ -366,9 +338,6 @@ func (h *Host) Reclaim(d *Domain, gpa uint64, pages int) error {
 // at gpa with the given permissions, drawing frames from the free list
 // first (memory plug — the other half of the reuse-after-reclaim hazard).
 func (h *Host) Grant(d *Domain, gpa uint64, pages int, perm pci.Dir) error {
-	if d.torn {
-		return ErrTornDown
-	}
 	for i := 0; i < pages; i++ {
 		f := h.allocHPA(d.ID)
 		if err := h.mapGPA(d, gpa+uint64(i)<<mem.PageShift, f, perm); err != nil {
@@ -384,9 +353,6 @@ func (h *Host) Grant(d *Domain, gpa uint64, pages int, perm pci.Dir) error {
 // machinery — which is why the host enforces a per-window quota
 // (ErrBalloonThrottled) instead of letting one tenant flood it.
 func (h *Host) Balloon(d *Domain, pages int) error {
-	if d.torn {
-		return ErrTornDown
-	}
 	clk := h.Clk
 	if d.Sys != nil {
 		clk = d.Sys.CPU
@@ -439,58 +405,6 @@ func (d *Domain) highestPages(n int) []uint64 {
 		gpns = gpns[:n]
 	}
 	return gpns
-}
-
-// Teardown destroys the domain: live directory devices are surprise-removed
-// (ghost DMAs must fault), directory slots are released, every stage-2
-// mapping is unmapped with one domain-wide TLB flush, and all owned frames
-// return to the free list — primed for regrant to other tenants, which is
-// exactly when a surviving stale stage-2 entry would become cross-tenant.
-func (h *Host) Teardown(d *Domain) error {
-	if d.torn {
-		return nil
-	}
-	for _, bdf := range d.bdfs {
-		if d.Sys != nil {
-			if lc := d.Sys.LifecycleFor(bdf); lc.State() == sim.Live {
-				if err := lc.SurpriseRemove(); err != nil {
-					return err
-				}
-			}
-		}
-		delete(h.dir, bdf)
-	}
-	gpns := make([]uint64, 0, len(d.pages))
-	// maporder: sorted below, before any page is unmapped.
-	for gpn := range d.pages {
-		gpns = append(gpns, gpn)
-	}
-	sort.Slice(gpns, func(i, j int) bool { return gpns[i] < gpns[j] })
-	for _, gpn := range gpns {
-		gpa := gpn << mem.PageShift
-		f := d.pages[gpn]
-		before := h.tableClk.Now()
-		if err := d.s2.Unmap(gpa); err != nil {
-			return err
-		}
-		h.chargeTable(before)
-		h.Clk.Charge(cycles.Stage2, h.Model.Stage2UnmapPage)
-		delete(d.pages, gpn)
-		if h.aud != nil {
-			h.aud.OnS2Unmap(d.ID, gpa)
-		}
-		h.disownHPA(f)
-	}
-	// One domain-wide flush covers every queued or cached entry.
-	d.tlb.Flush()
-	d.invq.pending = d.invq.pending[:0]
-	d.S2Flushes++
-	h.Clk.Charge(cycles.Stage2, h.Model.Stage2GlobalFlush)
-	if err := d.s2.Destroy(); err != nil {
-		return err
-	}
-	d.torn = true
-	return nil
 }
 
 // Close releases the host's simulated memory. Domains must not translate

@@ -89,17 +89,6 @@ func (t *Trace) RecordRecovery(action uint8, bdf pci.BDF) {
 // Len returns the number of events.
 func (t *Trace) Len() int { return len(t.Events) }
 
-// Accesses returns only the translation events.
-func (t *Trace) Accesses() []Event {
-	var out []Event
-	for _, e := range t.Events {
-		if e.Kind == EvTranslate {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // binary format: 1-byte kind, 2-byte bdf, 1-byte dir, 8-byte page, LE.
 const recBytes = 12
 

@@ -17,9 +17,8 @@ import (
 // protection indistinguishable from no IOMMU on SATA drives, HDD or SSD,
 // because the drive — not the CPU — is the bottleneck.
 type BonnieOpts struct {
-	Ops       int
-	ChunkKB   int
-	Sequental bool
+	Ops     int
+	ChunkKB int
 }
 
 func (o *BonnieOpts) defaults() {

@@ -25,9 +25,8 @@ type StreamOpts struct {
 	ExtraCyclesPerPacket uint64
 
 	// Ablation knobs (zero values mean defaults).
-	TxBurst         int  // completion burst length (default ~200)
-	DeferBatch      int  // deferred-invalidation batch (default 250)
-	DisablePrefetch bool // turn off the rIOTLB next-entry prefetch
+	TxBurst    int // completion burst length (default ~200)
+	DeferBatch int // deferred-invalidation batch (default 250)
 }
 
 func (o *StreamOpts) defaults() {
@@ -61,9 +60,6 @@ func NetperfStream(mode sim.Mode, profile device.NICProfile, opts StreamOpts) (R
 		if bd, ok := sys.Protections[NICBDF].(*baseline.Driver); ok {
 			bd.SetDeferBatch(opts.DeferBatch)
 		}
-	}
-	if opts.DisablePrefetch && sys.RHW != nil {
-		sys.RHW.DisablePrefetch = true
 	}
 	conn := netstack.NewConn(sys.CPU, fx.drv, params)
 

@@ -20,11 +20,13 @@ import (
 const mapOrderMark = "maporder:"
 
 // srcImporter type-checks this module's packages from source and takes the
-// standard library from the compiler's export data.
+// standard library from the compiler's export data. An import path
+// "riommu/p" is read from the directory p under root.
 type srcImporter struct {
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*srcPackage
+	root string
 }
 
 type srcPackage struct {
@@ -50,15 +52,16 @@ func (im *srcImporter) load(path string) (*srcPackage, error) {
 	if p := im.pkgs[path]; p != nil {
 		return p, nil
 	}
-	dir := filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "riommu"), "/"))
-	if dir == "" {
-		dir = "."
-	}
+	dir := filepath.Join(im.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "riommu"), "/")))
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	p := &srcPackage{info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}}
+	p := &srcPackage{info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -74,35 +77,49 @@ func (im *srcImporter) load(path string) (*srcPackage, error) {
 	return p, nil
 }
 
+// loadTree loads every package in the directory tree sub under im.root.
+func (im *srcImporter) loadTree(sub string) ([]*srcPackage, error) {
+	var pkgs []*srcPackage
+	err := filepath.WalkDir(filepath.Join(im.root, sub), func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if _, err := build.Default.ImportDir(dir, 0); err != nil {
+			if _, ok := err.(*build.NoGoError); ok {
+				return nil
+			}
+			return err
+		}
+		rel, err := filepath.Rel(im.root, dir)
+		if err != nil {
+			return err
+		}
+		p, err := im.load("riommu/" + filepath.ToSlash(rel))
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, p)
+		return nil
+	})
+	return pkgs, err
+}
+
 // TestMapRangesAnnotated enforces deterministic output mechanically: every
 // range over a map in the non-test packages under internal/ and cmd/ must
 // carry a maporder: comment saying why iteration order cannot reach the
 // simulator's output. A new unannotated map range fails here.
 func TestMapRangesAnnotated(t *testing.T) {
-	im := &srcImporter{fset: token.NewFileSet(), std: importer.Default(), pkgs: map[string]*srcPackage{}}
+	im := &srcImporter{fset: token.NewFileSet(), std: importer.Default(), pkgs: map[string]*srcPackage{}, root: "."}
 	ranges := 0
-	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if _, err := build.Default.ImportDir(dir, 0); err != nil {
-				if _, ok := err.(*build.NoGoError); ok {
-					return nil
-				}
-				return err
-			}
-			p, err := im.load("riommu/" + filepath.ToSlash(dir))
-			if err != nil {
-				return err
-			}
+	for _, sub := range []string{"internal", "cmd"} {
+		pkgs, err := im.loadTree(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkgs {
 			for _, f := range p.files {
 				ranges += checkMapRanges(t, im.fset, f, p.info)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	if ranges == 0 {

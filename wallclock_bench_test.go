@@ -708,8 +708,6 @@ func TestHotPathAllocs(t *testing.T) {
 		}{
 			{"ReadU64", func() error { _, err := mm.ReadU64(f.PA() + 8); return err }},
 			{"WriteU64", func() error { return mm.WriteU64(f.PA()+8, 42) }},
-			{"ReadU32", func() error { _, err := mm.ReadU32(f.PA() + 4); return err }},
-			{"WriteU32", func() error { return mm.WriteU32(f.PA()+4, 42) }},
 			{"ReadInto", func() error { var b [3000]byte; return mm.ReadInto(pa, b[:]) }},
 			{"Write", func() error { var b [3000]byte; return mm.Write(pa, b[:]) }},
 		} {
