@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCH_GOLDEN ?= BENCH_golden.json
 BENCH_WALLCLOCK ?= BENCH_wallclock.txt
 BENCH_GATE ?= BENCH_gate.json
-WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|CampaignCell|EngineReadU64|TrafficCell|TrafficTick|OracleVerify|^BenchmarkAllocFrames$$|^BenchmarkNewSystem$$
+WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|IOVAChurn|CampaignCell|EngineReadU64|TrafficCell|TrafficTick|OracleVerify|^BenchmarkAllocFrames$$|^BenchmarkNewSystem$$
 WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
@@ -110,13 +110,14 @@ traffic: build
 	$(GO) run -race ./cmd/riommu-faults \
 		-rounds 16 -rates 0 -modes strict,riommu -churn 200000 > /dev/null
 
-# Short bounded runs of the fault-determinism and IRTE-allocator fuzzers
-# (the seed corpora also run as part of plain `go test`).
+# Short bounded runs of every engine fuzzer (the seed corpora also run as
+# part of plain `go test`).
 fuzz:
 	$(GO) test ./internal/sim/ -run FuzzFaultDeterminism -fuzz FuzzFaultDeterminism -fuzztime 20s
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime 20s
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime 20s
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime 20s
+	$(GO) test ./internal/iova/ -run FuzzLinuxAllocator -fuzz FuzzLinuxAllocator -fuzztime 20s
 
 # fuzz-smoke is the CI-sized variant: long enough to execute the engines on
 # generated inputs, short enough for every push.
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/iova/ -run FuzzLinuxAllocator -fuzz FuzzLinuxAllocator -fuzztime $(FUZZTIME)
 
 # bench-json regenerates the committed benchmark golden. Run it (and commit
 # the result) whenever an intentional change moves any cell metric. The

@@ -194,6 +194,27 @@ func TestLinuxExhaustion(t *testing.T) {
 	}
 }
 
+// TestLinuxBitmapBounded fills a space whose depth is not a power-of-two
+// number of bitmap words: the bitmaps grow to the page above StartPFN and
+// no further.
+func TestLinuxBitmapBounded(t *testing.T) {
+	clk := &cycles.Clock{}
+	model := cycles.DefaultModel()
+	const limit = 1200
+	a := NewLinux(clk, &model, limit)
+	for {
+		if _, err := a.Alloc(1); err != nil {
+			break
+		}
+	}
+	if a.Live() != limit {
+		t.Fatalf("filled %d pages of %d", a.Live(), limit)
+	}
+	if want := int((limit-StartPFN)/64) + 1; len(a.covered) != want || len(a.starts) != want {
+		t.Errorf("bitmaps hold %d and %d words, want %d", len(a.covered), len(a.starts), want)
+	}
+}
+
 func TestConstExhaustion(t *testing.T) {
 	clk := &cycles.Clock{}
 	model := cycles.DefaultModel()

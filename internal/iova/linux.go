@@ -2,6 +2,7 @@ package iova
 
 import (
 	"fmt"
+	"math/bits"
 
 	"riommu/internal/cycles"
 )
@@ -35,10 +36,15 @@ type Allocator interface {
 // cached32 node. See alloc_iova()/__free_iova() in drivers/iommu/iova.c.
 //
 // The pathology the paper measures (strict-mode allocation costing ~3,986
-// cycles) arises here exactly as in the kernel: whenever a free or an
-// allocation near the top of the space resets the cached node high, the next
-// allocation's gap search walks rb_prev over every live range between the
-// cache and the first gap — linear in the number of live IOVAs.
+// cycles) is charged here exactly as the kernel incurs it: whenever a free
+// or an allocation near the top of the space resets the cached node high,
+// the next allocation's gap search walks rb_prev over every live range
+// between the cache and the first gap — linear in the number of live IOVAs.
+// The host does not repeat that walk. It finds the same gap in a page
+// bitmap, skipping 64 covered pages a word, and charges the virtual clock
+// the node visits the walk would have made: one per live range it steps
+// over, counted from a second bitmap of range starts (DESIGN §10, "The
+// IOVA gap search").
 type LinuxAllocator struct {
 	clk   *cycles.Clock
 	model *cycles.Model
@@ -48,6 +54,12 @@ type LinuxAllocator struct {
 	limit    uint64
 	arena    nodeArena
 	spare    []*node // nodes recycled by Free, reused by Alloc
+
+	// Page bitmaps anchored at limit: bit d%64 of word d/64 stands for page
+	// limit-d, so they grow downward only as deep as allocations go.
+	// covered holds every page of a live range, starts its first page.
+	covered []uint64
+	starts  []uint64
 
 	// Statistics for tests and the experiment harness.
 	LastAllocVisits uint64
@@ -74,39 +86,53 @@ func (a *LinuxAllocator) Alloc(pages uint64) (uint64, error) {
 	}
 	a.t.takeVisits()
 
-	// __get_cached_rbnode: start below the cached node when present.
-	limit := a.limit
-	var curr *node
+	// __get_cached_rbnode: the walk starts at rb_prev(cached32), one
+	// touch, or at the last node, touching the tree's right spine.
+	top := a.limit
 	if a.cached32 == nil {
-		curr = a.t.last()
+		a.t.last()
 	} else {
-		limit = a.cached32.pfnLo - 1
-		curr = a.t.prev(a.cached32)
+		top = a.cached32.pfnLo - 1
+		a.t.touch()
 	}
-
-	for curr != nil {
-		switch {
-		case limit < curr.pfnLo:
-			// Entirely above us; move left.
-		case limit <= curr.pfnHi:
-			// limit falls inside curr; adjust below it.
-			limit = curr.pfnLo - 1
-		default:
-			// Gap between curr.pfnHi and limit.
-			if curr.pfnHi+pages <= limit {
-				goto found
-			}
-			limit = curr.pfnLo - 1
-		}
-		curr = a.t.prev(curr)
-	}
-	// Reached the bottom: the gap is [StartPFN, limit].
-	if limit < StartPFN || limit-StartPFN+1 < pages {
+	hi, ok := a.findGap(top, pages)
+	if !ok {
 		a.chargeAlloc()
 		return 0, fmt.Errorf("iova: address space exhausted (%d live)", a.t.size)
 	}
+	return a.insert(hi-pages+1, hi), nil
+}
 
-found:
+// findGap finds the gap the kernel's walk down from top settles on: the
+// highest maximal free run of at least `pages` pages in [StartPFN, top]. It
+// returns the run's top page and adds to the tree's visit count one rb_prev
+// per live range the walk steps over on its way: every range starting
+// between the run and top, or every range below top when none fits.
+func (a *LinuxAllocator) findGap(top, pages uint64) (uint64, bool) {
+	if top < StartPFN {
+		return 0, false
+	}
+	from, end := a.limit-top, a.limit-StartPFN // bitmap offsets
+	for d := from; ; {
+		d = nextBit(a.covered, d, end+1, false)
+		if d > end {
+			a.t.visits += countBits(a.starts, from, end+1)
+			return 0, false
+		}
+		e := nextBit(a.covered, d, min(d+pages, end+1), true)
+		if e-d >= pages {
+			a.t.visits += countBits(a.starts, from, d)
+			return a.limit - d, true
+		}
+		d = e
+	}
+}
+
+// insert makes [lo, hi] a live range and caches it, then charges the
+// allocation. __cached_rbnode_insert_update caches the new node because
+// the caller's limit equals the dma-32bit limit for every allocation in
+// this workload.
+func (a *LinuxAllocator) insert(lo, hi uint64) uint64 {
 	var n *node
 	if len(a.spare) > 0 {
 		n = a.spare[len(a.spare)-1]
@@ -114,13 +140,75 @@ found:
 	} else {
 		n = a.arena.get()
 	}
-	n.pfnLo, n.pfnHi = limit-pages+1, limit
+	n.pfnLo, n.pfnHi = lo, hi
+	a.flip(n)
 	a.t.insert(n)
-	// __cached_rbnode_insert_update: cache the new node (the caller's limit
-	// equals the dma-32bit limit for every allocation in this workload).
 	a.cached32 = n
 	a.chargeAlloc()
-	return n.pfnLo, nil
+	return lo
+}
+
+// flip toggles n's pages in both bitmaps. A range's pages are all clear
+// when it is allocated and all set when it is freed, so one flip sets them
+// and the next clears them. The bitmaps grow, at most to the page above
+// StartPFN, when n reaches below them.
+func (a *LinuxAllocator) flip(n *node) {
+	lo, hi := a.limit-n.pfnHi, a.limit-n.pfnLo // offsets; hi is n's first page
+	if need := int(hi/64) + 1; need > len(a.covered) {
+		words := min(max(need, 2*len(a.covered)), int((a.limit-StartPFN)/64)+1)
+		a.covered = append(a.covered, make([]uint64, words-len(a.covered))...)
+		a.starts = append(a.starts, make([]uint64, words-len(a.starts))...)
+	}
+	a.starts[hi/64] ^= 1 << (hi % 64)
+	for w := lo / 64; w <= hi/64; w++ {
+		m := ^uint64(0)
+		if w == lo/64 {
+			m <<= lo % 64
+		}
+		if w == hi/64 {
+			m &= ^uint64(0) >> (63 - hi%64)
+		}
+		a.covered[w] ^= m
+	}
+}
+
+// nextBit returns the first offset in [d, lim) whose bit equals set, or
+// lim when there is none. It skips whole words that hold no such bit, and
+// offsets past the end of words read as clear.
+func nextBit(words []uint64, d, lim uint64, set bool) uint64 {
+	var inv uint64 // ^0 turns a search for a clear bit into one for a set bit
+	if !set {
+		inv = ^uint64(0)
+	}
+	for w := d / 64; d < lim; w++ {
+		if w >= uint64(len(words)) {
+			if set {
+				return lim
+			}
+			return d
+		}
+		if x := (words[w] ^ inv) >> (d % 64); x != 0 {
+			return min(d+uint64(bits.TrailingZeros64(x)), lim)
+		}
+		d = (w + 1) * 64
+	}
+	return lim
+}
+
+// countBits returns the number of set bits at offsets [lo, hi).
+func countBits(words []uint64, lo, hi uint64) uint64 {
+	hi = min(hi, uint64(len(words))*64)
+	var n int
+	for lo < hi {
+		w := lo / 64
+		m := ^uint64(0) << (lo % 64)
+		if hi-w*64 < 64 {
+			m &= 1<<(hi-w*64) - 1
+		}
+		n += bits.OnesCount64(words[w] & m)
+		lo = (w + 1) * 64
+	}
+	return uint64(n)
 }
 
 func (a *LinuxAllocator) chargeAlloc() {
@@ -160,6 +248,7 @@ func (a *LinuxAllocator) Free(pfn uint64) error {
 		}
 	}
 	a.t.erase(n)
+	a.flip(n)
 	a.spare = append(a.spare, n)
 	a.clk.Charge(cycles.UnmapIOVAFree, a.model.RBEraseFixed+a.t.takeVisits()*a.model.RBNodeVisit)
 	return nil

@@ -5,7 +5,8 @@
 //     tree of allocated ranges, top-down allocation below a 32-bit limit with
 //     the cached32_node optimization. The allocator exhibits the paper's
 //     "nontrivial pathology" — the gap search regularly walks linearly over
-//     the live ranges — by construction, because the algorithm is the same.
+//     the live ranges — by construction, because its allocation decisions
+//     and cached-node rules are the kernel's.
 //
 //   - ConstAllocator: the authors' constant-time allocator (strict+/defer+
 //     modes; Malka et al., FAST'15): freed ranges are kept in the tree and
@@ -13,8 +14,12 @@
 //     fuller tree (and hence a slightly slower unmap-time lookup), matching
 //     Table 1's strict+ column.
 //
-// Allocation costs are charged to the virtual clock per node actually
-// visited, so the asymptotic behaviour is reproduced rather than assumed.
+// Allocation costs are charged to the virtual clock per node the kernel's
+// algorithm visits, so the asymptotic behaviour is reproduced rather than
+// assumed. Tree lookups, inserts and erases are real and charge the nodes
+// they touch. The Linux gap search is not repeated on the host: the host
+// finds the gap in a page bitmap, while the virtual clock still charges
+// every node of the kernel's rb_prev walk.
 package iova
 
 // node is a red-black tree node describing one allocated IOVA range
@@ -75,24 +80,6 @@ func (t *tree) last() *node {
 	}
 	t.touch()
 	return n
-}
-
-// prev returns the in-order predecessor of n, or nil.
-func (t *tree) prev(n *node) *node {
-	t.touch()
-	if n.left != nil {
-		n = n.left
-		for n.right != nil {
-			n = n.right
-		}
-		return n
-	}
-	p := n.parent
-	for p != nil && n == p.left {
-		n = p
-		p = p.parent
-	}
-	return p
 }
 
 // next returns the in-order successor of n, or nil.

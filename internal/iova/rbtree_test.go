@@ -157,3 +157,23 @@ func TestTreeRandomizedAgainstReference(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// prev returns the in-order predecessor of n, or nil: the kernel's
+// rb_prev, one touch per call. The reference walk (walk_test.go) and the
+// traversal tests step through it.
+func (t *tree) prev(n *node) *node {
+	t.touch()
+	if n.left != nil {
+		n = n.left
+		for n.right != nil {
+			n = n.right
+		}
+		return n
+	}
+	p := n.parent
+	for p != nil && n == p.left {
+		n = p
+		p = p.parent
+	}
+	return p
+}

@@ -160,6 +160,80 @@ func BenchmarkIOTLB(b *testing.B) {
 	}
 }
 
+// iovaChurnLive is the Rx band of the IOVA churn benchmark: single-page
+// ranges that stay live, as a ring's posted buffers do.
+const (
+	iovaChurnBits = 12
+	iovaChurnLive = 1 << iovaChurnBits
+)
+
+// BenchmarkIOVAChurn times each IOVA allocator under the Rx-refill churn of
+// a strict world. One op frees a band range picked by a fixed hash of the op
+// index and allocates its replacement, then allocates and frees one Tx page.
+// In the Linux allocator the free resets the cached node above the freed
+// range, the refill lands in its hole and is cached, and the Tx allocation
+// then steps rb_prev over every band range below the hole to the gap under
+// the band: the linear search behind Table 1's 3,986-cycle "iova alloc".
+// vcycles/op is what the op charges the virtual clock; visits/op is the
+// Linux gap search's node visits, and const, which never searches, reads 0.
+// Both depend only on the op count, so runs of one -benchtime Nx agree.
+func BenchmarkIOVAChurn(b *testing.B) {
+	model := cycles.DefaultModel()
+	for _, tc := range []struct {
+		name   string
+		new    func(*cycles.Clock) iova.Allocator
+		visits func(iova.Allocator) uint64
+	}{
+		{"linux",
+			func(clk *cycles.Clock) iova.Allocator { return iova.NewLinux(clk, &model, iova.DMA32PFN-1) },
+			func(a iova.Allocator) uint64 { return a.(*iova.LinuxAllocator).TotalVisits }},
+		{"const",
+			func(clk *cycles.Clock) iova.Allocator { return iova.NewConst(clk, &model, iova.DMA32PFN-1) },
+			func(iova.Allocator) uint64 { return 0 }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			clk := &cycles.Clock{}
+			a := tc.new(clk)
+			band := make([]uint64, iovaChurnLive)
+			for i := range band {
+				p, err := a.Alloc(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				band[i] = p
+			}
+			op := func(i uint64) {
+				j := i * 0x9E3779B97F4A7C15 >> (64 - iovaChurnBits) // a band index
+				if err := a.Free(band[j]); err != nil {
+					b.Fatal(err)
+				}
+				p, err := a.Alloc(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				band[j] = p
+				tx, err := a.Alloc(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := a.Free(tx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			op(0) // carves the Tx page and sizes the recycle state
+			start, visits := clk.Now(), tc.visits(a)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(uint64(i))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(clk.Now()-start)/float64(b.N), "vcycles/op")
+			b.ReportMetric(float64(tc.visits(a)-visits)/float64(b.N), "visits/op")
+		})
+	}
+}
+
 // engineBDF is the device behind the DMA engine benchmarks and allocation
 // gate, engineIOVA the first of its mapped pages.
 var engineBDF = pci.NewBDF(0, 5, 0)
