@@ -58,7 +58,7 @@ type fixture struct {
 }
 
 func newFixture(m sim.Mode) *fixture {
-	sys, err := sim.NewSystem(m, 1<<13)
+	sys, err := sim.New(sim.Spec{Mode: m, MemPages: 1 << 13})
 	if err != nil {
 		log.Fatal(err)
 	}

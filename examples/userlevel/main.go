@@ -38,7 +38,7 @@ func main() {
 
 // run measures baseline device-side cycles per send for random vs hot picks.
 func run(mode sim.Mode) (randCy, hotCy float64) {
-	sys, err := sim.NewSystem(mode, 1<<15)
+	sys, err := sim.New(sim.Spec{Mode: mode, MemPages: 1 << 15})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func run(mode sim.Mode) (randCy, hotCy float64) {
 
 // runRIOMMU measures rIOMMU device-side cycles for sequential vs random use.
 func runRIOMMU() (seqCy, randCy float64) {
-	sys, err := sim.NewSystem(sim.RIOMMU, 1<<15)
+	sys, err := sim.New(sim.Spec{Mode: sim.RIOMMU, MemPages: 1 << 15})
 	if err != nil {
 		log.Fatal(err)
 	}

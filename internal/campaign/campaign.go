@@ -499,19 +499,17 @@ func (r Result) Render() string {
 	return strings.Join(tables, "\n")
 }
 
-// world builds a cell's system: pages of memory, the fault engine seeded
-// from the cell at the key's rate (0 outside the base and cores families),
-// and the shadow translation oracle when audited. The caller closes it.
-func world(k Key, seed, pages uint64, audited bool) (*sim.System, *faults.Engine, error) {
-	sys, err := sim.NewSystem(k.Mode, pages)
-	if err != nil {
-		return nil, nil, err
+// spec is a cell's world: pages of memory, the fault engine seeded from the
+// cell at the key's rate (0 outside the base and cores families), the
+// shadow translation oracle when audited, and in the interrupt and
+// hot-plug families the interrupt remapper (with its oracle, since those
+// cells are always audited).
+func spec(k Key, seed, pages uint64, audited bool) sim.Spec {
+	return sim.Spec{
+		Mode: k.Mode, MemPages: pages,
+		Inject: true, Faults: faults.UniformConfig(seed, k.Rate),
+		Audit: audited, IntRemap: k.Family == IntChaos || k.Family == Hotplug,
 	}
-	f := sys.EnableFaults(faults.UniformConfig(seed, k.Rate))
-	if audited {
-		sys.EnableAudit()
-	}
-	return sys, f, nil
 }
 
 // nicPayload is the 1 KiB frame every NIC cell sends and receives.
@@ -539,8 +537,8 @@ func soak(sup *driver.Supervisor, rounds int, op func() error) error {
 // tally fills in what every supervised cell reports once its rounds are
 // done: injections, recovery cycles, cycles per operation over ops, the
 // shadow oracles' verdicts and the final clock.
-func tally(c *CellMetrics, sys *sim.System, f *faults.Engine, ops uint64) {
-	c.Injected = f.TotalInjected()
+func tally(c *CellMetrics, sys *sim.System, ops uint64) {
+	c.Injected = sys.FaultEng.TotalInjected()
 	c.RecoveryCycles = sys.CPU.Total(cycles.Recovery)
 	if ops > 0 {
 		c.CyclesPerOp = float64(sys.CPU.Now()) / float64(ops)
@@ -552,11 +550,11 @@ func tally(c *CellMetrics, sys *sim.System, f *faults.Engine, ops uint64) {
 
 // tallyNIC is tally for a NIC cell that moved pkts packets, adding the
 // model's Gbps and the injected faults by class.
-func tallyNIC(c *CellMetrics, sys *sim.System, f *faults.Engine, pkts uint64) {
-	tally(c, sys, f, pkts)
+func tallyNIC(c *CellMetrics, sys *sim.System, pkts uint64) {
+	tally(c, sys, pkts)
 	c.ByClass = map[string]uint64{}
 	for _, cl := range faults.Classes() {
-		c.ByClass[cl.String()] = f.Count(cl)
+		c.ByClass[cl.String()] = sys.FaultEng.Count(cl)
 	}
 	if pkts > 0 {
 		c.Gbps = perfmodel.Gbps(sys.Model, c.CyclesPerOp, device.ProfileBRCM.LineRateGbps)
@@ -718,7 +716,7 @@ func baseCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 }
 
 func nicCell(k Key, seed uint64, o Options) (CellMetrics, error) {
-	sys, f, err := world(k, seed, 1<<15, o.Audit)
+	sys, err := sim.New(spec(k, seed, 1<<15, o.Audit))
 	if err != nil {
 		return CellMetrics{}, err
 	}
@@ -733,14 +731,14 @@ func nicCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 		return CellMetrics{}, err
 	}
 	c := CellMetrics{Recovery: sup.Stats}
-	tallyNIC(&c, sys, f, nic.TxPackets+nic.RxPackets)
+	tallyNIC(&c, sys, nic.TxPackets+nic.RxPackets)
 	return c, nil
 }
 
 // blockCell drives a block-device driver (NVMe or AHCI/SATA) through a
 // supervised write/complete loop.
 func blockCell(k Key, seed uint64, o Options) (CellMetrics, error) {
-	sys, f, err := world(k, seed, 1<<14, o.Audit)
+	sys, err := sim.New(spec(k, seed, 1<<14, o.Audit))
 	if err != nil {
 		return CellMetrics{}, err
 	}
@@ -805,7 +803,7 @@ func blockCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 		return CellMetrics{}, err
 	}
 	c := CellMetrics{Recovery: sup.Stats}
-	tally(&c, sys, f, target.Progress())
+	tally(&c, sys, target.Progress())
 	return c, nil
 }
 
@@ -871,7 +869,7 @@ func coresKeys(dst []Key, o Options) []Key {
 // device identity, protection domain, and recovery domain (the port resets
 // as a unit).
 func mqCell(k Key, seed uint64, o Options) (CellMetrics, error) {
-	sys, f, err := world(k, seed, 1<<15, o.Audit)
+	sys, err := sim.New(spec(k, seed, 1<<15, o.Audit))
 	if err != nil {
 		return CellMetrics{}, err
 	}
@@ -886,7 +884,7 @@ func mqCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 		return CellMetrics{}, err
 	}
 	c := CellMetrics{Recovery: sup.Stats}
-	tallyNIC(&c, sys, f, mqPackets(mq))
+	tallyNIC(&c, sys, mqPackets(mq))
 	return c, nil
 }
 
@@ -916,7 +914,7 @@ func chaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	scenario := chaos.Scenario(k.Scenario)
 	// Injection stays quiet except in the cascade scenario, which opens a
 	// multi-class fault storm across the middle third of the cell.
-	sys, f, err := world(k, seed, 1<<15, true)
+	sys, err := sim.New(spec(k, seed, 1<<15, true))
 	if err != nil {
 		return CellMetrics{}, err
 	}
@@ -968,11 +966,11 @@ func chaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 		if scenario == chaos.Cascade {
 			if round == stormStart {
 				for _, cl := range faults.Classes() {
-					f.SetRate(cl, 0.002)
+					sys.FaultEng.SetRate(cl, 0.002)
 				}
 			} else if round == stormEnd {
 				for _, cl := range faults.Classes() {
-					f.SetRate(cl, 0)
+					sys.FaultEng.SetRate(cl, 0)
 				}
 			}
 		}
@@ -996,7 +994,7 @@ func chaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	}
 
 	c := CellMetrics{Recovery: sup.Stats}
-	tallyNIC(&c, sys, f, nic.TxPackets+nic.RxPackets)
+	tallyNIC(&c, sys, nic.TxPackets+nic.RxPackets)
 	recordBreaker(&c, sys, sup, host.Stats)
 	return c, nil
 }
@@ -1029,21 +1027,17 @@ func intchaosKeys(dst []Key, o Options) []Key {
 // and servicing real completion interrupts while the hostile requester
 // layers its messages on top; the interrupt oracle judges every delivery.
 func intchaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
-	sys, f, err := world(k, seed, 1<<15, true)
+	sys, err := sim.New(spec(k, seed, 1<<15, true))
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	iorc, err := sys.EnableIntAudit()
-	if err != nil {
-		return CellMetrics{}, err
-	}
 	mq, err := sys.HotAttachMQNIC(device.ProfileBRCM, nicBDF, 2, false)
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	sup := breakerSupervise(sys, mq)
-	host := chaos.NewIntHostile(sys.IntRemap, iorc, msiBDF, nicBDF)
+	host := chaos.NewIntHostile(sys.IntRemap, sys.IntAuditor, msiBDF, nicBDF)
 
 	payload := nicPayload()
 	for round := 0; round < o.Rounds; round++ {
@@ -1071,7 +1065,7 @@ func intchaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	}
 
 	c := CellMetrics{Recovery: sup.Stats}
-	tallyNIC(&c, sys, f, mqPackets(mq))
+	tallyNIC(&c, sys, mqPackets(mq))
 	recordBreaker(&c, sys, sup, host.Stats)
 	return c, nil
 }
@@ -1110,14 +1104,11 @@ func hotplugProfile() device.NICProfile {
 // the replug that returns the slot to Live.
 func hotplugCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	rounds := o.Rounds
-	sys, f, err := world(k, seed, 1<<15, true)
+	sys, err := sim.New(spec(k, seed, 1<<15, true))
 	if err != nil {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	if _, err := sys.EnableIntAudit(); err != nil {
-		return CellMetrics{}, err
-	}
 	lc := sys.LifecycleFor(nicBDF)
 	payload := nicPayload()
 
@@ -1245,7 +1236,7 @@ func hotplugCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	c.Removals = lc.Removals
 	c.Quarantines = lc.Quarantines
 	recordSLO(&c, driver.SLOStats{Outages: lc.Outages, DowntimeCycles: lc.DowntimeCycles}, sys.CPU.Now())
-	tally(&c, sys, f, 0)
+	tally(&c, sys, 0)
 	return c, nil
 }
 

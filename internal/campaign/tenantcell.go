@@ -79,12 +79,11 @@ func tenantCell(k Key, _ uint64, o Options) (CellMetrics, error) {
 
 	gs := make([]*tenantGuest, tenants)
 	for i := range gs {
-		sys, err := sim.NewSystem(mode, tenantGuestPages)
+		sys, err := sim.New(sim.Spec{Mode: mode, MemPages: tenantGuestPages, Audit: true})
 		if err != nil {
 			return CellMetrics{}, err
 		}
 		defer sys.Close()
-		sys.EnableAudit()
 		dom, err := host.AdoptSystem(sys)
 		if err != nil {
 			return CellMetrics{}, err

@@ -17,11 +17,11 @@ var bdf = pci.NewBDF(0, 3, 0)
 // target), and returns a hostile device over the result.
 func runTraffic(t *testing.T, mode sim.Mode, rounds int) (*audit.Oracle, *Hostile) {
 	t.Helper()
-	sys, err := sim.NewSystem(mode, 1<<15)
+	sys, err := sim.New(sim.Spec{Mode: mode, MemPages: 1 << 15, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := sys.EnableAudit()
+	orc := sys.Auditor
 	drv, _, err := sys.AttachNIC(device.ProfileBRCM, bdf)
 	if err != nil {
 		t.Fatal(err)

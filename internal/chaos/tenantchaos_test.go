@@ -39,7 +39,7 @@ func hostileWorld(t *testing.T) (*tenant.Host, *tenant.Domain, *HostileTenant, *
 	}
 	t.Cleanup(h.Close)
 	h.EnableAudit()
-	sys, err := sim.NewSystem(sim.None, 1<<9)
+	sys, err := sim.New(sim.Spec{Mode: sim.None, MemPages: 1 << 9})
 	if err != nil {
 		t.Fatal(err)
 	}

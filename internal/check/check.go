@@ -140,12 +140,14 @@ func payload(rng *uint64, n int) []byte {
 // Rx reaps, and a full teardown so trailing unmaps are recorded too.
 func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 	var tr Trace
-	sys, err := sim.NewSystemScaled(mode, 1<<13, cfg.Profile.CostScale)
+	sys, err := sim.New(sim.Spec{
+		Mode: mode, MemPages: 1 << 13,
+		Model: cycles.DefaultModel().Scaled(cfg.Profile.CostScale), Audit: true, IntRemap: true,
+	})
 	if err != nil {
 		return tr, err
 	}
 	defer sys.Close()
-	sys.EnableAudit()
 
 	if cfg.Tenants > 0 {
 		host, err := tenant.NewHost(64 + 8*uint64(cfg.Tenants))
@@ -184,10 +186,6 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 	}
 	// Interrupt path: queue q's vectors target core q; the sink records the
 	// delivery log the equivalence property compares across modes.
-	iorc, err := sys.EnableIntAudit()
-	if err != nil {
-		return tr, err
-	}
 	sys.IntRemap.SetSink(func(d intremap.Delivery) {
 		tr.IntLog = append(tr.IntLog, IntEvent{Vector: d.Vector, Core: d.Core})
 	})
@@ -226,10 +224,8 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 	if err := mq.Teardown(); err != nil {
 		return tr, fmt.Errorf("teardown: %w", err)
 	}
-	if sys.Auditor != nil {
-		tr.AuditViolations = sys.Auditor.Violations
-	}
-	tr.IntViolations = iorc.Violations
+	tr.AuditViolations = sys.Auditor.Violations
+	tr.IntViolations = sys.IntAuditor.Violations
 	tr.Cycles = sys.CPU.Snapshot()
 	return tr, nil
 }

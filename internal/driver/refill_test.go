@@ -38,9 +38,9 @@ func (f *flakyProt) Map(ring int, pa mem.PA, size uint32, dir pci.Dir) (uint64, 
 	return f.Protection.Map(ring, pa, size, dir)
 }
 
-// auditedProtection builds an audited strict or riommu world of the sort
-// sim.EnableAudit wires: the oracle mirrors the driver's maps and unmaps,
-// the hardware's invalidations and every translated DMA.
+// auditedProtection builds a strict or riommu world wired as sim.New wires
+// an audited Spec: the oracle mirrors the driver's maps and unmaps, the
+// hardware's invalidations and every translated DMA.
 func auditedProtection(t *testing.T, mode string, mm *mem.PhysMem, profile device.NICProfile) (Protection, *dma.Engine, *audit.Oracle) {
 	t.Helper()
 	clk, dev := &cycles.Clock{}, &cycles.Clock{}

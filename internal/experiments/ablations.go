@@ -93,7 +93,7 @@ func RunAblations(cfg Config) (AblationsResult, error) {
 	}
 	prefetchCells, err := parallel.Map(cfg.Workers, []bool{false, true}, func(_ int, disable bool) (prefetchCell, error) {
 		var cell prefetchCell
-		sys, err := sim.NewSystem(sim.RIOMMU, workload.MemPages)
+		sys, err := sim.New(sim.Spec{Mode: sim.RIOMMU, MemPages: workload.MemPages})
 		if err != nil {
 			return cell, err
 		}
@@ -137,7 +137,7 @@ func RunAblations(cfg Config) (AblationsResult, error) {
 	// slow down, §4).
 	res.RingSizes = []uint32{16, 32, 64, 128}
 	overflowCells, err := parallel.Map(cfg.Workers, res.RingSizes, func(_ int, n uint32) (int, error) {
-		sys, err := sim.NewSystem(sim.RIOMMU, 1<<13)
+		sys, err := sim.New(sim.Spec{Mode: sim.RIOMMU, MemPages: 1 << 13})
 		if err != nil {
 			return 0, err
 		}

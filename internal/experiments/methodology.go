@@ -66,7 +66,7 @@ func RunMethodology(cfg Config) (MethodologyResult, error) {
 		}
 		// Count the SWpt walks directly: one short run with the stats read
 		// out.
-		sys, err := sim.NewSystem(sim.SWpt, workload.MemPages)
+		sys, err := sim.New(sim.Spec{Mode: sim.SWpt, MemPages: workload.MemPages})
 		if err != nil {
 			return err
 		}

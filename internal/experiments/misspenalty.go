@@ -59,7 +59,7 @@ func RunMissPenalty(cfg Config) (MissPenaltyResult, error) {
 		if id == 1 {
 			mode, tables = sim.RIOMMU, []uint32{4, poolBuffers * 2, poolBuffers * 2}
 		}
-		sys, err := sim.NewSystem(mode, workload.MemPages)
+		sys, err := sim.New(sim.Spec{Mode: mode, MemPages: workload.MemPages})
 		if err != nil {
 			return out, err
 		}

@@ -55,7 +55,7 @@ func RunNVMe(cfg Config) (NVMeResult, error) {
 	}
 	cells, err := parallel.Map(cfg.Workers, res.Modes, func(_ int, m sim.Mode) (nvmeCell, error) {
 		var cell nvmeCell
-		sys, err := sim.NewSystem(m, workload.MemPages)
+		sys, err := sim.New(sim.Spec{Mode: m, MemPages: workload.MemPages})
 		if err != nil {
 			return cell, err
 		}

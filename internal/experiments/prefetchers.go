@@ -86,7 +86,7 @@ func (p *recordingProt) Unmap(ring int, iova uint64, size uint32, endOfBurst boo
 // CollectTrace runs a Netperf-stream-like workload on a strict-mode system
 // with both the translation path and the map/unmap path recorded.
 func CollectTrace(q Quality, profile device.NICProfile) (*trace.Trace, error) {
-	sys, err := sim.NewSystem(sim.Strict, workload.MemPages)
+	sys, err := sim.New(sim.Spec{Mode: sim.Strict, MemPages: workload.MemPages})
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +198,7 @@ func RunPrefetchers(cfg Config) (PrefetchersResult, error) {
 		},
 		func() error {
 			// Reference: the real rIOMMU running the same workload.
-			sys, err := sim.NewSystem(sim.RIOMMU, workload.MemPages)
+			sys, err := sim.New(sim.Spec{Mode: sim.RIOMMU, MemPages: workload.MemPages})
 			if err != nil {
 				return err
 			}

@@ -122,7 +122,10 @@ func Run(p Params) (Result, error) {
 		p.MemPages = 1 << 15
 	}
 
-	sys, err := sim.NewSystemScaled(p.Mode, p.MemPages, p.Profile.CostScale)
+	sys, err := sim.New(sim.Spec{
+		Mode: p.Mode, MemPages: p.MemPages,
+		Model: cycles.DefaultModel().Scaled(p.Profile.CostScale), IntRemap: p.IntRemap,
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -144,18 +147,11 @@ func Run(p Params) (Result, error) {
 		return Result{}, err
 	}
 	if p.IntRemap {
-		if _, err := sys.EnableIntRemap(); err != nil {
-			return Result{}, err
-		}
 		// Posted delivery into per-core timelines: the reap paths run under
 		// the owning core's restored clock, so each dispatch charge lands
 		// exactly on the core the IRTE targets.
-		for i, drv := range mq.Queues {
-			src, err := sys.IntRemap.NewSource(mqBDF, i, i, true)
-			if err != nil {
-				return Result{}, err
-			}
-			drv.SetIRQ(src)
+		if err := sys.WireMQNICInterrupts(mq, mqBDF, true); err != nil {
+			return Result{}, err
 		}
 	}
 

@@ -45,17 +45,17 @@ func nicWorkload(t *testing.T, sys *System, rounds int) uint64 {
 // rests on.
 func TestAuditIsPureObserver(t *testing.T) {
 	for _, mode := range []Mode{Strict, Defer, RIOMMU} {
-		plain, err := NewSystem(mode, 1<<15)
+		plain, err := New(Spec{Mode: mode, MemPages: 1 << 15})
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := nicWorkload(t, plain, 10)
 
-		audited, err := NewSystem(mode, 1<<15)
+		audited, err := New(Spec{Mode: mode, MemPages: 1 << 15, Audit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		orc := audited.EnableAudit()
+		orc := audited.Auditor
 		got := nicWorkload(t, audited, 10)
 		if got != base {
 			t.Errorf("%s: audited run took %d CPU cycles, unaudited %d — oracle is not a pure observer", mode, got, base)
@@ -72,11 +72,11 @@ func TestAuditIsPureObserver(t *testing.T) {
 // TestAuditPassThroughModes: the unprotected modes map nothing, so the
 // oracle must count without judging.
 func TestAuditPassThroughModes(t *testing.T) {
-	sys, err := NewSystem(None, 1<<15)
+	sys, err := New(Spec{Mode: None, MemPages: 1 << 15, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := sys.EnableAudit()
+	orc := sys.Auditor
 	nicWorkload(t, sys, 5)
 	if orc.Checked == 0 {
 		t.Fatal("pass-through oracle counted no DMAs")
@@ -89,11 +89,11 @@ func TestAuditPassThroughModes(t *testing.T) {
 // TestAuditHooksRIOMMUInvalidations: the rIOMMU's end-of-burst invalidations
 // must be mirrored into the oracle.
 func TestAuditHooksRIOMMUInvalidations(t *testing.T) {
-	sys, err := NewSystem(RIOMMU, 1<<15)
+	sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 15, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := sys.EnableAudit()
+	orc := sys.Auditor
 	nicWorkload(t, sys, 10)
 	if orc.InvEntries == 0 {
 		t.Error("no rIOTLB invalidations mirrored")
@@ -105,7 +105,7 @@ func TestAuditHooksRIOMMUInvalidations(t *testing.T) {
 // other devices untouched throughout.
 func TestIsolatorQuarantinesDevice(t *testing.T) {
 	for _, mode := range []Mode{Strict, RIOMMU} {
-		sys, err := NewSystem(mode, 1<<15)
+		sys, err := New(Spec{Mode: mode, MemPages: 1 << 15})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,11 +30,11 @@ var fuzzProfile = device.NICProfile{
 // received frame out, as a test that inspects them does; without it the
 // frames are read and dropped.
 func faultRun(t testing.TB, mode Mode, cfg faults.Config, steps int, keep bool) (sched []byte, cpu, dev uint64) {
-	sys, err := NewSystem(mode, 1<<13)
+	sys, err := New(Spec{Mode: mode, MemPages: 1 << 13, Inject: true, Faults: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := sys.EnableFaults(cfg)
+	f := sys.FaultEng
 	drv, _, err := sys.AttachNIC(fuzzProfile, bdf)
 	if err != nil {
 		t.Fatal(err)
@@ -74,11 +74,11 @@ func faultRun(t testing.TB, mode Mode, cfg faults.Config, steps int, keep bool) 
 // With keep the reaps copy the read payloads out (PollData,
 // CompleteAllData); without it they are read and dropped.
 func storageRun(t testing.TB, mode Mode, cfg faults.Config, steps int, keep bool) (sched []byte, cpu, dev uint64) {
-	sys, err := NewSystem(mode, 1<<13)
+	sys, err := New(Spec{Mode: mode, MemPages: 1 << 13, Inject: true, Faults: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := sys.EnableFaults(cfg)
+	f := sys.FaultEng
 	nvProt, err := sys.ProtectionFor(nvmeBDF, []uint32{4, 64, 64})
 	if err != nil {
 		t.Fatal(err)

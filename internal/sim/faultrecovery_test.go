@@ -23,11 +23,11 @@ var (
 func TestNVMeIOPFRecovery(t *testing.T) {
 	for _, mode := range []Mode{Strict, RIOMMU} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<13)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 13, Inject: true, Faults: faults.Config{Seed: 101}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := sys.EnableFaults(faults.Config{Seed: 101})
+			f := sys.FaultEng
 			prot, err := sys.ProtectionFor(nvmeBDF, []uint32{4, 64, 64})
 			if err != nil {
 				t.Fatal(err)
@@ -89,11 +89,11 @@ func TestNVMeIOPFRecovery(t *testing.T) {
 func TestSATAIOPFRecovery(t *testing.T) {
 	for _, mode := range []Mode{Strict, RIOMMU} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<13)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 13, Inject: true, Faults: faults.Config{Seed: 202}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := sys.EnableFaults(faults.Config{Seed: 202})
+			f := sys.FaultEng
 			prot, err := sys.ProtectionFor(sataBDF, []uint32{4, 64, 64})
 			if err != nil {
 				t.Fatal(err)
@@ -147,11 +147,11 @@ func TestSATAIOPFRecovery(t *testing.T) {
 // class and checks the supervisor's watchdog detects and clears it.
 func TestWatchdogRecoversHungDevices(t *testing.T) {
 	t.Run("nic", func(t *testing.T) {
-		sys, err := NewSystem(RIOMMU, 1<<14)
+		sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 14, Inject: true, Faults: faults.Config{Seed: 303}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := sys.EnableFaults(faults.Config{Seed: 303})
+		f := sys.FaultEng
 		drv, nic, err := sys.AttachNIC(device.ProfileBRCM, bdf)
 		if err != nil {
 			t.Fatal(err)
@@ -192,11 +192,11 @@ func TestWatchdogRecoversHungDevices(t *testing.T) {
 	})
 
 	t.Run("nvme", func(t *testing.T) {
-		sys, err := NewSystem(Strict, 1<<13)
+		sys, err := New(Spec{Mode: Strict, MemPages: 1 << 13, Inject: true, Faults: faults.Config{Seed: 304}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := sys.EnableFaults(faults.Config{Seed: 304})
+		f := sys.FaultEng
 		prot, err := sys.ProtectionFor(nvmeBDF, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -229,11 +229,11 @@ func TestWatchdogRecoversHungDevices(t *testing.T) {
 	})
 
 	t.Run("sata", func(t *testing.T) {
-		sys, err := NewSystem(Strict, 1<<13)
+		sys, err := New(Spec{Mode: Strict, MemPages: 1 << 13, Inject: true, Faults: faults.Config{Seed: 305}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := sys.EnableFaults(faults.Config{Seed: 305})
+		f := sys.FaultEng
 		prot, err := sys.ProtectionFor(sataBDF, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -268,11 +268,11 @@ func TestWatchdogRecoversHungDevices(t *testing.T) {
 // degradation threshold and checks the device lands, working, on a strict
 // baseline IOMMU while the rIOMMU path remains the router default.
 func TestGracefulDegradation(t *testing.T) {
-	sys, err := NewSystem(RIOMMU, 1<<14)
+	sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 14, Inject: true, Faults: faults.Config{Seed: 404}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := sys.EnableFaults(faults.Config{Seed: 404})
+	f := sys.FaultEng
 	drv, nic, err := sys.AttachNIC(device.ProfileBRCM, bdf)
 	if err != nil {
 		t.Fatal(err)
@@ -340,11 +340,11 @@ func TestGracefulDegradation(t *testing.T) {
 func TestAllFaultClassesReachTerminalState(t *testing.T) {
 	for _, mode := range []Mode{Strict, StrictPlus, RIOMMUMinus, RIOMMU} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<15)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 15, Inject: true, Faults: faults.UniformConfig(1234, 0.02)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := sys.EnableFaults(faults.UniformConfig(1234, 0.02))
+			f := sys.FaultEng
 			drv, nic, err := sys.AttachNIC(device.ProfileBRCM, bdf)
 			if err != nil {
 				t.Fatal(err)

@@ -1,70 +1,14 @@
 package sim
 
 import (
-	"riommu/internal/audit"
 	"riommu/internal/driver"
 	"riommu/internal/intremap"
 	"riommu/internal/pci"
 )
 
-// EnableIntRemap installs the interrupt-remapping unit for the system's
-// protection mode and returns it. Interrupt modeling is strictly opt-in:
-// without this call no device raises, no clock sees an int-remap charge,
-// and every legacy metric is untouched.
-//
-// Mode policy mirrors the DMA side:
-//   - none/hwpt/swpt: pass-through (compatibility-format delivery, no table);
-//   - defer/defer+: remapping with deferred IEC invalidation — freed IRTEs
-//     may keep delivering until the amortized global flush, the interrupt
-//     analog of the stale-IOTLB window;
-//   - strict/strict+/riommu-/riommu: remapping with synchronous IEC
-//     invalidation (gap-free).
-func (s *System) EnableIntRemap() (*intremap.Remapper, error) {
-	if s.IntRemap != nil {
-		return s.IntRemap, nil
-	}
-	cfg := intremap.Config{}
-	switch s.Mode {
-	case None, HWpt, SWpt:
-		cfg.PassThrough = true
-	case Defer, DeferPlus:
-		cfg.DeferredInv = true
-	}
-	rem, err := intremap.New(cfg, s.CPU, s.Dev, &s.Model)
-	if err != nil {
-		return nil, err
-	}
-	s.IntRemap = rem
-	if s.IntAuditor != nil {
-		rem.SetObserver(s.IntAuditor)
-	}
-	return rem, nil
-}
-
-// EnableIntAudit installs the interrupt shadow oracle and mirrors the
-// remapper into it (enabling remapping first if needed). Like the DMA
-// oracle it is a pure observer: audited metrics are byte-identical to
-// unaudited ones.
-func (s *System) EnableIntAudit() (*audit.IntOracle, error) {
-	if s.IntAuditor != nil {
-		return s.IntAuditor, nil
-	}
-	if _, err := s.EnableIntRemap(); err != nil {
-		return nil, err
-	}
-	orc := audit.NewIntOracle(s.Mode.String(), s.CPU)
-	switch s.Mode {
-	case None, HWpt, SWpt:
-		orc.SetPassThrough(true)
-	}
-	s.IntAuditor = orc
-	s.IntRemap.SetObserver(orc)
-	return orc, nil
-}
-
 // WireNICInterrupts allocates queue q's MSI-X vector pair targeting
 // destCore and wires it into both halves of the driver: the device model
-// raises, the reap paths fire. Requires EnableIntRemap.
+// raises, the reap paths fire. Requires a world built with Spec.IntRemap.
 func (s *System) WireNICInterrupts(drv *driver.NICDriver, bdf pci.BDF, q, destCore int, posted bool) (*intremap.Source, error) {
 	src, err := s.IntRemap.NewSource(bdf, q, destCore, posted)
 	if err != nil {

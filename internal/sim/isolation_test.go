@@ -25,7 +25,7 @@ func TestInterDeviceIsolation(t *testing.T) {
 
 	for _, mode := range []Mode{Strict, StrictPlus, Defer, DeferPlus, RIOMMUMinus, RIOMMU} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<15)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 15})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestInterDeviceIsolation(t *testing.T) {
 // with its own flat tables and rIOTLB entries; identical (rid, rentry)
 // coordinates on different devices resolve to different buffers.
 func TestTwoDevicesIndependentRings(t *testing.T) {
-	sys, err := NewSystem(RIOMMU, 1<<15)
+	sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 15})
 	if err != nil {
 		t.Fatal(err)
 	}

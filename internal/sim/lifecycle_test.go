@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"riommu/internal/audit"
@@ -19,7 +20,7 @@ func smallMQProfile() device.NICProfile {
 }
 
 func TestLifecycleTransitionGuards(t *testing.T) {
-	sys, err := NewSystem(RIOMMU, 1<<13)
+	sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +73,11 @@ func TestLifecycleTransitionGuards(t *testing.T) {
 func TestSurpriseRemovalSilencesDevice(t *testing.T) {
 	for _, mode := range allNine() {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<14)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 14, Audit: true, IntRemap: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sys.Close()
-			if _, err := sys.EnableIntAudit(); err != nil {
-				t.Fatal(err)
-			}
 			mq, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 2, false)
 			if err != nil {
 				t.Fatal(err)
@@ -163,19 +161,37 @@ func TestIntRemapModePolicy(t *testing.T) {
 		{Strict, false}, {Defer, false}, {RIOMMU, false},
 		{None, true}, {HWpt, true}, {SWpt, true},
 	}
+	// Audit alone installs no remapper, IntRemap alone a remapper and no
+	// interrupt oracle, and both a remapper and an oracle, each in the
+	// mode's pass-through policy.
+	shapes := []struct {
+		audit, intRemap bool
+	}{{true, false}, {false, true}, {true, true}}
 	for _, c := range cases {
-		sys, err := NewSystem(c.mode, 1<<12)
-		if err != nil {
-			t.Fatal(err)
+		for _, sh := range shapes {
+			sys, err := New(Spec{Mode: c.mode, MemPages: 1 << 12, Audit: sh.audit, IntRemap: sh.intRemap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s audit=%v intremap=%v", c.mode, sh.audit, sh.intRemap)
+			if rem := sys.IntRemap; (rem != nil) != sh.intRemap {
+				t.Errorf("%s: remapper installed = %v, want %v", name, rem != nil, sh.intRemap)
+			} else if rem != nil && rem.PassThrough() != c.pass {
+				t.Errorf("%s: remapper pass-through = %v, want %v", name, rem.PassThrough(), c.pass)
+			}
+			orc := sys.IntAuditor
+			if want := sh.audit && sh.intRemap; (orc != nil) != want {
+				t.Errorf("%s: interrupt oracle installed = %v, want %v", name, orc != nil, want)
+			} else if orc != nil {
+				// A delivery through an IRTE nobody programmed is judged a
+				// violation, except in pass-through, which only counts.
+				orc.OnIntDelivered(intremap.Delivery{Source: bdf, Index: 7})
+				if pass := orc.Violations == 0; pass != c.pass {
+					t.Errorf("%s: oracle pass-through = %v, want %v", name, pass, c.pass)
+				}
+			}
+			sys.Close()
 		}
-		rem, err := sys.EnableIntRemap()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rem.PassThrough() != c.pass {
-			t.Errorf("%s: pass-through = %v, want %v", c.mode, rem.PassThrough(), c.pass)
-		}
-		sys.Close()
 	}
 }
 
@@ -183,16 +199,12 @@ func TestIntRemapModePolicy(t *testing.T) {
 // stale window through the sim layer: free a source's IRTE, replay it, and
 // watch the oracle classify the delivered violation as int-stale.
 func TestDeferredIntRemapStaleWindowEndToEnd(t *testing.T) {
-	sys, err := NewSystem(Defer, 1<<13)
+	sys, err := New(Spec{Mode: Defer, MemPages: 1 << 13, Audit: true, IntRemap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	orc, err := sys.EnableIntAudit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem := sys.IntRemap
+	orc, rem := sys.IntAuditor, sys.IntRemap
 	idx, err := rem.Alloc(bdf, 0x40, 0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +231,7 @@ func TestDeferredIntRemapStaleWindowEndToEnd(t *testing.T) {
 // must survive multiple removals of one slot and count only closed
 // outages.
 func TestLifecycleOutageLedger(t *testing.T) {
-	sys, err := NewSystem(Strict, 1<<13)
+	sys, err := New(Spec{Mode: Strict, MemPages: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func TestIOPFRecovery(t *testing.T) {
 	for _, mode := range []Mode{Strict, RIOMMU} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<14)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 14})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestDifferentialModes(t *testing.T) {
 		rx [][]byte
 	}
 	run := func(mode Mode) outcome {
-		sys, err := NewSystem(mode, 1<<15)
+		sys, err := New(Spec{Mode: mode, MemPages: 1 << 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestDifferentialModes(t *testing.T) {
 // TestRingResetZeroesMemory belongs with ring.Reset but needs a full ring;
 // also guards the descriptor-flag lifecycle after reset.
 func TestRingResetZeroesMemory(t *testing.T) {
-	sys, err := NewSystem(None, 1<<12)
+	sys, err := New(Spec{Mode: None, MemPages: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,13 @@
 // A System owns two virtual clocks: CPU (the core the paper's model says
 // determines throughput) and Dev (device/IOMMU-side work, tracked but not
 // throughput-gating).
+//
+// New builds every System from a Spec: one comparable value, as an rDEVICE
+// is one record of a device's translation set-up, that fixes the mode, the
+// memory, the cost model, fault injection, the oracles and interrupt
+// remapping before the world exists. Devices (AttachNIC, AttachMQNIC,
+// ProtectionFor) and tenancy (internal/tenant) attach by explicit calls
+// afterwards, because their callers drive what those calls return.
 package sim
 
 import (
@@ -107,17 +114,16 @@ type System struct {
 	BaseHW *iommu.IOMMU // baseline modes, HWpt, SWpt (and lazily on degrade)
 	RHW    *core.RIOMMU // rIOMMU modes
 
-	// FaultEng is the fault-injection engine installed by EnableFaults
-	// (nil when injection is disabled; its methods are nil-safe).
+	// FaultEng is the fault-injection engine (nil unless Spec.Inject; its
+	// methods are nil-safe).
 	FaultEng *faults.Engine
 
-	// Auditor is the shadow translation oracle installed by EnableAudit
-	// (nil when auditing is disabled).
+	// Auditor is the shadow translation oracle (nil unless Spec.Audit).
 	Auditor *audit.Oracle
 
-	// IntRemap is the interrupt-remapping unit installed by EnableIntRemap
-	// (nil: interrupts not modeled). IntAuditor is its shadow oracle,
-	// installed by EnableIntAudit.
+	// IntRemap is the interrupt-remapping unit (nil unless Spec.IntRemap:
+	// interrupts not modeled). IntAuditor is its shadow oracle (nil unless
+	// Spec.Audit too).
 	IntRemap   *intremap.Remapper
 	IntAuditor *audit.IntOracle
 
@@ -128,103 +134,167 @@ type System struct {
 	// so experiments can reach mode-specific knobs (e.g. the deferred
 	// invalidation batch size).
 	Protections map[pci.BDF]driver.Protection
-
-	protFor func(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error)
 }
 
-// NewSystem builds a system with memPages pages of simulated memory.
-func NewSystem(mode Mode, memPages uint64) (*System, error) {
-	mm, err := mem.New(memPages * mem.PageSize)
+// Spec describes one world: everything New wires is chosen here, before
+// the world exists. It is a comparable value, so a Spec can key a map.
+type Spec struct {
+	Mode     Mode
+	MemPages uint64 // pages of simulated memory
+
+	// Model is the per-operation cost model every component charges; the
+	// zero Model means cycles.DefaultModel(). The brcm setup's cheaper
+	// per-op costs are cycles.DefaultModel().Scaled(0.5).
+	Model cycles.Model
+
+	// Inject installs a fault-injection engine built from Faults.
+	Inject bool
+	Faults faults.Config
+
+	// Audit installs the shadow translation oracle. It never charges a
+	// clock and never consumes randomness, so an audited world measures
+	// exactly what an unaudited one does.
+	Audit bool
+
+	// IntRemap installs the interrupt-remapping unit, and with Audit also
+	// its shadow oracle. Without it no device raises and no clock sees an
+	// int-remap charge.
+	IntRemap bool
+}
+
+// baselineMode maps the four baseline modes onto their Linux driver modes.
+var baselineMode = [...]baseline.Mode{
+	Strict: baseline.Strict, StrictPlus: baseline.StrictPlus,
+	Defer: baseline.Defer, DeferPlus: baseline.DeferPlus,
+}
+
+// New builds the world sp describes. After the mode's translation hardware
+// it installs, in this order, the fault engine, the translation oracle,
+// the interrupt remapper and the interrupt oracle; every protection driver
+// ProtectionFor builds later is wired to the first two. The unprotected
+// modes (none, hwpt, swpt) run the oracles and the remapper in
+// pass-through: drivers map nothing there, so no access they judge is a
+// protection failure. The deferred modes remap interrupts with deferred IEC
+// invalidation, the interrupt analog of the stale-IOTLB window.
+func New(sp Spec) (*System, error) {
+	mm, err := mem.New(sp.MemPages * mem.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	model := cycles.DefaultModel()
+	if sp.Model == (cycles.Model{}) {
+		sp.Model = cycles.DefaultModel()
+	}
 	s := &System{
-		Mode:        mode,
-		Model:       model,
+		Mode:        sp.Mode,
+		Model:       sp.Model,
 		CPU:         &cycles.Clock{},
 		Dev:         &cycles.Clock{},
 		Mem:         mm,
 		Protections: make(map[pci.BDF]driver.Protection),
 	}
 
-	switch mode {
+	switch sp.Mode {
 	case None:
 		s.Eng = dma.NewEngine(mm, iommu.Identity{})
-		s.protFor = func(pci.BDF, []uint32) (driver.Protection, error) {
-			return driver.NoProtection{}, nil
-		}
-
-	case HWpt:
-		hier, err := pagetable.NewHierarchy(mm)
-		if err != nil {
+	case Strict, StrictPlus, Defer, DeferPlus, HWpt, SWpt:
+		if err := s.newBaseHW(); err != nil {
 			return nil, err
 		}
-		s.BaseHW = iommu.New(s.Dev, &s.Model, hier, 0)
-		s.BaseHW.PassThrough = true
+		s.BaseHW.PassThrough = sp.Mode == HWpt
 		s.Eng = dma.NewEngine(mm, s.BaseHW)
-		s.protFor = func(pci.BDF, []uint32) (driver.Protection, error) {
-			return driver.PassThrough{Clk: s.CPU, Model: &s.Model}, nil
-		}
-
-	case SWpt:
-		hier, err := pagetable.NewHierarchy(mm)
-		if err != nil {
-			return nil, err
-		}
-		s.BaseHW = iommu.New(s.Dev, &s.Model, hier, 0)
-		s.Eng = dma.NewEngine(mm, s.BaseHW)
-		s.protFor = func(bdf pci.BDF, _ []uint32) (driver.Protection, error) {
-			if err := s.setupSWpt(bdf); err != nil {
-				return nil, err
-			}
-			return driver.PassThrough{Clk: s.CPU, Model: &s.Model}, nil
-		}
-
-	case Strict, StrictPlus, Defer, DeferPlus:
-		hier, err := pagetable.NewHierarchy(mm)
-		if err != nil {
-			return nil, err
-		}
-		s.BaseHW = iommu.New(s.Dev, &s.Model, hier, 0)
-		s.Eng = dma.NewEngine(mm, s.BaseHW)
-		bmode := map[Mode]baseline.Mode{
-			Strict: baseline.Strict, StrictPlus: baseline.StrictPlus,
-			Defer: baseline.Defer, DeferPlus: baseline.DeferPlus,
-		}[mode]
-		s.protFor = func(bdf pci.BDF, _ []uint32) (driver.Protection, error) {
-			// The paper's machines had I/O page walks incoherent with the
-			// CPU caches (§3.2), hence the explicit flushes.
-			return baseline.New(bmode, s.CPU, &s.Model, mm, s.BaseHW, bdf, false)
-		}
-
 	case RIOMMUMinus, RIOMMU:
 		s.RHW = core.New(s.Dev, &s.Model, mm)
 		s.Eng = dma.NewEngine(mm, s.RHW)
-		coherent := mode == RIOMMU
-		s.protFor = func(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
-			return core.NewDriver(s.CPU, &s.Model, mm, s.RHW, bdf, ringSizes, coherent)
-		}
-
 	default:
-		return nil, fmt.Errorf("sim: unknown mode %d", int(mode))
+		return nil, fmt.Errorf("sim: unknown mode %d", int(sp.Mode))
+	}
+
+	if sp.Inject {
+		s.FaultEng = faults.New(sp.Faults)
+		s.Eng.SetFaults(s.FaultEng)
+		s.Mem.SetFaultHook(s.FaultEng)
+	}
+	passThrough := sp.Mode == None || sp.Mode == HWpt || sp.Mode == SWpt
+	if sp.Audit {
+		s.Auditor = audit.NewOracle(sp.Mode.String(), s.CPU)
+		s.Auditor.SetPassThrough(passThrough)
+		s.Eng.SetAudit(s.Auditor)
+		if s.RHW != nil {
+			s.RHW.SetAudit(s.Auditor)
+		}
+	}
+	if sp.IntRemap {
+		cfg := intremap.Config{PassThrough: passThrough, DeferredInv: sp.Mode == Defer || sp.Mode == DeferPlus}
+		if s.IntRemap, err = intremap.New(cfg, s.CPU, s.Dev, &s.Model); err != nil {
+			return nil, err
+		}
+		if sp.Audit {
+			s.IntAuditor = audit.NewIntOracle(sp.Mode.String(), s.CPU)
+			s.IntAuditor.SetPassThrough(passThrough)
+			s.IntRemap.SetObserver(s.IntAuditor)
+		}
 	}
 	return s, nil
 }
 
-// NewSystemScaled builds a system whose per-operation cost model is scaled
-// by the given factor (cycles.Model.Scaled); used to model the brcm setup's
-// cheaper per-op costs. The scaling mutates s.Model in place, which every
-// component references, so it must be applied before any charges accrue.
-func NewSystemScaled(mode Mode, memPages uint64, scale float64) (*System, error) {
-	s, err := NewSystem(mode, memPages)
+// newBaseHW builds the conventional IOMMU over a fresh context hierarchy.
+func (s *System) newBaseHW() error {
+	hier, err := pagetable.NewHierarchy(s.Mem)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if scale > 0 && scale != 1.0 {
-		s.Model = s.Model.Scaled(scale)
+	s.BaseHW = iommu.New(s.Dev, &s.Model, hier, 0)
+	return nil
+}
+
+// ProtectionFor builds the protection driver of the system's mode for one
+// device, wires it to the world's fault engine and translation oracle, and
+// records it in Protections. ringSizes are the rIOMMU flat-table sizes;
+// the other modes ignore them. AttachNIC and AttachMQNIC build theirs here;
+// the NVMe and SATA experiments call it directly.
+func (s *System) ProtectionFor(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
+	return s.protection(s.Mode, bdf, ringSizes)
+}
+
+// protection is ProtectionFor in the given mode, which DegradeToStrict
+// sets to strict in an rIOMMU world.
+func (s *System) protection(mode Mode, bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
+	var prot driver.Protection
+	switch mode {
+	case None:
+		prot = driver.NoProtection{}
+	case SWpt:
+		if err := s.setupSWpt(bdf); err != nil {
+			return nil, err
+		}
+		fallthrough
+	case HWpt:
+		prot = driver.PassThrough{Clk: s.CPU, Model: &s.Model}
+	case Strict, StrictPlus, Defer, DeferPlus:
+		// The paper's machines had I/O page walks incoherent with the CPU
+		// caches (§3.2), hence the explicit flushes.
+		d, err := baseline.New(baselineMode[mode], s.CPU, &s.Model, s.Mem, s.BaseHW, bdf, false)
+		if err != nil {
+			return nil, err
+		}
+		d.SetFaults(s.FaultEng)
+		if s.Auditor != nil {
+			d.SetAudit(s.Auditor)
+			d.InvQueue().SetAudit(s.Auditor)
+		}
+		prot = d
+	case RIOMMUMinus, RIOMMU:
+		d, err := core.NewDriver(s.CPU, &s.Model, s.Mem, s.RHW, bdf, ringSizes, mode == RIOMMU)
+		if err != nil {
+			return nil, err
+		}
+		if s.Auditor != nil {
+			d.SetAudit(s.Auditor)
+		}
+		prot = d
 	}
-	return s, nil
+	s.Protections[bdf] = prot
+	return prot, nil
 }
 
 // setupSWpt builds the software pass-through mapping: a page table that maps
@@ -250,34 +320,21 @@ func (s *System) setupSWpt(bdf pci.BDF) error {
 // driver, descriptor rings, device model, and a full Rx ring of mapped
 // buffers.
 func (s *System) AttachNIC(profile device.NICProfile, bdf pci.BDF) (*driver.NICDriver, *device.NIC, error) {
-	prot, err := s.protFor(bdf, driver.RIOMMURingSizes(profile))
+	prot, err := s.ProtectionFor(bdf, driver.RIOMMURingSizes(profile))
 	if err != nil {
 		return nil, nil, err
 	}
-	s.Protections[bdf] = prot
 	return driver.NewNICDriver(s.Mem, prot, s.Eng, profile, bdf)
 }
 
 // AttachMQNIC wires a multi-queue NIC (§2.3) into the system: `queues`
 // independent ring pairs sharing one device identity and protection domain.
 func (s *System) AttachMQNIC(profile device.NICProfile, bdf pci.BDF, queues int) (*driver.MQNIC, error) {
-	prot, err := s.protFor(bdf, driver.RIOMMURingSizesQ(profile, queues))
+	prot, err := s.ProtectionFor(bdf, driver.RIOMMURingSizesQ(profile, queues))
 	if err != nil {
 		return nil, err
 	}
-	s.Protections[bdf] = prot
 	return driver.NewMQNIC(s.Mem, prot, s.Eng, profile, bdf, queues)
-}
-
-// ProtectionFor builds a protection driver for a non-NIC device with the
-// given rIOMMU flat-table sizes (used by the NVMe and SATA experiments).
-// Baseline and pass-through modes ignore ringSizes.
-func (s *System) ProtectionFor(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
-	prot, err := s.protFor(bdf, ringSizes)
-	if err == nil {
-		s.Protections[bdf] = prot
-	}
-	return prot, err
 }
 
 // ResetClocks zeroes both clocks; workloads call it after setup so that

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/pci"
@@ -25,7 +27,7 @@ func TestEndToEndAllModes(t *testing.T) {
 	for _, p := range profiles {
 		for _, mode := range allNine() {
 			t.Run(p.Name+"/"+mode.String(), func(t *testing.T) {
-				sys, err := NewSystem(mode, 1<<15) // 128 MiB
+				sys, err := New(Spec{Mode: mode, MemPages: 1 << 15}) // 128 MiB
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,7 +103,7 @@ func TestEndToEndAllModes(t *testing.T) {
 func TestPerPacketCostOrdering(t *testing.T) {
 	costs := map[Mode]float64{}
 	for _, mode := range AllModes() {
-		sys, err := NewSystem(mode, 1<<15)
+		sys, err := New(Spec{Mode: mode, MemPages: 1 << 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +157,7 @@ func TestPerPacketCostOrdering(t *testing.T) {
 func TestSafetyMatrix(t *testing.T) {
 	for _, mode := range []Mode{Strict, StrictPlus, Defer, DeferPlus, RIOMMUMinus, RIOMMU} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<14)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 14})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +201,7 @@ func TestSafetyMatrix(t *testing.T) {
 // faults.
 func TestDeferStaleWindowEndToEnd(t *testing.T) {
 	probe := func(mode Mode) (landed bool) {
-		sys, err := NewSystem(mode, 1<<14)
+		sys, err := New(Spec{Mode: mode, MemPages: 1 << 14})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +243,7 @@ func TestDeferStaleWindowEndToEnd(t *testing.T) {
 // TestSWptTranslatesEverything checks the §5.1 validation mode: with the
 // identity page table, DMAs translate through real walks.
 func TestSWptTranslatesEverything(t *testing.T) {
-	sys, err := NewSystem(SWpt, 1<<13)
+	sys, err := New(Spec{Mode: SWpt, MemPages: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestSWptTranslatesEverything(t *testing.T) {
 // rIOTLB invalidations equals the number of bursts, not the number of
 // packets.
 func TestRIOMMUBurstInvalidations(t *testing.T) {
-	sys, err := NewSystem(RIOMMU, 1<<15)
+	sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +323,78 @@ func TestModeMetadata(t *testing.T) {
 	if Mode(99).String() != "mode(99)" {
 		t.Error("unknown mode String")
 	}
-	if _, err := NewSystem(Mode(99), 1024); err == nil {
-		t.Error("NewSystem with bad mode should fail")
+	if _, err := New(Spec{Mode: Mode(99), MemPages: 1024}); err == nil {
+		t.Error("New with bad mode should fail")
+	}
+}
+
+// TestSpecIsComparable walks Spec's fields, and the fields of the structs
+// and arrays it holds, and fails on any pointer, slice, map, func, chan or
+// interface: a Spec must key a map by value, so that equal specs describe
+// the same world.
+func TestSpecIsComparable(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: a Spec must be a plain value", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("Spec", reflect.TypeOf(Spec{}))
+	if !reflect.TypeOf(Spec{}).Comparable() {
+		t.Error("Spec is not comparable")
+	}
+}
+
+// TestSpecModel: a zero Model charges cycles.DefaultModel()'s constants,
+// byte for byte the same as asking for it, and a scaled model charges
+// differently.
+func TestSpecModel(t *testing.T) {
+	for _, mode := range []Mode{Strict, RIOMMU} {
+		run := func(m cycles.Model) (cycles.Model, cycles.Snapshot) {
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 12, Model: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			prot, err := sys.ProtectionFor(bdf, []uint32{4, 8, 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := sys.Mem.AllocFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.ResetClocks()
+			for i := 0; i < 4; i++ {
+				iova, err := prot.Map(1, f.PA(), 1500, pci.DirToDevice)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := prot.Unmap(1, iova, 1500, i == 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return sys.Model, sys.CPU.Snapshot()
+		}
+		zeroModel, zero := run(cycles.Model{})
+		_, def := run(cycles.DefaultModel())
+		_, half := run(cycles.DefaultModel().Scaled(0.5))
+		if zeroModel != cycles.DefaultModel() {
+			t.Errorf("%s: a zero Model builds a world with %+v", mode, zeroModel)
+		}
+		if zero != def {
+			t.Errorf("%s: a zero Model charges %+v, the default model %+v", mode, zero, def)
+		}
+		if half.Now == 0 || half.Now >= def.Now {
+			t.Errorf("%s: a half-scale model charges %d cycles, the default %d", mode, half.Now, def.Now)
+		}
 	}
 }
 
@@ -335,12 +407,12 @@ func TestCheckLive(t *testing.T) {
 	other := pci.NewBDF(0, 4, 0)
 	for _, mode := range []Mode{Strict, Defer, RIOMMU, None} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := NewSystem(mode, 1<<10)
+			sys, err := New(Spec{Mode: mode, MemPages: 1 << 10, Audit: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sys.Close()
-			orc := sys.EnableAudit()
+			orc := sys.Auditor
 			f, err := sys.Mem.AllocFrame()
 			if err != nil {
 				t.Fatal(err)

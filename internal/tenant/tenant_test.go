@@ -224,7 +224,7 @@ func TestBalloonQuota(t *testing.T) {
 // (the unprotected mode here) passes everything.
 func TestDeviceDirectorySpoofBlocked(t *testing.T) {
 	h := newTestHost(t, 128)
-	sysA, err := sim.NewSystem(sim.None, 1<<9)
+	sysA, err := sim.New(sim.Spec{Mode: sim.None, MemPages: 1 << 9})
 	if err != nil {
 		t.Fatal(err)
 	}

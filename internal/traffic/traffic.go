@@ -294,14 +294,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	profile := cfg.Profile
 	profile.BufferBytes = uint32(mem.PageSize)
 	memPages := uint64(1<<15) + uint64(cfg.TableSlots)*steerMaxPages + bypassBufs
-	sys, err := sim.NewSystemScaled(cfg.Mode, memPages, profile.CostScale)
+	sys, err := sim.New(sim.Spec{
+		Mode: cfg.Mode, MemPages: memPages,
+		Model: cycles.DefaultModel().Scaled(profile.CostScale), Audit: cfg.Audit,
+	})
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, sys: sys, rng: cfg.Seed ^ 0x7261666669636b31}
-	if cfg.Audit {
-		sys.EnableAudit()
-	}
 	ringSizes := append(driver.RIOMMURingSizes(profile),
 		uint32(cfg.TableSlots), uint32(bypassBufs))
 	prot, err := sys.ProtectionFor(BDF, ringSizes)

@@ -38,7 +38,7 @@ var SATABDF = pci.NewBDF(0, 5, 0)
 // shows the IOMMU's share is negligible at disk speeds.
 func Bonnie(mode sim.Mode, opts BonnieOpts) (Result, error) {
 	opts.defaults()
-	sys, err := sim.NewSystem(mode, MemPages)
+	sys, err := sim.New(sim.Spec{Mode: mode, MemPages: MemPages})
 	if err != nil {
 		return Result{}, err
 	}

@@ -71,7 +71,7 @@ func (r Result) String() string {
 // networking workloads. It is a variable so that leak tests can build the
 // NIC over a protection that loses an unmap.
 var newSystemWithNIC = func(mode sim.Mode, profile device.NICProfile) (*sim.System, *nicFixture, error) {
-	sys, err := sim.NewSystemScaled(mode, MemPages, profile.CostScale)
+	sys, err := sim.New(sim.Spec{Mode: mode, MemPages: MemPages, Model: cycles.DefaultModel().Scaled(profile.CostScale)})
 	if err != nil {
 		return nil, nil, err
 	}

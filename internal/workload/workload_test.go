@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/mem"
@@ -270,12 +271,12 @@ func TestRunnerFindsLeak(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/audit=%v", mode, audited), func(t *testing.T) {
 				var prot *lostTxUnmap
 				newSystemWithNIC = func(mode sim.Mode, profile device.NICProfile) (*sim.System, *nicFixture, error) {
-					sys, err := sim.NewSystemScaled(mode, MemPages, profile.CostScale)
+					sys, err := sim.New(sim.Spec{
+						Mode: mode, MemPages: MemPages,
+						Model: cycles.DefaultModel().Scaled(profile.CostScale), Audit: audited,
+					})
 					if err != nil {
 						return nil, nil, err
-					}
-					if audited {
-						sys.EnableAudit()
 					}
 					p, err := sys.ProtectionFor(NICBDF, driver.RIOMMURingSizes(profile))
 					if err != nil {

@@ -14,6 +14,7 @@ package riommu
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"riommu/internal/audit"
@@ -325,17 +326,16 @@ func BenchmarkAllocFrames(b *testing.B) {
 }
 
 // BenchmarkNewSystem times building and tearing down the world of a
-// campaign NIC cell: a 128 MiB riommu system with fault injection wired in,
-// AttachNIC (which fills and maps the Rx ring), then Close. Its B/op and
-// allocs/op are what each grid cell pays for its world.
+// campaign NIC cell: a 128 MiB riommu system built from a Spec with fault
+// injection, AttachNIC (which fills and maps the Rx ring), then Close. Its
+// B/op and allocs/op are what each grid cell pays for its world.
 func BenchmarkNewSystem(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewSystem(sim.RIOMMU, 1<<15)
+		sys, err := sim.New(sim.Spec{Mode: sim.RIOMMU, MemPages: 1 << 15, Inject: true, Faults: faults.UniformConfig(42, 0)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys.EnableFaults(faults.UniformConfig(42, 0))
 		if _, _, err := sys.AttachNIC(device.ProfileBRCM, pci.NewBDF(0, 3, 0)); err != nil {
 			b.Fatal(err)
 		}
@@ -918,10 +918,13 @@ func TestHotPathAllocs(t *testing.T) {
 			return after.Mallocs - before.Mallocs
 		}
 		period() // first-use initialisation stays out of the count
-		if n := period(); n > ceiling {
-			t.Errorf("a traffic period allocates %d objects, want at most %d", n, ceiling)
-		} else {
-			t.Logf("a traffic period allocates %d objects (ceiling %d)", n, ceiling)
+		// The count is process-wide, so a stray allocation elsewhere can
+		// only raise it: gate the least of three cold periods. A real
+		// per-packet allocation raises all three.
+		counts := []uint64{period(), period(), period()}
+		t.Logf("three traffic periods allocate %v objects (ceiling %d)", counts, ceiling)
+		if n := slices.Min(counts); n > ceiling {
+			t.Errorf("a traffic period allocates at least %d objects, want at most %d", n, ceiling)
 		}
 	})
 
@@ -973,7 +976,7 @@ func eachNICWorld(t *testing.T, f func(t *testing.T, p device.NICProfile, sys *s
 	for _, p := range []device.NICProfile{device.ProfileMLX, device.ProfileBRCM} {
 		for _, mode := range []sim.Mode{sim.Strict, sim.Defer, sim.RIOMMU} {
 			t.Run(p.Name+"/"+mode.String(), func(t *testing.T) {
-				sys, err := sim.NewSystemScaled(mode, 1<<15, p.CostScale)
+				sys, err := sim.New(sim.Spec{Mode: mode, MemPages: 1 << 15, Model: cycles.DefaultModel().Scaled(p.CostScale)})
 				if err != nil {
 					t.Fatal(err)
 				}
