@@ -349,9 +349,10 @@ type CellMetrics struct {
 	SpoofBlocked     uint64 // DMAs refused by the device directory / stage 1
 	Ballooned        uint64 // balloon pages the host actually remapped
 	Throttled        uint64 // balloon hypercalls bounced by the quota
-	// TenantQuarantines counts tenant-wide guard trips; the availability
-	// pair is the blast-radius verdict: the hostile tenant pays with
-	// downtime, every victim must stay at exactly 1.0.
+	// TenantQuarantines counts tenant-wide quarantines (the tenant
+	// breakers' trips and failed probes); the availability pair is the
+	// blast-radius verdict: the hostile tenant pays with downtime, every
+	// victim must stay at exactly 1.0.
 	TenantQuarantines   uint64
 	HostileAvailability float64
 	VictimAvailability  float64
@@ -676,7 +677,7 @@ func mqPackets(mq *driver.MQNIC) uint64 {
 func breakerSupervise(sys *sim.System, target driver.Recoverable) *driver.Supervisor {
 	sup := sys.Supervise(nicBDF, target)
 	sup.Breaker = driver.NewBreaker()
-	sup.Isolator = sys.IsolatorFor(nicBDF)
+	sup.Breaker.AddIsolator(sys.IsolatorFor(nicBDF))
 	return sup
 }
 
@@ -1032,7 +1033,7 @@ func intchaosCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 		return CellMetrics{}, err
 	}
 	defer sys.Close()
-	mq, err := sys.HotAttachMQNIC(device.ProfileBRCM, nicBDF, 2, false)
+	mq, err := sys.HotAttachMQNIC(device.ProfileBRCM, nicBDF, 2)
 	if err != nil {
 		return CellMetrics{}, err
 	}
@@ -1117,7 +1118,7 @@ func hotplugCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 	// attach brings a fresh device into the slot; the lifecycle's ledger
 	// records the removal outage it closes.
 	attach := func() (*driver.MQNIC, error) {
-		return sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
+		return sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2)
 	}
 	// yank latches fresh completions on every queue, surprise-removes the
 	// device, then has the ghost's reap paths run: anything they deliver is

@@ -32,15 +32,14 @@ func tenantBDF(i int) pci.BDF {
 }
 
 // tenantGuest is one tenant's world inside a cell: its guest system, its
-// domain in the hypervisor, its workload NIC, and the tenant-scoped guard
-// its supervisor feeds.
+// domain in the hypervisor, its workload NIC, and its supervisor, whose
+// breaker is the tenant's: every supervisor of the tenant shares it.
 type tenantGuest struct {
-	dom   *tenant.Domain
-	sys   *sim.System
-	mq    *driver.MQNIC
-	sup   *driver.Supervisor
-	guard *driver.TenantGuard
-	bdf   pci.BDF
+	dom *tenant.Domain
+	sys *sim.System
+	mq  *driver.MQNIC
+	sup *driver.Supervisor
+	bdf pci.BDF
 }
 
 // tenantKeys appends, per guest count of at least 2, every hostile-tenant
@@ -64,7 +63,7 @@ func tenantKeys(dst []Key, o Options) []Key {
 // traffic each round, and tenant 0 — kernel and all — attacks the
 // blast-radius guarantees through a second device of its own. The tenant
 // oracle judges every stage-2 access against the frame-ownership ledger;
-// the per-tenant guards make sure only the hostile tenant pays. Tenant
+// the per-tenant breakers make sure only the hostile tenant pays. Tenant
 // cells inject no faults, so the seed goes unused.
 func tenantCell(k Key, _ uint64, o Options) (CellMetrics, error) {
 	mode, scenario, rounds, tenants := k.Mode, chaos.TenantScenario(k.Scenario), o.Rounds, k.N
@@ -93,16 +92,16 @@ func tenantCell(k Key, _ uint64, o Options) (CellMetrics, error) {
 		if err != nil {
 			return CellMetrics{}, err
 		}
-		guard := driver.NewTenantGuard(sys.CPU, dom.ID)
 		// Trip on a small per-window budget and hold the quarantine for
 		// longer than the cell runs: a hostile tenant stays out.
-		guard.Breaker.Budget = 6
-		guard.Breaker.BackoffCycles = 5_000_000
-		guard.Breaker.MaxBackoffCycles = 5_000_000
-		guard.AddIsolator(sys.IsolatorFor(bdf))
+		br := driver.NewBreaker()
+		br.Budget = 6
+		br.BackoffCycles = 5_000_000
+		br.MaxBackoffCycles = 5_000_000
+		br.AddIsolator(sys.IsolatorFor(bdf))
 		sup := driver.NewSupervisor(sys.CPU, bdf, mq)
-		sup.Guard = guard
-		gs[i] = &tenantGuest{dom: dom, sys: sys, mq: mq, sup: sup, guard: guard, bdf: bdf}
+		sup.Breaker = br
+		gs[i] = &tenantGuest{dom: dom, sys: sys, mq: mq, sup: sup, bdf: bdf}
 	}
 
 	// Tenant 0 is hostile: a second device of its own (function 1 of its
@@ -117,11 +116,11 @@ func tenantCell(k Key, _ uint64, o Options) (CellMetrics, error) {
 	if err := host.Register(h0.dom, atkBDF); err != nil {
 		return CellMetrics{}, err
 	}
-	h0.guard.AddIsolator(h0.sys.IsolatorFor(atkBDF))
+	h0.sup.Breaker.AddIsolator(h0.sys.IsolatorFor(atkBDF))
 	hostile := chaos.NewHostileTenant(h0.sys.Eng, aprot, atkBDF)
 	asup := driver.NewSupervisor(h0.sys.CPU, atkBDF, h0.mq)
-	asup.Policy.MaxAttempts = 1 // attacks are not retried (or "recovered")
-	asup.Guard = h0.guard
+	asup.MaxAttempts = 1 // attacks are not retried (or "recovered")
+	asup.Breaker = h0.sup.Breaker
 
 	victims := make([]pci.BDF, 0, tenants-1)
 	for _, g := range gs[1:] {
@@ -232,14 +231,15 @@ func tenantCell(k Key, _ uint64, o Options) (CellMetrics, error) {
 		c.CyclesPerOp = float64(cyc) / float64(pkts)
 	}
 
-	// Blast-radius verdict: the hostile tenant's availability (its guard
+	// Blast-radius verdict: the hostile tenant's availability (its breaker
 	// trips take its whole fleet down) against the worst victim's, which
-	// must be exactly 1.0 — no victim ever sees a failed operation.
+	// must be exactly 1.0 — no victim ever sees a failed operation. A
+	// re-admission is counted at each probe, which re-admits the fleet.
 	for _, g := range gs {
-		c.TenantQuarantines += g.guard.Quarantines
-		c.Readmissions += g.guard.Readmissions
+		c.TenantQuarantines += g.sup.Breaker.Quarantines
+		c.Readmissions += g.sup.Breaker.Probes
 	}
-	c.BreakerTrips = h0.guard.Breaker.Trips
+	c.BreakerTrips = h0.sup.Breaker.Trips
 	recordSLO(&c, h0.sup.SLO(), h0.sys.CPU.Now())
 	c.HostileAvailability = c.Availability
 	c.VictimAvailability = 1

@@ -1,15 +1,23 @@
 package driver
 
-// Circuit breaking for repeatedly-failing devices. PR 1's supervisor handles
-// individual faults (retry, reset, degrade); the breaker handles the device
-// that keeps failing anyway: after TripAfter consecutive failures or a blown
-// error budget it opens, the device is detached from its translation unit
-// (Isolator → dma.Router Blackhole route), and every operation fast-fails
-// with ErrQuarantined until a virtual-clock backoff expires. The first
-// operation after that is a probe: the device is tentatively re-admitted
-// (half-open); success closes the breaker, failure re-isolates it with a
-// doubled backoff, capped at MaxBackoffCycles. All timing is virtual-clock,
-// so campaign quarantine windows are seed-deterministic.
+// Circuit breaking for a quarantine domain that keeps failing: one device,
+// or a tenant's whole fleet when every supervisor of the tenant shares one
+// Breaker. The supervisor handles individual faults (retry, reset, degrade);
+// the breaker handles the domain that keeps failing anyway. After tripStreak
+// consecutive failures or a blown error budget it opens, every isolator it
+// holds detaches its device from its translation unit (a dma.Router
+// Blackhole route), and every operation fast-fails with ErrQuarantined
+// until a virtual-clock backoff expires. The first operation after that is
+// a probe: every device is tentatively re-admitted (half-open); success
+// closes the breaker, failure re-isolates them with a doubled backoff,
+// capped at MaxBackoffCycles. All timing is virtual-clock, so campaign
+// quarantine windows are seed-deterministic.
+
+// The breaker's fixed trip policy.
+const (
+	tripStreak   = 4         // consecutive failures that open the breaker
+	budgetWindow = 5_000_000 // virtual cycles over which Budget counts failures
+)
 
 // BreakerState is the classic three-state circuit-breaker machine.
 type BreakerState uint8
@@ -42,25 +50,22 @@ type Isolator interface {
 	Readmit() error
 }
 
-// Breaker is a per-device circuit breaker on virtual time. The zero value is
-// unusable; NewBreaker supplies the defaults. A Supervisor with a nil
-// Breaker never trips (the PR 1 behavior).
+// Breaker is a circuit breaker on virtual time over one quarantine domain:
+// the devices whose isolators it holds. The zero value is unusable;
+// NewBreaker supplies the defaults. A Supervisor with a nil Breaker never
+// trips, and a Breaker with no isolators quarantines logically (fast-fail
+// only).
 type Breaker struct {
-	// TripAfter opens the breaker after this many consecutive failures
-	// (0 disables the consecutive trigger).
-	TripAfter uint64
 	// Budget opens the breaker when more than Budget failures accumulate
-	// within a BudgetWindowCycles window (0 disables the budget trigger).
-	Budget             uint64
-	BudgetWindowCycles uint64
+	// within one budgetWindow (0 disables the budget trigger).
+	Budget uint64
 
 	// BackoffCycles is the first quarantine length; each failed probe
-	// doubles it up to MaxBackoffCycles.
+	// doubles it up to MaxBackoffCycles (0 = unbounded).
 	BackoffCycles    uint64
 	MaxBackoffCycles uint64
-	// RejectCycles is charged per fast-failed operation while open (the cost
-	// of bouncing off the quarantine check).
-	RejectCycles uint64
+
+	isolators []Isolator
 
 	state    BreakerState
 	consec   uint64 // consecutive failures while closed
@@ -70,23 +75,26 @@ type Breaker struct {
 	reopenAt uint64 // virtual time the quarantine expires
 
 	// Trips counts closed→open transitions, Probes open→half-open,
-	// Readmissions half-open→closed.
-	Trips, Probes, Readmissions uint64
+	// Readmissions half-open→closed, and Quarantines every isolation of the
+	// domain: the trips plus the failed probes.
+	Trips, Probes, Readmissions, Quarantines uint64
 }
 
-// NewBreaker returns a breaker with campaign-scale defaults: trip on 4
-// consecutive failures or >16 failures per 5M-cycle window, quarantine for
-// 100k cycles doubling to 1.6M.
+// NewBreaker returns a breaker with campaign-scale defaults: trip on
+// tripStreak consecutive failures or >16 failures per budgetWindow,
+// quarantine for 100k cycles doubling to 1.6M.
 func NewBreaker() *Breaker {
 	return &Breaker{
-		TripAfter:          4,
-		Budget:             16,
-		BudgetWindowCycles: 5_000_000,
-		BackoffCycles:      100_000,
-		MaxBackoffCycles:   1_600_000,
-		RejectCycles:       100,
+		Budget:           16,
+		BackoffCycles:    100_000,
+		MaxBackoffCycles: 1_600_000,
 	}
 }
+
+// AddIsolator puts one device into the breaker's quarantine domain: a trip
+// isolates it and a probe re-admits it, with every other device the
+// breaker holds.
+func (b *Breaker) AddIsolator(iso Isolator) { b.isolators = append(b.isolators, iso) }
 
 // State returns the current breaker state.
 func (b *Breaker) State() BreakerState { return b.state }
@@ -97,42 +105,38 @@ func (b *Breaker) Quarantined(now uint64) bool {
 	return b.state == BreakerOpen && now < b.reopenAt
 }
 
-// Allow decides whether an operation may proceed at virtual time now. While
-// open it transitions to half-open (a probe) once the backoff expires; the
-// caller is responsible for re-admitting the device before probing.
-func (b *Breaker) Allow(now uint64) bool {
-	switch b.state {
-	case BreakerOpen:
-		if now < b.reopenAt {
-			return false
-		}
-		b.state = BreakerHalfOpen
-		b.Probes++
-		return true
-	default:
-		return true
+// allow decides whether an operation may proceed at virtual time now. Once
+// an open breaker's backoff has expired it moves to half-open and reports
+// the operation as the probe; the caller re-admits the domain first.
+func (b *Breaker) allow(now uint64) (ok, probe bool) {
+	if b.state != BreakerOpen {
+		return true, false
 	}
+	if now < b.reopenAt {
+		return false, false
+	}
+	b.state = BreakerHalfOpen
+	b.Probes++
+	return true, true
 }
 
-// OnSuccess records a successful operation. It reports whether this was a
-// successful probe (half-open → closed), i.e. the device earned its way back.
-func (b *Breaker) OnSuccess(uint64) bool {
+// onSuccess records a successful operation; a successful probe closes the
+// breaker (half-open → closed): the domain earned its way back.
+func (b *Breaker) onSuccess() {
 	b.consec = 0
 	if b.state == BreakerHalfOpen {
 		b.state = BreakerClosed
 		b.backoff = b.BackoffCycles
 		b.Readmissions++
-		return true
 	}
-	return false
 }
 
-// OnFailure records a failed operation at virtual time now. It reports
-// whether the caller must (re-)isolate the device: either the breaker just
+// onFailure records a failed operation at virtual time now. It reports
+// whether the caller must (re-)isolate the domain: either the breaker just
 // tripped (closed → open) or a probe failed and quarantine resumes with a
 // doubled backoff (half-open → open).
-func (b *Breaker) OnFailure(now uint64) bool {
-	if b.BudgetWindowCycles > 0 && now-b.winStart > b.BudgetWindowCycles {
+func (b *Breaker) onFailure(now uint64) bool {
+	if now-b.winStart > budgetWindow {
 		b.winStart = now
 		b.winFails = 0
 	}
@@ -145,21 +149,39 @@ func (b *Breaker) OnFailure(now uint64) bool {
 		if b.MaxBackoffCycles > 0 && b.backoff > b.MaxBackoffCycles {
 			b.backoff = b.MaxBackoffCycles
 		}
-		b.state = BreakerOpen
-		b.reopenAt = now + b.backoff
-		return true
 	case BreakerClosed:
-		tripped := (b.TripAfter > 0 && b.consec >= b.TripAfter) ||
-			(b.Budget > 0 && b.winFails > b.Budget)
-		if tripped {
-			if b.backoff == 0 {
-				b.backoff = b.BackoffCycles
-			}
-			b.state = BreakerOpen
-			b.reopenAt = now + b.backoff
-			b.Trips++
-			return true
+		if b.consec < tripStreak && (b.Budget == 0 || b.winFails <= b.Budget) {
+			return false
+		}
+		if b.backoff == 0 {
+			b.backoff = b.BackoffCycles
+		}
+		b.Trips++
+	default:
+		return false
+	}
+	b.state = BreakerOpen
+	b.reopenAt = now + b.backoff
+	b.Quarantines++
+	return true
+}
+
+// isolate detaches every device of the domain.
+func (b *Breaker) isolate() error {
+	for _, iso := range b.isolators {
+		if err := iso.Isolate(); err != nil {
+			return err
 		}
 	}
-	return false
+	return nil
+}
+
+// readmit restores every device of the domain to its translation path.
+func (b *Breaker) readmit() error {
+	for _, iso := range b.isolators {
+		if err := iso.Readmit(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"riommu/internal/cycles"
+	"riommu/internal/pci"
 )
 
 // fakeIsolator records quarantine transitions.
@@ -38,7 +39,7 @@ func newBreakerSup(fd *fakeDriver) (*Supervisor, *fakeIsolator, *cycles.Clock) {
 	s := NewSupervisor(clk, supBDF, fd)
 	s.Breaker = NewBreaker()
 	iso := &fakeIsolator{}
-	s.Isolator = iso
+	s.Breaker.AddIsolator(iso)
 	return s, iso, clk
 }
 
@@ -82,31 +83,21 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 // TestRetryBackoffCeilingSaturates: with many attempts the doubling backoff
-// must clamp at MaxBackoffCycles instead of growing geometrically.
+// must clamp at retryBackoffCap instead of growing geometrically.
 func TestRetryBackoffCeilingSaturates(t *testing.T) {
 	clk := &cycles.Clock{}
 	fd := &fakeDriver{}
 	s := NewSupervisor(clk, supBDF, fd)
-	s.Policy = RetryPolicy{MaxAttempts: 6, BackoffCycles: 1_000, MaxBackoffCycles: 2_000}
+	s.MaxAttempts = 9
 	err := s.Do(failOp)
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("want exhaustion, got %v", err)
 	}
-	// Backoffs charged: 1000, 2000, then clamped at 2000 for the rest.
-	wantBackoff := uint64(1_000 + 2_000 + 2_000 + 2_000 + 2_000)
-	got := clk.Total(cycles.Recovery) - 5*s.ResetCycles // 5 reinits between 6 attempts
+	// Backoffs charged: 1k doubling to 32k, then clamped at 50k twice.
+	wantBackoff := uint64(1_000 + 2_000 + 4_000 + 8_000 + 16_000 + 32_000 + 50_000 + 50_000)
+	got := clk.Total(cycles.Recovery) - 8*resetCost // 8 reinits between 9 attempts
 	if got != wantBackoff {
 		t.Errorf("backoff cycles = %d, want %d (ceiling not applied)", got, wantBackoff)
-	}
-
-	// Unbounded policy (ceiling 0) keeps doubling.
-	clk2 := &cycles.Clock{}
-	s2 := NewSupervisor(clk2, supBDF, &fakeDriver{})
-	s2.Policy = RetryPolicy{MaxAttempts: 4, BackoffCycles: 1_000}
-	_ = s2.Do(failOp)
-	want2 := uint64(1_000+2_000+4_000) + 3*s2.ResetCycles
-	if got2 := clk2.Total(cycles.Recovery); got2 != want2 {
-		t.Errorf("unbounded backoff cycles = %d, want %d", got2, want2)
 	}
 }
 
@@ -173,7 +164,7 @@ func TestBreakerTripsAndQuarantines(t *testing.T) {
 	fd := &fakeDriver{}
 	s, iso, _ := newBreakerSup(fd)
 
-	for i := uint64(0); i < s.Breaker.TripAfter; i++ {
+	for i := 0; i < tripStreak; i++ {
 		if err := s.Do(failOp); errors.Is(err, ErrQuarantined) {
 			t.Fatalf("quarantined after only %d failures", i)
 		}
@@ -203,7 +194,7 @@ func TestBreakerTripsAndQuarantines(t *testing.T) {
 func TestBreakerProbeReadmission(t *testing.T) {
 	fd := &fakeDriver{}
 	s, iso, clk := newBreakerSup(fd)
-	for i := uint64(0); i < s.Breaker.TripAfter; i++ {
+	for i := 0; i < tripStreak; i++ {
 		_ = s.Do(failOp)
 	}
 	if s.Breaker.State() != BreakerOpen {
@@ -229,7 +220,7 @@ func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
 	fd := &fakeDriver{}
 	s, iso, clk := newBreakerSup(fd)
 	s.Breaker.MaxBackoffCycles = 4 * s.Breaker.BackoffCycles
-	for i := uint64(0); i < s.Breaker.TripAfter; i++ {
+	for i := 0; i < tripStreak; i++ {
 		_ = s.Do(failOp)
 	}
 	base := s.Breaker.BackoffCycles
@@ -246,8 +237,8 @@ func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
 			t.Errorf("probe %d: backoff %d, want %d", i, got, want)
 		}
 	}
-	if iso.isolates != 4 { // initial trip + three failed probes
-		t.Errorf("isolates = %d, want 4", iso.isolates)
+	if iso.isolates != 4 || s.Breaker.Quarantines != 4 { // initial trip + three failed probes
+		t.Errorf("isolates = %d, quarantines = %d, want 4", iso.isolates, s.Breaker.Quarantines)
 	}
 }
 
@@ -263,7 +254,7 @@ func TestReinitFailingRepeatedlyTripsBreaker(t *testing.T) {
 			t.Fatalf("round %d: Do succeeded with a dead device", i)
 		}
 		if errors.Is(err, ErrQuarantined) {
-			if i < int(s.Breaker.TripAfter) {
+			if i < tripStreak {
 				t.Fatalf("quarantined too early (round %d)", i)
 			}
 			if !iso.isolated {
@@ -288,7 +279,7 @@ func TestSupervisorSLOAccounting(t *testing.T) {
 	clk := &cycles.Clock{}
 	fd := &fakeDriver{}
 	s := NewSupervisor(clk, supBDF, fd)
-	s.Policy = RetryPolicy{MaxAttempts: 1} // no retries: failures surface directly
+	s.MaxAttempts = 1 // no retries: failures surface directly
 
 	if err := s.Do(func() error { return nil }); err != nil {
 		t.Fatal(err)
@@ -326,5 +317,154 @@ func TestSupervisorSLOAccounting(t *testing.T) {
 	}
 	if s.slo.Outages != 1 {
 		t.Error("SLO() mutated the underlying ledger")
+	}
+}
+
+// sharedFleet builds one supervisor per device, every one of them on the
+// same clock, without retries and sharing one breaker that holds each
+// device's isolator: a tenant's quarantine domain.
+func sharedFleet(n int) (*Breaker, []*Supervisor, []*fakeIsolator, *cycles.Clock) {
+	clk := &cycles.Clock{}
+	br := NewBreaker()
+	sups := make([]*Supervisor, n)
+	isos := make([]*fakeIsolator, n)
+	for i := range sups {
+		isos[i] = &fakeIsolator{}
+		br.AddIsolator(isos[i])
+		sups[i] = NewSupervisor(clk, pci.NewBDF(1, uint8(i), 0), &fakeDriver{})
+		sups[i].MaxAttempts = 1
+		sups[i].Breaker = br
+	}
+	return br, sups, isos, clk
+}
+
+// TestSharedBreakerTripIsolatesFleet: failures from any device of the
+// domain spend one budget, and the trip isolates every device exactly once.
+func TestSharedBreakerTripIsolatesFleet(t *testing.T) {
+	br, sups, isos, clk := sharedFleet(3)
+	for i := 0; i < tripStreak-1; i++ {
+		if err := sups[i%len(sups)].Do(failOp); errors.Is(err, ErrQuarantined) {
+			t.Fatalf("failure %d: quarantined early", i)
+		}
+	}
+	if br.State() != BreakerClosed || br.Quarantines != 0 {
+		t.Fatalf("state %s quarantines %d before the trip threshold", br.State(), br.Quarantines)
+	}
+	before := clk.Total(cycles.Recovery)
+	_ = sups[(tripStreak-1)%len(sups)].Do(failOp)
+	if br.State() != BreakerOpen || br.Trips != 1 || br.Quarantines != 1 {
+		t.Fatalf("state %s trips %d quarantines %d, want open/1/1", br.State(), br.Trips, br.Quarantines)
+	}
+	for i, iso := range isos {
+		if !iso.isolated || iso.isolates != 1 {
+			t.Fatalf("isolator %d not isolated exactly once: %+v", i, iso)
+		}
+	}
+	if got := clk.Total(cycles.Recovery) - before; got != isolateCost {
+		t.Errorf("trip charged %d recovery cycles, want %d", got, isolateCost)
+	}
+	for i, s := range sups {
+		ran := false
+		if err := s.Do(func() error { ran = true; return nil }); !errors.Is(err, ErrQuarantined) || ran {
+			t.Errorf("supervisor %d ran inside the backoff: ran=%v err=%v", i, ran, err)
+		}
+	}
+}
+
+// TestSharedBreakerReadmission: after the backoff the first operation on
+// any device of the domain is the probe; it re-admits every device, and
+// its success closes the breaker.
+func TestSharedBreakerReadmission(t *testing.T) {
+	br, sups, isos, clk := sharedFleet(2)
+	for i := 0; i < tripStreak; i++ {
+		_ = sups[0].Do(failOp)
+	}
+	if !isos[0].isolated || !isos[1].isolated {
+		t.Fatal("trip did not isolate the fleet")
+	}
+	clk.Charge(cycles.Recovery, br.BackoffCycles)
+	if err := sups[1].Do(func() error { return nil }); err != nil {
+		t.Fatalf("probe refused after backoff: %v", err)
+	}
+	for i, iso := range isos {
+		if iso.isolated || iso.readmits != 1 {
+			t.Errorf("isolator %d not re-admitted exactly once: %+v", i, iso)
+		}
+	}
+	if br.State() != BreakerClosed || br.Probes != 1 || br.Readmissions != 1 || br.Quarantines != 1 {
+		t.Errorf("state %s probes %d readmissions %d quarantines %d, want closed/1/1/1",
+			br.State(), br.Probes, br.Readmissions, br.Quarantines)
+	}
+}
+
+// TestSupervisorSharedBreakerBlastRadius: failures alternating between two
+// devices of one tenant quarantine both, while a supervisor of another
+// tenant — same clock, its own breaker — never notices.
+func TestSupervisorSharedBreakerBlastRadius(t *testing.T) {
+	br, sups, isos, clk := sharedFleet(2)
+	other := NewSupervisor(clk, pci.NewBDF(2, 0, 0), &fakeDriver{})
+	other.Breaker = NewBreaker()
+	otherIso := &fakeIsolator{}
+	other.Breaker.AddIsolator(otherIso)
+
+	boom := errors.New("boom")
+	fail := func() error { return boom }
+	okOp := func() error { return nil }
+	for i := 0; i < tripStreak; i++ {
+		if err := sups[i%2].Do(fail); !errors.Is(err, boom) {
+			t.Fatalf("failure %d: %v", i, err)
+		}
+	}
+	if br.State() != BreakerOpen {
+		t.Fatal("cross-device failures did not spend the shared budget")
+	}
+	if !isos[0].isolated || !isos[1].isolated {
+		t.Fatal("trip did not isolate the whole fleet")
+	}
+	if err := sups[0].Do(okOp); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("quarantined supervisor ran: %v", err)
+	}
+	if sups[0].Stats.Rejected != 1 {
+		t.Fatalf("Rejected = %d", sups[0].Stats.Rejected)
+	}
+	if err := other.Do(okOp); err != nil {
+		t.Fatalf("other tenant affected: %v", err)
+	}
+	if slo := other.SLO(); slo.Outages != 0 || slo.DowntimeCycles != 0 {
+		t.Fatalf("other tenant's SLO moved: %+v", slo)
+	}
+	if other.Breaker.State() != BreakerClosed || otherIso.isolates != 0 {
+		t.Fatalf("other tenant's breaker moved: %s, %+v", other.Breaker.State(), otherIso)
+	}
+}
+
+// TestWatchStandsDownWhileSharedBreakerOpen: Watch consults the breaker the
+// supervisor shares. A hang on one device spends the domain's budget, so
+// one failure fewer trips it; while the domain is quarantined, a hung
+// device's watchdog stands down instead of reinitializing it.
+func TestWatchStandsDownWhileSharedBreakerOpen(t *testing.T) {
+	br, sups, _, clk := sharedFleet(2)
+	hung := &fakeDriver{progress: 5}
+	sups[1].target = hung
+	sups[1].Watch() // prime
+	if fired, err := sups[1].Watch(); !fired || err != nil {
+		t.Fatalf("hang not handled: fired=%v err=%v", fired, err)
+	}
+	for i := 0; i < tripStreak-1; i++ {
+		_ = sups[0].Do(failOp)
+	}
+	if br.Trips != 1 {
+		t.Fatalf("trips = %d after a hang and %d failures, want 1 (the hang spent no budget)", br.Trips, tripStreak-1)
+	}
+	before := clk.Total(cycles.Recovery)
+	if fired, err := sups[1].Watch(); fired || err != nil {
+		t.Fatalf("watch on a quarantined domain: fired=%v err=%v", fired, err)
+	}
+	if hung.recovers != 1 || sups[1].Stats.WatchdogFires != 1 || br.Quarantines != 1 {
+		t.Errorf("quarantined hang handled: recovers %d fires %d quarantines %d, want 1/1/1",
+			hung.recovers, sups[1].Stats.WatchdogFires, br.Quarantines)
+	}
+	if got := clk.Total(cycles.Recovery) - before; got != rejectCost {
+		t.Errorf("standing down charged %d cycles, want %d", got, rejectCost)
 	}
 }

@@ -49,6 +49,16 @@ type mapped struct {
 	live   bool
 }
 
+// unmapStatic tears down persistent ring or queue mappings best-effort,
+// newest first with the burst-end marker on the oldest, and returns the
+// emptied slice for the remap.
+func unmapStatic(prot Protection, static []mapped) []mapped {
+	for i := len(static) - 1; i >= 0; i-- {
+		_ = prot.Unmap(RingStatic, static[i].iova, static[i].size, i == 0)
+	}
+	return static[:0]
+}
+
 // NICDriver is the OS network driver: it owns the Rx/Tx descriptor rings,
 // keeps the Rx ring replenished with mapped buffers, maps Tx buffers as
 // packets are sent, and unmaps buffers in completion-burst order with the
@@ -120,22 +130,29 @@ func newNICDriverQueue(mm *mem.PhysMem, prot Protection, eng *dma.Engine, profil
 		d.txHeader = bytes.Repeat([]byte{0x5a}, profile.HeaderBytes) // synthesized protocol header bytes
 	}
 
-	// Persistently map the ring memory so the device can fetch descriptors
-	// (the "first rRING" of §4; a single fine-grained mapping per ring).
-	for _, r := range []*ring.Ring{rx, tx} {
-		iova, err := prot.Map(RingStatic, r.BasePA(), r.Bytes(), pci.DirBidi)
-		if err != nil {
-			return nil, nil, fmt.Errorf("driver: mapping ring memory: %w", err)
-		}
-		r.SetDeviceAddr(iova)
-		d.staticIOVAs = append(d.staticIOVAs, mapped{pa: r.BasePA(), iova: iova, size: r.Bytes()})
+	if err := d.mapRings(); err != nil {
+		return nil, nil, err
 	}
-
 	d.nic = device.NewNIC(profile, bdf, eng, rx, tx)
 	if err := d.fillRx(); err != nil {
 		return nil, nil, err
 	}
 	return d, d.nic, nil
+}
+
+// mapRings persistently maps the descriptor rings under the driver's
+// protection unit so the device can fetch descriptors (the "first rRING"
+// of §4; a single fine-grained mapping per ring).
+func (d *NICDriver) mapRings() error {
+	for _, r := range []*ring.Ring{d.rx, d.tx} {
+		iova, err := d.prot.Map(RingStatic, r.BasePA(), r.Bytes(), pci.DirBidi)
+		if err != nil {
+			return fmt.Errorf("driver: mapping ring memory: %w", err)
+		}
+		r.SetDeviceAddr(iova)
+		d.staticIOVAs = append(d.staticIOVAs, mapped{pa: r.BasePA(), iova: iova, size: r.Bytes()})
+	}
+	return nil
 }
 
 // NIC returns the attached device model.
@@ -445,7 +462,17 @@ func (d *NICDriver) reapRx(frames *[][]byte) (int, error) {
 // Outstanding packets are lost — exactly the semantics of a device reset.
 // Unmaps are best-effort: a reset must terminate even when the fault left
 // the mapping state inconsistent.
-func (d *NICDriver) Recover() error {
+func (d *NICDriver) Recover() error { return d.reset(nil) }
+
+// Reattach migrates the driver to a different protection unit (graceful
+// degradation: e.g. from rIOMMU to the baseline strict IOMMU after repeated
+// faults). It is Recover under the new unit: the ring mappings are torn
+// down best-effort under the old one — it may be the very thing that is
+// misbehaving — and remapped under prot before the Rx ring is refilled.
+func (d *NICDriver) Reattach(prot Protection) error { return d.reset(prot) }
+
+// reset is Recover, and Reattach when prot is non-nil.
+func (d *NICDriver) reset(prot Protection) error {
 	d.nic.ResetDevice()
 	// A queue reset forfeits its in-flight completions: any latched
 	// interrupt refers to descriptors the reset is about to destroy, so
@@ -454,6 +481,13 @@ func (d *NICDriver) Recover() error {
 		d.irq.Drop()
 	}
 	d.releaseSlots()
+	if prot != nil {
+		d.staticIOVAs = unmapStatic(d.prot, d.staticIOVAs)
+		d.prot = prot
+		if err := d.mapRings(); err != nil {
+			return err
+		}
+	}
 	if err := d.rx.Reset(); err != nil {
 		return err
 	}
@@ -489,40 +523,6 @@ func (d *NICDriver) releaseSlots() {
 // Progress returns the device's monotonic forward-progress counter for the
 // recovery watchdog: packets moved in either direction.
 func (d *NICDriver) Progress() uint64 { return d.nic.TxPackets + d.nic.RxPackets }
-
-// Reattach migrates the driver to a different protection unit (graceful
-// degradation: e.g. from rIOMMU to the baseline strict IOMMU after repeated
-// faults). Mappings under the old unit are torn down best-effort — it may be
-// the very thing that is misbehaving — then the rings are remapped and the
-// Rx ring refilled under the new one.
-func (d *NICDriver) Reattach(prot Protection) error {
-	d.nic.ResetDevice()
-	if d.irq != nil {
-		d.irq.Drop() // ring reset: pending completions are void
-	}
-	d.releaseSlots()
-	for i := len(d.staticIOVAs) - 1; i >= 0; i-- {
-		_ = d.prot.Unmap(RingStatic, d.staticIOVAs[i].iova, d.staticIOVAs[i].size, i == 0)
-	}
-	d.staticIOVAs = d.staticIOVAs[:0]
-	d.prot = prot
-	for _, r := range []*ring.Ring{d.rx, d.tx} {
-		iova, err := prot.Map(RingStatic, r.BasePA(), r.Bytes(), pci.DirBidi)
-		if err != nil {
-			return fmt.Errorf("driver: remapping ring memory: %w", err)
-		}
-		r.SetDeviceAddr(iova)
-		d.staticIOVAs = append(d.staticIOVAs, mapped{pa: r.BasePA(), iova: iova, size: r.Bytes()})
-	}
-	if err := d.rx.Reset(); err != nil {
-		return err
-	}
-	if err := d.tx.Reset(); err != nil {
-		return err
-	}
-	d.rxReap, d.txReap = 0, 0
-	return d.fillRx()
-}
 
 // Teardown drains completions, unmaps every live mapping (including the
 // persistent ring mappings), and releases rings and buffers: the unmap path

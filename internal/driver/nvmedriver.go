@@ -60,21 +60,29 @@ func NewNVMeDriver(mm *mem.PhysMem, prot Protection, eng *dma.Engine, bdf pci.BD
 		pool:    NewBufferPool(mm, mem.PageSize),
 		pending: make(map[uint32]nvmeCmd),
 	}
-	// Persistently map the SQ and CQ (static ring table, as for NICs).
-	sqIOVA, err := prot.Map(RingStatic, q.SQPA(), q.SQBytes(), pci.DirBidi)
-	if err != nil {
-		return nil, fmt.Errorf("driver: mapping NVMe SQ: %w", err)
-	}
-	cqIOVA, err := prot.Map(RingStatic, q.CQPA(), q.CQBytes(), pci.DirBidi)
-	if err != nil {
-		return nil, fmt.Errorf("driver: mapping NVMe CQ: %w", err)
-	}
-	q.SetDeviceAddrs(sqIOVA, cqIOVA)
-	d.staticIOVAs = []mapped{
-		{pa: q.SQPA(), iova: sqIOVA, size: q.SQBytes()},
-		{pa: q.CQPA(), iova: cqIOVA, size: q.CQBytes()},
+	if err := d.mapQueues(); err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// mapQueues persistently maps the SQ and CQ under the driver's protection
+// unit (static ring table, as for NICs).
+func (d *NVMeDriver) mapQueues() error {
+	q := d.q
+	sqIOVA, err := d.prot.Map(RingStatic, q.SQPA(), q.SQBytes(), pci.DirBidi)
+	if err != nil {
+		return fmt.Errorf("driver: mapping NVMe SQ: %w", err)
+	}
+	cqIOVA, err := d.prot.Map(RingStatic, q.CQPA(), q.CQBytes(), pci.DirBidi)
+	if err != nil {
+		return fmt.Errorf("driver: mapping NVMe CQ: %w", err)
+	}
+	q.SetDeviceAddrs(sqIOVA, cqIOVA)
+	d.staticIOVAs = append(d.staticIOVAs,
+		mapped{pa: q.SQPA(), iova: sqIOVA, size: q.SQBytes()},
+		mapped{pa: q.CQPA(), iova: cqIOVA, size: q.CQBytes()})
+	return nil
 }
 
 // Device exposes the SSD model (tests, fault injection).
@@ -224,7 +232,16 @@ func readPayload(mm *mem.PhysMem, pa mem.PA, n uint32, keep bool) ([]byte, error
 // submission order, deterministically — the pending map is never ranged),
 // buffers return to the pool, the queue pair and controller are reset.
 // In-flight commands are lost; the caller resubmits.
-func (d *NVMeDriver) Recover() error {
+func (d *NVMeDriver) Recover() error { return d.reset(nil) }
+
+// Reattach migrates the driver to a different protection unit (graceful
+// degradation). It is Recover under the new unit: the persistent queue
+// mappings are torn down best-effort under the old one and remapped under
+// prot before the controller is reset.
+func (d *NVMeDriver) Reattach(prot Protection) error { return d.reset(prot) }
+
+// reset is Recover, and Reattach when prot is non-nil.
+func (d *NVMeDriver) reset(prot Protection) error {
 	for i, cid := range d.order {
 		cmd, ok := d.pending[cid]
 		if !ok {
@@ -236,48 +253,19 @@ func (d *NVMeDriver) Recover() error {
 	d.pending = make(map[uint32]nvmeCmd)
 	d.order = nil
 	d.seen = 0
+	if prot != nil {
+		d.staticIOVAs = unmapStatic(d.prot, d.staticIOVAs)
+		d.prot = prot
+		if err := d.mapQueues(); err != nil {
+			return err
+		}
+	}
 	d.ssd.ResetDevice()
 	return d.q.Reset()
 }
 
 // Progress returns the device's forward-progress counter for the watchdog.
 func (d *NVMeDriver) Progress() uint64 { return d.ssd.Commands }
-
-// Reattach migrates the driver to a different protection unit (graceful
-// degradation), tearing down in-flight and persistent queue mappings under
-// the old unit best-effort and remapping the queues under the new one.
-func (d *NVMeDriver) Reattach(prot Protection) error {
-	for i, cid := range d.order {
-		cmd, ok := d.pending[cid]
-		if !ok {
-			continue
-		}
-		_ = d.prot.Unmap(RingRx, cmd.m.iova, cmd.m.size, i == len(d.order)-1)
-		d.pool.Put(cmd.m.pa)
-	}
-	d.pending = make(map[uint32]nvmeCmd)
-	d.order = nil
-	d.seen = 0
-	for i := len(d.staticIOVAs) - 1; i >= 0; i-- {
-		_ = d.prot.Unmap(RingStatic, d.staticIOVAs[i].iova, d.staticIOVAs[i].size, i == 0)
-	}
-	d.prot = prot
-	sqIOVA, err := prot.Map(RingStatic, d.q.SQPA(), d.q.SQBytes(), pci.DirBidi)
-	if err != nil {
-		return fmt.Errorf("driver: remapping NVMe SQ: %w", err)
-	}
-	cqIOVA, err := prot.Map(RingStatic, d.q.CQPA(), d.q.CQBytes(), pci.DirBidi)
-	if err != nil {
-		return fmt.Errorf("driver: remapping NVMe CQ: %w", err)
-	}
-	d.q.SetDeviceAddrs(sqIOVA, cqIOVA)
-	d.staticIOVAs = []mapped{
-		{pa: d.q.SQPA(), iova: sqIOVA, size: d.q.SQBytes()},
-		{pa: d.q.CQPA(), iova: cqIOVA, size: d.q.CQBytes()},
-	}
-	d.ssd.ResetDevice()
-	return d.q.Reset()
-}
 
 // Teardown unmaps everything, including the persistent queue mappings.
 func (d *NVMeDriver) Teardown() error {

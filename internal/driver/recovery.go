@@ -13,9 +13,10 @@ import (
 // virtual-clock backoff, a watchdog that detects hung devices by the absence
 // of forward progress, graceful degradation to a safer protection mode when
 // a device keeps faulting, and (breaker.go) circuit breaking that
-// quarantines a device that keeps failing anyway. Everything is charged to
-// the virtual clock's Recovery component, so campaigns can report exactly
-// how many cycles fault handling costs (cmd/riommu-faults).
+// quarantines a device, or a tenant's fleet, that keeps failing anyway.
+// Everything is charged to the virtual clock's Recovery component, so
+// campaigns can report exactly how many cycles fault handling costs
+// (cmd/riommu-faults).
 
 // Sentinel errors for the recovery outcomes callers need to distinguish;
 // every path wraps them with %w, so use errors.Is — never string matching.
@@ -37,8 +38,8 @@ const (
 	ActRetry   uint8 = 1 // an operation was retried after a fault
 	ActReset   uint8 = 2 // the device was reinitialized (Recover)
 	ActDegrade uint8 = 3 // protection was degraded to a stricter mode
-	ActProbe   uint8 = 4 // quarantine expired; device tentatively re-admitted
-	ActIsolate uint8 = 5 // circuit breaker quarantined the device
+	ActProbe   uint8 = 4 // quarantine expired; domain tentatively re-admitted
+	ActIsolate uint8 = 5 // circuit breaker quarantined the domain
 	ActReject  uint8 = 6 // an operation fast-failed while quarantined
 )
 
@@ -61,9 +62,8 @@ type RecoveryStats struct {
 // an outage runs from the first failed Do to the next successful one, so
 // MTTR and availability are pure functions of the seed.
 type SLOStats struct {
-	Outages             uint64
-	DowntimeCycles      uint64
-	LongestOutageCycles uint64
+	Outages        uint64
+	DowntimeCycles uint64
 }
 
 // MTTRCycles is the mean time (virtual cycles) to recover from an outage.
@@ -86,21 +86,22 @@ func (s SLOStats) Availability(totalCycles uint64) float64 {
 	return av
 }
 
-// RetryPolicy bounds the retry loop: at most MaxAttempts tries of the
-// operation, with a virtual-clock backoff that starts at BackoffCycles and
-// doubles after each failed attempt (charged to cycles.Recovery), saturating
-// at MaxBackoffCycles (0 = unbounded).
-type RetryPolicy struct {
-	MaxAttempts      int
-	BackoffCycles    uint64
-	MaxBackoffCycles uint64
-}
+// Recovery costs in virtual cycles, each charged to cycles.Recovery, and
+// the retry backoff. No caller varies them.
+const (
+	checkCost   = 200     // one watchdog progress check (the timer callback)
+	resetCost   = 50_000  // one device reinitialization (~16 µs at 3.1 GHz): ring teardown + refill
+	degradeCost = 200_000 // rebuild page tables + remap under the new unit
+	isolateCost = 20_000  // detach a quarantine domain's routes, drain in-flight state
+	readmitCost = 20_000  // restore them for a probe
+	rejectCost  = 100     // one operation bounced off the quarantine check
 
-// DefaultRetryPolicy retries three times starting at a 1,000-cycle backoff —
-// small next to a device reset (~ResetCycles) but enough to model the
-// latency cost of fault handling — and never backs off longer than one
-// device reset.
-var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 3, BackoffCycles: 1_000, MaxBackoffCycles: 50_000}
+	// retryBackoff is the first backoff between attempts: small next to a
+	// device reset but enough to model the latency cost of fault handling.
+	// It doubles after each failed attempt, up to one device reset.
+	retryBackoff    = 1_000
+	retryBackoffCap = 50_000
+)
 
 // Recoverable is the driver capability the recovery layer needs: a full
 // device/mapping reinitialization (the OS response to an I/O page fault, §4)
@@ -112,13 +113,10 @@ type Recoverable interface {
 
 // Watchdog detects hung devices: each Check samples the driver's progress
 // counter and reports a hang when it has not advanced since the previous
-// Check. Every check charges CheckCycles to the Recovery component — the
+// Check. Every check charges checkCost to the Recovery component — the
 // periodic timer work a real watchdog costs even when nothing is wrong.
 type Watchdog struct {
 	clk *cycles.Clock
-
-	// CheckCycles is charged per Check (the timer callback).
-	CheckCycles uint64
 
 	last   uint64
 	primed bool
@@ -128,14 +126,14 @@ type Watchdog struct {
 
 // NewWatchdog creates a watchdog charging the given clock.
 func NewWatchdog(clk *cycles.Clock) *Watchdog {
-	return &Watchdog{clk: clk, CheckCycles: 200}
+	return &Watchdog{clk: clk}
 }
 
 // Check samples progress and reports whether the device appears hung (no
 // forward progress since the previous Check). The first call only primes the
 // baseline and never fires.
 func (w *Watchdog) Check(progress uint64) bool {
-	w.clk.Charge(cycles.Recovery, w.CheckCycles)
+	w.clk.Charge(cycles.Recovery, checkCost)
 	w.Checks++
 	hung := w.primed && progress == w.last
 	w.last, w.primed = progress, true
@@ -150,49 +148,41 @@ func (w *Watchdog) Check(progress uint64) bool {
 func (w *Watchdog) Reset() { w.primed = false }
 
 // Supervisor ties the pieces together for one device: it runs driver
-// operations under the retry policy, reinitializes the device when retries
-// alone cannot clear the fault, watches for hangs, and — when the device
-// keeps needing recovery — degrades its protection via DegradeFn.
+// operations under bounded retry, reinitializes the device when retries
+// alone cannot clear the fault, watches for hangs, degrades its protection
+// via DegradeFn when the device keeps needing recovery, and gates all of it
+// through the circuit breaker of the device's quarantine domain.
 type Supervisor struct {
 	clk    *cycles.Clock
 	bdf    pci.BDF
 	target Recoverable
 
-	Policy   RetryPolicy
-	Watchdog *Watchdog
-
-	// ResetCycles is the cost of one device reinitialization (Recover):
-	// quiescing the device, tearing down and re-creating its mappings.
-	ResetCycles uint64
+	// MaxAttempts bounds the retry loop: at most this many tries of an
+	// operation, each retry preceded by a virtual-clock backoff
+	// (retryBackoff, doubling, capped at retryBackoffCap) and a device
+	// reinitialization.
+	MaxAttempts int
+	Watchdog    *Watchdog
 
 	// DegradeFn, when set, switches the device to a stricter/safer
 	// protection mode (e.g. rIOMMU -> baseline strict); it is invoked once,
-	// after DegradeAfter device recoveries, and costs DegradeCycles.
-	DegradeFn     func() error
-	DegradeAfter  uint64
-	DegradeCycles uint64
-	degraded      bool
+	// after DegradeAfter device recoveries, and costs degradeCost.
+	DegradeFn    func() error
+	DegradeAfter uint64
+	degraded     bool
 
 	// Sink, when non-nil, records every recovery action (typically
 	// *trace.Trace).
 	Sink RecoverySink
 
-	// Breaker, when non-nil, circuit-breaks the device: repeated failures
-	// quarantine it (operations fast-fail with ErrQuarantined) until a
-	// virtual-clock backoff expires and a probe re-admits it. Isolator is
-	// the physical detach/re-admit (typically a dma.Router blackhole route);
-	// a nil Isolator makes quarantine purely logical (fast-fail only).
-	Breaker  *Breaker
-	Isolator Isolator
-	// IsolateCycles/ReadmitCycles are charged per quarantine transition.
-	IsolateCycles, ReadmitCycles uint64
-
-	// Guard, when non-nil, is the tenant-scoped circuit breaker shared by
-	// every supervisor of one tenant's devices. It is consulted before the
-	// per-device breaker and fed the outcome of every operation, so any
-	// device of the tenant can spend the tenant's error budget — and a trip
-	// quarantines them all.
-	Guard *TenantGuard
+	// Breaker, when non-nil, circuit-breaks the device's quarantine domain:
+	// repeated failures quarantine it (operations fast-fail with
+	// ErrQuarantined) until a virtual-clock backoff expires and a probe
+	// re-admits it. A device's own breaker holds its isolator; the
+	// supervisors of a tenant's devices share one breaker holding every
+	// device's isolator, so any of them spends the tenant's error budget
+	// and a trip quarantines them all.
+	Breaker *Breaker
 
 	Stats RecoveryStats
 
@@ -204,16 +194,12 @@ type Supervisor struct {
 // NewSupervisor wraps a recoverable driver for the device bdf.
 func NewSupervisor(clk *cycles.Clock, bdf pci.BDF, target Recoverable) *Supervisor {
 	return &Supervisor{
-		clk:           clk,
-		bdf:           bdf,
-		target:        target,
-		Policy:        DefaultRetryPolicy,
-		Watchdog:      NewWatchdog(clk),
-		ResetCycles:   50_000, // ~16 µs at 3.1 GHz: ring teardown + refill
-		DegradeAfter:  8,
-		DegradeCycles: 200_000, // rebuild page tables + remap under new unit
-		IsolateCycles: 20_000,  // detach the route, drain in-flight state
-		ReadmitCycles: 20_000,
+		clk:          clk,
+		bdf:          bdf,
+		target:       target,
+		MaxAttempts:  3,
+		Watchdog:     NewWatchdog(clk),
+		DegradeAfter: 8,
 	}
 }
 
@@ -228,7 +214,7 @@ func (s *Supervisor) record(action uint8) {
 
 // reinit performs one charged device recovery and the degradation check.
 func (s *Supervisor) reinit() error {
-	s.clk.Charge(cycles.Recovery, s.ResetCycles)
+	s.clk.Charge(cycles.Recovery, resetCost)
 	s.record(ActReset)
 	if err := s.target.Recover(); err != nil {
 		return err
@@ -236,7 +222,7 @@ func (s *Supervisor) reinit() error {
 	s.Stats.Recoveries++
 	s.Watchdog.Reset()
 	if !s.degraded && s.DegradeFn != nil && s.Stats.Recoveries >= s.DegradeAfter {
-		s.clk.Charge(cycles.Recovery, s.DegradeCycles)
+		s.clk.Charge(cycles.Recovery, degradeCost)
 		s.record(ActDegrade)
 		if err := s.DegradeFn(); err != nil {
 			return fmt.Errorf("%w: %w", ErrDegraded, err)
@@ -247,24 +233,18 @@ func (s *Supervisor) reinit() error {
 	return nil
 }
 
-// attempt runs op under the retry policy: after each failure it backs off
-// (doubling, saturating at MaxBackoffCycles), reinitializes the device, and
+// attempt runs op up to MaxAttempts times: after each failure it backs off
+// (doubling, saturating at retryBackoffCap), reinitializes the device, and
 // retries. When every attempt fails the fault is counted unrecovered and the
 // last error returned wrapped in ErrRetriesExhausted.
 func (s *Supervisor) attempt(op func() error) error {
-	attempts := s.Policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := s.Policy.BackoffCycles
+	attempts := max(s.MaxAttempts, 1)
+	backoff := uint64(retryBackoff)
 	var err error
 	for try := 0; try < attempts; try++ {
 		if try > 0 {
 			s.clk.Charge(cycles.Recovery, backoff)
-			backoff *= 2
-			if max := s.Policy.MaxBackoffCycles; max > 0 && backoff > max {
-				backoff = max
-			}
+			backoff = min(2*backoff, retryBackoffCap)
 			s.Stats.Retries++
 			s.record(ActRetry)
 			if rerr := s.reinit(); rerr != nil {
@@ -279,81 +259,54 @@ func (s *Supervisor) attempt(op func() error) error {
 	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempts, err)
 }
 
-// Do runs op through the circuit breaker and the retry policy, and keeps
-// the SLO ledger. While quarantined it fast-fails with ErrQuarantined; the
-// first call after the quarantine backoff expires tentatively re-admits the
-// device and probes it — success closes the breaker, failure re-isolates
-// with a doubled backoff.
+// Do runs op through the circuit breaker and the retry loop, and keeps the
+// SLO ledger. While the quarantine domain is open it fast-fails with
+// ErrQuarantined; the first call after the backoff expires re-admits every
+// device of the domain and probes it — success closes the breaker, failure
+// re-isolates the domain with a doubled backoff.
 func (s *Supervisor) Do(op func() error) error {
-	if s.Guard != nil {
-		ok, gerr := s.Guard.Allow(s.clk.Now())
-		if gerr != nil {
-			s.noteOutcome(true)
-			return gerr
-		}
+	b := s.Breaker
+	if b != nil {
+		ok, probe := b.allow(s.clk.Now())
 		if !ok {
-			s.clk.Charge(cycles.Recovery, s.Guard.Breaker.RejectCycles)
-			s.Stats.Rejected++
-			s.record(ActReject)
-			s.noteOutcome(true)
-			return fmt.Errorf("%w: tenant %d: %s", ErrQuarantined, s.Guard.Tenant, s.bdf)
-		}
-	}
-	if s.Breaker != nil {
-		wasOpen := s.Breaker.State() == BreakerOpen
-		if !s.Breaker.Allow(s.clk.Now()) {
-			s.clk.Charge(cycles.Recovery, s.Breaker.RejectCycles)
+			s.clk.Charge(cycles.Recovery, rejectCost)
 			s.Stats.Rejected++
 			s.record(ActReject)
 			s.noteOutcome(true)
 			return fmt.Errorf("%w: %s", ErrQuarantined, s.bdf)
 		}
-		if wasOpen {
-			// Allow moved open → half-open: this operation is the probe.
-			// Physically re-admit the device first so the probe exercises
-			// the real DMA path rather than the blackhole.
-			s.clk.Charge(cycles.Recovery, s.ReadmitCycles)
+		if probe {
+			// Re-admit the domain first so the probe exercises the real
+			// DMA path rather than the blackhole.
+			s.clk.Charge(cycles.Recovery, readmitCost)
 			s.record(ActProbe)
-			if s.Isolator != nil {
-				if err := s.Isolator.Readmit(); err != nil {
-					s.noteOutcome(true)
-					return fmt.Errorf("driver: re-admitting %s: %w", s.bdf, err)
-				}
+			if err := b.readmit(); err != nil {
+				s.noteOutcome(true)
+				return fmt.Errorf("driver: re-admitting %s: %w", s.bdf, err)
 			}
 		}
 	}
 	err := s.attempt(op)
-	if s.Breaker != nil {
-		if err != nil {
-			if s.Breaker.OnFailure(s.clk.Now()) {
-				if ierr := s.isolate(); ierr != nil {
-					err = fmt.Errorf("%w; %w", err, ierr)
-				}
-			}
-		} else {
-			s.Breaker.OnSuccess(s.clk.Now())
-		}
-	}
-	if s.Guard != nil {
-		if err != nil {
-			if gerr := s.Guard.OnFailure(s.clk.Now()); gerr != nil {
-				err = fmt.Errorf("%w; %w", err, gerr)
-			}
-		} else {
-			s.Guard.OnSuccess(s.clk.Now())
+	if b != nil {
+		if err == nil {
+			b.onSuccess()
+		} else if ierr := s.spend(); ierr != nil {
+			err = fmt.Errorf("%w; %w", err, ierr)
 		}
 	}
 	s.noteOutcome(err != nil)
 	return err
 }
 
-func (s *Supervisor) isolate() error {
-	s.clk.Charge(cycles.Recovery, s.IsolateCycles)
-	s.record(ActIsolate)
-	if s.Isolator == nil {
+// spend feeds one failure to the breaker. When that trips it or fails its
+// probe, the whole quarantine domain is isolated.
+func (s *Supervisor) spend() error {
+	if !s.Breaker.onFailure(s.clk.Now()) {
 		return nil
 	}
-	if err := s.Isolator.Isolate(); err != nil {
+	s.clk.Charge(cycles.Recovery, isolateCost)
+	s.record(ActIsolate)
+	if err := s.Breaker.isolate(); err != nil {
 		return fmt.Errorf("driver: isolating %s: %w", s.bdf, err)
 	}
 	return nil
@@ -370,12 +323,8 @@ func (s *Supervisor) noteOutcome(failed bool) {
 		return
 	}
 	if s.down {
-		d := now - s.downSince
 		s.slo.Outages++
-		s.slo.DowntimeCycles += d
-		if d > s.slo.LongestOutageCycles {
-			s.slo.LongestOutageCycles = d
-		}
+		s.slo.DowntimeCycles += now - s.downSince
 		s.down = false
 	}
 }
@@ -385,23 +334,20 @@ func (s *Supervisor) noteOutcome(failed bool) {
 func (s *Supervisor) SLO() SLOStats {
 	out := s.slo
 	if s.down {
-		d := s.clk.Now() - s.downSince
 		out.Outages++
-		out.DowntimeCycles += d
-		if d > out.LongestOutageCycles {
-			out.LongestOutageCycles = d
-		}
+		out.DowntimeCycles += s.clk.Now() - s.downSince
 	}
 	return out
 }
 
 // Watch runs one watchdog check; on a detected hang it reinitializes the
-// device. It reports whether a hang was handled. A hang spends circuit-
-// breaker error budget even when the reinit succeeds; while the device is
-// quarantined the watchdog stands down (the breaker owns re-admission).
+// device. It reports whether a hang was handled. A hang spends the
+// breaker's error budget even when the reinit succeeds; while the
+// quarantine domain is isolated the watchdog stands down (the breaker owns
+// re-admission).
 func (s *Supervisor) Watch() (bool, error) {
 	if s.Breaker != nil && s.Breaker.Quarantined(s.clk.Now()) {
-		s.clk.Charge(cycles.Recovery, s.Breaker.RejectCycles)
+		s.clk.Charge(cycles.Recovery, rejectCost)
 		return false, nil
 	}
 	if !s.Watchdog.Check(s.target.Progress()) {
@@ -409,10 +355,8 @@ func (s *Supervisor) Watch() (bool, error) {
 	}
 	s.Stats.WatchdogFires++
 	if s.Breaker != nil {
-		if s.Breaker.OnFailure(s.clk.Now()) {
-			if ierr := s.isolate(); ierr != nil {
-				return true, fmt.Errorf("%w: %w", ErrWatchdogHang, ierr)
-			}
+		if err := s.spend(); err != nil {
+			return true, fmt.Errorf("%w: %w", ErrWatchdogHang, err)
 		}
 	}
 	if err := s.reinit(); err != nil {

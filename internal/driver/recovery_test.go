@@ -39,8 +39,8 @@ func TestWatchdogDetectsStall(t *testing.T) {
 	if w.Fires != 1 || w.Checks != 3 {
 		t.Errorf("Fires=%d Checks=%d", w.Fires, w.Checks)
 	}
-	if clk.Total(cycles.Recovery) != 3*w.CheckCycles {
-		t.Errorf("recovery cycles %d, want %d", clk.Total(cycles.Recovery), 3*w.CheckCycles)
+	if clk.Total(cycles.Recovery) != 3*checkCost {
+		t.Errorf("recovery cycles %d, want %d", clk.Total(cycles.Recovery), 3*checkCost)
 	}
 	w.Reset()
 	if w.Check(1) {
@@ -70,7 +70,7 @@ func TestSupervisorRetrySucceeds(t *testing.T) {
 		t.Errorf("driver recovered %d times, want 2", fd.recovers)
 	}
 	// Backoff doubles: 1000 + 2000, plus two resets.
-	want := s.Policy.BackoffCycles + 2*s.Policy.BackoffCycles + 2*s.ResetCycles
+	want := uint64(retryBackoff + 2*retryBackoff + 2*resetCost)
 	if got := clk.Total(cycles.Recovery); got != want {
 		t.Errorf("recovery cycles %d, want %d", got, want)
 	}
@@ -87,8 +87,8 @@ func TestSupervisorExhaustsRetries(t *testing.T) {
 	if s.Stats.Unrecovered != 1 {
 		t.Errorf("Unrecovered = %d, want 1", s.Stats.Unrecovered)
 	}
-	if s.Stats.Retries != uint64(s.Policy.MaxAttempts-1) {
-		t.Errorf("Retries = %d, want %d", s.Stats.Retries, s.Policy.MaxAttempts-1)
+	if s.Stats.Retries != uint64(s.MaxAttempts-1) {
+		t.Errorf("Retries = %d, want %d", s.Stats.Retries, s.MaxAttempts-1)
 	}
 }
 

@@ -25,9 +25,6 @@ type Params struct {
 	// (default 120).
 	PacketsPerCore int
 	WarmupPerCore  int
-	// MemPages sizes the simulated physical memory (default 1<<15 pages =
-	// 128 MiB).
-	MemPages uint64
 	// IntRemap models MSI-X completion interrupts: queue i's vectors are
 	// remapped (posted-format) to core i, and each delivery's dispatch cost
 	// lands on the receiving core's virtual timeline. Off by default, which
@@ -103,6 +100,9 @@ func connParams(qp device.NICProfile) netstack.Params {
 
 var mqBDF = pci.NewBDF(0, 3, 0)
 
+// memPages sizes the simulated physical memory: 1<<15 pages, 128 MiB.
+const memPages = 1 << 15
+
 // Run executes one deterministic scale-out measurement: K cores, each with
 // its own virtual clock and MQNIC queue pair, scheduled lowest-virtual-time
 // first at per-packet granularity. The single physical clock every simulated
@@ -118,12 +118,9 @@ func Run(p Params) (Result, error) {
 	if p.WarmupPerCore <= 0 {
 		p.WarmupPerCore = 120
 	}
-	if p.MemPages == 0 {
-		p.MemPages = 1 << 15
-	}
 
 	sys, err := sim.New(sim.Spec{
-		Mode: p.Mode, MemPages: p.MemPages,
+		Mode: p.Mode, MemPages: memPages,
 		Model: cycles.DefaultModel().Scaled(p.Profile.CostScale), IntRemap: p.IntRemap,
 	})
 	if err != nil {

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"riommu/internal/baseline"
+	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/faults"
@@ -330,6 +332,160 @@ func TestGracefulDegradation(t *testing.T) {
 	st := sys.BaseHW.TLB().Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Error("baseline IOMMU saw no translations after degradation")
+	}
+}
+
+// TestNVMeGracefulDegradation is TestGracefulDegradation for the NVMe
+// driver: one stale DMA under rIOMMU degrades the controller, and its
+// queues and commands then run through the strict baseline unit.
+func TestNVMeGracefulDegradation(t *testing.T) {
+	sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 14, Inject: true, Faults: faults.Config{Seed: 404}, Audit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sys.FaultEng
+	prot, err := sys.ProtectionFor(nvmeBDF, []uint32{4, 64, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := driver.NewNVMeDriver(sys.Mem, prot, sys.Eng, nvmeBDF, 4096, 128, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := sys.Supervise(nvmeBDF, d)
+	sup.DegradeAfter = 1
+
+	payload := bytes.Repeat([]byte{0x5c}, 700)
+	f.SetRate(faults.DMAStale, 1)
+	err = sup.Do(func() error {
+		if _, err := d.Write(2, payload); err != nil {
+			return err
+		}
+		_, err := d.Poll(8)
+		if err != nil {
+			f.SetRate(faults.DMAStale, 0) // the fault clears before the retry
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("supervised write: %v", err)
+	}
+	if f.Count(faults.DMAStale) == 0 {
+		t.Fatal("no stale-DMA fault recorded")
+	}
+	if !sup.Degraded() || sup.Stats.Degradations != 1 {
+		t.Fatalf("no degradation: %+v", sup.Stats)
+	}
+	if _, ok := sys.Protections[nvmeBDF].(*baseline.Driver); !ok {
+		t.Fatalf("protection after degradation is %T, want *baseline.Driver", sys.Protections[nvmeBDF])
+	}
+
+	// A write and its read-back go through the strict unit.
+	before := sys.BaseHW.TLB().Stats()
+	if _, err := d.Write(9, payload); err != nil {
+		t.Fatal(err)
+	}
+	if cs, err := d.PollData(8); err != nil || len(cs) != 1 || cs[0].Status != device.NVMeStatusOK {
+		t.Fatalf("write after degradation: %v %v", cs, err)
+	}
+	if _, err := d.Read(9, uint32(len(payload))); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := d.PollData(8)
+	if err != nil || len(cs) != 1 || !bytes.Equal(cs[0].Data, payload) {
+		t.Fatalf("read-back after degradation: %v %v", cs, err)
+	}
+	if st := sys.BaseHW.TLB().Stats(); st.Hits+st.Misses == before.Hits+before.Misses {
+		t.Error("baseline IOMMU saw no translations after degradation")
+	}
+	if err := sys.CheckLive(nvmeBDF, d.Live()); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDeviceBreakerEndToEnd runs a device's own circuit breaker on a real
+// world: stale DMAs trip it, the quarantine blackholes just that device's
+// route while another device keeps translating, and once the backoff
+// expires the probe re-admits the device and its traffic flows again.
+func TestDeviceBreakerEndToEnd(t *testing.T) {
+	sys, err := New(Spec{Mode: RIOMMU, MemPages: 1 << 15, Inject: true, Faults: faults.Config{Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sys.FaultEng
+	drv, nic, err := sys.AttachNIC(device.ProfileBRCM, bdf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nic.CaptureTx = true
+	otherBDF := pci.NewBDF(0, 9, 0)
+	other, otherNIC, err := sys.AttachNIC(device.ProfileBRCM, otherBDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherNIC.CaptureTx = true
+	sup := driver.NewSupervisor(sys.CPU, bdf, drv)
+	sup.Breaker = driver.NewBreaker()
+	sup.Breaker.AddIsolator(sys.IsolatorFor(bdf))
+
+	round := func(d *driver.NICDriver, payload []byte) error {
+		if err := d.Send(payload); err != nil {
+			return err
+		}
+		if _, err := d.PumpTx(int(d.TxRing().Pending())); err != nil {
+			return err
+		}
+		_, err := d.ReapTx()
+		return err
+	}
+	payload := bytes.Repeat([]byte{0x33}, 256)
+	op := func() error { return round(drv, payload) }
+	if err := sup.Do(op); err != nil {
+		t.Fatalf("healthy round: %v", err)
+	}
+
+	f.SetRate(faults.DMAStale, 1)
+	for i := 0; sup.Breaker.State() != driver.BreakerOpen; i++ {
+		if i == 10 {
+			t.Fatal("10 rounds of stale DMAs never tripped the breaker")
+		}
+		if err := sup.Do(op); err == nil {
+			t.Fatalf("round %d succeeded under stale DMAs", i)
+		}
+	}
+	f.SetRate(faults.DMAStale, 0)
+
+	// Open: operations fast-fail, and the device's DMAs hit the blackhole
+	// even with the fault cleared, while another device translates.
+	ran := false
+	if err := sup.Do(func() error { ran = true; return nil }); !errors.Is(err, driver.ErrQuarantined) || ran {
+		t.Fatalf("op while quarantined: ran=%v err=%v", ran, err)
+	}
+	rxIOVA := drv.RxRing().ReadSlot(0).Addr
+	if err := sys.Eng.Write(bdf, rxIOVA, []byte{1}); err == nil {
+		t.Error("quarantined device's DMA was translated")
+	}
+	otherMsg := []byte("other device")
+	if err := round(other, otherMsg); err != nil || !bytes.Equal(otherNIC.LastTx, otherMsg) {
+		t.Fatalf("quarantine leaked onto another device: %v", err)
+	}
+
+	// The backoff expires; the probe re-admits the device and succeeds.
+	sys.CPU.Charge(cycles.Recovery, sup.Breaker.BackoffCycles)
+	msg := bytes.Repeat([]byte{0x44}, 300)
+	if err := sup.Do(func() error { return round(drv, msg) }); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if !bytes.Equal(nic.LastTx, msg) {
+		t.Error("probe's payload did not reach the wire")
+	}
+	if err := sys.Eng.Write(bdf, rxIOVA, []byte{1}); err != nil {
+		t.Errorf("re-admitted device's DMA faulted: %v", err)
+	}
+	b := sup.Breaker
+	if b.State() != driver.BreakerClosed || b.Trips != 1 || b.Readmissions != 1 || b.Quarantines != 1 {
+		t.Errorf("state %s trips %d readmissions %d quarantines %d, want closed/1/1/1",
+			b.State(), b.Trips, b.Readmissions, b.Quarantines)
 	}
 }
 

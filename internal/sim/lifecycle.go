@@ -201,10 +201,10 @@ func (s *System) DetachProtection(bdf pci.BDF) error {
 // HotAttachMQNIC is the full hot-add sequence for a multi-queue NIC:
 // lifecycle BeginAttach, teardown of any previous occupant's translation
 // structures, fresh protection + rings + device model, interrupt wiring
-// when remapping is enabled, and CompleteAttach (which also restores a
-// blackholed DMA route). It works from Detached, SurpriseRemoved, and
-// Quarantined.
-func (s *System) HotAttachMQNIC(profile device.NICProfile, bdf pci.BDF, queues int, posted bool) (*driver.MQNIC, error) {
+// (direct dispatch, not posted) when remapping is enabled, and
+// CompleteAttach (which also restores a blackholed DMA route). It works
+// from Detached, SurpriseRemoved, and Quarantined.
+func (s *System) HotAttachMQNIC(profile device.NICProfile, bdf pci.BDF, queues int) (*driver.MQNIC, error) {
 	lc := s.LifecycleFor(bdf)
 	if err := lc.BeginAttach(); err != nil {
 		return nil, err
@@ -217,7 +217,7 @@ func (s *System) HotAttachMQNIC(profile device.NICProfile, bdf pci.BDF, queues i
 		return nil, err
 	}
 	if s.IntRemap != nil {
-		if err := s.WireMQNICInterrupts(mq, bdf, posted); err != nil {
+		if err := s.WireMQNICInterrupts(mq, bdf, false); err != nil {
 			return nil, err
 		}
 	}

@@ -78,7 +78,7 @@ func TestSurpriseRemovalSilencesDevice(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sys.Close()
-			mq, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 2, false)
+			mq, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestSurpriseRemovalSilencesDevice(t *testing.T) {
 			}
 
 			// Replug: a fresh device in the slot comes back Live and works.
-			mq2, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 2, false)
+			mq2, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 2)
 			if err != nil {
 				t.Fatalf("replug: %v", err)
 			}
@@ -236,7 +236,7 @@ func TestLifecycleOutageLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1, false); err != nil {
+	if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1); err != nil {
 		t.Fatal(err)
 	}
 	lc := sys.LifecycleFor(bdf)
@@ -248,7 +248,7 @@ func TestLifecycleOutageLedger(t *testing.T) {
 		}
 		removed := sys.CPU.Now()
 		sys.CPU.Charge(cycles.Recovery, gap)
-		if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1, false); err != nil {
+		if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1); err != nil {
 			t.Fatal(err)
 		}
 		wantDown += sys.CPU.Now() - removed

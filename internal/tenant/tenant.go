@@ -297,7 +297,7 @@ func (h *Host) AttachDevice(d *Domain, profile device.NICProfile, bdf pci.BDF, q
 	if owner, ok := h.dir[bdf]; ok && owner != d {
 		return nil, fmt.Errorf("tenant: device %s already owned by tenant %d", bdf, owner.ID)
 	}
-	mq, err := d.Sys.HotAttachMQNIC(profile, bdf, queues, false)
+	mq, err := d.Sys.HotAttachMQNIC(profile, bdf, queues)
 	if err != nil {
 		return nil, err
 	}

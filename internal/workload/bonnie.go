@@ -17,16 +17,15 @@ import (
 // protection indistinguishable from no IOMMU on SATA drives, HDD or SSD,
 // because the drive — not the CPU — is the bottleneck.
 type BonnieOpts struct {
-	Ops     int
-	ChunkKB int
+	Ops int
 }
+
+// bonnieChunkBytes is the size of one sequential I/O.
+const bonnieChunkBytes = 8 * 1024
 
 func (o *BonnieOpts) defaults() {
 	if o.Ops == 0 {
 		o.Ops = 400
-	}
-	if o.ChunkKB == 0 {
-		o.ChunkKB = 8
 	}
 }
 
@@ -48,7 +47,7 @@ func Bonnie(mode sim.Mode, opts BonnieOpts) (Result, error) {
 		return Result{}, err
 	}
 	disk := device.NewSATA(SATABDF, sys.Eng, 4096, 1<<16)
-	chunk := uint32(opts.ChunkKB * 1024)
+	chunk := uint32(bonnieChunkBytes)
 	frames := int((chunk + mem.PageSize - 1) / mem.PageSize)
 
 	buf, err := sys.Mem.AllocFrames(frames)

@@ -13,7 +13,6 @@ import (
 type MemcachedOpts struct {
 	Operations int
 	Warmup     int
-	GetPercent int
 }
 
 func (o *MemcachedOpts) defaults() {
@@ -22,9 +21,6 @@ func (o *MemcachedOpts) defaults() {
 	}
 	if o.Warmup == 0 {
 		o.Warmup = 300
-	}
-	if o.GetPercent == 0 {
-		o.GetPercent = 90
 	}
 }
 
@@ -56,8 +52,7 @@ func Memcached(mode sim.Mode, profile device.NICProfile, opts MemcachedOpts) (Re
 
 	op := func(i int) error {
 		sys.CPU.Charge(cycles.App, memcachedAppCycles)
-		isGet := i%10 < opts.GetPercent/10
-		if isGet {
+		if i%10 < 9 { // 90% get
 			// get: key arrives, value goes out.
 			if _, err := conn.Receive(req[:memKeyBytes]); err != nil {
 				return err

@@ -10,16 +10,16 @@ import (
 	"riommu/internal/sim"
 )
 
+// streamMessageBytes is Netperf's default message size (§5.1).
+const streamMessageBytes = 16 * 1024
+
 // StreamOpts configures a Netperf TCP stream run.
 type StreamOpts struct {
-	// Messages is the number of 16 KB messages to measure (Netperf's
-	// default message size, §5.1).
+	// Messages is the number of 16 KB messages to measure.
 	Messages int
 	// WarmupMessages run before the clocks reset, letting the IOVA
 	// allocator and caches reach steady state.
 	WarmupMessages int
-	// MessageBytes overrides the 16 KB default.
-	MessageBytes int
 	// ExtraCyclesPerPacket adds an artificial busy-wait to every packet,
 	// used by the Figure 8 model-validation sweep (§3.3).
 	ExtraCyclesPerPacket uint64
@@ -35,9 +35,6 @@ func (o *StreamOpts) defaults() {
 	}
 	if o.WarmupMessages == 0 {
 		o.WarmupMessages = 120
-	}
-	if o.MessageBytes == 0 {
-		o.MessageBytes = 16 * 1024
 	}
 }
 
@@ -64,7 +61,7 @@ func NetperfStream(mode sim.Mode, profile device.NICProfile, opts StreamOpts) (R
 	conn := netstack.NewConn(sys.CPU, fx.drv, params)
 
 	for i := 0; i < opts.WarmupMessages; i++ {
-		if err := conn.SendMessage(opts.MessageBytes); err != nil {
+		if err := conn.SendMessage(streamMessageBytes); err != nil {
 			return Result{}, err
 		}
 	}
@@ -75,7 +72,7 @@ func NetperfStream(mode sim.Mode, profile device.NICProfile, opts StreamOpts) (R
 	startPkts := conn.DataPackets
 
 	for i := 0; i < opts.Messages; i++ {
-		if err := conn.SendMessage(opts.MessageBytes); err != nil {
+		if err := conn.SendMessage(streamMessageBytes); err != nil {
 			return Result{}, err
 		}
 	}
