@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCH_GOLDEN ?= BENCH_golden.json
 BENCH_WALLCLOCK ?= BENCH_wallclock.txt
 BENCH_GATE ?= BENCH_gate.json
-WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|IOVAChurn|CampaignCell|EngineReadU64|TrafficCell|TrafficTick|OracleVerify|^BenchmarkAllocFrames$$|^BenchmarkNewSystem$$
+WALLCLOCK_PATTERN ?= MapUnmap|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|^BenchmarkStage2Walk$$|IOVAChurn|CampaignCell|EngineReadU64|TrafficCell|TrafficTick|OracleVerify|^BenchmarkAllocFrames$$|^BenchmarkNewSystem$$
 WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime 20s
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime 20s
 	$(GO) test ./internal/iova/ -run FuzzLinuxAllocator -fuzz FuzzLinuxAllocator -fuzztime 20s
+	$(GO) test ./internal/oamap/ -run FuzzMultimap -fuzz FuzzMultimap -fuzztime 20s
 
 # fuzz-smoke is the CI-sized variant: long enough to execute the engines on
 # generated inputs, short enough for every push.
@@ -127,6 +128,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/iova/ -run FuzzLinuxAllocator -fuzz FuzzLinuxAllocator -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/oamap/ -run FuzzMultimap -fuzz FuzzMultimap -fuzztime $(FUZZTIME)
 
 # bench-json regenerates the committed benchmark golden. Run it (and commit
 # the result) whenever an intentional change moves any cell metric. The

@@ -24,6 +24,7 @@ import (
 
 	"riommu/internal/cycles"
 	"riommu/internal/mem"
+	"riommu/internal/oamap"
 	"riommu/internal/pci"
 )
 
@@ -51,14 +52,15 @@ func Reasons() []string {
 	return []string{ReasonStale, ReasonUnmapped, ReasonBounds, ReasonDirection, ReasonPAMismatch}
 }
 
-// Mapping is one live DMA mapping as the oracle tracks it.
+// Mapping is one live DMA mapping as the oracle tracks it. The fields run
+// from widest to narrowest, so a record packs into 32 bytes.
 type Mapping struct {
-	BDF      pci.BDF
 	IOVA     uint64 // base IOVA as returned by the driver's Map
 	PA       mem.PA
-	Size     uint32
-	Dir      pci.Dir
 	MapCycle uint64
+	Size     uint32
+	BDF      pci.BDF
+	Dir      pci.Dir
 }
 
 func (m *Mapping) contains(iova uint64) bool {
@@ -113,14 +115,20 @@ type Oracle struct {
 	// outside the oracle's live set without being a protection failure.
 	passThrough bool
 
-	// devs holds one record per device that has mapped, so each call
-	// looks its device up once. Lookups never add a record. The key is the
-	// BDF widened to 32 bits, which the runtime hashes on its fast path
-	// for 4-byte keys rather than its generic one for 2-byte keys.
-	devs map[uint32]*device
-	// spare holds the mapping records unmap and duplicate-base retirement
-	// released (their tombstones keep a copy), for OnMap to reuse.
-	spare []*Mapping
+	// devs holds one record per device that has mapped, in the order the
+	// devices first mapped, so each call looks its device up once. A world
+	// has a handful of devices, so the lookup is a scan of this slice.
+	// Lookups never add a record.
+	devs []device
+
+	// recs is the slab of mapping records, addressed by int32 id, in
+	// chunks that never move; a device's index holds ids. ids counts the
+	// ids handed out, and free holds those that unmap and duplicate-base
+	// retirement released (their tombstones keep a copy), for OnMap to
+	// reuse.
+	recs []*[slabChunk]Mapping
+	ids  int32
+	free []int32
 
 	// Aggregate counters. Checked counts verified DMA chunks; Violations
 	// counts every breach (Events holds only the first maxEvents).
@@ -137,19 +145,22 @@ type Oracle struct {
 	LiveNow, LivePeak int
 }
 
+// slabChunk is the number of mapping records in one chunk of the slab.
+const slabChunk = 64
+
 // device is the oracle's record of one device: its live mappings, indexed
 // by IOVA page, and its tombstones.
 type device struct {
-	// live files the device's live mappings under every IOVA page they
-	// span, so the mapping containing an address, or the one based at it,
-	// is a map lookup away. Live mappings never share a byte, but sub-page
-	// buffers from two IOVA allocators can share a page: a hot-attached
-	// driver gets a fresh allocator while the detached instance's buffers
-	// are still mapped. live holds the first mapping filed under a page and
-	// shared every later one, in filing order; shared stays nil until a
-	// page is shared.
-	live   map[uint64]*Mapping
-	shared map[uint64][]*Mapping
+	bdf pci.BDF
+
+	// live files the id of each of the device's live mappings under every
+	// IOVA page it spans, so the mapping containing an address, or the one
+	// based at it, is a probe of one table away. Live mappings never share
+	// a byte, but sub-page buffers from two IOVA allocators can share a
+	// page: a hot-attached driver gets a fresh allocator while the detached
+	// instance's buffers are still mapped. Such a page holds one entry per
+	// mapping, in filing order.
+	live oamap.Multimap
 
 	// retired holds the device's tombstones, oldest first (see retire).
 	retired []Retired
@@ -164,7 +175,6 @@ func NewOracle(mode string, clk *cycles.Clock) *Oracle {
 	return &Oracle{
 		mode:     mode,
 		clk:      clk,
-		devs:     make(map[uint32]*device),
 		ByReason: make(map[string]uint64),
 	}
 }
@@ -176,17 +186,30 @@ func (o *Oracle) Mode() string { return o.mode }
 // unprotected none/hwpt/swpt configurations, which never map anything).
 func (o *Oracle) SetPassThrough(v bool) { o.passThrough = v }
 
-// lookup returns bdf's record, or nil if the device never mapped.
-func (o *Oracle) lookup(bdf pci.BDF) *device { return o.devs[uint32(bdf)] }
+// lookup returns bdf's record, or nil if the device never mapped. The
+// pointer is good until the next call adds a record.
+func (o *Oracle) lookup(bdf pci.BDF) *device {
+	for i := range o.devs {
+		if o.devs[i].bdf == bdf {
+			return &o.devs[i]
+		}
+	}
+	return nil
+}
 
 // device returns bdf's record, adding one if the device has none.
 func (o *Oracle) device(bdf pci.BDF) *device {
-	d := o.lookup(bdf)
-	if d == nil {
-		d = &device{live: make(map[uint64]*Mapping)}
-		o.devs[uint32(bdf)] = d
+	if d := o.lookup(bdf); d != nil {
+		return d
 	}
-	return d
+	o.devs = append(o.devs, device{bdf: bdf})
+	return &o.devs[len(o.devs)-1]
+}
+
+// rec returns the record with the given id.
+func (o *Oracle) rec(id int32) *Mapping {
+	u := uint32(id)
+	return &o.recs[u/slabChunk][u%slabChunk]
 }
 
 // OnMap mirrors a successful driver map. A duplicate base IOVA retires the
@@ -195,12 +218,16 @@ func (o *Oracle) device(bdf pci.BDF) *device {
 func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	o.Maps++
 	d := o.device(bdf)
-	if old := d.base(iova); old != nil {
+	if old := o.base(d, iova); old >= 0 {
 		o.release(d, old)
 	}
-	m := o.newMapping()
+	id := o.newID()
+	m := o.rec(id)
 	*m = Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()}
-	d.file(m)
+	first, last := pageSpan(m)
+	for p := first; p <= last; p++ {
+		d.live.Insert(p, id)
+	}
 	d.n++
 	o.LiveNow++
 	if o.LiveNow > o.LivePeak {
@@ -212,31 +239,39 @@ func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci
 func (o *Oracle) OnUnmap(bdf pci.BDF, iova uint64) {
 	o.Unmaps++
 	d := o.lookup(bdf)
-	m := d.base(iova)
-	if m == nil {
+	id := o.base(d, iova)
+	if id < 0 {
 		o.UnmapMisses++
 		return
 	}
-	o.release(d, m)
+	o.release(d, id)
 }
 
-// newMapping returns a released record, or a new one if none is left.
-func (o *Oracle) newMapping() *Mapping {
-	n := len(o.spare)
-	if n == 0 {
-		return new(Mapping)
+// newID returns a released record's id, or the next id of the slab,
+// adding a chunk when the last one is full.
+func (o *Oracle) newID() int32 {
+	if n := len(o.free); n > 0 {
+		id := o.free[n-1]
+		o.free = o.free[:n-1]
+		return id
 	}
-	m := o.spare[n-1]
-	o.spare = o.spare[:n-1]
-	return m
+	if o.ids%slabChunk == 0 {
+		o.recs = append(o.recs, new([slabChunk]Mapping))
+	}
+	o.ids++
+	return o.ids - 1
 }
 
-// release takes the live mapping m out of d's index, files its tombstone
-// and keeps the record for OnMap to reuse.
-func (o *Oracle) release(d *device, m *Mapping) {
-	d.unfile(m)
+// release takes the live mapping id out of d's index, files its tombstone
+// and keeps the id for OnMap to reuse.
+func (o *Oracle) release(d *device, id int32) {
+	m := o.rec(id)
+	first, last := pageSpan(m)
+	for p := first; p <= last; p++ {
+		d.live.Delete(p, id) // id is filed under every page it spans
+	}
 	d.retire(m, o.clk.Now())
-	o.spare = append(o.spare, m)
+	o.free = append(o.free, id)
 	d.n--
 	o.LiveNow--
 }
@@ -285,7 +320,7 @@ func (o *Oracle) VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir
 		return
 	}
 	d := o.lookup(bdf)
-	o.judge(d, d.find(iova), bdf, iova, pa, size, dir)
+	o.judge(d, o.find(d, iova), bdf, iova, pa, size, dir)
 }
 
 // judge records the verdict on a chunk of device d (nil if it never
@@ -342,41 +377,36 @@ func (o *Oracle) violate(v Violation) {
 // LiveFirst returns the n live mappings of the device with the lowest base
 // IOVAs among those keep accepts (nil accepts every mapping), in ascending
 // base order: the deterministic view chaos scenarios pick targets from.
-// OnMap retires a duplicate base, so base IOVAs are unique per device and
-// the selection cannot depend on map iteration order.
+// It makes one pass over the device's index in slot order, which the
+// oracle's calls alone decide; and since OnMap retires a duplicate base,
+// base IOVAs are unique per device, so any order would pick the same.
 func (o *Oracle) LiveFirst(bdf pci.BDF, n int, keep func(Mapping) bool) []Mapping {
 	d := o.lookup(bdf)
-	if d == nil || len(d.live) == 0 || n <= 0 {
+	if d == nil || d.n == 0 || n <= 0 {
 		return nil
 	}
-	out := make([]Mapping, 0, min(n, len(d.live)))
-	pick := func(page uint64, m *Mapping) {
+	out := make([]Mapping, 0, min(n, d.n))
+	for i := 0; i < d.live.Slots(); i++ {
+		page, id, ok := d.live.Entry(i)
+		if !ok {
+			continue
+		}
+		m := o.rec(id)
 		// A mapping sits in the index once per page it spans; count it
 		// only at its base page.
 		if page != m.IOVA>>mem.PageShift || len(out) == n && m.IOVA >= out[n-1].IOVA {
-			return
+			continue
 		}
 		if keep != nil && !keep(*m) {
-			return
+			continue
 		}
 		if len(out) < n {
 			out = append(out, *m)
 		} else {
 			out[n-1] = *m
 		}
-		for i := len(out) - 1; i > 0 && out[i-1].IOVA > out[i].IOVA; i-- {
-			out[i-1], out[i] = out[i], out[i-1]
-		}
-	}
-	// maporder: base IOVAs are unique, so pick keeps the same n lowest
-	// mappings, sorted, whatever order it is offered them in.
-	for page, m := range d.live {
-		pick(page, m)
-	}
-	// maporder: as for d.live above; pick is order-blind.
-	for page, ms := range d.shared {
-		for _, m := range ms {
-			pick(page, m)
+		for j := len(out) - 1; j > 0 && out[j-1].IOVA > out[j].IOVA; j-- {
+			out[j-1], out[j] = out[j], out[j-1]
 		}
 	}
 	return out
@@ -404,79 +434,30 @@ func pageSpan(m *Mapping) (first, last uint64) {
 	return m.IOVA >> mem.PageShift, (m.IOVA + uint64(max(m.Size, 1)) - 1) >> mem.PageShift
 }
 
-// file adds m to the live index under every page it spans.
-func (d *device) file(m *Mapping) {
-	first, last := pageSpan(m)
-	for p := first; p <= last; p++ {
-		if d.live[p] == nil {
-			d.live[p] = m
-			continue
-		}
-		if d.shared == nil {
-			d.shared = make(map[uint64][]*Mapping)
-		}
-		d.shared[p] = append(d.shared[p], m)
-	}
-}
-
-// unfile removes m from every page it spans. Where m held a shared page's
-// live slot, the oldest shared mapping takes it over.
-func (d *device) unfile(m *Mapping) {
-	first, last := pageSpan(m)
-	for p := first; p <= last; p++ {
-		rest := d.shared[p]
-		i := 0
-		if d.live[p] == m {
-			if len(rest) == 0 {
-				delete(d.live, p)
-				continue
-			}
-			d.live[p] = rest[0]
-		} else {
-			for rest[i] != m { // m is filed under every page it spans
-				i++
-			}
-		}
-		if len(rest) == 1 {
-			delete(d.shared, p)
-		} else {
-			d.shared[p] = append(rest[:i], rest[i+1:]...)
-		}
-	}
-}
-
-// find returns the live mapping containing iova, or nil.
-func (d *device) find(iova uint64) *Mapping {
+// find returns the live mapping of d containing iova, or nil.
+func (o *Oracle) find(d *device, iova uint64) *Mapping {
 	if d == nil {
 		return nil
 	}
 	p := iova >> mem.PageShift
-	m := d.live[p]
-	if m == nil || m.contains(iova) {
-		return m
-	}
-	for _, s := range d.shared[p] {
-		if s.contains(iova) {
-			return s
+	for i := d.live.First(p); i >= 0; i = d.live.Next(p, i) {
+		if m := o.rec(d.live.Value(i)); m.contains(iova) {
+			return m
 		}
 	}
 	return nil
 }
 
-// base returns the live mapping based exactly at iova, or nil.
-func (d *device) base(iova uint64) *Mapping {
+// base returns the id of d's live mapping based exactly at iova, or -1.
+func (o *Oracle) base(d *device, iova uint64) int32 {
 	if d == nil {
-		return nil
+		return -1
 	}
 	p := iova >> mem.PageShift
-	m := d.live[p]
-	if m == nil || m.IOVA == iova {
-		return m
-	}
-	for _, s := range d.shared[p] {
-		if s.IOVA == iova {
-			return s
+	for i := d.live.First(p); i >= 0; i = d.live.Next(p, i) {
+		if id := d.live.Value(i); o.rec(id).IOVA == iova {
+			return id
 		}
 	}
-	return nil
+	return -1
 }

@@ -319,8 +319,8 @@ func TestHotplugSharedPage(t *testing.T) {
 		if o.ByReason[ReasonStale] != 2 || o.Violations != 2 {
 			t.Fatalf("unmapped buffers: ByReason %v, want 2 stale", o.ByReason)
 		}
-		if d := o.lookup(bdf); o.LiveNow != 0 || o.UnmapMisses != 0 || len(d.live) != 0 || len(d.shared) != 0 {
-			t.Fatalf("index not empty after both unmaps: LiveNow=%d misses=%d live=%v shared=%v", o.LiveNow, o.UnmapMisses, d.live, d.shared)
+		if d := o.lookup(bdf); o.LiveNow != 0 || o.UnmapMisses != 0 || d.live.Len() != 0 {
+			t.Fatalf("index not empty after both unmaps: LiveNow=%d misses=%d live=%d", o.LiveNow, o.UnmapMisses, d.live.Len())
 		}
 	}
 }

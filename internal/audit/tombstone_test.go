@@ -27,15 +27,15 @@ func newCompactOracle(clk *cycles.Clock) *compactOracle {
 }
 
 func (o *compactOracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
-	if old := o.lookup(bdf).base(iova); old != nil {
-		o.retireCompact(bdf, *old)
+	if old := o.base(o.lookup(bdf), iova); old >= 0 {
+		o.retireCompact(bdf, *o.rec(old))
 	}
 	o.Oracle.OnMap(bdf, iova, pa, size, dir)
 }
 
 func (o *compactOracle) OnUnmap(bdf pci.BDF, iova uint64) {
-	if m := o.lookup(bdf).base(iova); m != nil {
-		o.retireCompact(bdf, *m)
+	if m := o.base(o.lookup(bdf), iova); m >= 0 {
+		o.retireCompact(bdf, *o.rec(m))
 	}
 	o.Oracle.OnUnmap(bdf, iova)
 }
@@ -49,7 +49,7 @@ func (o *compactOracle) retireCompact(bdf pci.BDF, m Mapping) {
 }
 
 func (o *compactOracle) VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
-	if o.lookup(bdf).find(iova) != nil {
+	if o.find(o.lookup(bdf), iova) != nil {
 		o.Oracle.VerifyDMA(bdf, iova, pa, size, dir)
 		return
 	}

@@ -3,11 +3,18 @@
 // the hardware page walker and invalidated explicitly by the OS as part of
 // unmap. Invalidation of a single entry costs ~2,127 cycles on the paper's
 // hardware (Table 1); flushing the whole IOTLB is what Linux's deferred mode
-// amortizes over 250 unmaps.
+// amortizes over 250 unmaps. The same cache, at a larger capacity, is each
+// tenant domain's stage-2 TLB.
+//
+// Every DMA the baseline translates looks the cache up, so the cache is
+// indexed by an open-addressed table (internal/oamap), not a Go map: a
+// lookup hashes one uint64, not a struct, and probes one pointer-free
+// array.
 package iotlb
 
 import (
 	"riommu/internal/mem"
+	"riommu/internal/oamap"
 	"riommu/internal/pci"
 )
 
@@ -45,13 +52,14 @@ type Stats struct {
 // 8 bytes apart instead of striding over whole slot structs, so the LRU
 // maintenance loop stays inside one or two cache lines at realistic
 // capacities. Slots are threaded onto two index-linked lists (LRU order and
-// free list) with a map from Key to slot index; the hot operations — hit,
-// insert-with-eviction, invalidate — allocate nothing: slots are recycled in
-// place and only the map keys churn. The eviction policy (exact LRU, pinned
-// by tests) is unchanged from the slot-of-structs layout.
+// free list). The index maps a 64-bit mix of each Key to its slot and is
+// sized once, at twice the capacity. The hot operations — hit,
+// insert-with-eviction, invalidate — allocate nothing: slots are recycled
+// in place and the index never grows. The eviction policy (exact LRU,
+// pinned by tests) is unchanged from the slot-of-structs layout.
 type IOTLB struct {
 	capacity int
-	index    map[Key]int32
+	index    oamap.Multimap // mix(Key) → slot
 
 	// Parallel slot arrays (struct-of-arrays layout).
 	keys    []Key
@@ -78,7 +86,7 @@ func New(capacity int) *IOTLB {
 	}
 	t := &IOTLB{
 		capacity: capacity,
-		index:    make(map[Key]int32, capacity),
+		index:    oamap.New(capacity),
 		keys:     make([]Key, capacity),
 		entries:  make([]Entry, capacity),
 		stale:    make([]bool, capacity),
@@ -87,6 +95,22 @@ func New(capacity int) *IOTLB {
 	}
 	t.reset()
 	return t
+}
+
+// mix folds a Key into the table's 64-bit key: the BDF above bit 48, clear
+// of any page number of a 48-bit address space. A wider page number folds
+// into the BDF's bits; find's exact Key compare tells the two apart.
+func mix(k Key) uint64 { return uint64(k.BDF)<<48 ^ k.IOVAPFN }
+
+// find returns key's table position and slot, or -1 and nilSlot.
+func (t *IOTLB) find(key Key) (int, int32) {
+	h := mix(key)
+	for p := t.index.First(h); p >= 0; p = t.index.Next(h, p) {
+		if i := t.index.Value(p); t.keys[i] == key {
+			return p, i
+		}
+	}
+	return -1, nilSlot
 }
 
 // reset threads every slot onto the free list and empties the LRU order.
@@ -106,9 +130,6 @@ func (t *IOTLB) reset() {
 // Capacity returns the maximum number of entries.
 func (t *IOTLB) Capacity() int { return t.capacity }
 
-// Len returns the current number of entries.
-func (t *IOTLB) Len() int { return len(t.index) }
-
 // Stats returns a copy of the event counters.
 func (t *IOTLB) Stats() Stats { return t.stats }
 
@@ -117,8 +138,8 @@ func (t *IOTLB) Stats() Stats { return t.stats }
 // deferred-mode vulnerability window) is counted in StaleLookups and still
 // returned, exactly as real hardware would.
 func (t *IOTLB) Lookup(key Key) (Entry, bool) {
-	i, ok := t.index[key]
-	if !ok {
+	_, i := t.find(key)
+	if i == nilSlot {
 		t.stats.Misses++
 		return Entry{}, false
 	}
@@ -132,7 +153,7 @@ func (t *IOTLB) Lookup(key Key) (Entry, bool) {
 
 // Insert caches a translation, evicting the LRU entry if full.
 func (t *IOTLB) Insert(key Key, e Entry) {
-	if i, ok := t.index[key]; ok {
+	if _, i := t.find(key); i != nilSlot {
 		t.entries[i] = e
 		t.stale[i] = false
 		t.moveToFront(i)
@@ -142,7 +163,7 @@ func (t *IOTLB) Insert(key Key, e Entry) {
 	if i == nilSlot {
 		i = t.tail
 		t.unlink(i)
-		delete(t.index, t.keys[i])
+		t.index.Delete(mix(t.keys[i]), i)
 		t.stats.Evictions++
 	} else {
 		t.freeHead = t.next[i]
@@ -151,7 +172,7 @@ func (t *IOTLB) Insert(key Key, e Entry) {
 	t.entries[i] = e
 	t.stale[i] = false
 	t.prev[i], t.next[i] = nilSlot, nilSlot
-	t.index[key] = i
+	t.index.Insert(mix(key), i)
 	t.pushFront(i)
 	t.stats.Inserts++
 }
@@ -159,7 +180,7 @@ func (t *IOTLB) Insert(key Key, e Entry) {
 // MarkStale flags a cached translation whose mapping the OS has removed but
 // whose invalidation is deferred. It is a no-op if the entry is not cached.
 func (t *IOTLB) MarkStale(key Key) {
-	if i, ok := t.index[key]; ok {
+	if _, i := t.find(key); i != nilSlot {
 		t.stale[i] = true
 	}
 }
@@ -167,9 +188,9 @@ func (t *IOTLB) MarkStale(key Key) {
 // Invalidate removes a single entry (the strict-mode per-unmap operation).
 func (t *IOTLB) Invalidate(key Key) {
 	t.stats.Invalidates++
-	if i, ok := t.index[key]; ok {
+	if p, i := t.find(key); i != nilSlot {
 		t.unlink(i)
-		delete(t.index, key)
+		t.index.Remove(p)
 		t.next[i] = t.freeHead
 		t.freeHead = i
 	}
@@ -178,7 +199,7 @@ func (t *IOTLB) Invalidate(key Key) {
 // Flush empties the whole cache (the deferred-mode bulk operation).
 func (t *IOTLB) Flush() {
 	t.stats.GlobalFlush++
-	clear(t.index)
+	t.index.Clear()
 	t.reset()
 }
 

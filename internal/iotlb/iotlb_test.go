@@ -49,8 +49,8 @@ func TestLRUEviction(t *testing.T) {
 	if tlb.Stats().Evictions != 1 {
 		t.Errorf("evictions = %d", tlb.Stats().Evictions)
 	}
-	if tlb.Len() != 2 {
-		t.Errorf("Len = %d", tlb.Len())
+	if tlb.index.Len() != 2 {
+		t.Errorf("Len = %d", tlb.index.Len())
 	}
 }
 
@@ -58,8 +58,8 @@ func TestInsertUpdatesExisting(t *testing.T) {
 	tlb := New(2)
 	tlb.Insert(key(1), Entry{Frame: 1})
 	tlb.Insert(key(1), Entry{Frame: 9})
-	if tlb.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tlb.Len())
+	if tlb.index.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", tlb.index.Len())
 	}
 	e, _ := tlb.Lookup(key(1))
 	if e.Frame != 9 {
@@ -91,8 +91,8 @@ func TestFlush(t *testing.T) {
 		tlb.Insert(key(i), Entry{Frame: mem.PFN(i)})
 	}
 	tlb.Flush()
-	if tlb.Len() != 0 {
-		t.Errorf("Len = %d after flush", tlb.Len())
+	if tlb.index.Len() != 0 {
+		t.Errorf("Len = %d after flush", tlb.index.Len())
 	}
 	if tlb.Stats().GlobalFlush != 1 {
 		t.Errorf("GlobalFlush = %d", tlb.Stats().GlobalFlush)
@@ -169,7 +169,7 @@ func TestCapacityProperty(t *testing.T) {
 			case 3:
 				tlb.Invalidate(k)
 			}
-			if tlb.Len() > capacity {
+			if tlb.index.Len() > capacity {
 				return false
 			}
 		}
