@@ -218,8 +218,8 @@ func (o *Oracle) rec(id int32) *Mapping {
 func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	o.Maps++
 	d := o.device(bdf)
-	if old := o.base(d, iova); old >= 0 {
-		o.release(d, old)
+	if old, at := o.base(d, iova); old >= 0 {
+		o.release(d, old, at)
 	}
 	id := o.newID()
 	m := o.rec(id)
@@ -239,12 +239,12 @@ func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci
 func (o *Oracle) OnUnmap(bdf pci.BDF, iova uint64) {
 	o.Unmaps++
 	d := o.lookup(bdf)
-	id := o.base(d, iova)
+	id, at := o.base(d, iova)
 	if id < 0 {
 		o.UnmapMisses++
 		return
 	}
-	o.release(d, id)
+	o.release(d, id, at)
 }
 
 // newID returns a released record's id, or the next id of the slab,
@@ -263,11 +263,13 @@ func (o *Oracle) newID() int32 {
 }
 
 // release takes the live mapping id out of d's index, files its tombstone
-// and keeps the id for OnMap to reuse.
-func (o *Oracle) release(d *device, id int32) {
+// and keeps the id for OnMap to reuse. at is the position of its base
+// page's entry, which base found.
+func (o *Oracle) release(d *device, id int32, at int) {
 	m := o.rec(id)
 	first, last := pageSpan(m)
-	for p := first; p <= last; p++ {
+	d.live.Remove(at)
+	for p := first + 1; p <= last; p++ {
 		d.live.Delete(p, id) // id is filed under every page it spans
 	}
 	d.retire(m, o.clk.Now())
@@ -448,16 +450,17 @@ func (o *Oracle) find(d *device, iova uint64) *Mapping {
 	return nil
 }
 
-// base returns the id of d's live mapping based exactly at iova, or -1.
-func (o *Oracle) base(d *device, iova uint64) int32 {
+// base returns the id of d's live mapping based exactly at iova and the
+// index position of its base page's entry, or -1 and -1.
+func (o *Oracle) base(d *device, iova uint64) (int32, int) {
 	if d == nil {
-		return -1
+		return -1, -1
 	}
 	p := iova >> mem.PageShift
 	for i := d.live.First(p); i >= 0; i = d.live.Next(p, i) {
 		if id := d.live.Value(i); o.rec(id).IOVA == iova {
-			return id
+			return id, i
 		}
 	}
-	return -1
+	return -1, -1
 }

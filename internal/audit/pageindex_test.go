@@ -172,6 +172,46 @@ func compareOracles(t *testing.T, seed int64, step int, got, want *Oracle) {
 func TestOracleMatchesScanReference(t *testing.T) {
 	devs := []pci.BDF{pci.NewBDF(0, 3, 0), pci.NewBDF(0, 4, 0)}
 	readOnly := func(m Mapping) bool { return !m.Dir.Allows(pci.DirFromDevice) }
+
+	// Scripted first: a three-page mapping and two sub-page mappings that
+	// share a page, unmapped in both orders, with a DMA check every 2 KiB
+	// of each after every step.
+	type buf struct {
+		iova uint64
+		size uint32
+	}
+	multi, lo, hi := buf{0x400000, 3 * mem.PageSize}, buf{0x500000, 2048}, buf{0x500800, 2048}
+	clk := &cycles.Clock{}
+	got, want := NewOracle("strict", clk), newScanOracle(clk)
+	step := 0
+	check := func() {
+		for _, b := range []buf{multi, lo, hi} {
+			for off := uint64(0); off < uint64(b.size); off += 2048 {
+				got.VerifyDMA(devs[0], b.iova+off, mem.PA(b.iova+off), 64, pci.DirFromDevice)
+				want.VerifyDMA(devs[0], b.iova+off, mem.PA(b.iova+off), 64, pci.DirFromDevice)
+			}
+		}
+		compareOracles(t, 0, step, got, want.Oracle)
+		step++
+	}
+	for _, order := range [][]buf{{lo, hi}, {hi, lo}} {
+		for _, b := range []buf{multi, lo, hi} {
+			clk.Charge(cycles.Recovery, 1)
+			got.OnMap(devs[0], b.iova, mem.PA(b.iova), b.size, pci.DirBidi)
+			want.OnMap(devs[0], b.iova, mem.PA(b.iova), b.size, pci.DirBidi)
+			check()
+		}
+		for _, b := range []buf{order[0], multi, order[1]} {
+			clk.Charge(cycles.Recovery, 1)
+			got.OnUnmap(devs[0], b.iova)
+			want.OnUnmap(devs[0], b.iova)
+			check()
+		}
+		if got.LiveNow != 0 || got.UnmapMisses != 0 {
+			t.Fatalf("scripted unmaps left %d live, %d misses", got.LiveNow, got.UnmapMisses)
+		}
+	}
+
 	seeds, steps := 60, 600
 	if testing.Short() {
 		seeds = 10

@@ -62,8 +62,8 @@ func (v TenantViolation) String() string {
 type TenantOracle struct {
 	clk *cycles.Clock // hypervisor clock, read for violation timestamps
 
-	owner map[mem.PFN]int            // host frame → owning tenant
-	live  map[int]map[uint64]mem.PFN // tenant → GPA page → granted frame
+	owner []int32     // host frame → owning tenant + 1; 0 means unowned
+	live  [][]mem.PFN // tenant → GPA page → granted frame; 0 means unmapped
 
 	// Checked counts verified stage-2 resolutions; Violations the failures.
 	Checked    uint64
@@ -86,39 +86,48 @@ const tenantEventCap = 64
 func NewTenantOracle(clk *cycles.Clock) *TenantOracle {
 	return &TenantOracle{
 		clk:      clk,
-		owner:    make(map[mem.PFN]int),
-		live:     make(map[int]map[uint64]mem.PFN),
 		ByReason: make(map[string]uint64),
 	}
 }
 
 // OnOwn records that the host granted frame f to tenant.
 func (o *TenantOracle) OnOwn(f mem.PFN, tenant int) {
-	o.owner[f] = tenant
+	o.owner = fit(o.owner, uint64(f))
+	o.owner[f] = int32(tenant + 1)
 	o.Owns++
 }
 
 // OnDisown records that the host reclaimed frame f from its owner.
 func (o *TenantOracle) OnDisown(f mem.PFN) {
-	delete(o.owner, f)
+	if uint64(f) < uint64(len(o.owner)) {
+		o.owner[f] = 0
+	}
 	o.Disowns++
 }
 
-// OnS2Map records a stage-2 mapping: tenant's GPA page now resolves to f.
+// OnS2Map records a stage-2 mapping: tenant's GPA page now resolves to f,
+// a granted frame and so never 0.
 func (o *TenantOracle) OnS2Map(tenant int, gpa uint64, f mem.PFN) {
-	m := o.live[tenant]
-	if m == nil {
-		m = make(map[uint64]mem.PFN)
-		o.live[tenant] = m
-	}
-	m[gpa>>mem.PageShift] = f
+	o.live = fit(o.live, uint64(tenant))
+	o.live[tenant] = fit(o.live[tenant], gpa>>mem.PageShift)
+	o.live[tenant][gpa>>mem.PageShift] = f
 	o.S2Maps++
 }
 
 // OnS2Unmap records removal of a stage-2 mapping.
 func (o *TenantOracle) OnS2Unmap(tenant int, gpa uint64) {
-	delete(o.live[tenant], gpa>>mem.PageShift)
+	if p := gpa >> mem.PageShift; tenant < len(o.live) && p < uint64(len(o.live[tenant])) {
+		o.live[tenant][p] = 0
+	}
 	o.S2Unmaps++
+}
+
+// fit returns s, lengthened with zeros if need be so that i indexes it.
+func fit[T any](s []T, i uint64) []T {
+	if i < uint64(len(s)) {
+		return s
+	}
+	return append(s, make([]T, i+1-uint64(len(s)))...)
 }
 
 // VerifyStage2 checks one stage-2 resolution (a single GPA page segment)
@@ -127,20 +136,26 @@ func (o *TenantOracle) OnS2Unmap(tenant int, gpa uint64) {
 func (o *TenantOracle) VerifyStage2(tenant int, bdf pci.BDF, gpa uint64, hpa mem.PA, size uint32, dir pci.Dir) {
 	o.Checked++
 	f := mem.PFNOf(hpa)
-	own, owned := o.owner[f]
+	own := -1
+	if uint64(f) < uint64(len(o.owner)) {
+		own = int(o.owner[f]) - 1
+	}
 	switch {
-	case owned && own != tenant:
+	case own >= 0 && own != tenant:
 		o.violate(TenantViolation{Reason: ReasonCrossTenant, Tenant: tenant, Owner: own,
 			BDF: bdf, GPA: gpa, HPA: hpa, Size: size, Dir: dir})
 		return
-	case !owned:
+	case own < 0:
 		o.violate(TenantViolation{Reason: ReasonUnownedFrame, Tenant: tenant, Owner: -1,
 			BDF: bdf, GPA: gpa, HPA: hpa, Size: size, Dir: dir})
 		return
 	}
-	cur, live := o.live[tenant][gpa>>mem.PageShift]
+	var cur mem.PFN
+	if p := gpa >> mem.PageShift; tenant < len(o.live) && p < uint64(len(o.live[tenant])) {
+		cur = o.live[tenant][p]
+	}
 	switch {
-	case !live:
+	case cur == 0:
 		o.violate(TenantViolation{Reason: ReasonStage2Stale, Tenant: tenant, Owner: own,
 			BDF: bdf, GPA: gpa, HPA: hpa, Size: size, Dir: dir})
 	case cur != f || uint64(hpa)&mem.PageMask != gpa&mem.PageMask:

@@ -27,14 +27,14 @@ func newCompactOracle(clk *cycles.Clock) *compactOracle {
 }
 
 func (o *compactOracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
-	if old := o.base(o.lookup(bdf), iova); old >= 0 {
+	if old, _ := o.base(o.lookup(bdf), iova); old >= 0 {
 		o.retireCompact(bdf, *o.rec(old))
 	}
 	o.Oracle.OnMap(bdf, iova, pa, size, dir)
 }
 
 func (o *compactOracle) OnUnmap(bdf pci.BDF, iova uint64) {
-	if m := o.base(o.lookup(bdf), iova); m >= 0 {
+	if m, _ := o.base(o.lookup(bdf), iova); m >= 0 {
 		o.retireCompact(bdf, *o.rec(m))
 	}
 	o.Oracle.OnUnmap(bdf, iova)

@@ -86,7 +86,7 @@ type Driver struct {
 	deferBatch int
 	live       int
 
-	paScratch []mem.PA // Unmap's per-call page list, reused across calls
+	unpin []mem.PFN // Unmap's per-call list of frames to unpin, reused across calls
 }
 
 type deferred struct {
@@ -215,18 +215,15 @@ func (d *Driver) Unmap(_ int, iovaAddr uint64, size uint32, _ bool) error {
 
 	// (1) Remove from the page-table hierarchy; remember the physical pages
 	// so the buffer can be unpinned afterwards.
-	basePAs := d.paScratch[:0]
-	defer func() { d.paScratch = basePAs[:0] }()
+	frames := d.unpin[:0]
+	defer func() { d.unpin = frames[:0] }()
 	for i := uint64(0); i < pages; i++ {
 		va := (pfn + i) << mem.PageShift
-		pa, _, err := d.space.Lookup(va)
+		f, err := d.space.Unmap(va)
 		if err != nil {
 			return fmt.Errorf("baseline: unmap of untranslated iova %#x: %w", va, err)
 		}
-		basePAs = append(basePAs, pa)
-		if err := d.space.Unmap(va); err != nil {
-			return err
-		}
+		frames = append(frames, f)
 	}
 
 	// (2) Purge the IOTLB — immediately (strict) or deferred in bulk.
@@ -265,8 +262,8 @@ func (d *Driver) Unmap(_ int, iovaAddr uint64, size uint32, _ bool) error {
 	// (4) Unpin; the buffer returns to the upper software layers. In the
 	// deferred modes this happens *before* the IOTLB flush — exactly the
 	// vulnerability window the paper describes.
-	for _, pa := range basePAs {
-		if err := d.mm.Unpin(pa); err != nil {
+	for _, f := range frames {
+		if err := d.mm.Unpin(f.PA()); err != nil {
 			return err
 		}
 	}

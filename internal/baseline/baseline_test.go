@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"riommu/internal/cycles"
@@ -245,6 +247,22 @@ func TestUnmapErrors(t *testing.T) {
 	}
 	if err := d.Unmap(0, iovaAddr, 64, true); err == nil {
 		t.Error("double unmap should fail")
+	}
+
+	// A PTE cleared behind the driver's back: the IOVA is still allocated,
+	// but the page-table walk finds nothing to unmap.
+	iovaAddr, err := d.Map(0, pa, 64, pci.DirBidi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Space().Unmap(iovaAddr &^ mem.PageMask); err != nil {
+		t.Fatal(err)
+	}
+	err = d.Unmap(0, iovaAddr, 64, true)
+	var f *pagetable.Fault
+	if err == nil || !strings.Contains(err.Error(), "untranslated iova") ||
+		!errors.As(err, &f) || f.Reason != pagetable.FaultNotPresent {
+		t.Errorf("unmap of a cleared PTE = %v, want an untranslated-iova error wrapping a not-present fault", err)
 	}
 }
 

@@ -22,6 +22,9 @@ import (
 // address for wait descriptors.
 const (
 	invDescBytes = 16
+	// invSlots is the number of descriptors in the one-page queue, a power
+	// of two, so a cursor wraps by masking.
+	invSlots = mem.PageSize / invDescBytes
 
 	// Descriptor types.
 	invTypeEntry  = 0x1 // invalidate one IOTLB entry
@@ -39,7 +42,6 @@ type InvQueue struct {
 	tlb *iotlb.IOTLB
 
 	base   mem.PFN
-	size   uint32 // descriptors
 	head   uint32 // hardware cursor
 	tail   uint32 // OS cursor
 	status mem.PA // wait-descriptor status word
@@ -91,18 +93,17 @@ func NewInvQueue(mm *mem.PhysMem, tlb *iotlb.IOTLB) (*InvQueue, error) {
 		mm:     mm,
 		tlb:    tlb,
 		base:   qf,
-		size:   mem.PageSize / invDescBytes,
 		status: sf.PA(),
 	}, nil
 }
 
 func (q *InvQueue) slotPA(i uint32) mem.PA {
-	return q.base.PA() + mem.PA((i%q.size)*invDescBytes)
+	return q.base.PA() + mem.PA((i&(invSlots-1))*invDescBytes)
 }
 
 // push writes one descriptor at the OS tail.
 func (q *InvQueue) push(typ uint8, bdf pci.BDF, word1 uint64) error {
-	if (q.tail+1)%q.size == q.head {
+	if (q.tail+1)&(invSlots-1) == q.head {
 		// The queue never legitimately fills: the OS waits after small
 		// batches. Treat it as a driver bug.
 		return fmt.Errorf("iommu: invalidation queue full")
@@ -114,7 +115,7 @@ func (q *InvQueue) push(typ uint8, bdf pci.BDF, word1 uint64) error {
 	if err := q.mm.WriteU64(pa+8, word1); err != nil {
 		return err
 	}
-	q.tail = (q.tail + 1) % q.size
+	q.tail = (q.tail + 1) & (invSlots - 1)
 	return nil
 }
 
@@ -218,7 +219,7 @@ func (q *InvQueue) drain() error {
 		default:
 			return fmt.Errorf("iommu: bad invalidation descriptor type %#x", uint8(w0))
 		}
-		q.head = (q.head + 1) % q.size
+		q.head = (q.head + 1) & (invSlots - 1)
 	}
 	return nil
 }

@@ -153,7 +153,7 @@ func TestInvQueueBadDescriptor(t *testing.T) {
 	if err := mm.WriteU64(q.slotPA(q.tail), 0xFF); err != nil {
 		t.Fatal(err)
 	}
-	q.tail = (q.tail + 1) % q.size
+	q.tail = (q.tail + 1) & (invSlots - 1)
 	if err := q.Wait(); err == nil {
 		t.Error("bad descriptor type should fail the drain")
 	}

@@ -379,3 +379,110 @@ func TestAllocChargesComponents(t *testing.T) {
 		t.Error("Free did not charge UnmapIOVAFree")
 	}
 }
+
+// TestContainsThenFreeSearchesOnce pins the one-search contract of the
+// driver's unmap, Contains(p) then Free(p), in both allocators: the pair
+// charges exactly the "iova find" cycles of Free(p) alone on the same tree,
+// Contains leaves the visit counter at zero, and an Alloc or another Free
+// between the two makes Free search the changed tree afresh.
+func TestContainsThenFreeSearchesOnce(t *testing.T) {
+	type world struct {
+		a    Allocator
+		t    *tree
+		clk  *cycles.Clock
+		live []uint64
+	}
+	build := func(name string) world {
+		var w world
+		if name == "linux" {
+			a, clk := newLinux()
+			w = world{a: a, t: &a.t, clk: clk}
+		} else {
+			a, clk := newConst()
+			w = world{a: a, t: &a.t, clk: clk}
+		}
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 64; i++ {
+			p, err := w.a.Alloc(uint64(1 + rng.Intn(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.live = append(w.live, p)
+		}
+		kept := w.live[:0]
+		for i, p := range w.live {
+			if i%3 == 0 {
+				if err := w.a.Free(p); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				kept = append(kept, p)
+			}
+		}
+		w.live = kept
+		return w
+	}
+	freeCycles := func(w world, p uint64) uint64 {
+		before := w.clk.Total(cycles.UnmapIOVAFind)
+		if err := w.a.Free(p); err != nil {
+			t.Fatal(err)
+		}
+		return w.clk.Total(cycles.UnmapIOVAFind) - before
+	}
+	// Five pages is a size no range was built with, so the const
+	// allocator carves each fresh and inserts it into the tree; a few
+	// inserts make sure the tree rotates.
+	betweens := map[string]func(w world, j int) error{
+		"nothing": func(world, int) error { return nil },
+		"alloc": func(w world, _ int) error {
+			for i := 0; i < 4; i++ {
+				if _, err := w.a.Alloc(5); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		"free": func(w world, j int) error { return w.a.Free(w.live[(j+1)%len(w.live)]) },
+	}
+	for _, name := range []string{"linux", "const"} {
+		for _, between := range []string{"nothing", "alloc", "free"} {
+			t.Run(name+"/"+between, func(t *testing.T) {
+				op := betweens[between]
+				moved := 0
+				for j, p := range build(name).live {
+					// x runs Contains, op, Free; y runs op, Free; z
+					// runs Free alone, on the tree before op.
+					x, y, z := build(name), build(name), build(name)
+					if !x.a.Contains(p) {
+						t.Fatalf("Contains(%#x) = false for a live range", p)
+					}
+					if x.t.visits != 0 {
+						t.Fatalf("Contains left %d visits on the counter", x.t.visits)
+					}
+					if err := op(x, j); err != nil {
+						t.Fatal(err)
+					}
+					if err := op(y, j); err != nil {
+						t.Fatal(err)
+					}
+					got, want := freeCycles(x, p), freeCycles(y, p)
+					if got != want || want == 0 {
+						t.Fatalf("Free(%#x) after Contains charged %d find cycles, alone %d", p, got, want)
+					}
+					if x.a.Contains(p) {
+						t.Fatalf("Contains(%#x) = true after its Free", p)
+					}
+					if freeCycles(z, p) != want {
+						moved++
+					}
+				}
+				// An Alloc, and a Free in the Linux tree, must move some
+				// range's search depth, or a kept search that outlived the
+				// change would pass unseen.
+				if wantMoved := between == "alloc" || between == "free" && name == "linux"; wantMoved && moved == 0 {
+					t.Fatalf("no search depth changed across the %s, so the test cannot see a stale search", between)
+				}
+			})
+		}
+	}
+}

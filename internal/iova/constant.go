@@ -117,19 +117,18 @@ func (a *ConstAllocator) Alloc(pages uint64) (uint64, error) {
 	return n.pfnLo, nil
 }
 
-// Contains reports whether pfn is inside a live range.
+// Contains reports whether pfn is inside a live range. As in the Linux
+// allocator, a Free of pfn right after it reuses its search.
 func (a *ConstAllocator) Contains(pfn uint64) bool {
-	defer a.t.takeVisits()
-	n := a.t.find(pfn)
+	n, _ := a.t.find(pfn)
 	return n != nil && !n.free
 }
 
 // Free marks the range containing pfn as recycled. The lookup walks the
 // (fuller) tree; the release itself is a constant-time list push.
 func (a *ConstAllocator) Free(pfn uint64) error {
-	a.t.takeVisits()
-	n := a.t.find(pfn)
-	a.clk.Charge(cycles.UnmapIOVAFind, a.t.takeVisits()*a.model.ConstFindVisit)
+	n, visits := a.t.find(pfn)
+	a.clk.Charge(cycles.UnmapIOVAFind, visits*a.model.ConstFindVisit)
 	if n == nil || n.free {
 		return fmt.Errorf("iova: free of unallocated pfn %#x", pfn)
 	}

@@ -223,18 +223,19 @@ func (a *LinuxAllocator) chargeAlloc() {
 }
 
 // Contains reports whether pfn is inside a live range (without charging).
+// The tree keeps the search, so a Free of pfn that follows it with no
+// allocation or free between does not walk the tree again.
 func (a *LinuxAllocator) Contains(pfn uint64) bool {
-	defer a.t.takeVisits()
-	return a.t.find(pfn) != nil
+	n, _ := a.t.find(pfn)
+	return n != nil
 }
 
 // Free implements find_iova + __free_iova: a logarithmic lookup charged to
 // the unmap "iova find" component, then the cached-node update and rb_erase
 // charged to "iova free".
 func (a *LinuxAllocator) Free(pfn uint64) error {
-	a.t.takeVisits()
-	n := a.t.find(pfn)
-	a.clk.Charge(cycles.UnmapIOVAFind, a.t.takeVisits()*a.model.RBFindVisit)
+	n, visits := a.t.find(pfn)
+	a.clk.Charge(cycles.UnmapIOVAFind, visits*a.model.RBFindVisit)
 	if n == nil {
 		return fmt.Errorf("iova: free of unallocated pfn %#x", pfn)
 	}

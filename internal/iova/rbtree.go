@@ -57,6 +57,20 @@ type tree struct {
 	root   *node
 	size   int
 	visits uint64 // node touches since last takeVisits
+
+	// kept is the latest find, good until an insert or erase changes the
+	// tree: the driver's unmap asks Contains and then Free about the same
+	// pfn, and the second answer is the first one's.
+	kept search
+}
+
+// search is one find's answer: the node containing pfn (nil if none) and
+// the nodes the lookup touched.
+type search struct {
+	pfn    uint64
+	n      *node
+	visits uint64
+	ok     bool // the search is current
 }
 
 // takeVisits returns and resets the touch counter.
@@ -100,25 +114,33 @@ func (t *tree) next(n *node) *node {
 	return p
 }
 
-// find returns the node whose range contains pfn, or nil.
-func (t *tree) find(pfn uint64) *node {
+// find returns the node whose range contains pfn, or nil, and the number
+// of nodes the lookup touches, which it leaves out of the touch counter. A
+// repeated find of the same pfn with no insert or erase between returns
+// the kept search without walking the tree again.
+func (t *tree) find(pfn uint64) (*node, uint64) {
+	if t.kept.ok && t.kept.pfn == pfn {
+		return t.kept.n, t.kept.visits
+	}
+	var visits uint64
 	n := t.root
 	for n != nil {
-		t.touch()
-		switch {
-		case pfn < n.pfnLo:
+		visits++
+		if pfn < n.pfnLo {
 			n = n.left
-		case pfn > n.pfnHi:
+		} else if pfn > n.pfnHi {
 			n = n.right
-		default:
-			return n
+		} else {
+			break
 		}
 	}
-	return nil
+	t.kept = search{pfn: pfn, n: n, visits: visits, ok: true}
+	return n, visits
 }
 
 // insert adds n to the tree, keyed by pfnLo, and rebalances.
 func (t *tree) insert(n *node) {
+	t.kept.ok = false
 	n.left, n.right, n.parent = nil, nil, nil
 	n.red = true
 	var parent *node
@@ -218,6 +240,7 @@ func (t *tree) fixInsert(z *node) {
 
 // erase removes n from the tree and rebalances (CLRS RB-DELETE).
 func (t *tree) erase(n *node) {
+	t.kept.ok = false
 	t.size--
 	var x, xParent *node
 	y := n

@@ -26,17 +26,17 @@ func TestTreeInsertFindErase(t *testing.T) {
 	if tr.checkInvariants() == -1 {
 		t.Fatal("invariants violated after inserts")
 	}
-	if got := tr.find(15); got != n1 {
+	if got, _ := tr.find(15); got != n1 {
 		t.Errorf("find(15) = %v", got)
 	}
-	if got := tr.find(29); got != n3 {
+	if got, _ := tr.find(29); got != n3 {
 		t.Errorf("find(29) = %v", got)
 	}
-	if got := tr.find(40); got != nil {
+	if got, _ := tr.find(40); got != nil {
 		t.Errorf("find(40) = %v, want nil", got)
 	}
 	tr.erase(n2)
-	if tr.find(35) != nil {
+	if got, _ := tr.find(35); got != nil {
 		t.Error("erased range still found")
 	}
 	if tr.checkInvariants() == -1 {
@@ -70,7 +70,7 @@ func TestTreeTraversal(t *testing.T) {
 	}
 	// next from smallest.
 	var fwd []uint64
-	n := tr.find(10)
+	n, _ := tr.find(10)
 	for ; n != nil; n = tr.next(n) {
 		fwd = append(fwd, n.pfnLo)
 	}
@@ -86,7 +86,7 @@ func TestTreeEmpty(t *testing.T) {
 	if tr.last() != nil {
 		t.Error("last of empty tree != nil")
 	}
-	if tr.find(5) != nil {
+	if got, _ := tr.find(5); got != nil {
 		t.Error("find in empty tree != nil")
 	}
 	if tr.checkInvariants() == -1 {
@@ -99,9 +99,7 @@ func TestTreeVisitCounting(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		insertRange(&tr, i*10, i*10+5)
 	}
-	tr.takeVisits()
-	tr.find(635)
-	v := tr.takeVisits()
+	_, v := tr.find(635)
 	if v == 0 || v > 10 {
 		t.Errorf("find visits = %d, want O(log 64)", v)
 	}

@@ -129,7 +129,7 @@ func runAgainstWalk(t *testing.T, limit uint64, steps []byte) linuxCase {
 				pfn = live[j]
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
-				n := want.t.find(pfn)
+				n, _ := want.t.find(pfn)
 				livePages -= n.pfnHi - n.pfnLo + 1
 			}
 			gotErr, wantErr = got.Free(pfn), want.Free(pfn)

@@ -201,42 +201,27 @@ func (s *Space) Map(iova uint64, frame mem.PFN, perm pci.Dir) error {
 	return nil
 }
 
-// Unmap removes the translation for iova. It is an error to unmap an
-// unmapped IOVA (the OS driver tracks liveness; a mismatch indicates a bug).
-func (s *Space) Unmap(iova uint64) error {
+// Unmap removes the translation for iova and returns the frame it mapped.
+// It is an error to unmap an unmapped IOVA (the OS driver tracks liveness;
+// a mismatch indicates a bug). The walk is charged once it has found the
+// leaf, so an unmap that faults charges nothing.
+func (s *Space) Unmap(iova uint64) (mem.PFN, error) {
 	if iova >= MaxIOVA || iova&mem.PageMask != 0 {
-		return &Fault{Reason: FaultReserved, IOVA: iova}
+		return 0, &Fault{Reason: FaultReserved, IOVA: iova}
 	}
-	s.clk.Charge(cycles.UnmapPageTable, 0)
-	ix := indices(iova)
-	table := s.root
-	for l := 0; l < Levels-1; l++ {
-		s.clk.ChargeFree(cycles.UnmapPageTable, s.model.PTELevelWalk)
-		e, err := s.mm.ReadU64(entryPA(table, ix[l]))
-		if err != nil {
-			return err
-		}
-		if e&(pteRead|pteWrite) == 0 {
-			return &Fault{Reason: FaultNotPresent, IOVA: iova}
-		}
-		table = mem.PFNOf(mem.PA(e & pteAddr))
-	}
-	leafPA := entryPA(table, ix[Levels-1])
-	s.clk.ChargeFree(cycles.UnmapPageTable, s.model.PTELevelWalk)
-	old, err := s.mm.ReadU64(leafPA)
+	leafPA, leaf, err := s.leaf(iova, pci.DirNone)
 	if err != nil {
-		return err
-	}
-	if old&(pteRead|pteWrite) == 0 {
-		return &Fault{Reason: FaultNotPresent, IOVA: iova}
+		return 0, err
 	}
 	if err := s.mm.WriteU64(leafPA, 0); err != nil {
-		return err
+		return 0, err
 	}
+	s.clk.Charge(cycles.UnmapPageTable, 0)
+	s.clk.ChargeFreeN(cycles.UnmapPageTable, Levels, s.model.PTELevelWalk)
 	s.clk.ChargeFree(cycles.UnmapPageTable, s.model.PTELevelWrite)
 	s.syncEntry(cycles.UnmapPageTable)
 	s.mapped--
-	return nil
+	return mem.PFNOf(mem.PA(leaf & pteAddr)), nil
 }
 
 // Walk performs the hardware page walk for iova: four dependent reads from
@@ -247,22 +232,9 @@ func (s *Space) Walk(iova uint64, want pci.Dir) (mem.PA, pci.Dir, error) {
 	if iova >= MaxIOVA {
 		return 0, 0, &Fault{Reason: FaultReserved, IOVA: iova, Want: want}
 	}
-	ix := indices(iova)
-	table := s.root
-	var leaf uint64
-	for l := 0; l < Levels; l++ {
-		e, err := s.mm.ReadU64(entryPA(table, ix[l]))
-		if err != nil {
-			return 0, 0, err
-		}
-		if e&(pteRead|pteWrite) == 0 {
-			return 0, 0, &Fault{Reason: FaultNotPresent, IOVA: iova, Want: want}
-		}
-		if l == Levels-1 {
-			leaf = e
-		} else {
-			table = mem.PFNOf(mem.PA(e & pteAddr))
-		}
+	_, leaf, err := s.leaf(iova, want)
+	if err != nil {
+		return 0, 0, err
 	}
 	perm := permOf(leaf)
 	if !perm.Allows(want) {
@@ -271,31 +243,26 @@ func (s *Space) Walk(iova uint64, want pci.Dir) (mem.PA, pci.Dir, error) {
 	return mem.PA(leaf&pteAddr) | mem.PA(iova&mem.PageMask), perm, nil
 }
 
-// Lookup is the OS-side (software) walk: it resolves iova to its physical
-// address and permissions without enforcing a DMA direction. Used by the
-// driver when tearing down a mapping; charges nothing.
-func (s *Space) Lookup(iova uint64) (mem.PA, pci.Dir, error) {
-	if iova >= MaxIOVA {
-		return 0, 0, &Fault{Reason: FaultReserved, IOVA: iova}
-	}
+// leaf reads the four entries on iova's path and returns the address and
+// value of its present leaf entry, or a not-present fault for want. It
+// charges nothing.
+func (s *Space) leaf(iova uint64, want pci.Dir) (mem.PA, uint64, error) {
 	ix := indices(iova)
 	table := s.root
-	var leaf uint64
-	for l := 0; l < Levels; l++ {
-		e, err := s.mm.ReadU64(entryPA(table, ix[l]))
+	for l := 0; ; l++ {
+		pa := entryPA(table, ix[l])
+		e, err := s.mm.ReadU64(pa)
 		if err != nil {
 			return 0, 0, err
 		}
 		if e&(pteRead|pteWrite) == 0 {
-			return 0, 0, &Fault{Reason: FaultNotPresent, IOVA: iova}
+			return 0, 0, &Fault{Reason: FaultNotPresent, IOVA: iova, Want: want}
 		}
 		if l == Levels-1 {
-			leaf = e
-		} else {
-			table = mem.PFNOf(mem.PA(e & pteAddr))
+			return pa, e, nil
 		}
+		table = mem.PFNOf(mem.PA(e & pteAddr))
 	}
-	return mem.PA(leaf&pteAddr) | mem.PA(iova&mem.PageMask), permOf(leaf), nil
 }
 
 func permOf(pte uint64) pci.Dir {

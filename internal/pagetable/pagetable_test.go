@@ -46,8 +46,8 @@ func TestMapWalkUnmap(t *testing.T) {
 		t.Errorf("Walk perm = %v, want bidi", perm)
 	}
 
-	if err := s.Unmap(iova); err != nil {
-		t.Fatalf("Unmap: %v", err)
+	if f, err := s.Unmap(iova); err != nil || f != target {
+		t.Fatalf("Unmap = %d, %v; want frame %d", f, err, target)
 	}
 	if s.Mapped() != 0 {
 		t.Errorf("Mapped = %d after unmap", s.Mapped())
@@ -109,15 +109,18 @@ func TestMapValidation(t *testing.T) {
 }
 
 func TestUnmapValidation(t *testing.T) {
-	s, _, _ := newSpace(t, true)
-	if err := s.Unmap(0x2000); err == nil {
+	s, _, clk := newSpace(t, true)
+	if _, err := s.Unmap(0x2000); err == nil {
 		t.Error("Unmap of unmapped IOVA should fail")
 	}
-	if err := s.Unmap(MaxIOVA); err == nil {
+	if _, err := s.Unmap(MaxIOVA); err == nil {
 		t.Error("Unmap out of range should fail")
 	}
-	if err := s.Unmap(0x2001); err == nil {
+	if _, err := s.Unmap(0x2001); err == nil {
 		t.Error("Unmap unaligned should fail")
+	}
+	if clk.Now() != 0 {
+		t.Errorf("failed unmaps charged %d cycles, want 0", clk.Now())
 	}
 }
 
@@ -192,7 +195,7 @@ func TestMapCostCountsOneOperation(t *testing.T) {
 	if got := clk.Count(cycles.MapPageTable); got != 1 {
 		t.Errorf("map charged %d operations, want 1", got)
 	}
-	if err := s.Unmap(0x4000); err != nil {
+	if _, err := s.Unmap(0x4000); err != nil {
 		t.Fatal(err)
 	}
 	if got := clk.Count(cycles.UnmapPageTable); got != 1 {
@@ -200,7 +203,9 @@ func TestMapCostCountsOneOperation(t *testing.T) {
 	}
 }
 
-// Property: an arbitrary interleaving of maps/unmaps agrees with a shadow map.
+// Property: an arbitrary interleaving of maps/unmaps agrees with a shadow
+// map, and each Unmap returns the frame the hardware walk resolved just
+// before it.
 func TestShadowConsistencyProperty(t *testing.T) {
 	prop := func(seed int64, nops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -211,30 +216,39 @@ func TestShadowConsistencyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		target, _ := mm.AllocFrame()
-		shadow := map[uint64]bool{}
+		targets, err := mm.AllocFrames(8)
+		if err != nil {
+			return false
+		}
+		shadow := map[uint64]mem.PFN{}
 		iovas := make([]uint64, 32)
 		for i := range iovas {
 			iovas[i] = uint64(rng.Intn(1<<24)) << mem.PageShift
 		}
 		for op := 0; op < int(nops); op++ {
 			iova := iovas[rng.Intn(len(iovas))]
-			if shadow[iova] {
-				if err := s.Unmap(iova); err != nil {
+			if want, ok := shadow[iova]; ok {
+				pa, _, err := s.Walk(iova, pci.DirFromDevice)
+				if err != nil || mem.PFNOf(pa) != want {
+					return false
+				}
+				if f, err := s.Unmap(iova); err != nil || f != want {
 					return false
 				}
 				delete(shadow, iova)
 			} else {
+				target := targets + mem.PFN(rng.Intn(8))
 				if err := s.Map(iova, target, pci.DirBidi); err != nil {
 					return false
 				}
-				shadow[iova] = true
+				shadow[iova] = target
 			}
 		}
 		// Verify every tracked IOVA agrees with the hardware walk.
 		for _, iova := range iovas {
-			_, _, err := s.Walk(iova, pci.DirFromDevice)
-			if shadow[iova] != (err == nil) {
+			pa, _, err := s.Walk(iova, pci.DirFromDevice)
+			want, ok := shadow[iova]
+			if ok != (err == nil) || ok && mem.PFNOf(pa) != want {
 				return false
 			}
 		}

@@ -19,7 +19,6 @@ package tenant
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"riommu/internal/audit"
 	"riommu/internal/cycles"
@@ -75,9 +74,9 @@ type Host struct {
 	domains []*Domain
 	nextID  int
 
-	owner   map[mem.PFN]int // host frame → owning tenant
-	nextHPA mem.PFN         // bump allocator for guest frames
-	freeHPA []mem.PFN       // LIFO free list: reclaimed frames are regranted first
+	owner   []int32   // host frame → owning tenant + 1; 0 means unowned
+	nextHPA mem.PFN   // bump allocator for guest frames
+	freeHPA []mem.PFN // LIFO free list: reclaimed frames are regranted first
 
 	aud *audit.TenantOracle
 
@@ -95,9 +94,12 @@ type Domain struct {
 	host *Host
 	Sys  *sim.System // nil for table-only domains (AdoptSpace)
 
-	s2    *pagetable.Space
-	tlb   *iotlb.IOTLB
-	pages map[uint64]mem.PFN // GPA page → granted frame (hypervisor shadow)
+	s2  *pagetable.Space
+	tlb *iotlb.IOTLB
+	// pages maps each GPA page to its granted frame, 0 if it has none (the
+	// hypervisor shadow). Guest frames start at hostPages, so no granted
+	// frame is 0.
+	pages []mem.PFN
 
 	invq s2InvQueue
 
@@ -137,7 +139,6 @@ func NewHost(hostPages uint64) (*Host, error) {
 		Mem:      mm,
 		tableClk: &cycles.Clock{},
 		dir:      make(map[pci.BDF]*Domain),
-		owner:    make(map[mem.PFN]int),
 		// Guest frames start beyond host memory so they can never collide
 		// with the table frames the ledger must not attribute to tenants.
 		nextHPA: mem.PFN(hostPages),
@@ -162,8 +163,8 @@ func (h *Host) Domains() []*Domain { return h.domains }
 
 // Owner returns the tenant owning host frame f, or -1.
 func (h *Host) Owner(f mem.PFN) int {
-	if t, ok := h.owner[f]; ok {
-		return t
+	if uint64(f) < uint64(len(h.owner)) {
+		return int(h.owner[f]) - 1
 	}
 	return -1
 }
@@ -188,7 +189,8 @@ func (h *Host) allocHPA(id int) mem.PFN {
 		f = h.nextHPA
 		h.nextHPA++
 	}
-	h.owner[f] = id
+	h.owner = fit(h.owner, uint64(f))
+	h.owner[f] = int32(id + 1)
 	if h.aud != nil {
 		h.aud.OnOwn(f, id)
 	}
@@ -198,7 +200,7 @@ func (h *Host) allocHPA(id int) mem.PFN {
 // disownHPA reclaims a frame: ownership is dropped and the frame goes to
 // the head of the free list.
 func (h *Host) disownHPA(f mem.PFN) {
-	delete(h.owner, f)
+	h.owner[f] = 0
 	h.freeHPA = append(h.freeHPA, f)
 	if h.aud != nil {
 		h.aud.OnDisown(f)
@@ -214,6 +216,7 @@ func (h *Host) mapGPA(d *Domain, gpa uint64, f mem.PFN, perm pci.Dir) error {
 	}
 	h.chargeTable(before)
 	h.Clk.Charge(cycles.Stage2, h.Model.Stage2MapPage)
+	d.pages = fit(d.pages, gpa>>mem.PageShift)
 	d.pages[gpa>>mem.PageShift] = f
 	if h.aud != nil {
 		h.aud.OnS2Map(d.ID, gpa, f)
@@ -225,17 +228,17 @@ func (h *Host) mapGPA(d *Domain, gpa uint64, f mem.PFN, perm pci.Dir) error {
 // invalidation per the host's invalidation policy.
 func (h *Host) unmapGPA(d *Domain, gpa uint64) (mem.PFN, error) {
 	pfn := gpa >> mem.PageShift
-	f, ok := d.pages[pfn]
-	if !ok {
+	if pfn >= uint64(len(d.pages)) || d.pages[pfn] == 0 {
 		return 0, fmt.Errorf("tenant: gpa %#x not mapped in domain %d", gpa, d.ID)
 	}
+	f := d.pages[pfn]
 	before := h.tableClk.Now()
-	if err := d.s2.Unmap(gpa); err != nil {
+	if _, err := d.s2.Unmap(gpa); err != nil {
 		return 0, err
 	}
 	h.chargeTable(before)
 	h.Clk.Charge(cycles.Stage2, h.Model.Stage2UnmapPage)
-	delete(d.pages, pfn)
+	d.pages[pfn] = 0
 	if h.aud != nil {
 		h.aud.OnS2Unmap(d.ID, gpa)
 	}
@@ -275,7 +278,7 @@ func (h *Host) adopt(gpaPages uint64, sys *sim.System) (*Domain, error) {
 		Sys:   sys,
 		s2:    s2,
 		tlb:   iotlb.New(stage2TLBEntries),
-		pages: make(map[uint64]mem.PFN, gpaPages),
+		pages: make([]mem.PFN, gpaPages),
 	}
 	h.nextID++
 	for p := uint64(0); p < gpaPages; p++ {
@@ -392,19 +395,23 @@ func (h *Host) Balloon(d *Domain, pages int) error {
 }
 
 // highestPages returns up to n currently-mapped GPA page numbers, highest
-// first (sorted for determinism — map iteration order must never leak into
-// charge or ledger order).
+// first.
 func (d *Domain) highestPages(n int) []uint64 {
-	gpns := make([]uint64, 0, len(d.pages))
-	// maporder: sorted below.
-	for gpn := range d.pages {
-		gpns = append(gpns, gpn)
-	}
-	sort.Slice(gpns, func(i, j int) bool { return gpns[i] > gpns[j] })
-	if len(gpns) > n {
-		gpns = gpns[:n]
+	gpns := make([]uint64, 0, min(n, len(d.pages)))
+	for gpn := len(d.pages) - 1; gpn >= 0 && len(gpns) < n; gpn-- {
+		if d.pages[gpn] != 0 {
+			gpns = append(gpns, uint64(gpn))
+		}
 	}
 	return gpns
+}
+
+// fit returns s, lengthened with zeros if need be so that i indexes it.
+func fit[T any](s []T, i uint64) []T {
+	if i < uint64(len(s)) {
+		return s
+	}
+	return append(s, make([]T, i+1-uint64(len(s)))...)
 }
 
 // Close releases the host's simulated memory. Domains must not translate

@@ -102,6 +102,41 @@ func BenchmarkMapUnmapRiommu(b *testing.B) {
 	b.ReportMetric(float64(clk.Now())/float64(b.N), "vcycles/pair")
 }
 
+// newResetQueue attaches one brcm NIC queue, whose 1024-entry Rx ring the
+// attach fills, to an audited strict world at brcm's cost scale.
+func newResetQueue(tb testing.TB) (*sim.System, *driver.NICDriver) {
+	p := device.ProfileBRCM
+	sys, err := sim.New(sim.Spec{Mode: sim.Strict, MemPages: 1 << 15, Audit: true, Model: cycles.DefaultModel().Scaled(p.CostScale)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	drv, _, err := sys.AttachNIC(p, pci.NewBDF(0, 3, 0))
+	if err != nil {
+		sys.Close()
+		tb.Fatal(err)
+	}
+	return sys, drv
+}
+
+// BenchmarkNICReset times Recover of an audited strict brcm NIC queue with
+// a full Rx ring: 1024 strict unmaps, each mirrored by the oracle, then a
+// refill that maps the ring again. A fault campaign repeats this more than
+// any other operation. vcycles/op is what one reset charges the core.
+func BenchmarkNICReset(b *testing.B) {
+	sys, drv := newResetQueue(b)
+	defer sys.Close()
+	start := sys.CPU.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := drv.Recover(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sys.CPU.Now()-start)/float64(b.N), "vcycles/op")
+}
+
 // BenchmarkWalk times a warm 4-level radix walk (tables resident, IOTLB not
 // consulted) — the page-walker inner loop of the baseline miss path.
 func BenchmarkWalk(b *testing.B) {
@@ -897,6 +932,26 @@ func TestHotPathAllocs(t *testing.T) {
 				t.Errorf("NIC Rx rounds allocate %.0f objects per %d rounds, want 0", n, allocBatch)
 			}
 		})
+	})
+
+	t.Run("nic-reset", func(t *testing.T) {
+		// Recover of an audited strict brcm queue with a full Rx ring:
+		// 1024 unmaps and as many maps. The warm-up grows the oracle's
+		// tombstones past their compaction point; the steady state must
+		// then allocate nothing.
+		sys, drv := newResetQueue(t)
+		defer sys.Close()
+		reset := func() {
+			if err := drv.Recover(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 4 {
+			reset()
+		}
+		if n := testing.AllocsPerRun(16, reset); n != 0 {
+			t.Errorf("NIC reset allocates %.1f objects per op, want 0", n)
+		}
 	})
 
 	t.Run("nvme-read-round", func(t *testing.T) {
