@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCH_GOLDEN ?= BENCH_golden.json
 BENCH_WALLCLOCK ?= BENCH_wallclock.txt
 BENCH_GATE ?= BENCH_gate.json
-WALLCLOCK_PATTERN ?= MapUnmap|NICReset|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|^BenchmarkStage2Walk$$|IOVAChurn|CampaignCell|EngineReadU64|TrafficCell|TrafficTick|OracleVerify|^BenchmarkAllocFrames$$|^BenchmarkNewSystem$$
+WALLCLOCK_PATTERN ?= MapUnmap|NICReset|Rtranslate|^BenchmarkWalk$$|^BenchmarkIOTLB$$|^BenchmarkStage2Walk$$|IOVAChurn|CampaignCell|EngineReadU64|TrafficCell|TrafficTick|NetstackSend|OracleVerify|^BenchmarkAllocFrames$$|^BenchmarkNewSystem$$
 WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0

@@ -1,7 +1,7 @@
 package traffic
 
 // Deterministic randomness and the traffic mixes: splitmix64 streams (one
-// for the schedule, one per flow for payload), FNV-1a digests, the
+// for the schedule, one per flow for payload), FNV-1a word digests, the
 // heavy-tailed message-size and flow-length distributions, and the diurnal
 // load curve. Everything is integer arithmetic so results are identical on
 // every platform.
@@ -13,27 +13,9 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// fnvFold folds the low n bytes of w, least significant first, into the
-// digest state h: 64-bit FNV-1a, except that a zero state restarts at the
-// offset basis before its next byte (so the zero value of a digest field is
-// a fresh digest). A state reaches zero only when it equals the byte xored
-// into it, so the restart is a branch out of the xor-multiply loop that is
-// almost never taken, not a test on every byte's dependency chain.
-func fnvFold(h, w uint64, n int) uint64 {
-	for {
-		for ; n > 0 && h != 0; n-- {
-			h = (h ^ w&0xff) * fnvPrime
-			w >>= 8
-		}
-		if n == 0 {
-			return h
-		}
-		h = fnvOffset
-	}
-}
-
-// fnv64 folds v's eight bytes, little-endian, into h.
-func fnv64(h, v uint64) uint64 { return fnvFold(h, v, 8) }
+// fnvWord folds the 64-bit word w into the digest state h: one FNV-1a step
+// with a word where the standard step takes a byte.
+func fnvWord(h, w uint64) uint64 { return (h ^ w) * fnvPrime }
 
 func splitmix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
@@ -43,16 +25,19 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// fillDigest writes the payload stream *rng draws into p and returns h with
-// p folded in. Each splitmix64 word fills eight bytes little-endian; a tail
-// shorter than eight bytes takes the low bytes of one more word. Each word
-// is folded from the register it was drawn into, never read back from p.
-func fillDigest(h uint64, rng *uint64, p []byte) uint64 {
+// fillDigest writes the payload stream *rng draws into p and returns h
+// with the payload folded in: a header word, slot | len(p)<<32, then each
+// splitmix64 word, which fills eight bytes of p little-endian. A tail
+// shorter than eight bytes takes the low bytes of one more word and folds
+// only those. Each word is folded from the register it was drawn into,
+// never read back from p.
+func fillDigest(h uint64, slot int, rng *uint64, p []byte) uint64 {
+	h = fnvWord(h, uint64(slot)|uint64(len(p))<<32)
 	x := *rng
 	for len(p) >= 8 {
 		w := splitmix64(&x)
 		binary.LittleEndian.PutUint64(p, w)
-		h = fnvFold(h, w, 8)
+		h = fnvWord(h, w)
 		p = p[8:]
 	}
 	if len(p) > 0 {
@@ -60,7 +45,7 @@ func fillDigest(h uint64, rng *uint64, p []byte) uint64 {
 		for i := range p {
 			p[i] = byte(w >> (8 * i))
 		}
-		h = fnvFold(h, w, len(p))
+		h = fnvWord(h, w&(1<<(8*len(p))-1))
 	}
 	*rng = x
 	return h

@@ -144,21 +144,20 @@ func (c Config) withDefaults() Config {
 // Result is everything a run measures, plus the digests that make two runs
 // comparable byte-for-byte.
 //
-// Both digests are 64-bit FNV-1a (offset basis 14695981039346656037, prime
-// 1099511628211, xor then multiply per byte) over the little-endian bytes
-// of what they cover, except that a zero state restarts at the offset
-// basis before its next byte. Each digest starts at zero, so its first
-// byte starts from the offset basis as in standard FNV-1a; it departs from
-// the standard only where a state happens to reach zero mid-stream.
+// Both digests are FNV-1a over 64-bit words: each starts at the offset
+// basis 14695981039346656037, and each word w of what it covers steps the
+// state h to (h xor w) * 1099511628211, the FNV prime. That is standard
+// FNV-1a's step with a word where the standard takes a byte.
 type Result struct {
 	// AppDigest digests the application byte stream: for every payload sent
-	// or received, its connection-table slot as 8 bytes, then the payload.
+	// or received, a header word, its connection-table slot | its length<<32,
+	// then the payload read as little-endian words, the last one zero-padded.
 	// It depends only on seed and schedule — never on mode or path.
 	AppDigest uint64
 	// MapDigest digests the protection-boundary mapping history: per event,
-	// the op byte ('M' or 'U'), then the ring, IOVA, size and the direction
-	// (map) or end-of-burst marker (unmap) as 8 bytes each. MapEvents
-	// counts the events.
+	// three words, the op byte ('M' or 'U') | ring<<8, the IOVA, and the
+	// size | extra<<32, where extra is the direction (map) or the
+	// end-of-burst marker (unmap). MapEvents counts the events.
 	MapDigest uint64
 	MapEvents uint64
 
@@ -267,11 +266,9 @@ func (p meteredProt) Unmap(ring int, iova uint64, size uint32, endOfBurst bool) 
 }
 
 func (e *Engine) noteMap(op byte, ring int, iova uint64, size uint32, extra uint64) {
-	h := fnvFold(e.mapDigest, uint64(op), 1)
-	h = fnv64(h, uint64(ring))
-	h = fnv64(h, iova)
-	h = fnv64(h, uint64(size))
-	e.mapDigest = fnv64(h, extra)
+	h := fnvWord(e.mapDigest, uint64(op)|uint64(ring)<<8)
+	h = fnvWord(h, iova)
+	e.mapDigest = fnvWord(h, uint64(size)|extra<<32)
 	e.mapEvents++
 }
 
@@ -301,7 +298,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, sys: sys, rng: cfg.Seed ^ 0x7261666669636b31}
+	e := &Engine{cfg: cfg, sys: sys, rng: cfg.Seed ^ 0x7261666669636b31, appDigest: fnvOffset, mapDigest: fnvOffset}
 	ringSizes := append(driver.RIOMMURingSizes(profile),
 		uint32(cfg.TableSlots), uint32(bypassBufs))
 	prot, err := sys.ProtectionFor(BDF, ringSizes)
@@ -471,7 +468,7 @@ func (e *Engine) sendMessage(slot int) error {
 func (e *Engine) sendPacket(slot int, n int) (closed bool, err error) {
 	c := &e.conns[slot]
 	p := e.scratch[:n]
-	e.appDigest = fillDigest(fnv64(e.appDigest, uint64(slot)), &c.payloadRNG, p)
+	e.appDigest = fillDigest(e.appDigest, slot, &c.payloadRNG, p)
 	if c.path == PathBypass {
 		e.bypassPk++
 		err = e.bypassTx(p)
@@ -550,7 +547,7 @@ func (e *Engine) Incast(fan int) error {
 		slot := int(e.rand() % uint64(len(e.conns)))
 		n := 256 + int(e.rand()%uint64(e.mss-256))
 		p := e.scratch[:n]
-		e.appDigest = fillDigest(fnv64(e.appDigest, uint64(slot)), &e.rng, p)
+		e.appDigest = fillDigest(e.appDigest, slot, &e.rng, p)
 		c := &e.conns[slot]
 		if c.path == PathBypass {
 			e.sys.CPU.Charge(cycles.Stack, e.pollCy)

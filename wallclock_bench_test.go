@@ -29,6 +29,7 @@ import (
 	"riommu/internal/iotlb"
 	"riommu/internal/iova"
 	"riommu/internal/mem"
+	"riommu/internal/netstack"
 	"riommu/internal/pagetable"
 	"riommu/internal/pci"
 	"riommu/internal/sim"
@@ -102,11 +103,11 @@ func BenchmarkMapUnmapRiommu(b *testing.B) {
 	b.ReportMetric(float64(clk.Now())/float64(b.N), "vcycles/pair")
 }
 
-// newResetQueue attaches one brcm NIC queue, whose 1024-entry Rx ring the
-// attach fills, to an audited strict world at brcm's cost scale.
-func newResetQueue(tb testing.TB) (*sim.System, *driver.NICDriver) {
+// newBRCMQueue attaches one brcm NIC queue, whose 1024-entry Rx ring the
+// attach fills, to a strict world at brcm's cost scale.
+func newBRCMQueue(tb testing.TB, audit bool) (*sim.System, *driver.NICDriver) {
 	p := device.ProfileBRCM
-	sys, err := sim.New(sim.Spec{Mode: sim.Strict, MemPages: 1 << 15, Audit: true, Model: cycles.DefaultModel().Scaled(p.CostScale)})
+	sys, err := sim.New(sim.Spec{Mode: sim.Strict, MemPages: 1 << 15, Audit: audit, Model: cycles.DefaultModel().Scaled(p.CostScale)})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func newResetQueue(tb testing.TB) (*sim.System, *driver.NICDriver) {
 // refill that maps the ring again. A fault campaign repeats this more than
 // any other operation. vcycles/op is what one reset charges the core.
 func BenchmarkNICReset(b *testing.B) {
-	sys, drv := newResetQueue(b)
+	sys, drv := newBRCMQueue(b, true)
 	defer sys.Close()
 	start := sys.CPU.Now()
 	b.ReportAllocs()
@@ -135,6 +136,45 @@ func BenchmarkNICReset(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(sys.CPU.Now()-start)/float64(b.N), "vcycles/op")
+}
+
+// BenchmarkNetstackSend times netstack.(*Conn).SendPacket of one MSS on an
+// unaudited strict brcm NIC in steady state: the stack's charge, the
+// driver's Send, which maps the frame, and the Tx completion bursts, ack
+// deliveries and Rx reaps the connection fires along the way. The warm-up
+// runs two whole periods of those (3,200 packets: 16 Tx bursts of 200, 25
+// Rx reaps of 16 acks, one per 8 packets) and a flush, and the flush after
+// the timed packets is untimed. vcycles/op is what one timed packet
+// charges the core. It rises with the op count, because the strict Linux
+// IOVA allocator's gap search lengthens as its tree ages (map/iova-alloc
+// ~1,390 → ~1,480 cycles a packet over the first 256,000 packets), so
+// rows compare only at one -benchtime.
+func BenchmarkNetstackSend(b *testing.B) {
+	sys, drv := newBRCMQueue(b, false)
+	defer sys.Close()
+	conn := netstack.NewConn(sys.CPU, drv, netstack.DefaultParams(device.ProfileBRCM))
+	mss := conn.Params().MSS
+	for range 2 * 3200 {
+		if err := conn.SendPacket(mss); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := conn.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	start := sys.CPU.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := conn.SendPacket(mss); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sys.CPU.Now()-start)/float64(b.N), "vcycles/op")
+	if err := conn.Flush(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkWalk times a warm 4-level radix walk (tables resident, IOTLB not
@@ -939,7 +979,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// 1024 unmaps and as many maps. The warm-up grows the oracle's
 		// tombstones past their compaction point; the steady state must
 		// then allocate nothing.
-		sys, drv := newResetQueue(t)
+		sys, drv := newBRCMQueue(t, true)
 		defer sys.Close()
 		reset := func() {
 			if err := drv.Recover(); err != nil {
