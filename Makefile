@@ -8,7 +8,7 @@ WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
 
-.PHONY: all build test tier1 vet fmt-check reach race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full grid-check profile audit hotplug tenants traffic loc clean
+.PHONY: all build test tier1 vet fmt-check reach race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full profile audit hotplug tenants traffic loc clean
 
 all: tier1
 
@@ -50,7 +50,7 @@ race:
 ci: build vet race
 
 # ci-local mirrors every gate of .github/workflows/ci.yml in one invocation.
-ci-local: build vet fmt-check reach test race equivalence fuzz-smoke bench-check alloc-check cover grid-check audit hotplug tenants grid-full traffic perfbench-check
+ci-local: build vet fmt-check reach test race equivalence fuzz-smoke bench-check alloc-check cover audit hotplug tenants grid-full traffic perfbench-check
 
 # equivalence runs the mode-equivalence property suite under the race
 # detector: every protection mode must produce byte-identical Tx/Rx payloads
@@ -153,10 +153,10 @@ bench-check: build
 
 # campaign-json regenerates the committed campaign golden: the -json report
 # and the rendered tables of one serial grid that holds every cell family.
-# TestCampaignGolden (cmd/riommu-faults) reruns these flags and fails on any
-# byte of drift from either file, so keep the two flag lists equal. Run it
-# (and commit both files) whenever an intentional change moves a campaign
-# metric or table.
+# TestCampaignGolden (cmd/riommu-faults) reruns these flags at -parallel 1
+# and at -parallel 4 and fails on any byte of drift from either file, so
+# keep the two flag lists equal. Run it (and commit both files) whenever an
+# intentional change moves a campaign metric or table.
 CAMPAIGN_FLAGS = -seed 5 -rounds 24 -rates 0,0.01 -modes strict,riommu -cores 2 \
 	-chaos all -intchaos all -hotplug all -tenants 3 -churn 2000 -parallel 1
 campaign-json: build
@@ -226,44 +226,14 @@ bench-wallclock-baseline: build
 
 # grid-full runs the full-quality fault-campaign grid — every axis the
 # campaign knows (faults, hostile devices, hostile MSIs, hot-plug storms,
-# multi-core scale-out, hostile tenants) at full rounds — as GRID_SHARDS
-# sequential shard passes over one shared checkpoint. Every completed cell is
-# flushed to grid-full.ckpt before the next starts, so an interrupted or
-# wall-clock-budgeted run loses at most one cell: rerunning the same command
-# resumes, and the pass that completes the grid renders the report, writes
-# grid-full.json, and enforces every gate. Cells are pure functions of their
-# key and seed, so the sharded report is byte-identical to a serial run.
-GRID_SHARDS ?= 4
+# multi-core scale-out, hostile tenants, connection churn) at full rounds —
+# in one pass: it renders the report, writes grid-full.json and enforces
+# every gate.
 GRID_ROUNDS ?= 150
 GRID_FLAGS = -rounds $(GRID_ROUNDS) -audit -chaos all -intchaos all -hotplug all \
 	-cores 2,4 -tenants 3 -tenantchaos all -churn 2000,500000
 grid-full: build
-	@i=0; while [ $$i -lt $(GRID_SHARDS) ]; do \
-		echo "grid-full: shard $$i/$(GRID_SHARDS)"; \
-		$(GO) run ./cmd/riommu-faults $(GRID_FLAGS) \
-			-shard $$i/$(GRID_SHARDS) -checkpoint grid-full.ckpt -json grid-full.json || exit 1; \
-		i=$$((i + 1)); \
-	done
-	@echo "grid-full: report in grid-full.json (checkpoint: grid-full.ckpt)"
-
-# grid-check is the sharded-runtime byte-identity gate at CI-sized rounds: a
-# serial run and a sharded, checkpoint-resumed run of the same grid must
-# produce byte-identical -json reports. The grid is the campaign golden's,
-# which holds every cell family; below 24 rounds the tenant liveness gate
-# fails (the hostile tenant is never quarantined).
-GRID_CHECK_FLAGS = $(CAMPAIGN_FLAGS)
-grid-check: build
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/riommu-faults $(GRID_CHECK_FLAGS) -json "$$tmp/serial.json" > /dev/null || exit 1; \
-	i=0; while [ $$i -lt 3 ]; do \
-		$(GO) run ./cmd/riommu-faults $(GRID_CHECK_FLAGS) \
-			-shard $$i/3 -checkpoint "$$tmp/grid.ckpt" -json "$$tmp/sharded.json" > /dev/null || exit 1; \
-		i=$$((i + 1)); \
-	done; \
-	if ! diff -u "$$tmp/serial.json" "$$tmp/sharded.json"; then \
-		echo "grid-check: sharded report differs from serial run"; exit 1; \
-	fi; \
-	echo "grid-check: sharded report byte-identical to serial run"
+	$(GO) run ./cmd/riommu-faults $(GRID_FLAGS) -json grid-full.json
 
 # loc prints the line count of the non-test Go source, leaving out the
 # benchmark's own module (perfbench/), its build directory (.bench_build/)
@@ -282,4 +252,4 @@ profile: build
 
 clean:
 	$(GO) clean ./...
-	rm -f cpu.pprof mem.pprof grid-full.ckpt grid-full.json
+	rm -f cpu.pprof mem.pprof grid-full.json

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	riommu-bench [-quality quick|full] [-parallel N] [-exp id[,id...]] [-json FILE]
-//	             [-csv DIR] [-shard i/K] [-cpuprofile FILE] [-memprofile FILE] [-list]
-//	riommu-bench -merge FILE[,FILE...] -json FILE
+//	             [-csv DIR] [-cpuprofile FILE] [-memprofile FILE] [-list]
 //
 // With no -exp, every registered experiment runs in order. Output is the
 // paper-style rendering of each table/figure, with the paper's own numbers
@@ -20,21 +19,17 @@
 //
 // -json FILE additionally writes the machine-readable per-cell report (the
 // format the CI benchmark-regression gate diffs against BENCH_golden.json).
-// -shard i/K runs every K-th selected experiment starting at the i-th, and
-// -merge folds the shards' -json reports into the bytes of one unsharded
-// run. -csv DIR exports the Figure 7, 8 and 12 series, and -cpuprofile and
-// -memprofile write runtime/pprof profiles.
+// A run in which any experiment fails exits 1 before it writes -json, so
+// every report written is complete. -csv DIR exports the Figure 7, 8 and 12
+// series, and -cpuprofile and -memprofile write runtime/pprof profiles.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"riommu/internal/experiments"
@@ -46,28 +41,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// notifyInterrupt translates SIGINT/SIGTERM into the worker pool's
-// cooperative cancellation flag: in-flight cells finish, unstarted ones are
-// skipped, and the caller flushes a partial report. The returned stop func
-// detaches the handler (a second signal then kills the process normally).
-func notifyInterrupt() (stop func()) {
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		for range sigc {
-			parallel.Interrupt()
-		}
-	}()
-	return func() {
-		signal.Stop(sigc)
-		close(sigc)
-	}
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
-	parallel.ResetInterrupt()
-	defer notifyInterrupt()()
-
 	fs := flag.NewFlagSet("riommu-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -79,8 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvDir  = fs.String("csv", "", "also export Figure 7/8/12 data series as CSV into this directory")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 		memProf = fs.String("memprofile", "", "write an allocs heap profile to this file on exit")
-		shard   = fs.String("shard", "", "run only every K-th selected experiment: \"i/K\" with 0 <= i < K")
-		merge   = fs.String("merge", "", "merge comma-separated shard -json reports into -json FILE instead of running")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -91,8 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "riommu-bench:", err)
 		return 2
 	}
-	// Deferred (not run at exit) so profiles are flushed before the 130 of an
-	// interrupted run reaches os.Exit.
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(stderr, "riommu-bench:", err)
@@ -127,33 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *merge != "" {
-		if *jsonOut == "" {
-			fmt.Fprintln(stderr, "riommu-bench: -merge needs -json FILE for the merged report")
-			return 2
-		}
-		var reps []experiments.Report
-		for _, p := range strings.Split(*merge, ",") {
-			rep, err := experiments.ReadReport(strings.TrimSpace(p))
-			if err != nil {
-				fmt.Fprintln(stderr, "riommu-bench:", err)
-				return 1
-			}
-			reps = append(reps, rep)
-		}
-		rep, err := experiments.MergeReports(reps)
-		if err != nil {
-			fmt.Fprintln(stderr, "riommu-bench:", err)
-			return 1
-		}
-		if err := experiments.WriteJSON(*jsonOut, rep); err != nil {
-			fmt.Fprintln(stderr, "riommu-bench:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "riommu-bench: merged %d shard report(s) into %s\n", len(reps), *jsonOut)
-		return 0
-	}
-
 	var selected []experiments.Experiment
 	if *exp == "" {
 		selected = experiments.All()
@@ -167,15 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			selected = append(selected, e)
 		}
 	}
-	shardIdx, shardCount, err := parallel.ParseShard(*shard)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-bench:", err)
-		return 2
-	}
-	if shardCount > 1 {
-		selected = experiments.Shard(selected, shardIdx, shardCount)
-		fmt.Fprintf(stderr, "riommu-bench: shard %d/%d — %d experiment(s)\n", shardIdx, shardCount, len(selected))
-	}
 
 	start := time.Now()
 	results := experiments.RunAll(cfg, selected)
@@ -185,10 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "riommu-bench: %d experiment(s), %d worker(s), %.1fs\n",
 		len(selected), cfg.Workers, time.Since(start).Seconds())
-
-	if parallel.Interrupted() {
-		return flushPartial(cfg, results, *jsonOut, stderr)
-	}
 
 	// Report every failing experiment, not just the first: a grid error in
 	// cell k must not hide an unrelated error in cell k+1's experiment.
@@ -223,28 +153,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "riommu-bench: wrote %s\n", *jsonOut)
 	}
 	return 0
-}
-
-// flushPartial handles an interrupted run: every experiment that completed
-// before the signal is preserved in a report marked "interrupted", and the
-// exit code is the conventional 128+SIGINT.
-func flushPartial(cfg experiments.Config, results []experiments.RunResult, jsonOut string, stderr io.Writer) int {
-	done := 0
-	for _, r := range results {
-		if r.Err == nil {
-			done++
-		} else if !errors.Is(r.Err, parallel.ErrInterrupted) {
-			fmt.Fprintf(stderr, "riommu-bench: %s: %v\n", r.Experiment.ID, r.Err)
-		}
-	}
-	fmt.Fprintf(stderr, "riommu-bench: interrupted — %d of %d experiments completed\n", done, len(results))
-	if jsonOut != "" {
-		rep := experiments.BuildPartialReport(cfg, results)
-		if err := experiments.WriteJSON(jsonOut, rep); err != nil {
-			fmt.Fprintln(stderr, "riommu-bench:", err)
-		} else {
-			fmt.Fprintf(stderr, "riommu-bench: wrote partial report to %s\n", jsonOut)
-		}
-	}
-	return 130
 }

@@ -63,16 +63,8 @@
 // cells fails the command. The interrupt gate judges the -intchaos and
 // -hotplug cells, the cross-tenant gate the -tenants cells.
 //
-// -checkpoint FILE flushes every completed cell to FILE and restores the
-// cells already there on a rerun; -shard i/K computes every K-th cell into
-// it. The checkpoint is fingerprinted by the grid: the seed, -rounds,
-// -audit and the identity of every cell. A rerun whose grid differs is
-// refused, while two spellings of the same grid (-tenants 3 with or without
-// -tenantchaos all) share one checkpoint.
-//
-// SIGINT/SIGTERM stop the campaign cooperatively: in-flight cells finish,
-// the partial -json report is flushed with "interrupted": true, and the
-// command exits 130.
+// A bad flag value exits 2, a failed cell or gate exits 1. A run with a
+// failed cell writes no -json report, so every report written is complete.
 package main
 
 import (
@@ -80,9 +72,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
 	"riommu/internal/campaign"
 	"riommu/internal/chaos"
@@ -94,28 +83,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// notifyInterrupt translates SIGINT/SIGTERM into the worker pool's
-// cooperative cancellation flag: in-flight cells finish, unstarted ones are
-// skipped, and run flushes a partial report. The returned stop func
-// detaches the handler (a second signal then kills the process normally).
-func notifyInterrupt() (stop func()) {
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		for range sigc {
-			parallel.Interrupt()
-		}
-	}()
-	return func() {
-		signal.Stop(sigc)
-		close(sigc)
-	}
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
-	parallel.ResetInterrupt()
-	defer notifyInterrupt()()
-
 	fs := flag.NewFlagSet("riommu-faults", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -135,10 +103,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tchArg   = fs.String("tenantchaos", "", "comma-separated hostile-tenant scenarios, or \"all\" (default all when -tenants is set)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 		memProf  = fs.String("memprofile", "", "write an allocs heap profile to this file on exit")
-		shardArg = fs.String("shard", "", "compute only every K-th grid cell: \"i/K\" with 0 <= i < K (requires -checkpoint)")
-		ckptArg  = fs.String("checkpoint", "", "versioned JSON checkpoint: completed cells are flushed here and restored on rerun; extra comma-separated files are merged read-only")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *rounds < 1 {
+		fmt.Fprintf(stderr, "riommu-faults: -rounds %d: want at least 1\n", *rounds)
 		return 2
 	}
 
@@ -147,8 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "riommu-faults:", err)
 		return 2
 	}
-	// Deferred (not run at exit) so profiles are flushed before the 130 of an
-	// interrupted run reaches os.Exit.
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(stderr, "riommu-faults:", err)
@@ -222,23 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	shardIdx, shardCount, err := parallel.ParseShard(*shardArg)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-faults:", err)
-		return 2
-	}
-	var ckptPath string
-	var mergePaths []string
-	if *ckptArg != "" {
-		parts := strings.Split(*ckptArg, ",")
-		ckptPath = strings.TrimSpace(parts[0])
-		for _, p := range parts[1:] {
-			if p = strings.TrimSpace(p); p != "" {
-				mergePaths = append(mergePaths, p)
-			}
-		}
-	}
-
 	opts := campaign.Options{
 		Seed:     *seed,
 		Rates:    rs,
@@ -254,48 +205,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Run defaults TenantChaos to every scenario when Tenants is set.
 		TenantChaos: tenantScenarios,
 		Churn:       churn,
-		ShardIndex:  shardIdx,
-		ShardCount:  shardCount,
-		Checkpoint:  ckptPath,
-		Merge:       mergePaths,
 	}
 	res, err := campaign.Run(opts)
-	if parallel.Interrupted() {
-		done := 0
-		for i := range res.Keys {
-			if res.Completed[i] {
-				done++
-			}
-		}
-		fmt.Fprintf(stderr, "riommu-faults: interrupted — %d of %d cells completed\n", done, len(res.Keys))
-		if ckptPath != "" {
-			fmt.Fprintf(stderr, "riommu-faults: completed cells saved; rerun with -checkpoint %s to resume\n", ckptPath)
-		}
-		if *jsonOut != "" {
-			if werr := campaign.WriteJSON(*jsonOut, campaign.BuildReport(res)); werr != nil {
-				fmt.Fprintln(stderr, "riommu-faults:", werr)
-			} else {
-				fmt.Fprintf(stderr, "riommu-faults: wrote partial report to %s\n", *jsonOut)
-			}
-		}
-		return 130
-	}
 	if err != nil {
 		fmt.Fprintln(stderr, "riommu-faults:", err)
 		return 1
-	}
-	if !res.Complete() {
-		// A shard finished its slice but the checkpoint does not yet cover
-		// the grid: report/gates wait for the run that completes it.
-		done := 0
-		for i := range res.Keys {
-			if res.Completed[i] {
-				done++
-			}
-		}
-		fmt.Fprintf(stderr, "riommu-faults: shard %d/%d done — %d of %d cells in %s\n",
-			shardIdx, shardCount, done, len(res.Keys), ckptPath)
-		return 0
 	}
 
 	fmt.Fprintf(stdout, "riommu-faults: seed=%d rounds=%d (all clocks virtual; output is seed-deterministic)\n\n",

@@ -5,12 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
-
-	"riommu/internal/parallel"
 )
 
 // TestAuditChaosGatePasses: the -chaos flag (implying -audit) runs hostile
@@ -40,20 +37,21 @@ func TestAuditChaosGatePasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r struct {
-		Interrupted bool `json:"interrupted"`
+		Cells []json.RawMessage `json:"cells"`
 	}
 	if err := json.Unmarshal(b, &r); err != nil {
 		t.Fatal(err)
 	}
-	if r.Interrupted {
-		t.Error("complete run marked interrupted")
+	if len(r.Cells) == 0 {
+		t.Error("report holds no cells")
 	}
 }
 
-// TestCampaignGolden pins the campaign's bytes: one serial grid holding
-// every cell family must reproduce the committed BENCH_campaign.json report
-// and BENCH_campaign.txt tables exactly. The flags are the Makefile's
-// CAMPAIGN_FLAGS; refresh both files with `make campaign-json`.
+// TestCampaignGolden pins the campaign's bytes: one grid holding every cell
+// family must reproduce the committed BENCH_campaign.json report and
+// BENCH_campaign.txt tables exactly, run serially and on four workers. The
+// serial flags are the Makefile's CAMPAIGN_FLAGS; refresh both files with
+// `make campaign-json`.
 func TestCampaignGolden(t *testing.T) {
 	wantJSON, err := os.ReadFile("../../BENCH_campaign.json")
 	if err != nil {
@@ -63,190 +61,31 @@ func TestCampaignGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading committed golden: %v", err)
 	}
-	var out, errb bytes.Buffer
-	rep := filepath.Join(t.TempDir(), "rep.json")
-	code := run([]string{
-		"-seed", "5", "-rounds", "24", "-rates", "0,0.01", "-modes", "strict,riommu", "-cores", "2",
-		"-chaos", "all", "-intchaos", "all", "-hotplug", "all", "-tenants", "3", "-churn", "2000",
-		"-parallel", "1", "-json", rep,
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d\nstderr:\n%s", code, errb.String())
-	}
-	gotJSON, err := os.ReadFile(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("report drifted from BENCH_campaign.json (%d vs %d bytes); "+
-			"if intentional refresh with `make campaign-json`", len(gotJSON), len(wantJSON))
-	}
-	if got := out.Bytes(); !bytes.Equal(got, wantText) {
-		t.Errorf("tables drifted from BENCH_campaign.txt (%d vs %d bytes); "+
-			"if intentional refresh with `make campaign-json`", len(got), len(wantText))
-	}
-}
-
-// TestInterruptFlushesPartialReport: an interrupt mid-campaign yields exit
-// 130 and a valid partial JSON report marked "interrupted": true.
-func TestInterruptFlushesPartialReport(t *testing.T) {
-	defer parallel.ResetInterrupt()
-	var out, errb bytes.Buffer
-	rep := filepath.Join(t.TempDir(), "rep.json")
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		parallel.Interrupt()
-	}()
-	code := run([]string{"-rounds", "400", "-parallel", "2", "-json", rep}, &out, &errb)
-	if code != 130 {
-		t.Fatalf("exit %d, want 130\nstderr:\n%s", code, errb.String())
-	}
-	b, err := os.ReadFile(rep)
-	if err != nil {
-		t.Fatalf("partial report not written: %v", err)
-	}
-	var r struct {
-		Interrupted bool `json:"interrupted"`
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		t.Fatalf("partial report is not valid JSON: %v", err)
-	}
-	if !r.Interrupted {
-		t.Error("partial report not marked interrupted")
-	}
-}
-
-// TestSignalSetsInterrupt: a real SIGINT delivered to the process trips the
-// worker pool's cooperative cancellation flag.
-func TestSignalSetsInterrupt(t *testing.T) {
-	parallel.ResetInterrupt()
-	stop := notifyInterrupt()
-	defer stop()
-	defer parallel.ResetInterrupt()
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !parallel.Interrupted() {
-		if time.Now().After(deadline) {
-			t.Fatal("SIGINT never reached the interrupt flag")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestCheckpointResumeAfterInterrupt is the sharded-runtime acceptance
-// check: kill the campaign mid-grid, re-run with -checkpoint, and the final
-// -json report must be byte-identical to an uninterrupted serial run.
-func TestCheckpointResumeAfterInterrupt(t *testing.T) {
-	dir := t.TempDir()
-	serialRep := filepath.Join(dir, "serial.json")
-	resumedRep := filepath.Join(dir, "resumed.json")
-	ckpt := filepath.Join(dir, "grid.ckpt")
-	flags := func(rep string, extra ...string) []string {
-		return append([]string{
-			"-rounds", "400", "-rates", "0,0.01", "-modes", "strict,riommu",
-			"-parallel", "1", "-json", rep,
-		}, extra...)
-	}
-
-	var out, errb bytes.Buffer
-	if code := run(flags(serialRep), &out, &errb); code != 0 {
-		t.Fatalf("serial run: exit %d\nstderr:\n%s", code, errb.String())
-	}
-
-	// First pass: interrupt mid-grid. Whatever subset of cells completed is
-	// in the checkpoint; the resume must fill in exactly the rest. (The full
-	// grid takes ~100 ms serial, so the signal lands mid-grid; if scheduling
-	// ever lets the run win the race, the resume is a no-op and the
-	// byte-identity assertion still holds.)
-	go func() {
-		time.Sleep(25 * time.Millisecond)
-		parallel.Interrupt()
-	}()
-	out.Reset()
-	errb.Reset()
-	code := run(flags(resumedRep, "-checkpoint", ckpt), &out, &errb)
-	if code != 130 && code != 0 {
-		t.Fatalf("interrupted run: exit %d\nstderr:\n%s", code, errb.String())
-	}
-	parallel.ResetInterrupt()
-
-	out.Reset()
-	errb.Reset()
-	if code := run(flags(resumedRep, "-checkpoint", ckpt), &out, &errb); code != 0 {
-		t.Fatalf("resumed run: exit %d\nstderr:\n%s", code, errb.String())
-	}
-
-	want, err := os.ReadFile(serialRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(resumedRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("resumed report differs from the uninterrupted serial run")
-	}
-}
-
-// TestShardedGridRenders: shard passes over one checkpoint file; the shard
-// that completes the grid renders the full report, earlier shards exit 0
-// with a progress summary only.
-func TestShardedGridRenders(t *testing.T) {
-	dir := t.TempDir()
-	serialRep := filepath.Join(dir, "serial.json")
-	shardRep := filepath.Join(dir, "shard.json")
-	ckpt := filepath.Join(dir, "grid.ckpt")
-	base := []string{"-rounds", "6", "-rates", "0", "-modes", "strict,riommu", "-parallel", "1"}
-
-	var out, errb bytes.Buffer
-	if code := run(append(base, "-json", serialRep), &out, &errb); code != 0 {
-		t.Fatalf("serial run: exit %d\nstderr:\n%s", code, errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run(append(base, "-json", shardRep, "-shard", "0/2", "-checkpoint", ckpt), &out, &errb); code != 0 {
-		t.Fatalf("shard 0/2: exit %d\nstderr:\n%s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "shard 0/2 done") {
-		t.Errorf("shard 0/2 summary missing from stderr:\n%s", errb.String())
-	}
-	if out.Len() != 0 {
-		t.Error("incomplete shard rendered tables")
-	}
-	if _, err := os.Stat(shardRep); err == nil {
-		t.Error("incomplete shard wrote a -json report")
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run(append(base, "-json", shardRep, "-shard", "1/2", "-checkpoint", ckpt), &out, &errb); code != 0 {
-		t.Fatalf("shard 1/2: exit %d\nstderr:\n%s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "NIC campaign") {
-		t.Error("final shard did not render the campaign tables")
-	}
-
-	want, err := os.ReadFile(serialRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(shardRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("sharded report differs from the serial run")
-	}
-
-	// A sharded run without a checkpoint is refused up front.
-	out.Reset()
-	errb.Reset()
-	if code := run(append(base, "-shard", "0/2"), &out, &errb); code != 1 {
-		t.Errorf("shard without checkpoint: exit %d, want 1", code)
+	for _, workers := range []int{1, 4} {
+		t.Run("parallel="+strconv.Itoa(workers), func(t *testing.T) {
+			var out, errb bytes.Buffer
+			rep := filepath.Join(t.TempDir(), "rep.json")
+			code := run([]string{
+				"-seed", "5", "-rounds", "24", "-rates", "0,0.01", "-modes", "strict,riommu", "-cores", "2",
+				"-chaos", "all", "-intchaos", "all", "-hotplug", "all", "-tenants", "3", "-churn", "2000",
+				"-parallel", strconv.Itoa(workers), "-json", rep,
+			}, &out, &errb)
+			if code != 0 {
+				t.Fatalf("exit %d\nstderr:\n%s", code, errb.String())
+			}
+			gotJSON, err := os.ReadFile(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("report drifted from BENCH_campaign.json (%d vs %d bytes); "+
+					"if intentional refresh with `make campaign-json`", len(gotJSON), len(wantJSON))
+			}
+			if got := out.Bytes(); !bytes.Equal(got, wantText) {
+				t.Errorf("tables drifted from BENCH_campaign.txt (%d vs %d bytes); "+
+					"if intentional refresh with `make campaign-json`", len(got), len(wantText))
+			}
+		})
 	}
 }
 
@@ -267,17 +106,21 @@ func TestChurnRunIsGated(t *testing.T) {
 	}
 }
 
-// TestBadChaosFlag: unknown scenarios are a usage error.
+// TestBadChaosFlag: unknown scenarios, a NaN rate and fewer than one round
+// are usage errors.
 func TestBadChaosFlag(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-chaos", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if code := run([]string{"-intchaos", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("-intchaos nonsense: exit %d, want 2", code)
-	}
-	if code := run([]string{"-hotplug", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("-hotplug nonsense: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-chaos", "nonsense"},
+		{"-intchaos", "nonsense"},
+		{"-hotplug", "nonsense"},
+		{"-rates", "NaN", "-modes", "strict", "-rounds", "6"},
+		{"-rounds", "0"},
+		{"-rounds", "-3"},
+	} {
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%s: exit %d, want 2", strings.Join(args, " "), code)
+		}
 	}
 }
 
@@ -315,17 +158,13 @@ func TestIntChaosHotplugGatePasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r struct {
-		Interrupted bool `json:"interrupted"`
-		Cells       []struct {
+		Cells []struct {
 			ID      string             `json:"cell"`
 			Metrics map[string]float64 `json:"metrics"`
 		} `json:"cells"`
 	}
 	if err := json.Unmarshal(b, &r); err != nil {
 		t.Fatal(err)
-	}
-	if r.Interrupted {
-		t.Error("complete run marked interrupted")
 	}
 	var sawInt, sawPlug bool
 	for _, c := range r.Cells {

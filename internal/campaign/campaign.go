@@ -126,7 +126,7 @@ func ParseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("rate %v out of [0,1]", r)
 		}
 		out = append(out, r)
@@ -175,22 +175,6 @@ type Options struct {
 	// heavy-tailed mixes, mixed kernel/bypass paths) under the shadow
 	// oracle. Churn cells are always audited.
 	Churn []int
-
-	// ShardIndex/ShardCount split the grid across cooperating processes:
-	// with ShardCount = K, this process computes only the cells whose grid
-	// index i satisfies i % K == ShardIndex (cells already present in the
-	// checkpoint are restored regardless of shard). ShardCount <= 1 runs the
-	// whole grid. Sharded runs require a Checkpoint, since a shard's results
-	// would otherwise be lost. Like Workers, the shard split never affects
-	// cell content — only which process computes which cell.
-	ShardIndex, ShardCount int
-	// Checkpoint names the versioned JSON checkpoint file: completed cells
-	// are flushed to it as they finish (atomic temp-file rename per cell),
-	// and cells already recorded there are restored instead of re-run.
-	Checkpoint string
-	// Merge lists additional checkpoint files to restore cells from
-	// read-only — the merge step after K shards ran into K separate files.
-	Merge []string
 }
 
 // Family is a kind of campaign cell. It indexes the families table.
@@ -283,12 +267,6 @@ func scenarioKeys[S ~string](dst []Key, f Family, n int, scenarios []S, modes []
 
 // CellMetrics is what one campaign cell measured.
 type CellMetrics struct {
-	// Clock is the cell's final CPU clock snapshot — the complete
-	// per-component cycle ledger, captured with cycles.Clock.Snapshot when
-	// the cell finishes and carried through checkpoints so a restored cell
-	// is indistinguishable from a freshly-run one.
-	Clock cycles.Snapshot
-
 	Injected       uint64
 	Recovery       driver.RecoveryStats
 	RecoveryCycles uint64 // CPU cycles charged to recovery work
@@ -359,8 +337,8 @@ type CellMetrics struct {
 }
 
 // Result pairs the grid with its measurements, cell i of Keys in Cells[i].
-// Completed[i] is false for cells that never produced metrics (errored or
-// skipped by an interrupt); a nil Completed means every cell finished.
+// Completed[i] is false for a cell whose run returned an error; a nil
+// Completed means every cell finished.
 type Result struct {
 	Opts      Options
 	Keys      []Key
@@ -371,18 +349,6 @@ type Result struct {
 // done reports whether cell i produced metrics.
 func (r Result) done(i int) bool {
 	return r.Completed == nil || r.Completed[i]
-}
-
-// Complete reports whether every grid cell has metrics — true for an
-// uninterrupted unsharded run, and for a sharded/resumed run once the
-// checkpoint covers the whole grid.
-func (r Result) Complete() bool {
-	for i := range r.Keys {
-		if !r.done(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // Grid enumerates the campaign cells in canonical order: each family's
@@ -397,87 +363,18 @@ func (o Options) Grid() []Key {
 }
 
 // Run executes the whole grid, fanning cells across opts.Workers workers.
-// On interrupt (parallel.Interrupt) it returns the partial Result — cells
-// that never ran have Completed[i] == false — together with the
-// lowest-index cell error, which is parallel.ErrInterrupted unless an
-// earlier cell failed outright.
+// Every cell runs even when one fails: a failed cell has Completed[i] ==
+// false, and the error returned is the lowest-index failed cell's.
 func Run(opts Options) (Result, error) {
 	keys := opts.Grid()
-	cells := make([]CellMetrics, len(keys))
-	completed := make([]bool, len(keys))
-	res := Result{Opts: opts, Keys: keys, Cells: cells, Completed: completed}
-
-	if opts.ShardCount > 1 {
-		if opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount {
-			return res, fmt.Errorf("shard index %d out of range [0,%d)", opts.ShardIndex, opts.ShardCount)
-		}
-		if opts.Checkpoint == "" {
-			return res, fmt.Errorf("sharded runs need -checkpoint: a shard's cells would otherwise be lost")
-		}
-	}
-
-	// Restore completed cells: read-only merge sources first, then the
-	// primary checkpoint (which is also where new cells are flushed).
-	var ckw *checkpointer
-	restore := func(ck *Checkpoint) {
-		for i, k := range keys {
-			if m, ok := ck.Cells[k.String()]; ok {
-				cells[i] = m
-				completed[i] = true
-			}
-		}
-	}
-	for _, path := range opts.Merge {
-		ck, err := LoadCheckpoint(path, opts)
-		if err != nil {
-			return res, err
-		}
-		if ck == nil {
-			return res, fmt.Errorf("merge checkpoint %s: no such file", path)
-		}
-		restore(ck)
-	}
-	if opts.Checkpoint != "" {
-		ck, err := LoadCheckpoint(opts.Checkpoint, opts)
-		if err != nil {
-			return res, err
-		}
-		if ck != nil {
-			restore(ck)
-		}
-		ckw = newCheckpointer(opts.Checkpoint, opts, ck)
-		// Fold merged cells into the primary so the merge target ends up
-		// holding the whole grid.
-		for i, k := range keys {
-			if completed[i] {
-				if _, ok := ckw.ck.Cells[k.String()]; !ok {
-					if err := ckw.record(k.String(), cells[i]); err != nil {
-						return res, err
-					}
-				}
-			}
-		}
-	}
-
+	res := Result{Opts: opts, Keys: keys, Cells: make([]CellMetrics, len(keys)), Completed: make([]bool, len(keys))}
 	err := parallel.Run(opts.Workers, len(keys), func(i int) error {
-		if completed[i] {
-			return nil // restored from a checkpoint
-		}
-		if opts.ShardCount > 1 && i%opts.ShardCount != opts.ShardIndex {
-			return nil // another shard's cell
-		}
 		k := keys[i]
 		c, err := families[k.Family].run(k, parallel.CellSeed(opts.Seed, k.String()), opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", k, err)
 		}
-		cells[i] = c
-		completed[i] = true
-		if ckw != nil {
-			if err := ckw.record(k.String(), c); err != nil {
-				return fmt.Errorf("%s: %w", k, err)
-			}
-		}
+		res.Cells[i], res.Completed[i] = c, true
 		return nil
 	})
 	return res, err
@@ -536,8 +433,8 @@ func soak(sup *driver.Supervisor, rounds int, op func() error) error {
 }
 
 // tally fills in what every supervised cell reports once its rounds are
-// done: injections, recovery cycles, cycles per operation over ops, the
-// shadow oracles' verdicts and the final clock.
+// done: injections, recovery cycles, cycles per operation over ops and the
+// shadow oracles' verdicts.
 func tally(c *CellMetrics, sys *sim.System, ops uint64) {
 	c.Injected = sys.FaultEng.TotalInjected()
 	c.RecoveryCycles = sys.CPU.Total(cycles.Recovery)
@@ -546,7 +443,6 @@ func tally(c *CellMetrics, sys *sim.System, ops uint64) {
 	}
 	recordAudit(c, sys.Auditor, ops)
 	recordIntAudit(c, sys)
-	c.Clock = sys.CPU.Snapshot()
 }
 
 // tallyNIC is tally for a NIC cell that moved pkts packets, adding the

@@ -553,11 +553,14 @@ func TestParseRates(t *testing.T) {
 	if _, err := ParseRates("x"); err == nil {
 		t.Error("non-numeric rate accepted")
 	}
+	if _, err := ParseRates("NaN"); err == nil {
+		t.Error("NaN rate accepted")
+	}
 }
 
-// TestPartialReportDropsUnfinishedCells: a Result with unfinished cells
-// (interrupted run) builds a report holding only real measurements, marked
-// interrupted; the gate skips the unfinished cells too.
+// TestPartialReportDropsUnfinishedCells: a Result with an unfinished cell
+// (one whose run failed) builds a report holding only real measurements,
+// and the gate skips the unfinished cell too.
 func TestPartialReportDropsUnfinishedCells(t *testing.T) {
 	r := Result{
 		Opts: Options{Seed: 7, Rounds: 3},
@@ -569,33 +572,12 @@ func TestPartialReportDropsUnfinishedCells(t *testing.T) {
 		Completed: []bool{true, false},
 	}
 	rep := BuildReport(r)
-	if !rep.Interrupted {
-		t.Error("partial result not marked interrupted")
-	}
 	if len(rep.Cells) != 1 || rep.Cells[0].ID != r.Keys[0].String() {
 		t.Fatalf("report cells = %+v, want only the completed cell", rep.Cells)
-	}
-	b, err := MarshalReport(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"interrupted": true`) {
-		t.Errorf("marshalled report missing interrupted marker:\n%s", b)
 	}
 	// The unfinished defer stale-replay cell must not trip the liveness gate.
 	if fails := r.AuditViolationsGate(); len(fails) != 0 {
 		t.Errorf("gate flagged unfinished cells: %v", fails)
-	}
-
-	// A complete run's report must not mention the field at all (golden
-	// byte-stability).
-	r.Completed = []bool{true, true}
-	full, err := MarshalReport(BuildReport(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(full), "interrupted") {
-		t.Errorf("complete report mentions interrupted:\n%s", full)
 	}
 }
 

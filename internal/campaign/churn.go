@@ -67,7 +67,6 @@ func churnCell(k Key, seed uint64, o Options) (CellMetrics, error) {
 		return CellMetrics{}, err
 	}
 	c := CellMetrics{
-		Clock:         r.Cycles,
 		CyclesPerOp:   r.CyclesPerPkt,
 		Gbps:          r.Gbps,
 		DataPackets:   r.DataPackets,

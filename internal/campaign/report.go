@@ -17,24 +17,18 @@ type ReportCell struct {
 }
 
 // Report is the full machine-readable campaign: every cell in grid order.
-// Interrupted marks a partial report flushed on SIGINT/SIGTERM — only the
-// cells that finished before the interrupt are present. The field is
-// omitted entirely on complete runs so historical reports stay byte-stable.
 type Report struct {
-	Seed        uint64       `json:"seed"`
-	Rounds      int          `json:"rounds"`
-	Interrupted bool         `json:"interrupted,omitempty"`
-	Cells       []ReportCell `json:"cells"`
+	Seed   uint64       `json:"seed"`
+	Rounds int          `json:"rounds"`
+	Cells  []ReportCell `json:"cells"`
 }
 
-// BuildReport flattens a merged Result into the canonical report. Cells that
-// never completed (interrupted runs) are dropped and the report is marked
-// Interrupted, so every cell present holds real measurements.
+// BuildReport flattens a Result into the canonical report. A cell whose run
+// failed is dropped, so every cell present holds real measurements.
 func BuildReport(r Result) Report {
 	rep := Report{Seed: r.Opts.Seed, Rounds: r.Opts.Rounds}
 	for i, k := range r.Keys {
 		if !r.done(i) {
-			rep.Interrupted = true
 			continue
 		}
 		c := r.Cells[i]

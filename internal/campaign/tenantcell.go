@@ -248,7 +248,6 @@ func tenantCell(k Key, _ uint64, o Options) (CellMetrics, error) {
 			c.VictimAvailability = av
 		}
 	}
-	c.Clock = h0.sys.CPU.Snapshot()
 	return c, nil
 }
 

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +25,56 @@ func checkReused(t *testing.T, results []RunResult) {
 		if r.Reused != wantReused[r.Experiment.ID] {
 			t.Errorf("%s reused %d cells, want %d", r.Experiment.ID, r.Reused, wantReused[r.Experiment.ID])
 		}
+	}
+}
+
+// TestReusedCellsComputedAlone: an experiment's bytes do not depend on
+// whether its cells were computed or reused. Each experiment that reuses
+// cells in a full RunAll runs alone here, computes every cell itself, and
+// must reproduce its own block of BENCH_golden.json byte for byte.
+func TestReusedCellsComputedAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Figure 12's matrix; slow under -short")
+	}
+	b, err := os.ReadFile("../../BENCH_golden.json")
+	if err != nil {
+		t.Fatalf("reading committed golden: %v", err)
+	}
+	var golden Report
+	if err := json.Unmarshal(b, &golden); err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[string]ExperimentReport{}
+	for _, e := range golden.Experiments {
+		blocks[e.ID] = e
+	}
+	cfg := Serial(Quick)
+	for id := range wantReused {
+		t.Run(id, func(t *testing.T) {
+			e, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := RunAll(cfg, []Experiment{e})
+			if results[0].Reused != 0 {
+				t.Errorf("reused %d cells alone, want 0", results[0].Reused)
+			}
+			rep, err := BuildReport(cfg, results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MarshalReport(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := MarshalReport(Report{Quality: golden.Quality, Experiments: []ExperimentReport{blocks[id]}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("computed alone, the report differs from its BENCH_golden.json block (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }
 

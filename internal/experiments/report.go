@@ -36,11 +36,8 @@ type ExperimentReport struct {
 // Report is the full machine-readable run: every selected experiment's
 // cells in registry order. This is what riommu-bench -json emits and what
 // the CI benchmark-regression gate diffs against BENCH_golden.json.
-// Interrupted marks a partial report flushed on SIGINT/SIGTERM — it is
-// omitted on complete runs so golden files stay byte-stable.
 type Report struct {
 	Quality     string             `json:"quality"`
-	Interrupted bool               `json:"interrupted,omitempty"`
 	Experiments []ExperimentReport `json:"experiments"`
 }
 
@@ -98,26 +95,19 @@ func RunAll(cfg Config, sel []Experiment) []RunResult {
 // It must only be called when every result succeeded: a partial report
 // would silently pass the CI diff for the cells that did run.
 func BuildReport(cfg Config, results []RunResult) (Report, error) {
-	rep := Report{Quality: cfg.Quality.String()}
 	for _, r := range results {
 		if r.Err != nil {
 			return Report{}, fmt.Errorf("experiments: %s failed: %w", r.Experiment.ID, r.Err)
 		}
-		rep.Experiments = append(rep.Experiments, ExperimentReport{
-			ID:    r.Experiment.ID,
-			Title: r.Experiment.Title,
-			Cells: r.Output.Cells,
-		})
 	}
-	return rep, nil
+	return BuildPartialReport(cfg, results), nil
 }
 
-// BuildPartialReport assembles a report from whatever experiments finished
-// before an interrupt: failed or skipped experiments are dropped and the
-// report is marked Interrupted. Unlike BuildReport it never fails — an
-// interrupted run flushes what it has.
+// BuildPartialReport assembles a report from the experiments that
+// succeeded, dropping the failed ones. Unlike BuildReport it never fails, so
+// a caller can still compare the experiments that ran.
 func BuildPartialReport(cfg Config, results []RunResult) Report {
-	rep := Report{Quality: cfg.Quality.String(), Interrupted: true}
+	rep := Report{Quality: cfg.Quality.String()}
 	for _, r := range results {
 		if r.Err != nil {
 			continue

@@ -23,36 +23,10 @@
 package parallel
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// ErrInterrupted marks a cell that was never started because the run was
-// interrupted (e.g. by SIGINT). Cells that were already in flight when the
-// interrupt arrived run to completion, so every result slot holds either a
-// real outcome or ErrInterrupted — never a half-finished cell.
-var ErrInterrupted = errors.New("parallel: run interrupted")
-
-// interrupted is the process-wide cooperative cancellation flag checked by
-// Run before handing out each cell.
-var interrupted atomic.Bool
-
-// Interrupt requests that all in-progress and future Run calls stop handing
-// out new cells. Safe to call from a signal-handling goroutine.
-func Interrupt() { interrupted.Store(true) }
-
-// Interrupted reports whether Interrupt has been called since the last
-// ResetInterrupt.
-func Interrupted() bool { return interrupted.Load() }
-
-// ResetInterrupt clears the interrupt flag. Call it at the start of a
-// command's run function so earlier interrupts don't leak into a new run.
-func ResetInterrupt() { interrupted.Store(false) }
 
 // Workers resolves a -parallel flag value: n >= 1 is taken literally,
 // anything else (the flag default 0) means one worker per CPU.
@@ -68,9 +42,6 @@ func Workers(n int) int {
 // in index order on the calling goroutine. In both paths every cell is
 // executed (failures do not cancel the rest) and the returned error is the
 // lowest-index cell's error, so the outcome is independent of scheduling.
-//
-// If Interrupt is called mid-run, cells not yet started get ErrInterrupted
-// instead of executing; cells already running finish normally.
 func Run(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -81,10 +52,6 @@ func Run(workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if workers <= 1 {
 		for i := range errs {
-			if interrupted.Load() {
-				errs[i] = ErrInterrupted
-				continue
-			}
 			errs[i] = fn(i)
 		}
 	} else {
@@ -98,10 +65,6 @@ func Run(workers, n int, fn func(i int) error) error {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return
-					}
-					if interrupted.Load() {
-						errs[i] = ErrInterrupted
-						continue
 					}
 					errs[i] = fn(i)
 				}
@@ -150,30 +113,4 @@ func CellSeed(base uint64, id string) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// ParseShard parses a -shard flag value "i/K" into (index, count): process
-// i of K cooperating processes, each computing every K-th grid cell. The
-// empty string means unsharded (0, 0). Like the worker count, the shard
-// split is pure scheduling — it must never change what any cell computes.
-func ParseShard(s string) (index, count int, err error) {
-	if strings.TrimSpace(s) == "" {
-		return 0, 0, nil
-	}
-	parts := strings.Split(s, "/")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad shard %q (want i/K, e.g. 0/4)", s)
-	}
-	index, err = strconv.Atoi(strings.TrimSpace(parts[0]))
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard index in %q: %w", s, err)
-	}
-	count, err = strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard count in %q: %w", s, err)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("shard %q out of range (want 0 <= i < K)", s)
-	}
-	return index, count, nil
 }

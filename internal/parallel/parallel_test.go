@@ -139,67 +139,3 @@ func TestCellSeed(t *testing.T) {
 		}
 	}
 }
-
-// TestInterrupt: once Interrupt fires, unstarted cells resolve to
-// ErrInterrupted in both the serial and the worker-pool path, and
-// ResetInterrupt restores normal operation.
-func TestInterrupt(t *testing.T) {
-	defer ResetInterrupt()
-	for _, workers := range []int{1, 4} {
-		ResetInterrupt()
-		var ran atomic.Int64
-		trigger := 5
-		err := Run(workers, 40, func(i int) error {
-			if int(ran.Add(1)) == trigger {
-				Interrupt()
-			}
-			return nil
-		})
-		if !errors.Is(err, ErrInterrupted) {
-			t.Errorf("workers=%d: want ErrInterrupted, got %v", workers, err)
-		}
-		if !Interrupted() {
-			t.Errorf("workers=%d: Interrupted() false after Interrupt", workers)
-		}
-		// In-flight cells finish; unstarted ones never run. With 4 workers at
-		// most trigger+workers-1 cells can have started before the flag landed.
-		if got := ran.Load(); got < int64(trigger) || got >= 40 {
-			t.Errorf("workers=%d: %d cells ran, want >=%d and <40", workers, got, trigger)
-		}
-	}
-
-	ResetInterrupt()
-	if Interrupted() {
-		t.Error("ResetInterrupt did not clear the flag")
-	}
-	if err := Run(2, 10, func(i int) error { return nil }); err != nil {
-		t.Errorf("run after reset failed: %v", err)
-	}
-}
-
-// TestParseShard covers the -shard flag grammar.
-func TestParseShard(t *testing.T) {
-	for _, tc := range []struct {
-		in         string
-		idx, count int
-		wantErr    bool
-	}{
-		{"", 0, 0, false},
-		{"0/4", 0, 4, false},
-		{"3/4", 3, 4, false},
-		{"4/4", 0, 0, true},
-		{"-1/4", 0, 0, true},
-		{"1", 0, 0, true},
-		{"a/b", 0, 0, true},
-		{"0/0", 0, 0, true},
-	} {
-		idx, count, err := ParseShard(tc.in)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("ParseShard(%q): err=%v, wantErr=%v", tc.in, err, tc.wantErr)
-			continue
-		}
-		if err == nil && (idx != tc.idx || count != tc.count) {
-			t.Errorf("ParseShard(%q) = %d/%d, want %d/%d", tc.in, idx, count, tc.idx, tc.count)
-		}
-	}
-}

@@ -1,8 +1,7 @@
 // Package profiling wires runtime/pprof into the command-line tools. Both
 // campaign runners expose -cpuprofile/-memprofile flags; the profiles are
 // flushed by the stop function the caller defers inside run(), so they are
-// written even on the cooperative SIGINT path (the signal only sets the
-// worker pool's cancellation flag; run() still returns normally with 130).
+// written on every return path, before main passes run's code to os.Exit.
 package profiling
 
 import (
