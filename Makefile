@@ -8,7 +8,7 @@ WALLCLOCK_FLAGS ?= -count=2
 
 COVER_FLOOR ?= 78.0
 
-.PHONY: all build test tier1 vet fmt-check reach race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full profile audit hotplug tenants traffic loc clean
+.PHONY: all build test tier1 vet fmt-check reach race ci ci-local cover equivalence fuzz fuzz-smoke bench-json bench-check experiments-check campaign-json bench-wallclock bench-wallclock-baseline alloc-check perfbench-check grid-full profile audit hotplug tenants traffic loc clean
 
 all: tier1
 
@@ -50,7 +50,7 @@ race:
 ci: build vet race
 
 # ci-local mirrors every gate of .github/workflows/ci.yml in one invocation.
-ci-local: build vet fmt-check reach test race equivalence fuzz-smoke bench-check alloc-check cover audit hotplug tenants grid-full traffic perfbench-check
+ci-local: build vet fmt-check reach test race equivalence fuzz-smoke bench-check experiments-check alloc-check cover audit hotplug tenants grid-full traffic perfbench-check
 
 # equivalence runs the mode-equivalence property suite under the race
 # detector: every protection mode must produce byte-identical Tx/Rx payloads
@@ -150,6 +150,24 @@ bench-check: build
 		exit 1; \
 	fi; \
 	echo "bench-check: no drift vs $(BENCH_GOLDEN)"
+
+# experiments-check pins the rendered tables, which the golden above does
+# not hold: it reruns every experiment at full quality and fails on any byte
+# of drift from the fenced block under "## Full output" in EXPERIMENTS.md.
+# Paste the new stdout into that block whenever an intentional change moves
+# a rendered table.
+experiments-check: build
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	awk '/^## Full output/ { f = 1; next } f && /^```$$/ { if (b) exit; b = 1; next } b' \
+		EXPERIMENTS.md > "$$tmp/want"; \
+	$(GO) run ./cmd/riommu-bench -quality full > "$$tmp/got" || exit 1; \
+	if ! diff -u "$$tmp/want" "$$tmp/got"; then \
+		echo ""; \
+		echo "rendered output drift vs EXPERIMENTS.md's full output block."; \
+		echo "If intentional, paste the new -quality full stdout into that block."; \
+		exit 1; \
+	fi; \
+	echo "experiments-check: no drift vs EXPERIMENTS.md"
 
 # campaign-json regenerates the committed campaign golden: the -json report
 # and the rendered tables of one serial grid that holds every cell family.

@@ -30,8 +30,8 @@ func BenchmarkTable1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.MapAlloc[sim.Strict], "strict-alloc-vcycles")
-		b.ReportMetric(r.UnmapInv[sim.Strict], "strict-inv-vcycles")
+		b.ReportMetric(r.At(sim.Strict).MapAlloc, "strict-alloc-vcycles")
+		b.ReportMetric(r.At(sim.Strict).UnmapInv, "strict-inv-vcycles")
 	}
 }
 
@@ -43,7 +43,7 @@ func BenchmarkFigure7(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Total[sim.Strict]/r.CNone, "Cstrict/Cnone")
+		b.ReportMetric(r.At(sim.Strict).Total/r.CNone, "Cstrict/Cnone")
 		b.ReportMetric(r.CNone, "Cnone-vcycles")
 	}
 }
@@ -180,8 +180,8 @@ func BenchmarkTable3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.RTT["mlx"][sim.Strict], "mlx-strict-rtt-us")
-		b.ReportMetric(r.RTT["mlx"][sim.None], "mlx-none-rtt-us")
+		b.ReportMetric(r.At(experiments.Table3Key{NIC: "mlx", Mode: sim.Strict}), "mlx-strict-rtt-us")
+		b.ReportMetric(r.At(experiments.Table3Key{NIC: "mlx", Mode: sim.None}), "mlx-none-rtt-us")
 	}
 }
 
@@ -216,7 +216,7 @@ func BenchmarkBonnie(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.MBps[sim.Strict]/r.MBps[sim.None], "strict/none")
+		b.ReportMetric(r.At(sim.Strict).Throughput/r.At(sim.None).Throughput, "strict/none")
 	}
 }
 
@@ -258,9 +258,9 @@ func BenchmarkPathology(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := r.LiveSets[len(r.LiveSets)-1]
-		b.ReportMetric(r.AvgAllocCycles[last], "alloc-vcycles@8k-live")
-		b.ReportMetric(float64(r.MaxWalkNodes[last]), "worst-walk-nodes")
+		last := r.Results[len(r.Results)-1]
+		b.ReportMetric(last.AvgAllocCycles, "alloc-vcycles@8k-live")
+		b.ReportMetric(float64(last.MaxWalkNodes), "worst-walk-nodes")
 	}
 }
 
@@ -271,8 +271,8 @@ func BenchmarkAblations(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.BurstC[1]/r.BurstC[200], "burst1/burst200-C")
-		b.ReportMetric(r.PrefetchHitRate, "prefetch-rate")
+		b.ReportMetric(r.BurstC.At(1)/r.BurstC.At(200), "burst1/burst200-C")
+		b.ReportMetric(r.Prefetch.At(true).HitRate, "prefetch-rate")
 	}
 }
 
@@ -283,7 +283,7 @@ func BenchmarkNVMe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.KIOPS[sim.RIOMMU], "riommu-kiops")
-		b.ReportMetric(r.KIOPS[sim.Strict], "strict-kiops")
+		b.ReportMetric(r.At(sim.RIOMMU).KIOPS, "riommu-kiops")
+		b.ReportMetric(r.At(sim.Strict).KIOPS, "strict-kiops")
 	}
 }

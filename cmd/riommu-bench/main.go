@@ -6,7 +6,8 @@
 //	riommu-bench [-quality quick|full] [-parallel N] [-exp id[,id...]] [-json FILE]
 //	             [-csv DIR] [-cpuprofile FILE] [-memprofile FILE] [-list]
 //
-// With no -exp, every registered experiment runs in order. Output is the
+// With no -exp, every experiment runs in ID order; -exp runs the named ones
+// in the flag's order and refuses an ID named twice. Output is the
 // paper-style rendering of each table/figure, with the paper's own numbers
 // alongside where the experiment embeds them.
 //
@@ -86,6 +87,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	var selected []experiments.Experiment
+	if *exp == "" {
+		selected = experiments.All()
+	} else {
+		seen := map[string]bool{}
+		for _, id := range strings.Split(*exp, ",") {
+			id = strings.TrimSpace(id)
+			e, err := experiments.Lookup(id)
+			if err != nil {
+				fmt.Fprintln(stderr, "riommu-bench:", err)
+				return 2
+			}
+			if seen[id] {
+				fmt.Fprintf(stderr, "riommu-bench: experiment %q selected twice\n", id)
+				return 2
+			}
+			seen[id] = true
+			selected = append(selected, e)
+		}
+	}
+
 	if *csvDir != "" {
 		if err := experiments.ExportCSV(*csvDir, cfg); err != nil {
 			fmt.Fprintln(stderr, "riommu-bench:", err)
@@ -94,20 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote figure7.csv, figure8.csv, figure12_{mlx,brcm}.csv to %s\n", *csvDir)
 		if *exp == "" && *jsonOut == "" {
 			return 0
-		}
-	}
-
-	var selected []experiments.Experiment
-	if *exp == "" {
-		selected = experiments.All()
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			e, err := experiments.Lookup(strings.TrimSpace(id))
-			if err != nil {
-				fmt.Fprintln(stderr, "riommu-bench:", err)
-				return 2
-			}
-			selected = append(selected, e)
 		}
 	}
 

@@ -142,7 +142,7 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 	var tr Trace
 	sys, err := sim.New(sim.Spec{
 		Mode: mode, MemPages: 1 << 13,
-		Model: cycles.DefaultModel().Scaled(cfg.Profile.CostScale), Audit: true, IntRemap: true,
+		Model: sim.ProfileModel(cfg.Profile), Audit: true, IntRemap: true,
 	})
 	if err != nil {
 		return tr, err

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"riommu/internal/parallel"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
 	"riommu/internal/workload"
@@ -14,44 +13,28 @@ import (
 // IOMMU protection and with the IOMMU disabled, because the drive — not the
 // CPU — is the bottleneck.
 type BonnieResult struct {
-	Modes []sim.Mode
-	MBps  map[sim.Mode]float64
-	CPU   map[sim.Mode]float64
+	Grid[sim.Mode, workload.Result]
 }
 
 // RunBonnie measures sequential throughput in strict and none modes (plus
 // rIOMMU for completeness, though §4 notes SATA's out-of-order 32-slot
 // queue is outside rIOMMU's target class).
 func RunBonnie(cfg Config) (BonnieResult, error) {
-	res := BonnieResult{
-		Modes: []sim.Mode{sim.Strict, sim.None},
-		MBps:  map[sim.Mode]float64{},
-		CPU:   map[sim.Mode]float64{},
-	}
 	opts := workload.BonnieOpts{Ops: cfg.Quality.scale(200, 800)}
-	cells, err := parallel.Map(cfg.Workers, res.Modes, func(_ int, m sim.Mode) (workload.Result, error) {
+	g, err := runGrid(cfg, []sim.Mode{sim.Strict, sim.None}, func(m sim.Mode) (workload.Result, error) {
 		return workload.Bonnie(m, opts)
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, m := range res.Modes {
-		res.MBps[m] = cells[i].Throughput
-		res.CPU[m] = cells[i].CPU
-	}
-	return res, nil
+	return BonnieResult{g}, err
 }
 
 // Cells emits the per-mode throughput points.
 func (r BonnieResult) Cells() []Cell {
-	out := make([]Cell, 0, len(r.Modes))
-	for _, m := range r.Modes {
-		out = append(out, C("bonnie", m.String(), map[string]float64{
-			"mbps": r.MBps[m],
-			"cpu":  r.CPU[m],
-		}))
-	}
-	return out
+	return r.cells("bonnie", func(m sim.Mode, c workload.Result) (string, map[string]float64) {
+		return m.String(), map[string]float64{
+			"mbps": c.Throughput,
+			"cpu":  c.CPU,
+		}
+	})
 }
 
 // Render prints the comparison.
@@ -59,21 +42,12 @@ func (r BonnieResult) Render() string {
 	t := stats.NewTable(
 		"Sec 4. Bonnie++ sequential I/O over SATA: strict vs no IOMMU",
 		"mode", "MB/s", "cpu %")
-	for _, m := range r.Modes {
-		t.Row(m.String(), r.MBps[m], r.CPU[m]*100)
+	for i, m := range r.Keys {
+		t.Row(m.String(), r.Results[i].Throughput, r.Results[i].CPU*100)
 	}
 	ratio := 0.0
-	if r.MBps[sim.None] > 0 {
-		ratio = r.MBps[sim.Strict] / r.MBps[sim.None]
+	if none := r.At(sim.None).Throughput; none > 0 {
+		ratio = r.At(sim.Strict).Throughput / none
 	}
 	return t.String() + fmt.Sprintf("strict/none = %.3f (paper: indistinguishable)\n", ratio)
-}
-
-func init() {
-	register(Experiment{
-		ID:    "bonnie",
-		Title: "Sec 4: SATA applicability — Bonnie++ sequential I/O",
-		Paper: "indistinguishable performance with strict IOMMU protection and with a disabled IOMMU, HDD or SSD",
-		Run:   wrap(RunBonnie),
-	})
 }

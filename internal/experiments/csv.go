@@ -37,11 +37,12 @@ func f2s(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 
 // CSV writes the Figure 7 stacked-bar series.
 func (r Figure7Result) CSV(dir string) error {
-	rows := make([][]string, 0, len(r.Modes))
-	for _, m := range r.Modes {
+	rows := make([][]string, 0, len(r.Keys))
+	for i, m := range r.Keys {
+		bar := r.Results[i]
 		rows = append(rows, []string{
-			m.String(), f2s(r.IOVA[m]), f2s(r.PageTable[m]), f2s(r.Inv[m]),
-			f2s(r.Other[m]), f2s(r.Total[m]),
+			m.String(), f2s(bar.IOVA), f2s(bar.PageTable), f2s(bar.Inv),
+			f2s(bar.Other), f2s(bar.Total),
 		})
 	}
 	return WriteCSV(dir, "figure7",
@@ -66,17 +67,17 @@ func (r Figure8Result) CSV(dir string) error {
 
 // CSV writes one file per NIC with every Figure 12 panel's series.
 func (r Figure12Result) CSV(dir string) error {
-	for _, nic := range r.NICs {
+	for _, nic := range nics {
 		var rows [][]string
-		for _, bench := range r.Benches {
-			cells := r.Matrix[BenchKey{Bench: bench, NIC: nic.Name}]
-			for _, m := range r.Modes {
-				c := cells[m]
-				rows = append(rows, []string{
-					bench, m.String(), fmt.Sprintf("%g", c.Throughput), c.Unit,
-					f2s(c.CPU * 100), f2s(c.CyclesPerUnit),
-				})
+		for i, k := range r.Keys {
+			if k.NIC != nic.Name {
+				continue
 			}
+			c := r.Results[i]
+			rows = append(rows, []string{
+				k.Bench, k.Mode.String(), fmt.Sprintf("%g", c.Throughput), c.Unit,
+				f2s(c.CPU * 100), f2s(c.CyclesPerUnit),
+			})
 		}
 		if err := WriteCSV(dir, "figure12_"+nic.Name,
 			[]string{"benchmark", "mode", "throughput", "unit", "cpu_pct", "cycles_per_unit"}, rows); err != nil {

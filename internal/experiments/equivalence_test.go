@@ -7,16 +7,15 @@ import (
 
 // equivalenceSubset keeps the serial-vs-parallel test fast enough for the
 // race detector while still covering every fan-out shape used by the
-// experiment layer: Map over modes (table1, table3), Map over a flattened
-// multi-dimension grid (figure7), indexed Run with disjoint writes
-// (methodology, pathology), multi-sweep (ablations), split RNG streams
-// (misspenalty), and nested parts (prefetchers). table1 runs before figure7
-// here, so figure7 takes four of its cells from RunAll's cell memo and the
-// memo's hits run under every worker count too; methodology computes its RR
-// cells itself, without figure12. The heavyweight full-matrix experiments
-// (figure12, table2) use the same parallel.Map shape as figure7 and are
-// exercised across worker counts by the CI golden diff, which runs at
-// default workers against a -parallel 1 golden.
+// experiment layer: a grid over modes (table1, table3, figure7, nvme,
+// bonnie), a grid then one more cell (methodology, pathology), four grids
+// in turn (ablations), split RNG streams (misspenalty), and nested parts
+// (prefetchers). table1 runs before figure7 here, so figure7 takes four of
+// its cells from RunAll's cell memo and the memo's hits run under every
+// worker count too; methodology computes its RR cells itself, without
+// figure12. The heavyweight multi-axis grids (figure12, table2) use the
+// same runGrid as the rest and are exercised across worker counts by the CI
+// golden diff, which runs at default workers against a -parallel 1 golden.
 var equivalenceSubset = []string{
 	"table1", "table3", "figure7", "ablations", "misspenalty",
 	"methodology", "pathology", "prefetchers", "bonnie", "nvme",
@@ -87,7 +86,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestReportCellsCoverAllExperiments ensures no registered experiment ships
+// TestReportCellsCoverAllExperiments ensures no experiment ships
 // without machine-readable cells: an empty cell list would silently shrink
 // the CI golden's coverage.
 func TestReportCellsCoverAllExperiments(t *testing.T) {
@@ -102,7 +101,7 @@ func TestReportCellsCoverAllExperiments(t *testing.T) {
 	}
 	checkReused(t, results)
 	if len(rep.Experiments) != len(All()) {
-		t.Fatalf("report covers %d experiments, registry has %d", len(rep.Experiments), len(All()))
+		t.Fatalf("report covers %d experiments, All has %d", len(rep.Experiments), len(All()))
 	}
 	for _, er := range rep.Experiments {
 		if len(er.Cells) == 0 {

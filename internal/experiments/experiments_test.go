@@ -23,14 +23,14 @@ func TestRegistry(t *testing.T) {
 	all := All()
 	want := []string{"ablations", "bonnie", "figS2", "figure12", "figure7", "figure8", "intremap", "methodology", "misspenalty", "nvme", "pathology", "prefetchers", "scalability", "table1", "table2", "table3"}
 	if len(all) != len(want) {
-		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
+		t.Fatalf("All returns %d experiments, want %d", len(all), len(want))
 	}
 	for i, e := range all {
 		if e.ID != want[i] {
 			t.Errorf("experiment %d = %s, want %s", i, e.ID, want[i])
 		}
 		if e.Title == "" || e.Paper == "" || e.Run == nil {
-			t.Errorf("%s: incomplete registration", e.ID)
+			t.Errorf("%s: incomplete entry", e.ID)
 		}
 	}
 	if _, err := Lookup("table1"); err != nil {
@@ -46,27 +46,28 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	strict, strictPlus, deferred := r.At(sim.Strict), r.At(sim.StrictPlus), r.At(sim.Defer)
 	// Hard anchors measured directly from hardware in the paper.
-	if got := r.UnmapInv[sim.Strict]; got != 2127 {
+	if got := strict.UnmapInv; got != 2127 {
 		t.Errorf("strict iotlb inv = %.0f, want 2127", got)
 	}
-	if got := r.UnmapInv[sim.Defer]; got != 9 {
+	if got := deferred.UnmapInv; got != 9 {
 		t.Errorf("defer iotlb inv = %.0f, want 9", got)
 	}
 	// Component values within tolerance of Table 1.
-	within(t, "strict iova alloc", r.MapAlloc[sim.Strict], 3986, 0.5)
-	within(t, "strict+ iova alloc", r.MapAlloc[sim.StrictPlus], 92, 0.05)
-	within(t, "strict page table", r.MapPT[sim.Strict], 588, 0.15)
-	within(t, "strict iova find", r.UnmapFind[sim.Strict], 249, 0.30)
-	within(t, "strict iova free", r.UnmapFree[sim.Strict], 159, 0.15)
-	within(t, "strict unmap pt", r.UnmapPT[sim.Strict], 438, 0.15)
-	within(t, "strict+ iova find", r.UnmapFind[sim.StrictPlus], 418, 0.40)
-	within(t, "defer unmap other", r.UnmapOther[sim.Defer], 205, 0.25)
+	within(t, "strict iova alloc", strict.MapAlloc, 3986, 0.5)
+	within(t, "strict+ iova alloc", strictPlus.MapAlloc, 92, 0.05)
+	within(t, "strict page table", strict.MapPT, 588, 0.15)
+	within(t, "strict iova find", strict.UnmapFind, 249, 0.30)
+	within(t, "strict iova free", strict.UnmapFree, 159, 0.15)
+	within(t, "strict unmap pt", strict.UnmapPT, 438, 0.15)
+	within(t, "strict+ iova find", strictPlus.UnmapFind, 418, 0.40)
+	within(t, "defer unmap other", deferred.UnmapOther, 205, 0.25)
 	// Structural relations the paper highlights.
-	if r.MapAlloc[sim.Strict] <= r.MapAlloc[sim.Defer] {
+	if strict.MapAlloc <= deferred.MapAlloc {
 		t.Error("bulk dealloc should reduce the alloc pathology (defer < strict)")
 	}
-	if r.UnmapFind[sim.StrictPlus] <= r.UnmapFind[sim.Strict] {
+	if strictPlus.UnmapFind <= strict.UnmapFind {
 		t.Error("strict+ tree is fuller: its iova find should cost more")
 	}
 	if out := r.Render(); !strings.Contains(out, "iotlb inv") {
@@ -83,20 +84,21 @@ func TestFigure7Shape(t *testing.T) {
 		t.Errorf("C_none = %.0f, want %.0f", r.CNone, Figure7PaperCNone)
 	}
 	// The paper's headline: C_strict ≈ 9.4x C_none, C_defer+ ≥ 3.3x.
-	ratio := r.Total[sim.Strict] / r.CNone
+	strict, none := r.At(sim.Strict), r.At(sim.None)
+	ratio := strict.Total / r.CNone
 	if ratio < 7 || ratio > 12 {
 		t.Errorf("C_strict/C_none = %.1f, want ≈9.4", ratio)
 	}
-	if r.Total[sim.DeferPlus]/r.CNone < 2.5 {
-		t.Errorf("C_defer+/C_none = %.1f, want ≥ 2.5 (paper 3.3)", r.Total[sim.DeferPlus]/r.CNone)
+	if r.At(sim.DeferPlus).Total/r.CNone < 2.5 {
+		t.Errorf("C_defer+/C_none = %.1f, want ≥ 2.5 (paper 3.3)", r.At(sim.DeferPlus).Total/r.CNone)
 	}
 	// Strict's invalidation bar dominates its unmap side; none has zero
 	// IOMMU components.
-	if r.Inv[sim.Strict] < 2000 {
-		t.Errorf("strict inv component = %.0f", r.Inv[sim.Strict])
+	if strict.Inv < 2000 {
+		t.Errorf("strict inv component = %.0f", strict.Inv)
 	}
-	for _, comp := range []map[sim.Mode]float64{r.IOVA, r.PageTable, r.Inv} {
-		if comp[sim.None] != 0 {
+	for _, comp := range []float64{none.IOVA, none.PageTable, none.Inv} {
+		if comp != 0 {
 			t.Error("none mode has IOMMU component cycles")
 		}
 	}
@@ -139,11 +141,9 @@ func TestTable3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nic := range []string{"mlx", "brcm"} {
-		// Anchored within 15% of the paper's RTTs across all modes.
-		for _, m := range r.Modes {
-			within(t, nic+"/"+m.String()+" rtt", r.RTT[nic][m], Table3Paper[nic][m], 0.25)
-		}
+	// Anchored within 15% of the paper's RTTs across all modes.
+	for i, k := range r.Keys {
+		within(t, k.NIC+"/"+k.Mode.String()+" rtt", r.Results[i], Table3Paper[k.NIC][k.Mode], 0.25)
 	}
 	if !strings.Contains(r.Render(), "13.4") {
 		t.Error("render missing paper anchors")
@@ -222,32 +222,35 @@ func TestAblations(t *testing.T) {
 	// A: invalidation amortization — burst 200 must be far cheaper than
 	// burst 1, and within ~15% of the burst-32 plateau (§4's claim that
 	// ~200 iterations make invalidations negligible).
-	if r.BurstC[1] < r.BurstC[200]*1.5 {
-		t.Errorf("burst-1 C=%.0f should far exceed burst-200 C=%.0f", r.BurstC[1], r.BurstC[200])
+	burst := r.BurstC.At
+	if burst(1) < burst(200)*1.5 {
+		t.Errorf("burst-1 C=%.0f should far exceed burst-200 C=%.0f", burst(1), burst(200))
 	}
-	if r.BurstC[200] > r.BurstC[32]*1.05 {
-		t.Errorf("burst 200 (%.0f) should sit on the amortization plateau (%.0f)", r.BurstC[200], r.BurstC[32])
+	if burst(200) > burst(32)*1.05 {
+		t.Errorf("burst 200 (%.0f) should sit on the amortization plateau (%.0f)", burst(200), burst(32))
 	}
 	// B: larger defer batches buy cycles (monotone decrease).
-	for i := 0; i+1 < len(r.DeferBatches); i++ {
-		a, b := r.DeferBatches[i], r.DeferBatches[i+1]
-		if r.DeferC[a] <= r.DeferC[b] {
-			t.Errorf("defer batch %d C=%.0f should exceed batch %d C=%.0f", a, r.DeferC[a], b, r.DeferC[b])
+	batches, deferC := r.DeferC.Keys, r.DeferC.Results
+	for i := 0; i+1 < len(batches); i++ {
+		if deferC[i] <= deferC[i+1] {
+			t.Errorf("defer batch %d C=%.0f should exceed batch %d C=%.0f", batches[i], deferC[i], batches[i+1], deferC[i+1])
 		}
 	}
 	// C: prefetching eliminates almost all device-side flat-table fetches.
-	if r.FetchesWith*10 >= r.FetchesWithout {
+	on, off := r.Prefetch.At(true), r.Prefetch.At(false)
+	if on.Fetches*10 >= off.Fetches {
 		t.Errorf("prefetch on: %d fetches vs off: %d — expected >=10x reduction",
-			r.FetchesWith, r.FetchesWithout)
+			on.Fetches, off.Fetches)
 	}
-	if r.PrefetchHitRate < 0.95 {
-		t.Errorf("prediction rate %.2f", r.PrefetchHitRate)
+	if on.HitRate < 0.95 {
+		t.Errorf("prediction rate %.2f", on.HitRate)
 	}
 	// D: N >= L never overflows; N < L overflows exactly the shortfall.
-	if r.Overflows[64] != 0 || r.Overflows[128] != 0 {
+	overflows := r.Overflows.At
+	if overflows(64) != 0 || overflows(128) != 0 {
 		t.Error("adequately sized tables overflowed")
 	}
-	if r.Overflows[16] != 48 || r.Overflows[32] != 32 {
+	if overflows(16) != 48 || overflows(32) != 32 {
 		t.Errorf("undersized overflow counts = %v", r.Overflows)
 	}
 	if !strings.Contains(r.Render(), "Ablation D") {
@@ -260,20 +263,21 @@ func TestMethodologyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hwpt, swpt, none := r.At(sim.HWpt), r.At(sim.SWpt), r.At(sim.None)
 	// HWpt and SWpt are identical in every metric (§5.1).
-	if r.StreamGbps[sim.HWpt] != r.StreamGbps[sim.SWpt] {
-		t.Errorf("HWpt stream %.2f != SWpt %.2f", r.StreamGbps[sim.HWpt], r.StreamGbps[sim.SWpt])
+	if hwpt.StreamGbps != swpt.StreamGbps {
+		t.Errorf("HWpt stream %.2f != SWpt %.2f", hwpt.StreamGbps, swpt.StreamGbps)
 	}
-	if r.RRMicros[sim.HWpt] != r.RRMicros[sim.SWpt] {
-		t.Errorf("HWpt rtt %.2f != SWpt %.2f", r.RRMicros[sim.HWpt], r.RRMicros[sim.SWpt])
+	if hwpt.RRMicros != swpt.RRMicros {
+		t.Errorf("HWpt rtt %.2f != SWpt %.2f", hwpt.RRMicros, swpt.RRMicros)
 	}
 	// Stream trails none by ~10% (the abstraction overhead)...
-	ratio := r.StreamGbps[sim.HWpt] / r.StreamGbps[sim.None]
+	ratio := hwpt.StreamGbps / none.StreamGbps
 	if ratio < 0.85 || ratio > 0.95 {
 		t.Errorf("HWpt/none stream = %.2f, paper ~0.90", ratio)
 	}
 	// ...while RR is essentially identical to none (latencies hide it).
-	if d := r.RRMicros[sim.HWpt] - r.RRMicros[sim.None]; d < 0 || d > 0.3 {
+	if d := hwpt.RRMicros - none.RRMicros; d < 0 || d > 0.3 {
 		t.Errorf("HWpt rtt exceeds none by %.2f us, want ~0", d)
 	}
 	// And SWpt really does walk tables.
@@ -292,18 +296,18 @@ func TestPathologyScalesLinearly(t *testing.T) {
 	}
 	// The worst gap-search walk tracks the live-set size (§3.2: "linear in
 	// the number of currently allocated IOVAs").
-	for _, live := range r.LiveSets {
-		walk := float64(r.MaxWalkNodes[live])
+	for i, live := range r.Keys {
+		walk := float64(r.Results[i].MaxWalkNodes)
 		if walk < float64(live)*0.8 {
-			t.Errorf("live=%d: worst walk %d nodes — pathology should be ~linear in live set", live, r.MaxWalkNodes[live])
+			t.Errorf("live=%d: worst walk %d nodes — pathology should be ~linear in live set", live, r.Results[i].MaxWalkNodes)
 		}
 	}
 	// Average alloc cost grows monotonically with the live set.
-	for i := 0; i+1 < len(r.LiveSets); i++ {
-		a, b := r.LiveSets[i], r.LiveSets[i+1]
-		if r.AvgAllocCycles[a] >= r.AvgAllocCycles[b] {
+	for i := 0; i+1 < len(r.Keys); i++ {
+		a, b := r.Results[i].AvgAllocCycles, r.Results[i+1].AvgAllocCycles
+		if a >= b {
 			t.Errorf("avg alloc (live=%d) %.0f should be below (live=%d) %.0f",
-				a, r.AvgAllocCycles[a], b, r.AvgAllocCycles[b])
+				r.Keys[i], a, r.Keys[i+1], b)
 		}
 	}
 	// The "+" allocator is flat and matches the paper's 92 cycles.
@@ -322,19 +326,19 @@ func TestNVMeExtension(t *testing.T) {
 	}
 	// rIOMMU (and the unsafe modes) saturate the drive; strict cannot.
 	for _, m := range []sim.Mode{sim.RIOMMU, sim.RIOMMUMinus, sim.None} {
-		if r.KIOPS[m] < r.DriveKIOPS*0.99 {
-			t.Errorf("%s: %.0fK IOPS, want drive-capped %.0fK", m, r.KIOPS[m], r.DriveKIOPS)
+		if kiops := r.At(m).KIOPS; kiops < r.DriveKIOPS*0.99 {
+			t.Errorf("%s: %.0fK IOPS, want drive-capped %.0fK", m, kiops, r.DriveKIOPS)
 		}
 	}
-	if r.KIOPS[sim.Strict] >= r.DriveKIOPS*0.95 {
-		t.Errorf("strict: %.0fK IOPS — should fall short of the drive cap", r.KIOPS[sim.Strict])
+	if kiops := r.At(sim.Strict).KIOPS; kiops >= r.DriveKIOPS*0.95 {
+		t.Errorf("strict: %.0fK IOPS — should fall short of the drive cap", kiops)
 	}
 	// Cost ordering holds for storage too.
 	order := []sim.Mode{sim.Strict, sim.StrictPlus, sim.Defer, sim.DeferPlus, sim.RIOMMUMinus, sim.RIOMMU, sim.None}
 	for i := 0; i+1 < len(order); i++ {
-		if r.CyclesPerOp[order[i]] <= r.CyclesPerOp[order[i+1]] {
-			t.Errorf("cycles/op(%s)=%.0f should exceed %s=%.0f", order[i],
-				r.CyclesPerOp[order[i]], order[i+1], r.CyclesPerOp[order[i+1]])
+		a, b := r.At(order[i]).CyclesPerOp, r.At(order[i+1]).CyclesPerOp
+		if a <= b {
+			t.Errorf("cycles/op(%s)=%.0f should exceed %s=%.0f", order[i], a, order[i+1], b)
 		}
 	}
 	if !strings.Contains(r.Render(), "IOPS") {
@@ -347,7 +351,7 @@ func TestBonnieIndistinguishable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := r.MBps[sim.Strict] / r.MBps[sim.None]
+	ratio := r.At(sim.Strict).Throughput / r.At(sim.None).Throughput
 	if ratio < 0.95 || ratio > 1.0 {
 		t.Errorf("bonnie strict/none = %.3f, want ≈1", ratio)
 	}

@@ -11,19 +11,6 @@ import (
 	"riommu/internal/traffic"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figS2",
-		Title: "Figure S2: connection-churn collapse, kernel vs bypass paths",
-		Paper: "Extrapolation: the paper's map/unmap costs (Table 1) applied to " +
-			"datacenter flow churn. Short-lived flows turn every packet into an " +
-			"IOVA alloc + page-table update + invalidation; strict collapses, " +
-			"deferral is dragged down by its allocator, rIOMMU holds, and the " +
-			"kernel-bypass path (persistent mappings, §5.3) rides at line rate.",
-		Run: wrap(RunFigS2),
-	})
-}
-
 // FigS2Key identifies one churn-sweep matrix point.
 type FigS2Key struct {
 	Conns int
@@ -35,11 +22,12 @@ type FigS2Key struct {
 // count for every protection mode on both data paths of the traffic
 // engine, on the mlx profile (the paper's high-rate NIC).
 type FigS2Result struct {
-	Conns  []int
-	Paths  []string
-	Modes  []sim.Mode
-	Matrix map[FigS2Key]traffic.Result
+	Conns []int // the swept fleet sizes
+	Grid[FigS2Key, traffic.Result]
 }
+
+// figS2Paths are Figure S2's two data paths, in table order.
+var figS2Paths = []string{"kernel", "bypass"}
 
 // FigS2Seed is the base seed; each cell derives its own from its key.
 const FigS2Seed = 42
@@ -96,21 +84,16 @@ func figS2ID(k FigS2Key) string {
 // Every cell is an independent seeded world, so the sweep parallelizes
 // byte-identically.
 func RunFigS2(cfg Config) (FigS2Result, error) {
-	res := FigS2Result{
-		Conns:  figS2Conns(cfg.Quality),
-		Paths:  []string{"kernel", "bypass"},
-		Modes:  sim.AllModes(),
-		Matrix: map[FigS2Key]traffic.Result{},
-	}
-	var grid []FigS2Key
-	for _, conns := range res.Conns {
-		for _, path := range res.Paths {
-			for _, m := range res.Modes {
-				grid = append(grid, FigS2Key{Conns: conns, Path: path, Mode: m})
+	conns := figS2Conns(cfg.Quality)
+	var keys []FigS2Key
+	for _, n := range conns {
+		for _, path := range figS2Paths {
+			for _, m := range sim.AllModes() {
+				keys = append(keys, FigS2Key{Conns: n, Path: path, Mode: m})
 			}
 		}
 	}
-	cells, err := parallel.Map(cfg.Workers, grid, func(_ int, k FigS2Key) (traffic.Result, error) {
+	g, err := runGrid(cfg, keys, func(k FigS2Key) (traffic.Result, error) {
 		r, err := traffic.Run(figS2Cell(cfg.Quality, k))
 		if err != nil {
 			return r, fmt.Errorf("%s: %w", figS2ID(k), err)
@@ -121,53 +104,38 @@ func RunFigS2(cfg Config) (FigS2Result, error) {
 		}
 		return r, nil
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, k := range grid {
-		res.Matrix[k] = cells[i]
-	}
-	return res, nil
+	return FigS2Result{Conns: conns, Grid: g}, err
 }
 
 // Cells emits the matrix in grid order. The digests ride along as exact
 // 32-bit halves so the golden pins the application byte stream and the
 // mapping history, not just the averaged metrics.
 func (r FigS2Result) Cells() []Cell {
-	var out []Cell
-	for _, conns := range r.Conns {
-		for _, path := range r.Paths {
-			for _, m := range r.Modes {
-				c := r.Matrix[FigS2Key{Conns: conns, Path: path, Mode: m}]
-				out = append(out, C("figS2",
-					fmt.Sprintf("conns=%d/%s/%s", conns, path, m),
-					map[string]float64{
-						"gbps":             c.Gbps,
-						"cycles_per_pkt":   c.CyclesPerPkt,
-						"packets":          float64(c.DataPackets),
-						"opens":            float64(c.Opens),
-						"closes":           float64(c.Closes),
-						"map_events":       float64(c.MapEvents),
-						"app_digest_hi":    float64(uint32(c.AppDigest >> 32)),
-						"app_digest_lo":    float64(uint32(c.AppDigest)),
-						"map_digest_hi":    float64(uint32(c.MapDigest >> 32)),
-						"map_digest_lo":    float64(uint32(c.MapDigest)),
-						"audit_checked":    float64(c.AuditChecked),
-						"audit_violations": float64(c.AuditViolations),
-						"max_alloc_visits": float64(c.MaxAllocVisits),
-						"carved_pages":     float64(c.CarvedPages),
-					}))
-			}
+	return r.cells("figS2", func(k FigS2Key, c traffic.Result) (string, map[string]float64) {
+		return figS2ID(k), map[string]float64{
+			"gbps":             c.Gbps,
+			"cycles_per_pkt":   c.CyclesPerPkt,
+			"packets":          float64(c.DataPackets),
+			"opens":            float64(c.Opens),
+			"closes":           float64(c.Closes),
+			"map_events":       float64(c.MapEvents),
+			"app_digest_hi":    float64(uint32(c.AppDigest >> 32)),
+			"app_digest_lo":    float64(uint32(c.AppDigest)),
+			"map_digest_hi":    float64(uint32(c.MapDigest >> 32)),
+			"map_digest_lo":    float64(uint32(c.MapDigest)),
+			"audit_checked":    float64(c.AuditChecked),
+			"audit_violations": float64(c.AuditViolations),
+			"max_alloc_visits": float64(c.MaxAllocVisits),
+			"carved_pages":     float64(c.CarvedPages),
 		}
-	}
-	return out
+	})
 }
 
 // Render prints one Gbps table per path (modes x connections) plus the
 // collapse summary at the top of the sweep.
 func (r FigS2Result) Render() string {
 	var b strings.Builder
-	for _, path := range r.Paths {
+	for _, path := range figS2Paths {
 		header := []string{"mode"}
 		for _, conns := range r.Conns {
 			header = append(header, fmt.Sprintf("%dK conns", conns/1000))
@@ -178,11 +146,11 @@ func (r FigS2Result) Render() string {
 				path, device.ProfileMLX.Name),
 			header...)
 		t.AlignLeft(0)
-		for _, m := range r.Modes {
+		for _, m := range sim.AllModes() {
 			row := []string{m.String()}
 			var first, last float64
 			for i, conns := range r.Conns {
-				c := r.Matrix[FigS2Key{Conns: conns, Path: path, Mode: m}]
+				c := r.At(FigS2Key{Conns: conns, Path: path, Mode: m})
 				if i == 0 {
 					first = c.Gbps
 				}
@@ -197,9 +165,9 @@ func (r FigS2Result) Render() string {
 	}
 
 	maxConns := r.Conns[len(r.Conns)-1]
-	strict := r.Matrix[FigS2Key{Conns: maxConns, Path: "kernel", Mode: sim.Strict}]
-	riommu := r.Matrix[FigS2Key{Conns: maxConns, Path: "kernel", Mode: sim.RIOMMU}]
-	bypass := r.Matrix[FigS2Key{Conns: maxConns, Path: "bypass", Mode: sim.Strict}]
+	strict := r.At(FigS2Key{Conns: maxConns, Path: "kernel", Mode: sim.Strict})
+	riommu := r.At(FigS2Key{Conns: maxConns, Path: "kernel", Mode: sim.RIOMMU})
+	bypass := r.At(FigS2Key{Conns: maxConns, Path: "bypass", Mode: sim.Strict})
 	fmt.Fprintf(&b, "At %dK connections (~%d pkt/flow): strict kernel %.2f Gbps (C=%.0f), "+
 		"rIOMMU kernel %.2f Gbps (%sx), strict bypass %.2f Gbps (%sx).\n",
 		maxConns/1000, (1<<20)/maxConns,

@@ -18,10 +18,10 @@ func TestFigS2Crossover(t *testing.T) {
 		t.Fatalf("RunFigS2: %v", err)
 	}
 	lo, hi := res.Conns[0], res.Conns[len(res.Conns)-1]
-	strictLo := res.Matrix[FigS2Key{Conns: lo, Path: "kernel", Mode: sim.Strict}]
-	strict := res.Matrix[FigS2Key{Conns: hi, Path: "kernel", Mode: sim.Strict}]
-	riommu := res.Matrix[FigS2Key{Conns: hi, Path: "kernel", Mode: sim.RIOMMU}]
-	bypass := res.Matrix[FigS2Key{Conns: hi, Path: "bypass", Mode: sim.Strict}]
+	strictLo := res.At(FigS2Key{Conns: lo, Path: "kernel", Mode: sim.Strict})
+	strict := res.At(FigS2Key{Conns: hi, Path: "kernel", Mode: sim.Strict})
+	riommu := res.At(FigS2Key{Conns: hi, Path: "kernel", Mode: sim.RIOMMU})
+	bypass := res.At(FigS2Key{Conns: hi, Path: "bypass", Mode: sim.Strict})
 
 	if riommu.Gbps < 3*strict.Gbps {
 		t.Errorf("rIOMMU kernel %.2f Gbps not >= 3x strict kernel %.2f Gbps at %d conns",
@@ -35,18 +35,13 @@ func TestFigS2Crossover(t *testing.T) {
 		t.Errorf("no collapse: strict kernel %.2f Gbps at %d conns vs %.2f at %d",
 			strict.Gbps, hi, strictLo.Gbps, lo)
 	}
-	for _, conns := range res.Conns {
-		for _, path := range res.Paths {
-			for _, m := range res.Modes {
-				c := res.Matrix[FigS2Key{Conns: conns, Path: path, Mode: m}]
-				if c.AuditViolations != 0 {
-					t.Errorf("conns=%d/%s/%s: %d audit violations", conns, path, m, c.AuditViolations)
-				}
-			}
+	for i, k := range res.Keys {
+		if c := res.Results[i]; c.AuditViolations != 0 {
+			t.Errorf("conns=%d/%s/%s: %d audit violations", k.Conns, k.Path, k.Mode, c.AuditViolations)
 		}
 	}
 
-	wantCells := len(res.Conns) * len(res.Paths) * len(res.Modes)
+	wantCells := len(res.Conns) * len(figS2Paths) * len(sim.AllModes())
 	cells := res.Cells()
 	if len(cells) != wantCells {
 		t.Fatalf("Cells() emitted %d rows, want %d", len(cells), wantCells)

@@ -5,11 +5,22 @@ import (
 	"strings"
 
 	"riommu/internal/device"
-	"riommu/internal/parallel"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
 	"riommu/internal/workload"
 )
+
+// nics are the paper's two NIC setups, in table order.
+var nics = []device.NICProfile{device.ProfileMLX, device.ProfileBRCM}
+
+// nicProfile returns the NIC setup called name: brcm, or mlx for any other
+// name.
+func nicProfile(name string) device.NICProfile {
+	if name == device.ProfileBRCM.Name {
+		return device.ProfileBRCM
+	}
+	return device.ProfileMLX
+}
 
 // BenchKey identifies one benchmark on one NIC.
 type BenchKey struct {
@@ -17,25 +28,29 @@ type BenchKey struct {
 	NIC   string
 }
 
+// Figure12Key identifies one Figure 12 cell: a benchmark on a NIC, in one
+// mode.
+type Figure12Key struct {
+	BenchKey
+	Mode sim.Mode
+}
+
+// String names the cell: nic/benchmark/mode.
+func (k Figure12Key) String() string { return k.NIC + "/" + k.Bench + "/" + k.Mode.String() }
+
+// figure12Benches are Figure 12's benchmarks, in panel order.
+var figure12Benches = []string{"stream", "rr", "apache-1M", "apache-1K", "memcached"}
+
 // Figure12Result holds every cell of Figure 12: throughput and CPU per
 // benchmark per NIC per mode.
 type Figure12Result struct {
-	NICs    []device.NICProfile
-	Benches []string
-	Modes   []sim.Mode
-	Matrix  map[BenchKey]map[sim.Mode]workload.Result
+	Grid[Figure12Key, workload.Result]
 }
 
 // RunFigure12 measures all five benchmarks on both NIC profiles in all
-// seven modes. The full nic x benchmark x mode matrix is flattened into
-// one cell grid; every cell builds its own simulated system.
+// seven modes. The full nic x benchmark x mode matrix is one cell grid;
+// every cell builds its own simulated system.
 func RunFigure12(cfg Config) (Figure12Result, error) {
-	res := Figure12Result{
-		NICs:    []device.NICProfile{device.ProfileMLX, device.ProfileBRCM},
-		Benches: []string{"stream", "rr", "apache-1M", "apache-1K", "memcached"},
-		Modes:   sim.AllModes(),
-		Matrix:  map[BenchKey]map[sim.Mode]workload.Result{},
-	}
 	q := cfg.Quality
 	streamOpts := workload.StreamOpts{Messages: q.scale(100, 300), WarmupMessages: q.scale(50, 120)}
 	rrOpts := workload.RROpts{Transactions: q.scale(300, 1500), Warmup: q.scale(80, 300)}
@@ -43,95 +58,65 @@ func RunFigure12(cfg Config) (Figure12Result, error) {
 	ap1K := workload.ApacheOpts{FileBytes: 1024, Requests: q.scale(100, 300), Warmup: q.scale(30, 80)}
 	memOpts := workload.MemcachedOpts{Operations: q.scale(400, 1500), Warmup: q.scale(120, 400)}
 
-	runCell := func(nic device.NICProfile, bench string, m sim.Mode) (workload.Result, error) {
-		switch bench {
-		case "stream":
-			return netperfStream(cfg, m, nic, streamOpts)
-		case "rr":
-			return netperfRR(cfg, m, nic, rrOpts)
-		case "apache-1M":
-			return apache(cfg, m, nic, ap1M)
-		case "apache-1K":
-			return apache(cfg, m, nic, ap1K)
-		case "memcached":
-			return memcached(cfg, m, nic, memOpts)
-		}
-		return workload.Result{}, fmt.Errorf("unknown benchmark %q", bench)
-	}
-
-	type gridKey struct {
-		nic   device.NICProfile
-		bench string
-		mode  sim.Mode
-	}
-	var grid []gridKey
-	for _, nic := range res.NICs {
-		for _, bench := range res.Benches {
-			for _, m := range res.Modes {
-				grid = append(grid, gridKey{nic: nic, bench: bench, mode: m})
+	var keys []Figure12Key
+	for _, nic := range nics {
+		for _, bench := range figure12Benches {
+			for _, m := range sim.AllModes() {
+				keys = append(keys, Figure12Key{BenchKey{Bench: bench, NIC: nic.Name}, m})
 			}
 		}
 	}
-	cells, err := parallel.Map(cfg.Workers, grid, func(_ int, k gridKey) (workload.Result, error) {
-		r, err := runCell(k.nic, k.bench, k.mode)
+	g, err := runGrid(cfg, keys, func(k Figure12Key) (r workload.Result, err error) {
+		nic := nicProfile(k.NIC)
+		switch k.Bench {
+		case "stream":
+			r, err = netperfStream(cfg, k.Mode, nic, streamOpts)
+		case "rr":
+			r, err = netperfRR(cfg, k.Mode, nic, rrOpts)
+		case "apache-1M":
+			r, err = apache(cfg, k.Mode, nic, ap1M)
+		case "apache-1K":
+			r, err = apache(cfg, k.Mode, nic, ap1K)
+		case "memcached":
+			r, err = memcached(cfg, k.Mode, nic, memOpts)
+		}
 		if err != nil {
-			return r, fmt.Errorf("%s/%s/%s: %w", k.nic.Name, k.bench, k.mode, err)
+			err = fmt.Errorf("%s: %w", k, err)
 		}
-		return r, nil
+		return r, err
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, k := range grid {
-		key := BenchKey{Bench: k.bench, NIC: k.nic.Name}
-		if res.Matrix[key] == nil {
-			res.Matrix[key] = map[sim.Mode]workload.Result{}
-		}
-		res.Matrix[key][k.mode] = cells[i]
-	}
-	return res, nil
-}
-
-// cellMetrics emits one Figure 12 matrix point's metrics.
-func cellMetrics(r workload.Result) map[string]float64 {
-	return map[string]float64{
-		"throughput":      r.Throughput,
-		"cpu":             r.CPU,
-		"cycles_per_unit": r.CyclesPerUnit,
-		"latency_us":      r.LatencyMicros,
-		"units":           float64(r.Units),
-	}
+	return Figure12Result{g}, err
 }
 
 // Cells emits the full matrix in grid order.
 func (r Figure12Result) Cells() []Cell {
-	var out []Cell
-	for _, nic := range r.NICs {
-		for _, bench := range r.Benches {
-			cells := r.Matrix[BenchKey{Bench: bench, NIC: nic.Name}]
-			for _, m := range r.Modes {
-				out = append(out, C("figure12", nic.Name+"/"+bench+"/"+m.String(), cellMetrics(cells[m])))
-			}
+	return r.cells("figure12", func(k Figure12Key, c workload.Result) (string, map[string]float64) {
+		return k.String(), map[string]float64{
+			"throughput":      c.Throughput,
+			"cpu":             c.CPU,
+			"cycles_per_unit": c.CyclesPerUnit,
+			"latency_us":      c.LatencyMicros,
+			"units":           float64(c.Units),
 		}
-	}
-	return out
+	})
 }
 
 // Render prints one table per NIC with throughput and CPU per benchmark.
 func (r Figure12Result) Render() string {
 	var b strings.Builder
-	for _, nic := range r.NICs {
+	for _, nic := range nics {
 		t := stats.NewTable(
 			fmt.Sprintf("Figure 12 (%s). Throughput and CPU consumption per mode", nic.Name),
 			"benchmark", "unit", "metric", "strict", "strict+", "defer", "defer+", "riommu-", "riommu", "none")
 		t.AlignLeft(1).AlignLeft(2)
-		for _, bench := range r.Benches {
-			cells := r.Matrix[BenchKey{Bench: bench, NIC: nic.Name}]
-			tput := []string{bench, cells[sim.None].Unit, "tput"}
+		for _, bench := range figure12Benches {
+			key := BenchKey{Bench: bench, NIC: nic.Name}
+			tput := []string{bench, r.At(Figure12Key{key, sim.None}).Unit, "tput"}
 			cpu := []string{"", "%", "cpu"}
-			for _, m := range r.Modes {
-				tput = append(tput, fmt.Sprintf("%.4g", cells[m].Throughput))
-				cpu = append(cpu, fmt.Sprintf("%.0f", cells[m].CPU*100))
+			for _, m := range sim.AllModes() {
+				c := r.At(Figure12Key{key, m})
+				tput = append(tput, fmt.Sprintf("%.4g", c.Throughput))
+				cpu = append(cpu, fmt.Sprintf("%.0f", c.CPU*100))
 			}
 			t.RowStrings(tput)
 			t.RowStrings(cpu)
@@ -140,13 +125,4 @@ func (r Figure12Result) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func init() {
-	register(Experiment{
-		ID:    "figure12",
-		Title: "Figure 12: throughput and CPU for all benchmarks, modes and NICs",
-		Paper: "mlx/stream: riommu 0.77x none, 7.56x strict; brcm: all modes but strict saturate 10GbE; rr/apache-1K/memcached per §5.2",
-		Run:   wrap(RunFigure12),
-	})
 }

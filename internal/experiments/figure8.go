@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"riommu/internal/cycles"
 	"riommu/internal/device"
-	"riommu/internal/parallel"
 	"riommu/internal/perfmodel"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
@@ -33,58 +31,47 @@ type Figure8Result struct {
 // points and the mode points are independent cells.
 func RunFigure8(cfg Config) (Figure8Result, error) {
 	var res Figure8Result
-	model := cycles.DefaultModel()
+	mlx := device.ProfileMLX
+	model := sim.ProfileModel(mlx)
 
 	// Model curve over the C range the paper plots (~1.8K..18K cycles).
 	for c := 1800.0; c <= 18200; c += 400 {
 		res.Curve = append(res.Curve, Figure8Point{
 			Cycles:   c,
-			ModelGbs: perfmodel.Gbps(model, c, device.ProfileMLX.LineRateGbps),
+			ModelGbs: perfmodel.Gbps(model, c, mlx.LineRateGbps),
 		})
 	}
 
-	// Busy-wait sweep: systematically lengthen C_none with a controlled
-	// per-packet busy-wait loop, as §3.3 does, and measure throughput.
 	opts := workload.StreamOpts{
 		Messages:       cfg.Quality.scale(60, 200),
 		WarmupMessages: cfg.Quality.scale(20, 60),
 	}
-	extras := []uint64{0, 1000, 2000, 4000, 8000, 16000}
-	sweep, err := parallel.Map(cfg.Workers, extras, func(_ int, extra uint64) (Figure8Point, error) {
-		r, err := workload.NetperfStreamBusyWait(sim.None, device.ProfileMLX, opts, extra)
-		if err != nil {
-			return Figure8Point{}, err
-		}
+	// point measures one stream cell and places it against the model.
+	point := func(label string, m sim.Mode, o workload.StreamOpts) (Figure8Point, error) {
+		r, err := workload.NetperfStream(m, mlx, o)
 		return Figure8Point{
 			Cycles:      r.CyclesPerUnit,
-			ModelGbs:    perfmodel.Gbps(model, r.CyclesPerUnit, device.ProfileMLX.LineRateGbps),
+			ModelGbs:    perfmodel.Gbps(model, r.CyclesPerUnit, mlx.LineRateGbps),
 			MeasuredGbs: r.Throughput,
-			Label:       fmt.Sprintf("busywait+%d", extra),
-		}, nil
-	})
-	if err != nil {
-		return res, err
+			Label:       label,
+		}, err
 	}
-	res.Sweep = sweep
 
-	// Mode points.
-	modes, err := parallel.Map(cfg.Workers, sim.AllModes(), func(_ int, m sim.Mode) (Figure8Point, error) {
-		r, err := workload.NetperfStream(m, device.ProfileMLX, opts)
-		if err != nil {
-			return Figure8Point{}, err
-		}
-		return Figure8Point{
-			Cycles:      r.CyclesPerUnit,
-			ModelGbs:    perfmodel.Gbps(model, r.CyclesPerUnit, device.ProfileMLX.LineRateGbps),
-			MeasuredGbs: r.Throughput,
-			Label:       m.String(),
-		}, nil
+	// Busy-wait sweep: systematically lengthen C_none with a controlled
+	// per-packet busy-wait loop, as §3.3 does, and measure throughput.
+	sweep, err := runGrid(cfg, []uint64{0, 1000, 2000, 4000, 8000, 16000}, func(extra uint64) (Figure8Point, error) {
+		o := opts
+		o.ExtraCyclesPerPacket = extra
+		return point(fmt.Sprintf("busywait+%d", extra), sim.None, o)
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Modes = modes
-	return res, nil
+	modes, err := runGrid(cfg, sim.AllModes(), func(m sim.Mode) (Figure8Point, error) {
+		return point(m.String(), m, opts)
+	})
+	res.Sweep, res.Modes = sweep.Results, modes.Results
+	return res, err
 }
 
 // Cells emits every measured point (the analytic model curve regenerates
@@ -122,13 +109,4 @@ func (r Figure8Result) Render() string {
 		t.Row(p.Label, p.Cycles, p.ModelGbs, p.MeasuredGbs, fmt.Sprintf("%+.1f%%", errPct))
 	}
 	return t.String()
-}
-
-func init() {
-	register(Experiment{
-		ID:    "figure8",
-		Title: "Figure 8: throughput as a function of cycles per packet",
-		Paper: "the Gbps(C)=1500B*8*S/C model coincides with busy-wait-lengthened runs and with all IOMMU-mode measurements",
-		Run:   wrap(RunFigure8),
-	})
 }

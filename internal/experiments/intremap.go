@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"riommu/internal/device"
 	"riommu/internal/multicore"
-	"riommu/internal/parallel"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
 )
@@ -25,9 +23,7 @@ type IntremapKey struct {
 // interrupts off, isolating what interrupt delivery adds on top of the DMA
 // protection cost.
 type IntremapResult struct {
-	Modes  []sim.Mode
-	Cores  int
-	Matrix map[IntremapKey]multicore.Result
+	Grid[IntremapKey, multicore.Result]
 }
 
 // intremapCores fixes the experiment's core count: enough queues that the
@@ -39,25 +35,20 @@ const intremapCores = 4
 // (remappable format in the protected modes, compatibility pass-through in
 // none) and charges the dispatch to the receiving core's timeline.
 func RunIntremap(cfg Config) (IntremapResult, error) {
-	res := IntremapResult{
-		Modes:  sim.AllModes(),
-		Cores:  intremapCores,
-		Matrix: map[IntremapKey]multicore.Result{},
-	}
 	q := cfg.Quality
 	packets, warmup := q.scale(160, 800), q.scale(60, 240)
 
-	var grid []IntremapKey
-	for _, m := range res.Modes {
+	var keys []IntremapKey
+	for _, m := range sim.AllModes() {
 		for _, remap := range []bool{false, true} {
-			grid = append(grid, IntremapKey{Mode: m, Remap: remap})
+			keys = append(keys, IntremapKey{Mode: m, Remap: remap})
 		}
 	}
-	cells, err := parallel.Map(cfg.Workers, grid, func(_ int, k IntremapKey) (multicore.Result, error) {
+	g, err := runGrid(cfg, keys, func(k IntremapKey) (multicore.Result, error) {
 		r, err := runMulticore(cfg, multicore.Params{
 			Mode:           k.Mode,
 			Profile:        device.ProfileMLX,
-			Cores:          res.Cores,
+			Cores:          intremapCores,
 			PacketsPerCore: packets,
 			WarmupPerCore:  warmup,
 			IntRemap:       k.Remap,
@@ -67,53 +58,39 @@ func RunIntremap(cfg Config) (IntremapResult, error) {
 		}
 		return r, nil
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, k := range grid {
-		res.Matrix[k] = cells[i]
-	}
-	return res, nil
+	return IntremapResult{g}, err
 }
 
 // Cells emits the matrix in grid order.
 func (r IntremapResult) Cells() []Cell {
-	var out []Cell
-	for _, m := range r.Modes {
-		for _, remap := range []bool{false, true} {
-			c := r.Matrix[IntremapKey{Mode: m, Remap: remap}]
-			tag := "off"
-			if remap {
-				tag = "on"
-			}
-			out = append(out, C("intremap",
-				fmt.Sprintf("mlx/%s/remap=%s", m, tag),
-				map[string]float64{
-					"agg_gbps":       c.AggGbps,
-					"cycles_per_pkt": c.MeanCyclesPerPacket,
-					"int_delivered":  float64(c.Int.Delivered),
-					"int_posted":     float64(c.Int.PostedDeliv),
-					"int_blocked":    float64(c.Int.Blocked()),
-					"iec_hits":       float64(c.Int.CacheHits),
-					"iec_misses":     float64(c.Int.CacheMisses),
-				}))
+	return r.cells("intremap", func(k IntremapKey, c multicore.Result) (string, map[string]float64) {
+		tag := "off"
+		if k.Remap {
+			tag = "on"
 		}
-	}
-	return out
+		return fmt.Sprintf("mlx/%s/remap=%s", k.Mode, tag), map[string]float64{
+			"agg_gbps":       c.AggGbps,
+			"cycles_per_pkt": c.MeanCyclesPerPacket,
+			"int_delivered":  float64(c.Int.Delivered),
+			"int_posted":     float64(c.Int.PostedDeliv),
+			"int_blocked":    float64(c.Int.Blocked()),
+			"iec_hits":       float64(c.Int.CacheHits),
+			"iec_misses":     float64(c.Int.CacheMisses),
+		}
+	})
 }
 
 // Render prints the per-mode overhead table: cycles per packet with and
 // without remapped completion interrupts, the delta, and the IEC cache's
 // hit behaviour.
 func (r IntremapResult) Render() string {
-	var b strings.Builder
 	t := stats.NewTable(
-		fmt.Sprintf("Interrupt remapping overhead (mlx, %d cores). Cycles/packet with posted MSI-X vs without", r.Cores),
+		fmt.Sprintf("Interrupt remapping overhead (mlx, %d cores). Cycles/packet with posted MSI-X vs without", intremapCores),
 		"mode", "C plain", "C remapped", "delta", "delivered", "posted", "blocked", "IEC hit%")
 	t.AlignLeft(0)
-	for _, m := range r.Modes {
-		plain := r.Matrix[IntremapKey{Mode: m}]
-		on := r.Matrix[IntremapKey{Mode: m, Remap: true}]
+	for _, m := range sim.AllModes() {
+		plain := r.At(IntremapKey{Mode: m})
+		on := r.At(IntremapKey{Mode: m, Remap: true})
 		hitPct := 0.0
 		if lookups := on.Int.CacheHits + on.Int.CacheMisses; lookups > 0 {
 			hitPct = 100 * float64(on.Int.CacheHits) / float64(lookups)
@@ -125,15 +102,5 @@ func (r IntremapResult) Render() string {
 			on.Int.Delivered, on.Int.PostedDeliv, on.Int.Blocked(),
 			fmt.Sprintf("%.1f%%", hitPct))
 	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-func init() {
-	register(Experiment{
-		ID:    "intremap",
-		Title: "Interrupt remapping overhead: posted MSI-X delivery per mode",
-		Paper: "§2/§4 extension: the IOMMU's interrupt-remapping unit validates every MSI against the IRT; the experiment charges the walk/IEC-cache and per-core dispatch costs and isolates their overhead on the scale-out workload",
-		Run:   wrap(RunIntremap),
-	})
+	return t.String()
 }

@@ -15,12 +15,12 @@ func TestIntremapShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Modes) != len(sim.AllModes()) {
-		t.Fatalf("experiment covers %d modes, want %d", len(res.Modes), len(sim.AllModes()))
+	if len(res.Keys) != 2*len(sim.AllModes()) {
+		t.Fatalf("experiment covers %d points, want %d", len(res.Keys), 2*len(sim.AllModes()))
 	}
-	for _, m := range res.Modes {
-		plain := res.Matrix[IntremapKey{Mode: m}]
-		on := res.Matrix[IntremapKey{Mode: m, Remap: true}]
+	for _, m := range sim.AllModes() {
+		plain := res.At(IntremapKey{Mode: m})
+		on := res.At(IntremapKey{Mode: m, Remap: true})
 		if plain.Int.Delivered != 0 {
 			t.Errorf("%s: plain run delivered %d interrupts", m, plain.Int.Delivered)
 		}
@@ -45,7 +45,7 @@ func TestIntremapShape(t *testing.T) {
 	if txt := res.Render(); txt == "" {
 		t.Fatal("empty rendering")
 	}
-	if cells := res.Cells(); len(cells) != 2*len(res.Modes) {
-		t.Fatalf("%d cells, want %d", len(cells), 2*len(res.Modes))
+	if cells := res.Cells(); len(cells) != 2*len(sim.AllModes()) {
+		t.Fatalf("%d cells, want %d", len(cells), 2*len(sim.AllModes()))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"riommu/internal/device"
-	"riommu/internal/parallel"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
 	"riommu/internal/workload"
@@ -25,96 +24,84 @@ import (
 // packet, not by translation activity. Together these justify simulating
 // IOMMU proposals by spending CPU cycles alone.
 type MethodologyResult struct {
-	Modes []sim.Mode // none, hwpt, swpt
-
-	StreamGbps map[sim.Mode]float64
-	StreamC    map[sim.Mode]float64
-	RRMicros   map[sim.Mode]float64
+	// One row per mode: none, hwpt, swpt.
+	Grid[sim.Mode, MethodologyRow]
 
 	// SWptMisses counts the device-side IOTLB misses SWpt provokes — real
 	// walks that nonetheless do not move the throughput needle.
 	SWptMisses uint64
 }
 
-// RunMethodology measures stream and RR under none/HWpt/SWpt. Each
-// (mode, benchmark) pair is one cell; the SWpt walk count is a final cell
-// of its own.
+// MethodologyRow is one mode's stream throughput and cycles per packet and
+// its RR round-trip time.
+type MethodologyRow struct {
+	StreamGbps, StreamC, RRMicros float64
+}
+
+// RunMethodology measures stream and RR under none/HWpt/SWpt, one cell per
+// mode, then counts the SWpt walks in a short run of its own.
 func RunMethodology(cfg Config) (MethodologyResult, error) {
-	res := MethodologyResult{
-		Modes:      []sim.Mode{sim.None, sim.HWpt, sim.SWpt},
-		StreamGbps: map[sim.Mode]float64{},
-		StreamC:    map[sim.Mode]float64{},
-		RRMicros:   map[sim.Mode]float64{},
-	}
 	q := cfg.Quality
 	streamOpts := workload.StreamOpts{Messages: q.scale(80, 250), WarmupMessages: q.scale(30, 80)}
 	rrOpts := workload.RROpts{Transactions: q.scale(300, 1500), Warmup: q.scale(80, 200)}
-
-	// Grid: per mode a stream cell and an RR cell, then one walk-count cell.
-	streams := make([]workload.Result, len(res.Modes))
-	rrs := make([]workload.Result, len(res.Modes))
-	err := parallel.Run(cfg.Workers, 2*len(res.Modes)+1, func(i int) error {
-		switch {
-		case i < len(res.Modes):
-			st, err := workload.NetperfStream(res.Modes[i], device.ProfileMLX, streamOpts)
-			streams[i] = st
-			return err
-		case i < 2*len(res.Modes):
-			rr, err := netperfRR(cfg, res.Modes[i-len(res.Modes)], device.ProfileMLX, rrOpts)
-			rrs[i-len(res.Modes)] = rr
-			return err
-		}
-		// Count the SWpt walks directly: one short run with the stats read
-		// out.
-		sys, err := sim.New(sim.Spec{Mode: sim.SWpt, MemPages: workload.MemPages})
+	g, err := runGrid(cfg, []sim.Mode{sim.None, sim.HWpt, sim.SWpt}, func(m sim.Mode) (MethodologyRow, error) {
+		st, err := workload.NetperfStream(m, device.ProfileMLX, streamOpts)
 		if err != nil {
-			return err
+			return MethodologyRow{}, err
 		}
-		defer sys.Close()
-		drv, _, err := sys.AttachNIC(device.ProfileMLX, workload.NICBDF)
-		if err != nil {
-			return err
-		}
-		payload := make([]byte, 1000)
-		for i := 0; i < 256; i++ {
-			if err := drv.Send(payload); err != nil {
-				return err
-			}
-		}
-		if _, err := drv.PumpTx(256); err != nil {
-			return err
-		}
-		if _, err := drv.ReapTx(); err != nil {
-			return err
-		}
-		res.SWptMisses = sys.BaseHW.TLB().Stats().Misses
-		return nil
+		rr, err := netperfRR(cfg, m, device.ProfileMLX, rrOpts)
+		return MethodologyRow{
+			StreamGbps: st.Throughput,
+			StreamC:    st.CyclesPerUnit,
+			RRMicros:   rr.LatencyMicros,
+		}, err
 	})
 	if err != nil {
-		return res, err
+		return MethodologyResult{}, err
 	}
-	for i, m := range res.Modes {
-		res.StreamGbps[m] = streams[i].Throughput
-		res.StreamC[m] = streams[i].CyclesPerUnit
-		res.RRMicros[m] = rrs[i].LatencyMicros
+	misses, err := swptMisses()
+	return MethodologyResult{Grid: g, SWptMisses: misses}, err
+}
+
+// swptMisses sends 256 packets through an SWpt world and returns the IOTLB
+// misses, each a real page-table walk, that they provoke.
+func swptMisses() (uint64, error) {
+	sys, err := sim.New(sim.Spec{Mode: sim.SWpt, MemPages: workload.MemPages})
+	if err != nil {
+		return 0, err
 	}
-	return res, nil
+	defer sys.Close()
+	drv, _, err := sys.AttachNIC(device.ProfileMLX, workload.NICBDF)
+	if err != nil {
+		return 0, err
+	}
+	payload := make([]byte, 1000)
+	for i := 0; i < 256; i++ {
+		if err := drv.Send(payload); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := drv.PumpTx(256); err != nil {
+		return 0, err
+	}
+	if _, err := drv.ReapTx(); err != nil {
+		return 0, err
+	}
+	return sys.BaseHW.TLB().Stats().Misses, nil
 }
 
 // Cells emits the per-mode validation points.
 func (r MethodologyResult) Cells() []Cell {
-	var out []Cell
-	for _, m := range r.Modes {
-		out = append(out, C("methodology", m.String(), map[string]float64{
-			"stream_gbps":       r.StreamGbps[m],
-			"cycles_per_packet": r.StreamC[m],
-			"rr_rtt_us":         r.RRMicros[m],
-		}))
-	}
-	out = append(out, C("methodology", "swpt-misses", map[string]float64{
+	out := r.cells("methodology", func(m sim.Mode, row MethodologyRow) (string, map[string]float64) {
+		return m.String(), map[string]float64{
+			"stream_gbps":       row.StreamGbps,
+			"cycles_per_packet": row.StreamC,
+			"rr_rtt_us":         row.RRMicros,
+		}
+	})
+	return append(out, C("methodology", "swpt-misses", map[string]float64{
 		"iotlb_misses": float64(r.SWptMisses),
 	}))
-	return out
 }
 
 // Render prints the validation table.
@@ -122,22 +109,14 @@ func (r MethodologyResult) Render() string {
 	t := stats.NewTable(
 		"Sec 5.1. Methodology validation: pass-through modes vs no IOMMU (mlx)",
 		"mode", "stream Gbps", "C (cy/pkt)", "RR rtt (us)")
-	for _, m := range r.Modes {
-		t.Row(m.String(), r.StreamGbps[m], r.StreamC[m], r.RRMicros[m])
+	for i, m := range r.Keys {
+		row := r.Results[i]
+		t.Row(m.String(), row.StreamGbps, row.StreamC, row.RRMicros)
 	}
 	out := t.String()
 	out += fmt.Sprintf("HWpt/none stream = %.2f (paper ~0.90: ~200 abstraction cycles/packet)\n",
-		r.StreamGbps[sim.HWpt]/r.StreamGbps[sim.None])
+		r.At(sim.HWpt).StreamGbps/r.At(sim.None).StreamGbps)
 	out += fmt.Sprintf("SWpt provoked %d real IOTLB misses/walks without moving throughput (= HWpt)\n",
 		r.SWptMisses)
 	return out
-}
-
-func init() {
-	register(Experiment{
-		ID:    "methodology",
-		Title: "Sec 5.1: HWpt/SWpt methodology validation",
-		Paper: "HWpt == SWpt everywhere; RR identical to none; stream ~10% below none, caused by ~200 cycles of kernel abstraction, not translation",
-		Run:   wrap(RunMethodology),
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"riommu/internal/driver"
-	"riommu/internal/parallel"
 	"riommu/internal/pci"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
@@ -53,11 +52,11 @@ func RunMissPenalty(cfg Config) (MissPenaltyResult, error) {
 		a, b            float64 // cell-specific measurements
 		penalty, micros float64
 	}
-	runHalf := func(id int) (half, error) {
+	halves, err := runGrid(cfg, []sim.Mode{sim.Strict, sim.RIOMMU}, func(mode sim.Mode) (half, error) {
 		var out half
-		mode, tables := sim.Strict, []uint32{4, 4096, 4096}
-		if id == 1 {
-			mode, tables = sim.RIOMMU, []uint32{4, poolBuffers * 2, poolBuffers * 2}
+		tables := []uint32{4, 4096, 4096}
+		if mode == sim.RIOMMU {
+			tables = []uint32{4, poolBuffers * 2, poolBuffers * 2}
 		}
 		sys, err := sim.New(sim.Spec{Mode: mode, MemPages: workload.MemPages})
 		if err != nil {
@@ -96,7 +95,7 @@ func RunMissPenalty(cfg Config) (MissPenaltyResult, error) {
 			return float64(sys.Dev.Now()-before) / float64(sends)
 		}
 		next := newRand()
-		if id == 0 {
+		if mode == sim.Strict {
 			// Baseline IOMMU, persistent mappings, polling-mode sends:
 			// random buffer from a large pool (always misses) vs a single
 			// buffer (always hits).
@@ -111,20 +110,17 @@ func RunMissPenalty(cfg Config) (MissPenaltyResult, error) {
 		out.a = measure(func(i int) uint64 { return iovas[i%poolBuffers] })
 		out.b = measure(func(int) uint64 { return iovas[next()%poolBuffers] })
 		return out, nil
-	}
-
-	halves, err := parallel.Map(cfg.Workers, []int{0, 1}, func(_ int, id int) (half, error) {
-		return runHalf(id)
 	})
 	if err != nil {
 		return res, err
 	}
-	res.RandomCycles = halves[0].a
-	res.SingleCycles = halves[0].b
-	res.MissPenaltyCycles = halves[0].penalty
-	res.MissPenaltyMicros = halves[0].micros
-	res.RInOrderCycles = halves[1].a
-	res.RRandomCycles = halves[1].b
+	base, r := halves.Results[0], halves.Results[1]
+	res.RandomCycles = base.a
+	res.SingleCycles = base.b
+	res.MissPenaltyCycles = base.penalty
+	res.MissPenaltyMicros = base.micros
+	res.RInOrderCycles = r.a
+	res.RRandomCycles = r.b
 	return res, nil
 }
 
@@ -156,13 +152,4 @@ func (r MissPenaltyResult) Render() string {
 	t.Row("riommu, in-order ring access (prefetched)", r.RInOrderCycles)
 	t.Row("riommu, random access (flat-table fetch)", r.RRandomCycles)
 	return t.String()
-}
-
-func init() {
-	register(Experiment{
-		ID:    "misspenalty",
-		Title: "Sec 5.3: IOTLB miss penalty in low-latency environments",
-		Paper: "miss penalty ~0.5 us (1,532 cycles); approximates rIOMMU's benefit for user-level I/O",
-		Run:   wrap(RunMissPenalty),
-	})
 }

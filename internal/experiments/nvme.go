@@ -5,7 +5,6 @@ import (
 
 	"riommu/internal/cycles"
 	"riommu/internal/driver"
-	"riommu/internal/parallel"
 	"riommu/internal/pci"
 	"riommu/internal/perfmodel"
 	"riommu/internal/sim"
@@ -20,13 +19,15 @@ import (
 // CPU cost (map + submit + complete + unmap) bounds the achievable IOPS via
 // the same validated cycles model, capped by the drive's rated IOPS.
 type NVMeResult struct {
-	Modes []sim.Mode
-	// CyclesPerOp is the measured CPU cost per 4 KiB command.
-	CyclesPerOp map[sim.Mode]float64
-	// KIOPS is the resulting throughput in thousands of IOPS.
-	KIOPS map[sim.Mode]float64
+	Grid[sim.Mode, NVMePoint]
 	// DriveKIOPS is the drive-side cap.
 	DriveKIOPS float64
+}
+
+// NVMePoint is one mode's measured CPU cost per 4 KiB command and the
+// throughput it allows, in thousands of IOPS.
+type NVMePoint struct {
+	CyclesPerOp, KIOPS float64
 }
 
 // nvmeDriveKIOPS models a high-end 2015 PCIe SSD (~750K 4 KiB IOPS).
@@ -39,22 +40,13 @@ const nvmeStackCycles = 900
 // RunNVMe measures the per-command cost in each mode, one isolated world
 // per mode cell.
 func RunNVMe(cfg Config) (NVMeResult, error) {
-	res := NVMeResult{
-		Modes:       sim.AllModes(),
-		CyclesPerOp: map[sim.Mode]float64{},
-		KIOPS:       map[sim.Mode]float64{},
-		DriveKIOPS:  nvmeDriveKIOPS,
-	}
 	const depth = 32
 	q := cfg.Quality
 	ops := q.scale(1500, 6000)
 	bdf := pci.NewBDF(0, 4, 0)
 
-	type nvmeCell struct {
-		cyclesPerOp, kiops float64
-	}
-	cells, err := parallel.Map(cfg.Workers, res.Modes, func(_ int, m sim.Mode) (nvmeCell, error) {
-		var cell nvmeCell
+	g, err := runGrid(cfg, sim.AllModes(), func(m sim.Mode) (NVMePoint, error) {
+		var cell NVMePoint
 		sys, err := sim.New(sim.Spec{Mode: m, MemPages: workload.MemPages})
 		if err != nil {
 			return cell, err
@@ -89,30 +81,21 @@ func RunNVMe(cfg Config) (NVMeResult, error) {
 		if err := run(ops); err != nil {
 			return cell, err
 		}
-		cell.cyclesPerOp = float64(sys.CPU.Now()) / float64(ops)
-		cell.kiops = perfmodel.RatePerSecond(sys.Model, cell.cyclesPerOp, nvmeDriveKIOPS*1000) / 1000
+		cell.CyclesPerOp = float64(sys.CPU.Now()) / float64(ops)
+		cell.KIOPS = perfmodel.RatePerSecond(sys.Model, cell.CyclesPerOp, nvmeDriveKIOPS*1000) / 1000
 		return cell, sys.CheckLive(bdf, d.Live())
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, m := range res.Modes {
-		res.CyclesPerOp[m] = cells[i].cyclesPerOp
-		res.KIOPS[m] = cells[i].kiops
-	}
-	return res, nil
+	return NVMeResult{Grid: g, DriveKIOPS: nvmeDriveKIOPS}, err
 }
 
 // Cells emits the per-mode IOPS points.
 func (r NVMeResult) Cells() []Cell {
-	out := make([]Cell, 0, len(r.Modes))
-	for _, m := range r.Modes {
-		out = append(out, C("nvme", m.String(), map[string]float64{
-			"cycles_per_op": r.CyclesPerOp[m],
-			"kiops":         r.KIOPS[m],
-		}))
-	}
-	return out
+	return r.cells("nvme", func(m sim.Mode, p NVMePoint) (string, map[string]float64) {
+		return m.String(), map[string]float64{
+			"cycles_per_op": p.CyclesPerOp,
+			"kiops":         p.KIOPS,
+		}
+	})
 }
 
 // Render prints the comparison.
@@ -120,18 +103,9 @@ func (r NVMeResult) Render() string {
 	t := stats.NewTable(
 		fmt.Sprintf("Extension. NVMe 4 KiB I/O under DMA protection (drive rated %.0fK IOPS, QD32)", r.DriveKIOPS),
 		"mode", "cycles/op", "K IOPS", "vs drive cap")
-	for _, m := range r.Modes {
-		t.Row(m.String(), r.CyclesPerOp[m], r.KIOPS[m],
-			fmt.Sprintf("%.2fx", r.KIOPS[m]/r.DriveKIOPS))
+	for i, m := range r.Keys {
+		p := r.Results[i]
+		t.Row(m.String(), p.CyclesPerOp, p.KIOPS, fmt.Sprintf("%.2fx", p.KIOPS/r.DriveKIOPS))
 	}
 	return t.String()
-}
-
-func init() {
-	register(Experiment{
-		ID:    "nvme",
-		Title: "Extension: NVMe SSD IOPS under each protection mode",
-		Paper: "§4 asserts applicability (NVMe queues are consumed in order) without evaluating; this experiment quantifies it",
-		Run:   wrap(RunNVMe),
-	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"riommu/internal/cycles"
 	"riommu/internal/device"
-	"riommu/internal/parallel"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
 	"riommu/internal/workload"
@@ -18,66 +17,53 @@ import (
 // the strict-mode allocation cost and the worst single gap-search walk,
 // plus the constant-time allocator for contrast.
 type PathologyResult struct {
-	LiveSets []uint32
-	// AvgAllocCycles[live] is the mean strict-mode IOVA allocation cost.
-	AvgAllocCycles map[uint32]float64
-	// MaxWalkNodes[live] is the longest single rb-prev gap-search walk.
-	MaxWalkNodes map[uint32]uint64
+	// The strict-mode sweep, keyed by live set.
+	Grid[uint32, PathologyPoint]
 	// ConstAllocCycles is the "+" allocator's (flat) cost for reference.
 	ConstAllocCycles float64
 }
 
-// RunPathology sweeps the live-IOVA population; the sweep points plus the
-// constant-time reference run are one cell grid.
+// PathologyPoint is one sweep point: the mean strict-mode IOVA allocation
+// cost and the longest single rb-prev gap-search walk.
+type PathologyPoint struct {
+	AvgAllocCycles float64
+	MaxWalkNodes   uint64
+}
+
+// RunPathology sweeps the live-IOVA population, one cell per live set, then
+// runs the constant-time reference, whose live set is irrelevant.
 func RunPathology(cfg Config) (PathologyResult, error) {
-	res := PathologyResult{
-		LiveSets:       []uint32{1024, 2048, 4096, 8192},
-		AvgAllocCycles: map[uint32]float64{},
-		MaxWalkNodes:   map[uint32]uint64{},
-	}
 	opts := workload.StreamOpts{
 		Messages:       cfg.Quality.scale(80, 250),
 		WarmupMessages: cfg.Quality.scale(40, 100),
 	}
-	// Cell i < len(LiveSets) is one strict-mode sweep point; the final cell
-	// is the constant-time "+" allocator reference (live set irrelevant).
-	cells := make([]workload.Result, len(res.LiveSets)+1)
-	err := parallel.Run(cfg.Workers, len(cells), func(i int) error {
+	g, err := runGrid(cfg, []uint32{1024, 2048, 4096, 8192}, func(live uint32) (PathologyPoint, error) {
 		profile := device.ProfileMLX
-		mode := sim.Strict
-		if i == len(res.LiveSets) {
-			mode = sim.StrictPlus
-		} else {
-			profile.RxEntries = res.LiveSets[i]
-		}
-		r, err := workload.NetperfStream(mode, profile, opts)
-		cells[i] = r
-		return err
+		profile.RxEntries = live
+		r, err := workload.NetperfStream(sim.Strict, profile, opts)
+		return PathologyPoint{
+			AvgAllocCycles: r.Breakdown.Average(cycles.MapIOVAAlloc),
+			MaxWalkNodes:   r.MaxAllocVisits,
+		}, err
 	})
 	if err != nil {
-		return res, err
+		return PathologyResult{}, err
 	}
-	for i, live := range res.LiveSets {
-		res.AvgAllocCycles[live] = cells[i].Breakdown.Average(cycles.MapIOVAAlloc)
-		res.MaxWalkNodes[live] = cells[i].MaxAllocVisits
-	}
-	res.ConstAllocCycles = cells[len(res.LiveSets)].Breakdown.Average(cycles.MapIOVAAlloc)
-	return res, nil
+	ref, err := workload.NetperfStream(sim.StrictPlus, device.ProfileMLX, opts)
+	return PathologyResult{Grid: g, ConstAllocCycles: ref.Breakdown.Average(cycles.MapIOVAAlloc)}, err
 }
 
 // Cells emits the sweep points and the constant-time reference.
 func (r PathologyResult) Cells() []Cell {
-	var out []Cell
-	for _, live := range r.LiveSets {
-		out = append(out, C("pathology", fmt.Sprintf("live=%d", live), map[string]float64{
-			"avg_alloc_cycles": r.AvgAllocCycles[live],
-			"max_walk_nodes":   float64(r.MaxWalkNodes[live]),
-		}))
-	}
-	out = append(out, C("pathology", "const-allocator", map[string]float64{
+	out := r.cells("pathology", func(live uint32, p PathologyPoint) (string, map[string]float64) {
+		return fmt.Sprintf("live=%d", live), map[string]float64{
+			"avg_alloc_cycles": p.AvgAllocCycles,
+			"max_walk_nodes":   float64(p.MaxWalkNodes),
+		}
+	})
+	return append(out, C("pathology", "const-allocator", map[string]float64{
 		"avg_alloc_cycles": r.ConstAllocCycles,
 	}))
-	return out
 }
 
 // Render prints the sweep.
@@ -85,19 +71,11 @@ func (r PathologyResult) Render() string {
 	t := stats.NewTable(
 		"Sec 3.2. Linux IOVA allocator pathology: allocation cost vs live IOVAs (strict, mlx stream)",
 		"live IOVAs (Rx ring)", "avg alloc cycles", "worst walk (nodes)")
-	for _, live := range r.LiveSets {
-		t.Row(fmt.Sprintf("%d", live), r.AvgAllocCycles[live], fmt.Sprintf("%d", r.MaxWalkNodes[live]))
+	for i, live := range r.Keys {
+		p := r.Results[i]
+		t.Row(fmt.Sprintf("%d", live), p.AvgAllocCycles, fmt.Sprintf("%d", p.MaxWalkNodes))
 	}
 	out := t.String()
 	out += fmt.Sprintf("constant-time '+' allocator: %.0f cycles regardless of live set (paper: 92)\n", r.ConstAllocCycles)
 	return out
-}
-
-func init() {
-	register(Experiment{
-		ID:    "pathology",
-		Title: "Sec 3.2: IOVA allocator pathology vs live-set size",
-		Paper: "some allocations are linear in the number of currently allocated IOVAs; the '+' allocator is constant-time",
-		Run:   wrap(RunPathology),
-	})
 }

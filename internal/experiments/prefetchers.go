@@ -277,12 +277,3 @@ func (r PrefetchersResult) Render() string {
 		r.CollectedHitRates["markov"], r.CollectedHitRates["recency"], r.CollectedHitRates["distance"])
 	return out
 }
-
-func init() {
-	register(Experiment{
-		ID:    "prefetchers",
-		Title: "Sec 5.4: comparison against Markov/Recency/Distance TLB prefetchers",
-		Paper: "baseline prefetchers ineffective; modified Markov/Recency work only with history > ring; Distance ineffective; rIOTLB needs 2 entries/ring, always correct",
-		Run:   wrap(RunPrefetchers),
-	})
-}

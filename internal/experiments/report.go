@@ -34,8 +34,9 @@ type ExperimentReport struct {
 }
 
 // Report is the full machine-readable run: every selected experiment's
-// cells in registry order. This is what riommu-bench -json emits and what
-// the CI benchmark-regression gate diffs against BENCH_golden.json.
+// cells, experiments in the order they ran (ID order when all run, the
+// -exp flag's order otherwise). This is what riommu-bench -json emits and
+// what the CI benchmark-regression gate diffs against BENCH_golden.json.
 type Report struct {
 	Quality     string             `json:"quality"`
 	Experiments []ExperimentReport `json:"experiments"`
@@ -54,8 +55,8 @@ type RunResult struct {
 	Elapsed    time.Duration
 }
 
-// RunAll executes the selected experiments (all registered ones when sel is
-// nil) in order. Experiments run one after another; the fan-out happens at
+// RunAll executes the selected experiments (all of them when sel is nil)
+// in order. Experiments run one after another; the fan-out happens at
 // the cell level inside each experiment, so at most cfg.Workers simulation
 // worlds are live at any moment regardless of how many experiments are
 // selected.

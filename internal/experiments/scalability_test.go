@@ -58,12 +58,13 @@ func TestScalabilityCurveShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict := res.Matrix[ScaleKey{NIC: "mlx", Mode: sim.Strict, Cores: 8}]
-	riommu := res.Matrix[ScaleKey{NIC: "mlx", Mode: sim.RIOMMU, Cores: 8}]
+	strict := res.At(ScaleKey{NIC: "mlx", Mode: sim.Strict, Cores: 8})
+	riommu := res.At(ScaleKey{NIC: "mlx", Mode: sim.RIOMMU, Cores: 8})
 	if riommu.AggGbps < 3*strict.AggGbps {
 		t.Errorf("mlx 8 cores: riommu %.2f Gbps < 3x strict %.2f Gbps", riommu.AggGbps, strict.AggGbps)
 	}
-	for k, c := range res.Matrix {
+	for i, k := range res.Keys {
+		c := res.Results[i]
 		line := device.ProfileMLX.LineRateGbps
 		if k.NIC == device.ProfileBRCM.Name {
 			line = device.ProfileBRCM.LineRateGbps

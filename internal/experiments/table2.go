@@ -40,13 +40,12 @@ func RunTable2(cfg Config) (Table2Result, error) {
 // Cells emits the normalized ratios for both rIOMMU variants against every
 // baseline mode.
 func (r Table2Result) Cells() []Cell {
-	baselines := []sim.Mode{sim.Strict, sim.StrictPlus, sim.Defer, sim.DeferPlus, sim.None}
 	var out []Cell
 	for _, variant := range []sim.Mode{sim.RIOMMUMinus, sim.RIOMMU} {
-		for _, nic := range r.Fig.NICs {
-			for _, bench := range r.Fig.Benches {
+		for _, nic := range nics {
+			for _, bench := range figure12Benches {
 				key := BenchKey{Bench: bench, NIC: nic.Name}
-				for _, vs := range baselines {
+				for _, vs := range table2Baselines {
 					id := variant.String() + "/" + nic.Name + "/" + bench + "/vs-" + vs.String()
 					out = append(out, C("table2", id, map[string]float64{
 						"tput_ratio": r.ThroughputRatio(key, variant, vs),
@@ -59,40 +58,42 @@ func (r Table2Result) Cells() []Cell {
 	return out
 }
 
+// table2Baselines are the modes Table 2 divides rIOMMU by, in column order.
+var table2Baselines = []sim.Mode{sim.Strict, sim.StrictPlus, sim.Defer, sim.DeferPlus, sim.None}
+
 // ThroughputRatio returns measured riommuVariant/mode throughput.
 func (r Table2Result) ThroughputRatio(key BenchKey, variant, vs sim.Mode) float64 {
-	cells := r.Fig.Matrix[key]
-	if cells[vs].Throughput == 0 {
+	base := r.Fig.At(Figure12Key{key, vs}).Throughput
+	if base == 0 {
 		return 0
 	}
-	return cells[variant].Throughput / cells[vs].Throughput
+	return r.Fig.At(Figure12Key{key, variant}).Throughput / base
 }
 
 // CPURatio returns measured riommuVariant/mode CPU consumption.
 func (r Table2Result) CPURatio(key BenchKey, variant, vs sim.Mode) float64 {
-	cells := r.Fig.Matrix[key]
-	if cells[vs].CPU == 0 {
+	base := r.Fig.At(Figure12Key{key, vs}).CPU
+	if base == 0 {
 		return 0
 	}
-	return cells[variant].CPU / cells[vs].CPU
+	return r.Fig.At(Figure12Key{key, variant}).CPU / base
 }
 
 // Render prints the normalized table, paper values in parentheses for the
 // riommu column.
 func (r Table2Result) Render() string {
 	var b strings.Builder
-	baselines := []sim.Mode{sim.Strict, sim.StrictPlus, sim.Defer, sim.DeferPlus, sim.None}
 	for _, variant := range []sim.Mode{sim.RIOMMUMinus, sim.RIOMMU} {
 		t := stats.NewTable(
 			fmt.Sprintf("Table 2 (%s divided by). Normalized throughput / cpu; riommu row shows (paper) alongside", variant),
 			"nic", "benchmark", "metric", "strict", "strict+", "defer", "defer+", "none")
 		t.AlignLeft(1).AlignLeft(2)
-		for _, nic := range r.Fig.NICs {
-			for _, bench := range r.Fig.Benches {
+		for _, nic := range nics {
+			for _, bench := range figure12Benches {
 				key := BenchKey{Bench: bench, NIC: nic.Name}
 				tput := []string{nic.Name, bench, "tput"}
 				cpu := []string{"", "", "cpu"}
-				for _, vs := range baselines {
+				for _, vs := range table2Baselines {
 					cell := fmt.Sprintf("%.2f", r.ThroughputRatio(key, variant, vs))
 					if variant == sim.RIOMMU {
 						if p, ok := Table2Paper[key][vs]; ok {
@@ -110,13 +111,4 @@ func (r Table2Result) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func init() {
-	register(Experiment{
-		ID:    "table2",
-		Title: "Table 2: normalized rIOMMU performance ratios",
-		Paper: "riommu throughput 2.90-7.56x strict modes, 1.74-3.79x deferred (mlx stream); 0.77-1.00x none; cpu 0.36-1.00x",
-		Run:   wrap(RunTable2),
-	})
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"riommu/internal/device"
-	"riommu/internal/parallel"
 	"riommu/internal/sim"
 	"riommu/internal/stats"
 	"riommu/internal/workload"
@@ -22,54 +20,39 @@ var Table3Paper = map[string]map[sim.Mode]float64{
 	},
 }
 
+// Table3Key identifies one Table 3 cell: a NIC in one mode.
+type Table3Key struct {
+	NIC  string
+	Mode sim.Mode
+}
+
 // Table3Result holds measured RTTs in microseconds per NIC per mode.
 type Table3Result struct {
-	Modes []sim.Mode
-	RTT   map[string]map[sim.Mode]float64
+	Grid[Table3Key, float64]
 }
 
 // RunTable3 measures Netperf RR round-trip times for both NICs; the
-// nic x mode grid is flattened into cells.
+// nic x mode grid is one cell per point.
 func RunTable3(cfg Config) (Table3Result, error) {
-	res := Table3Result{Modes: sim.AllModes(), RTT: map[string]map[sim.Mode]float64{}}
 	opts := workload.RROpts{Transactions: cfg.Quality.scale(400, 2000), Warmup: cfg.Quality.scale(100, 300)}
-	type gridKey struct {
-		nic  device.NICProfile
-		mode sim.Mode
-	}
-	var grid []gridKey
-	for _, nic := range []device.NICProfile{device.ProfileMLX, device.ProfileBRCM} {
-		for _, m := range res.Modes {
-			grid = append(grid, gridKey{nic: nic, mode: m})
+	var keys []Table3Key
+	for _, nic := range nics {
+		for _, m := range sim.AllModes() {
+			keys = append(keys, Table3Key{NIC: nic.Name, Mode: m})
 		}
 	}
-	cells, err := parallel.Map(cfg.Workers, grid, func(_ int, k gridKey) (float64, error) {
-		r, err := workload.NetperfRR(k.mode, k.nic, opts)
+	g, err := runGrid(cfg, keys, func(k Table3Key) (float64, error) {
+		r, err := workload.NetperfRR(k.Mode, nicProfile(k.NIC), opts)
 		return r.LatencyMicros, err
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, k := range grid {
-		if res.RTT[k.nic.Name] == nil {
-			res.RTT[k.nic.Name] = map[sim.Mode]float64{}
-		}
-		res.RTT[k.nic.Name][k.mode] = cells[i]
-	}
-	return res, nil
+	return Table3Result{g}, err
 }
 
 // Cells emits the per-nic per-mode round-trip times.
 func (r Table3Result) Cells() []Cell {
-	var out []Cell
-	for _, nic := range []string{"mlx", "brcm"} {
-		for _, m := range r.Modes {
-			out = append(out, C("table3", nic+"/"+m.String(), map[string]float64{
-				"rtt_us": r.RTT[nic][m],
-			}))
-		}
-	}
-	return out
+	return r.cells("table3", func(k Table3Key, rtt float64) (string, map[string]float64) {
+		return k.NIC + "/" + k.Mode.String(), map[string]float64{"rtt_us": rtt}
+	})
 }
 
 // Render prints the paper-style RTT table with paper values alongside.
@@ -77,21 +60,12 @@ func (r Table3Result) Render() string {
 	t := stats.NewTable(
 		"Table 3. Netperf RR round-trip time in microseconds (measured | paper)",
 		"nic", "strict", "strict+", "defer", "defer+", "riommu-", "riommu", "none")
-	for _, nic := range []string{"mlx", "brcm"} {
-		row := []string{nic}
-		for _, m := range r.Modes {
-			row = append(row, fmt.Sprintf("%.1f | %.1f", r.RTT[nic][m], Table3Paper[nic][m]))
+	for _, nic := range nics {
+		row := []string{nic.Name}
+		for _, m := range sim.AllModes() {
+			row = append(row, fmt.Sprintf("%.1f | %.1f", r.At(Table3Key{nic.Name, m}), Table3Paper[nic.Name][m]))
 		}
 		t.RowStrings(row)
 	}
 	return t.String()
-}
-
-func init() {
-	register(Experiment{
-		ID:    "table3",
-		Title: "Table 3: Netperf RR round-trip times",
-		Paper: "mlx: 17.3 (strict) .. 13.4 us (none); brcm: 41.9 .. 34.6 us; rIOMMU within 0.5-0.7 us of none",
-		Run:   wrap(RunTable3),
-	})
 }

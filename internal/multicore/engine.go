@@ -121,7 +121,7 @@ func Run(p Params) (Result, error) {
 
 	sys, err := sim.New(sim.Spec{
 		Mode: p.Mode, MemPages: memPages,
-		Model: cycles.DefaultModel().Scaled(p.Profile.CostScale), IntRemap: p.IntRemap,
+		Model: sim.ProfileModel(p.Profile), IntRemap: p.IntRemap,
 	})
 	if err != nil {
 		return Result{}, err

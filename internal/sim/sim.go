@@ -143,8 +143,8 @@ type Spec struct {
 	MemPages uint64 // pages of simulated memory
 
 	// Model is the per-operation cost model every component charges; the
-	// zero Model means cycles.DefaultModel(). The brcm setup's cheaper
-	// per-op costs are cycles.DefaultModel().Scaled(0.5).
+	// zero Model means cycles.DefaultModel(). ProfileModel gives a NIC
+	// setup's model: brcm's per-op costs are half of mlx's.
 	Model cycles.Model
 
 	// Inject installs a fault-injection engine built from Faults.
@@ -160,6 +160,12 @@ type Spec struct {
 	// its shadow oracle. Without it no device raises and no clock sees an
 	// int-remap charge.
 	IntRemap bool
+}
+
+// ProfileModel is the cost model of a world built for NIC setup p: the
+// default model with its per-op costs scaled by p.CostScale.
+func ProfileModel(p device.NICProfile) cycles.Model {
+	return cycles.DefaultModel().Scaled(p.CostScale)
 }
 
 // baselineMode maps the four baseline modes onto their Linux driver modes.

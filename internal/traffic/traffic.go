@@ -293,7 +293,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	memPages := uint64(1<<15) + uint64(cfg.TableSlots)*steerMaxPages + bypassBufs
 	sys, err := sim.New(sim.Spec{
 		Mode: cfg.Mode, MemPages: memPages,
-		Model: cycles.DefaultModel().Scaled(profile.CostScale), Audit: cfg.Audit,
+		Model: sim.ProfileModel(profile), Audit: cfg.Audit,
 	})
 	if err != nil {
 		return nil, err

@@ -107,14 +107,6 @@ func NetperfStream(mode sim.Mode, profile device.NICProfile, opts StreamOpts) (R
 	return res, nil
 }
 
-// NetperfStreamBusyWait runs the stream benchmark with an artificial
-// busy-wait added to every packet — the §3.3 technique for validating that
-// throughput is Gbps(C) regardless of where the cycles go.
-func NetperfStreamBusyWait(mode sim.Mode, profile device.NICProfile, opts StreamOpts, extraCycles uint64) (Result, error) {
-	opts.ExtraCyclesPerPacket = extraCycles
-	return NetperfStream(mode, profile, opts)
-}
-
 // RROpts configures a Netperf UDP request-response run.
 type RROpts struct {
 	Transactions int
